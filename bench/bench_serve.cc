@@ -132,8 +132,8 @@ RunResult RunOnce(BenchModel* bench, int max_batch_size, int num_clients,
         return;
       }
       for (int r = 0; r < requests_per_client; ++r) {
-        auto types = client.value().AnnotateTypes(MakeTable(c + r));
-        (types.ok() ? completed : failed).fetch_add(1);
+        auto outcomes = client.value().AnnotateTypesRobust(MakeTable(c + r));
+        (outcomes.ok() ? completed : failed).fetch_add(1);
       }
     });
   }

@@ -76,10 +76,8 @@ DynamicBatcher::DynamicBatcher(core::ReplicaPool* replicas,
       inference_us_(util::GetHistogram("serve.inference_us")),
       batch_size_(util::GetHistogram("serve.batch_size")),
       requests_total_(util::GetCounter("serve.requests_total")),
-      robust_requests_total_(util::GetCounter("serve.robust_requests_total")),
       requests_rejected_(util::GetCounter("serve.requests_rejected")),
-      batches_total_(util::GetCounter("serve.batches_total")),
-      batch_fallbacks_(util::GetCounter("serve.batch_fallbacks")) {
+      batches_total_(util::GetCounter("serve.batches_total")) {
   if (options_.manual_drain) return;
   const int workers = std::max(
       1, std::min(options_.num_workers, replicas_->num_replicas()));
@@ -95,31 +93,15 @@ int64_t DynamicBatcher::NowUs() const {
   return options_.clock_us ? options_.clock_us() : SteadyNowUs();
 }
 
-void DynamicBatcher::Submit(uint64_t id, table::Table table,
-                            AnnotateCallback callback) {
+void DynamicBatcher::Submit(uint64_t id, table::Table table, bool sanitize,
+                            double abstain_below, AnnotateCallback callback) {
   requests_total_->Increment();
   PendingRequest request;
   request.id = id;
   request.table = std::move(table);
   request.callback = std::move(callback);
-  PushRequest(std::move(request));
-}
-
-void DynamicBatcher::SubmitRobust(uint64_t id, table::Table table,
-                                  bool sanitize, double abstain_below,
-                                  RobustCallback callback) {
-  requests_total_->Increment();
-  robust_requests_total_->Increment();
-  PendingRequest request;
-  request.id = id;
-  request.table = std::move(table);
-  request.robust_callback = std::move(callback);
   request.sanitize = sanitize;
   request.abstain_below = abstain_below;
-  PushRequest(std::move(request));
-}
-
-void DynamicBatcher::PushRequest(PendingRequest request) {
   Status pushed = Status::Ok();
   {
     util::MutexLock lock(&mu_);
@@ -134,11 +116,7 @@ void DynamicBatcher::PushRequest(PendingRequest request) {
   if (!pushed.ok()) {
     // Backpressure: reject synchronously, exactly one callback either way.
     requests_rejected_->Increment();
-    if (request.robust_callback) {
-      request.robust_callback(std::move(pushed));
-    } else {
-      request.callback(std::move(pushed));
-    }
+    request.callback(std::move(pushed));
     return;
   }
   cv_.NotifyOne();
@@ -215,23 +193,10 @@ void DynamicBatcher::RunBatch(std::vector<PendingRequest> batch,
   core::ReplicaPool::ScopedUse replica_use(replicas_, replica_index);
   const int64_t cut_us = NowUs();
   int64_t oldest_us = cut_us;
-  // Plain and robust requests coalesce in one queue but take different
-  // annotation calls; robust requests additionally split by sanitize flag
-  // (the one option that changes the shared computation — abstention is
-  // applied per request after it).
-  std::vector<size_t> plain;
-  std::vector<size_t> robust_sanitized;
-  std::vector<size_t> robust_raw;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const PendingRequest& request = batch[i];
-    queue_wait_us_->Record(
-        static_cast<uint64_t>(std::max<int64_t>(0, cut_us - request.enqueue_us)));
+  for (const PendingRequest& request : batch) {
+    queue_wait_us_->Record(static_cast<uint64_t>(
+        std::max<int64_t>(0, cut_us - request.enqueue_us)));
     oldest_us = std::min(oldest_us, request.enqueue_us);
-    if (request.robust_callback) {
-      (request.sanitize ? robust_sanitized : robust_raw).push_back(i);
-    } else {
-      plain.push_back(i);
-    }
   }
   // Assembly latency: how long the batch took to fill from its first
   // request to the cut.
@@ -240,49 +205,24 @@ void DynamicBatcher::RunBatch(std::vector<PendingRequest> batch,
   batch_size_->Record(batch.size());
   batches_total_->Increment();
 
+  // The sanitize flag is the one option that changes the shared
+  // computation; abstention is applied per request after it.
   const core::Annotator* annotator = replicas_->annotator(replica_index);
-  RunPlainGroup(annotator, batch, plain);
-  RunRobustGroup(annotator, batch, robust_sanitized, /*sanitize=*/true);
-  RunRobustGroup(annotator, batch, robust_raw, /*sanitize=*/false);
+  RunGroup(annotator, batch, /*sanitize=*/true);
+  RunGroup(annotator, batch, /*sanitize=*/false);
 }
 
-void DynamicBatcher::RunPlainGroup(const core::Annotator* annotator,
-                                   std::vector<PendingRequest>& batch,
-                                   const std::vector<size_t>& indices) {
-  if (indices.empty()) return;
+void DynamicBatcher::RunGroup(const core::Annotator* annotator,
+                              std::vector<PendingRequest>& batch,
+                              bool sanitize) {
+  std::vector<PendingRequest*> group;
   std::vector<table::Table> tables;
-  tables.reserve(indices.size());
-  for (size_t i : indices) tables.push_back(batch[i].table);
-  auto result = [&] {
-    util::ScopedTimer timer(inference_us_, "serve.inference");
-    return annotator->AnnotateTypesBatch(
-        std::span<const table::Table>(tables));
-  }();
-  if (result.ok()) {
-    std::vector<std::vector<std::vector<std::string>>> all =
-        std::move(result).value();
-    for (size_t g = 0; g < indices.size(); ++g) {
-      batch[indices[g]].callback(std::move(all[g]));
-    }
-    return;
+  for (PendingRequest& request : batch) {
+    if (request.sanitize != sanitize) continue;
+    group.push_back(&request);
+    tables.push_back(std::move(request.table));
   }
-  // A batch call fails as a unit ("table N of M ..."), which would punish
-  // every co-batched request for one bad table. Retry each request alone so
-  // only the actual offender sees its error.
-  batch_fallbacks_->Increment();
-  for (size_t i : indices) {
-    batch[i].callback(annotator->AnnotateTypes(batch[i].table));
-  }
-}
-
-void DynamicBatcher::RunRobustGroup(const core::Annotator* annotator,
-                                    std::vector<PendingRequest>& batch,
-                                    const std::vector<size_t>& indices,
-                                    bool sanitize) {
-  if (indices.empty()) return;
-  std::vector<table::Table> tables;
-  tables.reserve(indices.size());
-  for (size_t i : indices) tables.push_back(batch[i].table);
+  if (group.empty()) return;
   core::AnnotateOptions options;
   options.sanitize = sanitize;
   // abstain_below stays 0 here: outcomes are computed once for the group,
@@ -292,13 +232,12 @@ void DynamicBatcher::RunRobustGroup(const core::Annotator* annotator,
     return annotator->AnnotateTypesRobustBatch(
         std::span<const table::Table>(tables), options);
   }();
-  for (size_t g = 0; g < indices.size(); ++g) {
-    PendingRequest& request = batch[indices[g]];
-    RobustPrediction outcomes = std::move(all[g]);
+  for (size_t g = 0; g < group.size(); ++g) {
+    std::vector<core::ColumnOutcome> outcomes = std::move(all[g]);
     for (core::ColumnOutcome& outcome : outcomes) {
-      core::ApplyAbstention(&outcome, request.abstain_below);
+      core::ApplyAbstention(&outcome, group[g]->abstain_below);
     }
-    request.robust_callback(std::move(outcomes));
+    group[g]->callback(std::move(outcomes));
   }
 }
 

@@ -17,33 +17,21 @@
 
 namespace doduo::serve {
 
-/// Per-column predicted type names for one table — the payload of a
-/// successful annotate response.
-using TypePrediction = std::vector<std::vector<std::string>>;
-
 /// Invoked exactly once per submitted request, from a batcher worker thread
 /// (or synchronously from Submit on queue-full rejection / from Stop when
-/// draining). Must not call back into the batcher.
-using AnnotateCallback = std::function<void(util::Result<TypePrediction>)>;
-
-/// Per-column outcomes for one table on the dirty-input path — the payload
-/// of a kAnnotateRobustResponse.
-using RobustPrediction = std::vector<core::ColumnOutcome>;
-
-/// Same delivery contract as AnnotateCallback. The Result is non-OK only
-/// for batcher-level rejections (queue full, shutting down); the robust
-/// annotation path itself never fails a table.
-using RobustCallback = std::function<void(util::Result<RobustPrediction>)>;
+/// draining), with one ColumnOutcome per column of the submitted table.
+/// The Result is non-OK only for batcher-level rejections (queue full,
+/// shutting down); the annotation itself never fails a table. Must not
+/// call back into the batcher.
+using AnnotateCallback =
+    std::function<void(util::Result<std::vector<core::ColumnOutcome>>)>;
 
 struct PendingRequest {
   uint64_t id = 0;
   table::Table table;
-  /// Exactly one of `callback` / `robust_callback` is set; it decides
-  /// which annotation path the request takes when its batch runs.
   AnnotateCallback callback;
-  RobustCallback robust_callback;
-  bool sanitize = true;         // robust requests only
-  double abstain_below = 0.0;   // robust requests only
+  bool sanitize = true;
+  double abstain_below = 0.0;
   int64_t enqueue_us = 0;  // stamped by BatchQueue::Enqueue
 };
 
@@ -101,15 +89,19 @@ struct BatcherOptions {
 };
 
 /// Coalesces concurrent single-table annotate requests into batches for
-/// Annotator::AnnotateTypesBatch. Worker thread w owns replica w of the
+/// Annotator::AnnotateTypesRobustBatch. Worker thread w owns replica w of the
 /// ReplicaPool for its whole lifetime, so batches on different workers run
 /// concurrently without sharing forward state, while all replicas share one
 /// immutable weight snapshot.
 ///
 /// Flush policy: a worker cuts a batch as soon as max_batch_size requests
-/// wait, or the oldest request has waited max_wait_us. A full batch whose
-/// AnnotateTypesBatch call fails is retried per-request, so one malformed
-/// table rejects only its own submitter, never its co-batched neighbours.
+/// wait, or the oldest request has waited max_wait_us. A cut batch is
+/// grouped by its requests' sanitize flag, each group makes one
+/// AnnotateTypesRobustBatch call, and each request's abstention threshold
+/// is applied to its own outcomes afterwards (core::ApplyAbstention), so
+/// co-batched clients with different thresholds never contaminate each
+/// other. The robust batch call never fails a table, so one bad table
+/// cannot reject its neighbours.
 ///
 /// Stop() (and the destructor) drains: every request already accepted by
 /// Submit still gets its callback, with a real result.
@@ -121,20 +113,12 @@ class DynamicBatcher {
   DynamicBatcher(const DynamicBatcher&) = delete;
   DynamicBatcher& operator=(const DynamicBatcher&) = delete;
 
-  /// Enqueues one table. The callback fires exactly once: immediately with
-  /// kResourceExhausted when the queue is full (backpressure — the caller
-  /// should surface the status and keep the connection usable), later with
-  /// the annotation result otherwise.
-  void Submit(uint64_t id, table::Table table, AnnotateCallback callback);
-
-  /// Enqueues one table on the dirty-input path. Robust and plain requests
-  /// share the queue and flush triggers; when a mixed batch runs, robust
-  /// requests are grouped by their sanitize flag so each group makes one
-  /// AnnotateTypesRobustBatch call, and the abstention threshold is applied
-  /// per request afterwards (core::ApplyAbstention), so co-batched clients
-  /// with different thresholds never contaminate each other.
-  void SubmitRobust(uint64_t id, table::Table table, bool sanitize,
-                    double abstain_below, RobustCallback callback);
+  /// Enqueues one table with its options. The callback fires exactly
+  /// once: immediately with kResourceExhausted when the queue is full
+  /// (backpressure — the caller should surface the status and keep the
+  /// connection usable), later with the per-column outcomes otherwise.
+  void Submit(uint64_t id, table::Table table, bool sanitize,
+              double abstain_below, AnnotateCallback callback);
 
   /// manual_drain mode: cuts at most one batch (force = flush even if
   /// neither trigger fired) and runs it synchronously on replica 0.
@@ -152,20 +136,11 @@ class DynamicBatcher {
   /// with mu_ released: inference must never serialize against Submit.
   void RunBatch(std::vector<PendingRequest> batch, int replica_index)
       DODUO_EXCLUDES(mu_);
-  /// Shared Submit/SubmitRobust tail: enqueue-or-reject `request`, firing
-  /// whichever callback it carries synchronously on rejection.
-  void PushRequest(PendingRequest request);
-  /// Runs the plain requests of a batch (indices into `batch`) through one
-  /// AnnotateTypesBatch call, with the per-request fallback on failure.
-  void RunPlainGroup(const core::Annotator* annotator,
-                     std::vector<PendingRequest>& batch,
-                     const std::vector<size_t>& indices);
-  /// Runs one sanitize-homogeneous robust group through a single
-  /// AnnotateTypesRobustBatch call, then applies each request's own
-  /// abstention threshold.
-  void RunRobustGroup(const core::Annotator* annotator,
-                      std::vector<PendingRequest>& batch,
-                      const std::vector<size_t>& indices, bool sanitize);
+  /// Runs the requests of a batch whose sanitize flag equals `sanitize`
+  /// through one AnnotateTypesRobustBatch call, then applies each
+  /// request's own abstention threshold.
+  void RunGroup(const core::Annotator* annotator,
+                std::vector<PendingRequest>& batch, bool sanitize);
   int64_t NowUs() const;
 
   core::ReplicaPool* replicas_;
@@ -183,10 +158,8 @@ class DynamicBatcher {
   util::Histogram* inference_us_;
   util::Histogram* batch_size_;
   util::Counter* requests_total_;
-  util::Counter* robust_requests_total_;
   util::Counter* requests_rejected_;
   util::Counter* batches_total_;
-  util::Counter* batch_fallbacks_;
 };
 
 }  // namespace doduo::serve

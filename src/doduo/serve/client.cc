@@ -50,16 +50,6 @@ util::Result<Frame> Client::RoundTrip(Frame request, FrameType expected) {
   }
 }
 
-util::Result<std::vector<std::vector<std::string>>> Client::AnnotateTypes(
-    const table::Table& table) {
-  Frame request;
-  request.type = FrameType::kAnnotateRequest;
-  EncodeTablePayload(table, &request.payload);
-  auto response = RoundTrip(std::move(request), FrameType::kAnnotateResponse);
-  if (!response.ok()) return response.status();
-  return DecodeTypesPayload(response.value().payload);
-}
-
 util::Result<std::vector<core::ColumnOutcome>> Client::AnnotateTypesRobust(
     const table::Table& table, bool sanitize, double abstain_below) {
   Frame request;

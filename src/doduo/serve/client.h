@@ -26,15 +26,11 @@ class Client {
   Client(Client&&) = default;
   Client& operator=(Client&&) = default;
 
-  /// Round-trips one table; returns the per-column predicted type names.
-  /// A server-side kErrorResponse comes back as its Status.
-  [[nodiscard]] util::Result<std::vector<std::vector<std::string>>>
-  AnnotateTypes(const table::Table& table);
-
-  /// Round-trips one table on the dirty-input path: every column comes
-  /// back as a ColumnOutcome (labels + calibrated confidence, abstention
-  /// below `abstain_below`, or a machine-readable skip reason). Only
-  /// transport or backpressure failures produce a non-OK Result.
+  /// Round-trips one table: every column comes back as a ColumnOutcome
+  /// (labels + calibrated confidence, abstention below `abstain_below`, or
+  /// a machine-readable skip reason). Only transport or backpressure
+  /// failures produce a non-OK Result; a server-side kErrorResponse comes
+  /// back as its Status.
   [[nodiscard]] util::Result<std::vector<core::ColumnOutcome>>
   AnnotateTypesRobust(const table::Table& table, bool sanitize = true,
                       double abstain_below = 0.0);

@@ -137,7 +137,7 @@ constexpr uint8_t kMaxStatusCode =
 }  // namespace
 
 bool IsKnownFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kAnnotateRequest) &&
+  return type >= static_cast<uint8_t>(FrameType::kStatsRequest) &&
          type <= static_cast<uint8_t>(FrameType::kAnnotateRobustResponse);
 }
 
@@ -273,46 +273,6 @@ util::Result<table::Table> DecodeTablePayload(std::string_view payload) {
   }
   if (Status s = reader.ExpectEnd("table payload"); !s.ok()) return s;
   return table;
-}
-
-void EncodeTypesPayload(const std::vector<std::vector<std::string>>& types,
-                        std::string* out) {
-  AppendU32(static_cast<uint32_t>(types.size()), out);
-  for (const std::vector<std::string>& labels : types) {
-    AppendU32(static_cast<uint32_t>(labels.size()), out);
-    for (const std::string& label : labels) {
-      AppendLengthPrefixed(label, out);
-    }
-  }
-}
-
-util::Result<std::vector<std::vector<std::string>>> DecodeTypesPayload(
-    std::string_view payload) {
-  PayloadReader reader(payload);
-  uint32_t num_columns = 0;
-  if (Status s = reader.ReadCount("column count", 4, &num_columns); !s.ok()) {
-    return s;
-  }
-  std::vector<std::vector<std::string>> types;
-  types.reserve(num_columns);
-  for (uint32_t c = 0; c < num_columns; ++c) {
-    uint32_t num_labels = 0;
-    if (Status s = reader.ReadCount("label count", 4, &num_labels); !s.ok()) {
-      return s;
-    }
-    std::vector<std::string> labels;
-    labels.reserve(num_labels);
-    for (uint32_t l = 0; l < num_labels; ++l) {
-      std::string label;
-      if (Status s = reader.ReadString("type label", &label); !s.ok()) {
-        return s;
-      }
-      labels.push_back(std::move(label));
-    }
-    types.push_back(std::move(labels));
-  }
-  if (Status s = reader.ExpectEnd("types payload"); !s.ok()) return s;
-  return types;
 }
 
 namespace {

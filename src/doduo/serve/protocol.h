@@ -34,6 +34,12 @@ namespace doduo::serve {
 // version or type, nonzero reserved bytes, or a payload claim above
 // kMaxPayloadBytes — is a connection-fatal protocol error: the server
 // answers with a best-effort kErrorResponse and closes.
+//
+// There is one annotate request: kAnnotateRobustRequest carries the table
+// plus its options, and kAnnotateRobustResponse answers with one
+// ColumnOutcome per column. Ids 1 and 2 stay unassigned so that a peer
+// still sending the retired types-only annotate pair gets the unknown
+// frame type error instead of having its frames misread.
 
 inline constexpr uint8_t kFrameMagic0 = 0xD0;
 inline constexpr uint8_t kFrameMagic1 = 0xD0;
@@ -44,16 +50,11 @@ inline constexpr size_t kFrameHeaderBytes = 20;
 inline constexpr uint32_t kMaxPayloadBytes = 16u << 20;  // 16 MiB
 
 enum class FrameType : uint8_t {
-  kAnnotateRequest = 1,   // payload: encoded table
-  kAnnotateResponse = 2,  // payload: encoded per-column type lists
-  kStatsRequest = 3,      // payload: empty
-  kStatsResponse = 4,     // payload: util::MetricsToJson() text
-  kPingRequest = 5,       // payload: echoed back verbatim
+  kStatsRequest = 3,   // payload: empty
+  kStatsResponse = 4,  // payload: util::MetricsToJson() text
+  kPingRequest = 5,    // payload: echoed back verbatim
   kPingResponse = 6,
   kErrorResponse = 7,  // status = the error code; payload: message text
-  // The dirty-input path (DESIGN §15), added without a version bump: new
-  // frame types are ignored-by-old-servers additive, and every other frame
-  // is unchanged byte for byte.
   kAnnotateRobustRequest = 8,   // payload: robust options + encoded table
   kAnnotateRobustResponse = 9,  // payload: encoded per-column outcomes
 };
@@ -100,8 +101,6 @@ class FrameDecoder {
 // Table:    id_len u32, id bytes, num_columns u32, then per column:
 //           name_len u32, name bytes, num_values u32, then per value:
 //           value_len u32, value bytes.
-// Types:    num_columns u32, then per column: num_labels u32, then per
-//           label: label_len u32, label bytes.
 // Robust request:
 //           flags u32 (bit 0 = run the sanitizer pass; other bits must be
 //           zero), abstain_below f64 (IEEE-754 bits as u64 LE; must be
@@ -118,11 +117,6 @@ class FrameDecoder {
 void EncodeTablePayload(const table::Table& table, std::string* out);
 [[nodiscard]] util::Result<table::Table> DecodeTablePayload(
     std::string_view payload);
-
-void EncodeTypesPayload(const std::vector<std::vector<std::string>>& types,
-                        std::string* out);
-[[nodiscard]] util::Result<std::vector<std::vector<std::string>>>
-DecodeTypesPayload(std::string_view payload);
 
 /// A decoded kAnnotateRobustRequest: the table plus the two dirty-input
 /// knobs that travel on the wire. Sanitizer thresholds stay server-side.

@@ -175,45 +175,11 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       conn->WriteFrame(reply);
       return true;
     }
-    case FrameType::kAnnotateRequest: {
-      auto table = DecodeTablePayload(frame.payload);
-      if (!table.ok()) {
-        // Well-framed but malformed payload: a request-level error. The
-        // connection stays usable.
-        Frame reply;
-        reply.type = FrameType::kErrorResponse;
-        reply.status = table.status().code();
-        reply.request_id = frame.request_id;
-        reply.payload = table.status().message();
-        conn->WriteFrame(reply);
-        return true;
-      }
-      const int64_t start_us = SteadyNowUs();
-      const uint64_t request_id = frame.request_id;
-      util::Histogram* e2e_us = e2e_us_;
-      batcher_.Submit(
-          request_id, std::move(table).value(),
-          [conn, request_id, start_us,
-           e2e_us](util::Result<TypePrediction> result) {
-            Frame reply;
-            reply.request_id = request_id;
-            if (result.ok()) {
-              reply.type = FrameType::kAnnotateResponse;
-              EncodeTypesPayload(result.value(), &reply.payload);
-            } else {
-              reply.type = FrameType::kErrorResponse;
-              reply.status = result.status().code();
-              reply.payload = result.status().message();
-            }
-            conn->WriteFrame(reply);
-            e2e_us->Record(static_cast<uint64_t>(
-                std::max<int64_t>(0, SteadyNowUs() - start_us)));
-          });
-      return true;
-    }
     case FrameType::kAnnotateRobustRequest: {
       auto decoded = DecodeRobustRequestPayload(frame.payload);
       if (!decoded.ok()) {
+        // Well-framed but malformed payload: a request-level error. The
+        // connection stays usable.
         Frame reply;
         reply.type = FrameType::kErrorResponse;
         reply.status = decoded.status().code();
@@ -226,19 +192,19 @@ bool Server::HandleFrame(const std::shared_ptr<Connection>& conn,
       const int64_t start_us = SteadyNowUs();
       const uint64_t request_id = frame.request_id;
       util::Histogram* e2e_us = e2e_us_;
-      batcher_.SubmitRobust(
+      batcher_.Submit(
           request_id, std::move(request.table), request.sanitize,
           request.abstain_below,
           [conn, request_id, start_us,
-           e2e_us](util::Result<RobustPrediction> result) {
+           e2e_us](util::Result<std::vector<core::ColumnOutcome>> result) {
             Frame reply;
             reply.request_id = request_id;
             if (result.ok()) {
               reply.type = FrameType::kAnnotateRobustResponse;
               EncodeOutcomesPayload(result.value(), &reply.payload);
             } else {
-              // Only batcher-level backpressure lands here; the robust
-              // annotation path itself never fails a table.
+              // Only batcher-level backpressure lands here; annotation
+              // itself never fails a table.
               reply.type = FrameType::kErrorResponse;
               reply.status = result.status().code();
               reply.payload = result.status().message();

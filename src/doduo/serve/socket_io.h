@@ -52,10 +52,11 @@ class UniqueFd {
 
 /// Waits up to `timeout_ms` for a pending connection. Returns an invalid
 /// UniqueFd on timeout (OK status), so accept loops can poll a stop flag.
+/// An accepted socket has TCP_NODELAY set.
 [[nodiscard]] util::Result<UniqueFd> AcceptWithTimeout(int listen_fd,
                                                        int timeout_ms);
 
-/// Blocking TCP connect to host:port.
+/// Blocking TCP connect to host:port; the socket has TCP_NODELAY set.
 [[nodiscard]] util::Result<UniqueFd> ConnectTcp(const std::string& host,
                                                 int port);
 

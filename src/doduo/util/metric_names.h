@@ -79,13 +79,9 @@ inline constexpr std::string_view kServeInferenceUs = "serve.inference_us";
 inline constexpr std::string_view kServeBatchSize = "serve.batch_size";
 inline constexpr std::string_view kServeRequestsTotal =
     "serve.requests_total";
-inline constexpr std::string_view kServeRobustRequestsTotal =
-    "serve.robust_requests_total";
 inline constexpr std::string_view kServeRequestsRejected =
     "serve.requests_rejected";
 inline constexpr std::string_view kServeBatchesTotal = "serve.batches_total";
-inline constexpr std::string_view kServeBatchFallbacks =
-    "serve.batch_fallbacks";
 
 }  // namespace doduo::util::metric_names
 

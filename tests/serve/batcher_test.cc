@@ -19,6 +19,8 @@
 namespace doduo::serve {
 namespace {
 
+using Outcomes = std::vector<core::ColumnOutcome>;
+
 PendingRequest Request(uint64_t id) {
   PendingRequest request;
   request.id = id;
@@ -83,7 +85,7 @@ TEST(BatchQueueTest, RejectsWhenFullAndLeavesRequestIntact) {
   ASSERT_TRUE(queue.Enqueue(Request(2), 0).ok());
   PendingRequest rejected = Request(3);
   bool callback_alive = false;
-  rejected.callback = [&callback_alive](util::Result<TypePrediction>) {
+  rejected.callback = [&callback_alive](util::Result<Outcomes>) {
     callback_alive = true;
   };
   const util::Status status = queue.Enqueue(std::move(rejected), 0);
@@ -132,10 +134,11 @@ class DynamicBatcherTest : public ::testing::Test {
 TEST_F(DynamicBatcherTest, DrainMatchesSequentialAnnotatorExactly) {
   DynamicBatcher batcher(pool_.get(), Options(4, 1000, 16));
   std::vector<uint64_t> completed;
-  std::vector<util::Result<TypePrediction>> results;
+  std::vector<util::Result<Outcomes>> results;
   for (uint64_t id = 0; id < 4; ++id) {
     batcher.Submit(id, testing::MakeTable(static_cast<int>(id)),
-                   [&, id](util::Result<TypePrediction> result) {
+                   /*sanitize=*/true, /*abstain_below=*/0.0,
+                   [&, id](util::Result<Outcomes> result) {
                      completed.push_back(id);
                      results.push_back(std::move(result));
                    });
@@ -146,12 +149,13 @@ TEST_F(DynamicBatcherTest, DrainMatchesSequentialAnnotatorExactly) {
   core::Annotator annotator = model_.MakeAnnotator();
   for (uint64_t id = 0; id < 4; ++id) {
     ASSERT_TRUE(results[id].ok()) << results[id].status().ToString();
-    auto expected = annotator.AnnotateTypes(testing::MakeTable(
-        static_cast<int>(id)));
-    ASSERT_TRUE(expected.ok());
+    const Outcomes expected = annotator.AnnotateTypesRobust(
+        testing::MakeTable(static_cast<int>(id)));
+    ASSERT_FALSE(expected.empty());
     // Batched-through-the-server output must be byte-identical to the
     // sequential path (same weights, bit-deterministic kernels).
-    EXPECT_EQ(results[id].value(), expected.value()) << "request " << id;
+    EXPECT_TRUE(testing::SameOutcomes(results[id].value(), expected))
+        << "request " << id;
   }
 }
 
@@ -159,8 +163,8 @@ TEST_F(DynamicBatcherTest, DeadlineFlushUsesInjectedClock) {
   DynamicBatcher batcher(pool_.get(), Options(8, 500, 16));
   int completions = 0;
   now_us_ = 1000;
-  batcher.Submit(1, testing::MakeTable(1),
-                 [&](util::Result<TypePrediction> result) {
+  batcher.Submit(1, testing::MakeTable(1), /*sanitize=*/true,
+                 /*abstain_below=*/0.0, [&](util::Result<Outcomes> result) {
                    EXPECT_TRUE(result.ok());
                    ++completions;
                  });
@@ -178,7 +182,8 @@ TEST_F(DynamicBatcherTest, RejectsWithResourceExhaustedWhenQueueFull) {
   int rejections = 0;
   for (uint64_t id = 0; id < 5; ++id) {
     batcher.Submit(id, testing::MakeTable(static_cast<int>(id)),
-                   [&](util::Result<TypePrediction> result) {
+                   /*sanitize=*/true, /*abstain_below=*/0.0,
+                   [&](util::Result<Outcomes> result) {
                      if (result.ok()) {
                        ++ok_callbacks;
                      } else {
@@ -197,19 +202,34 @@ TEST_F(DynamicBatcherTest, RejectsWithResourceExhaustedWhenQueueFull) {
   EXPECT_EQ(rejections, 3);
 }
 
-TEST_F(DynamicBatcherTest, BadTableFailsAloneViaPerRequestFallback) {
+TEST_F(DynamicBatcherTest, ZeroColumnTableGetsEmptyOutcomesBesideNeighbours) {
   DynamicBatcher batcher(pool_.get(), Options(4, 1000, 16));
-  std::vector<bool> ok_by_request;
-  auto record = [&](util::Result<TypePrediction> result) {
-    ok_by_request.push_back(result.ok());
+  std::map<uint64_t, util::Result<Outcomes>> results;
+  auto record = [&](uint64_t id) {
+    return [&, id](util::Result<Outcomes> result) {
+      results.emplace(id, std::move(result));
+    };
   };
-  batcher.Submit(0, testing::MakeTable(0), record);
-  batcher.Submit(1, testing::MakeBadTable(), record);
-  batcher.Submit(2, testing::MakeTable(2), record);
+  batcher.Submit(0, testing::MakeTable(0), true, 0.0, record(0));
+  batcher.Submit(1, testing::MakeEmptyTable(), true, 0.0, record(1));
+  batcher.Submit(2, testing::MakeTable(2), true, 0.0, record(2));
   EXPECT_EQ(batcher.DrainOnce(/*force=*/true), 3u);
-  // The malformed table fails the whole-batch call; the fallback retries
-  // each request alone so only the offender is rejected.
-  EXPECT_EQ(ok_by_request, (std::vector<bool>{true, false, true}));
+  ASSERT_EQ(results.size(), 3u);
+  for (const auto& [id, result] : results) {
+    ASSERT_TRUE(result.ok()) << "id " << id << ": "
+                             << result.status().ToString();
+  }
+  // A zero-column table is not an error: it gets zero outcomes, and its
+  // co-batched neighbours match the single-table reference exactly.
+  EXPECT_TRUE(results.at(1).value().empty());
+  core::Annotator annotator = model_.MakeAnnotator();
+  for (const uint64_t id : {0u, 2u}) {
+    EXPECT_TRUE(testing::SameOutcomes(
+        results.at(id).value(),
+        annotator.AnnotateTypesRobust(
+            testing::MakeTable(static_cast<int>(id)))))
+        << "request " << id;
+  }
 }
 
 TEST_F(DynamicBatcherTest, StopDrainsEveryAcceptedRequest) {
@@ -217,7 +237,8 @@ TEST_F(DynamicBatcherTest, StopDrainsEveryAcceptedRequest) {
   int completions = 0;
   for (uint64_t id = 0; id < 10; ++id) {
     batcher.Submit(id, testing::MakeTable(static_cast<int>(id)),
-                   [&](util::Result<TypePrediction> result) {
+                   /*sanitize=*/true, /*abstain_below=*/0.0,
+                   [&](util::Result<Outcomes> result) {
                      EXPECT_TRUE(result.ok());
                      ++completions;
                    });
@@ -226,8 +247,8 @@ TEST_F(DynamicBatcherTest, StopDrainsEveryAcceptedRequest) {
   EXPECT_EQ(completions, 10);
   // After Stop, new submits are rejected rather than silently dropped.
   int late_status_ok = -1;
-  batcher.Submit(99, testing::MakeTable(0),
-                 [&](util::Result<TypePrediction> result) {
+  batcher.Submit(99, testing::MakeTable(0), /*sanitize=*/true,
+                 /*abstain_below=*/0.0, [&](util::Result<Outcomes> result) {
                    late_status_ok = result.ok() ? 1 : 0;
                    EXPECT_EQ(result.status().code(),
                              util::StatusCode::kResourceExhausted);
@@ -235,92 +256,63 @@ TEST_F(DynamicBatcherTest, StopDrainsEveryAcceptedRequest) {
   EXPECT_EQ(late_status_ok, 0);
 }
 
-TEST_F(DynamicBatcherTest, MixedBatchRoutesPlainAndRobustRequests) {
-  // One batch carrying every request kind: plain, robust sanitized, robust
-  // unsanitized, and robust with a per-request abstention threshold. Each
-  // must match its own scalar-path ground truth — co-batching changes
-  // nothing.
+TEST_F(DynamicBatcherTest, MixedBatchKeepsPerRequestOptionsApart) {
+  // One batch carrying every option mix: sanitized, unsanitized, and a
+  // per-request abstention threshold. Each must match its own scalar-path
+  // ground truth — co-batching changes nothing.
   DynamicBatcher batcher(pool_.get(), Options(8, 1000, 16));
   table::Table dirty("dirty");
   dirty.AddColumn({"void", {"", "null", "-"}});
   dirty.AddColumn({"a", {"alpha", "beta"}});
 
-  util::Result<TypePrediction> plain_result =
-      util::Status::FailedPrecondition("callback never fired");
-  // Keyed by request id: groups fire in (plain, sanitized, raw) order, not
+  // Keyed by request id: groups fire in (sanitized, raw) order, not
   // submission order, and this test is about routing, not ordering.
-  std::map<uint64_t, util::Result<RobustPrediction>> robust_results;
-  batcher.Submit(0, testing::MakeTable(0),
-                 [&](util::Result<TypePrediction> result) {
-                   plain_result = std::move(result);
-                 });
+  std::map<uint64_t, util::Result<Outcomes>> results;
   auto record = [&](uint64_t id) {
-    return [&, id](util::Result<RobustPrediction> result) {
-      robust_results.emplace(id, std::move(result));
+    return [&, id](util::Result<Outcomes> result) {
+      results.emplace(id, std::move(result));
     };
   };
-  batcher.SubmitRobust(1, dirty, /*sanitize=*/true, /*abstain_below=*/0.0,
-                       record(1));
-  batcher.SubmitRobust(2, dirty, /*sanitize=*/false, /*abstain_below=*/0.0,
-                       record(2));
-  batcher.SubmitRobust(3, testing::MakeTable(0), /*sanitize=*/true,
-                       /*abstain_below=*/1.01, record(3));
+  batcher.Submit(0, testing::MakeTable(0), /*sanitize=*/true,
+                 /*abstain_below=*/0.0, record(0));
+  batcher.Submit(1, dirty, /*sanitize=*/true, /*abstain_below=*/0.0,
+                 record(1));
+  batcher.Submit(2, dirty, /*sanitize=*/false, /*abstain_below=*/0.0,
+                 record(2));
+  batcher.Submit(3, testing::MakeTable(0), /*sanitize=*/true,
+                 /*abstain_below=*/1.01, record(3));
   EXPECT_EQ(batcher.DrainOnce(/*force=*/true), 4u);
 
-  core::Annotator annotator = model_.MakeAnnotator();
-  auto expected_plain = annotator.AnnotateTypes(testing::MakeTable(0));
-  ASSERT_TRUE(expected_plain.ok());
-  ASSERT_TRUE(plain_result.ok()) << plain_result.status().ToString();
-  EXPECT_EQ(plain_result.value(), expected_plain.value());
-
-  ASSERT_EQ(robust_results.size(), 3u);
-  for (const auto& [id, result] : robust_results) {
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& [id, result] : results) {
     ASSERT_TRUE(result.ok()) << "id " << id << ": "
                              << result.status().ToString();
   }
+  core::Annotator annotator = model_.MakeAnnotator();
+  core::AnnotateOptions raw;
+  raw.sanitize = false;
+  EXPECT_TRUE(testing::SameOutcomes(
+      results.at(0).value(),
+      annotator.AnnotateTypesRobust(testing::MakeTable(0))));
+  EXPECT_TRUE(testing::SameOutcomes(results.at(1).value(),
+                                    annotator.AnnotateTypesRobust(dirty)));
+  EXPECT_TRUE(testing::SameOutcomes(results.at(2).value(),
+                                    annotator.AnnotateTypesRobust(dirty, raw)));
   // Sanitized: the mostly-null column is skipped, the clean one annotated.
-  ASSERT_EQ(robust_results.at(1).value().size(), 2u);
-  EXPECT_EQ(robust_results.at(1).value()[0].skipped_reason, "mostly_null");
-  EXPECT_TRUE(robust_results.at(1).value()[1].annotated());
+  ASSERT_EQ(results.at(1).value().size(), 2u);
+  EXPECT_EQ(results.at(1).value()[0].skipped_reason, "mostly_null");
+  EXPECT_TRUE(results.at(1).value()[1].annotated());
   // Unsanitized: no skip classification, both columns annotated as-is.
-  ASSERT_EQ(robust_results.at(2).value().size(), 2u);
-  EXPECT_TRUE(robust_results.at(2).value()[0].annotated());
-  EXPECT_TRUE(robust_results.at(2).value()[1].annotated());
+  ASSERT_EQ(results.at(2).value().size(), 2u);
+  EXPECT_TRUE(results.at(2).value()[0].annotated());
+  EXPECT_TRUE(results.at(2).value()[1].annotated());
   // Threshold above 1.0: every annotatable column abstains, and the
   // threshold applied to THIS request did not leak onto its co-batched
-  // neighbours (checked above: their columns stayed annotated).
-  for (const core::ColumnOutcome& outcome : robust_results.at(3).value()) {
+  // neighbour with the same table (request 0, checked above).
+  for (const core::ColumnOutcome& outcome : results.at(3).value()) {
     EXPECT_TRUE(outcome.abstained);
     EXPECT_TRUE(outcome.labels.empty());
   }
-  // Scalar ground truth for the sanitized request.
-  const auto scalar = annotator.AnnotateTypesRobust(dirty);
-  ASSERT_EQ(scalar.size(), 2u);
-  EXPECT_EQ(robust_results.at(1).value()[1].labels, scalar[1].labels);
-  EXPECT_EQ(robust_results.at(1).value()[1].confidence,
-            scalar[1].confidence);
-}
-
-TEST_F(DynamicBatcherTest, RobustRequestsSeeBackpressureAndStopDrain) {
-  DynamicBatcher batcher(pool_.get(), Options(8, 1000000, /*depth=*/2));
-  int completions = 0;
-  int rejections = 0;
-  for (uint64_t id = 0; id < 4; ++id) {
-    batcher.SubmitRobust(id, testing::MakeTable(static_cast<int>(id)),
-                         /*sanitize=*/true, /*abstain_below=*/0.0,
-                         [&](util::Result<RobustPrediction> result) {
-                           if (result.ok()) {
-                             ++completions;
-                           } else {
-                             EXPECT_EQ(result.status().code(),
-                                       util::StatusCode::kResourceExhausted);
-                             ++rejections;
-                           }
-                         });
-  }
-  EXPECT_EQ(rejections, 2);  // synchronous backpressure past depth 2
-  batcher.Stop();            // drains the two accepted requests
-  EXPECT_EQ(completions, 2);
 }
 
 TEST_F(DynamicBatcherTest, ThreadedWorkersDrainWithRealClock) {
@@ -333,19 +325,29 @@ TEST_F(DynamicBatcherTest, ThreadedWorkersDrainWithRealClock) {
   options.max_wait_us = 200;
   options.max_queue_depth = 64;
   options.num_workers = 2;
-  std::atomic<int> completions{0};
+  core::Annotator annotator = model_.MakeAnnotator();
+  std::vector<Outcomes> expected;
+  for (int v = 0; v < 4; ++v) {
+    expected.push_back(annotator.AnnotateTypesRobust(testing::MakeTable(v)));
+  }
+  std::atomic<int> correct{0};
   {
     DynamicBatcher batcher(pool.get(), options);
     for (uint64_t id = 0; id < 32; ++id) {
       batcher.Submit(id, testing::MakeTable(static_cast<int>(id)),
-                     [&](util::Result<TypePrediction> result) {
+                     /*sanitize=*/true, /*abstain_below=*/0.0,
+                     [&, id](util::Result<Outcomes> result) {
                        EXPECT_TRUE(result.ok())
                            << result.status().ToString();
-                       completions.fetch_add(1);
+                       if (result.ok() &&
+                           testing::SameOutcomes(result.value(),
+                                                 expected[id & 3])) {
+                         correct.fetch_add(1);
+                       }
                      });
     }
   }  // destructor == Stop(): joins workers after the queue drains
-  EXPECT_EQ(completions.load(), 32);
+  EXPECT_EQ(correct.load(), 32);
 }
 
 }  // namespace

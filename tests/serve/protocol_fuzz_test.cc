@@ -32,9 +32,9 @@ std::string EncodedFrame(FrameType type, uint64_t id,
 
 std::string EncodedAnnotateRequest() {
   Frame frame;
-  frame.type = FrameType::kAnnotateRequest;
+  frame.type = FrameType::kAnnotateRobustRequest;
   frame.request_id = 7;
-  EncodeTablePayload(testing::MakeTable(1), &frame.payload);
+  EncodeRobustRequestPayload(testing::MakeTable(1), true, 0.5, &frame.payload);
   std::string wire;
   EXPECT_TRUE(EncodeFrame(frame, &wire).ok());
   return wire;
@@ -74,7 +74,6 @@ TEST(ProtocolTest, EveryFrameTypeRoundTripsThroughTheDecoder) {
   // frame-symmetry lint pass (doduo_lint --all) holds this list and the
   // FrameType enum to each other.
   const FrameType kAllFrameTypes[] = {
-      FrameType::kAnnotateRequest,       FrameType::kAnnotateResponse,
       FrameType::kStatsRequest,          FrameType::kStatsResponse,
       FrameType::kPingRequest,           FrameType::kPingResponse,
       FrameType::kErrorResponse,         FrameType::kAnnotateRobustRequest,
@@ -109,16 +108,6 @@ TEST(ProtocolTest, TablePayloadRoundTrips) {
     EXPECT_EQ(decoded.value().column(c).name, table.column(c).name);
     EXPECT_EQ(decoded.value().column(c).values, table.column(c).values);
   }
-}
-
-TEST(ProtocolTest, TypesPayloadRoundTrips) {
-  const std::vector<std::vector<std::string>> types = {
-      {"type1"}, {"type2", "type4"}, {}};
-  std::string payload;
-  EncodeTypesPayload(types, &payload);
-  auto decoded = DecodeTypesPayload(payload);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value(), types);
 }
 
 /// One of each outcome shape: annotated, abstained, skipped.
@@ -235,10 +224,6 @@ TEST(ProtocolFuzzTest, EveryTablePayloadPrefixFailsCleanly) {
     auto decoded = DecodeTablePayload(payload.substr(0, cut));
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
-  for (size_t cut = 0; cut + 4 < payload.size(); ++cut) {
-    auto decoded = DecodeTypesPayload(payload.substr(0, cut));
-    (void)decoded.ok();  // arbitrary bytes: any Status, just no crash
-  }
 }
 
 TEST(ProtocolFuzzTest, EveryRobustPayloadPrefixFailsCleanly) {
@@ -278,49 +263,73 @@ TEST(ProtocolFuzzTest, OversizedPayloadClaimIsRejectedBeforeBuffering) {
   EXPECT_FALSE(decoder.Next(&frame).ok());
 }
 
+size_t DecodedBytes(const table::Table& table) {
+  size_t bytes = table.id().size();
+  for (const table::Column& column : table.columns()) {
+    bytes += column.name.size();
+    for (const std::string& value : column.values) bytes += value.size();
+  }
+  return bytes;
+}
+
+size_t DecodedBytes(const std::vector<core::ColumnOutcome>& outcomes) {
+  size_t bytes = 0;
+  for (const core::ColumnOutcome& outcome : outcomes) {
+    bytes += outcome.skipped_reason.size();
+    for (const std::string& label : outcome.labels) bytes += label.size();
+  }
+  return bytes;
+}
+
+/// Writes a ~2^31 u32 claim at `pos`.
+std::string WithHugeU32(std::string payload, size_t pos) {
+  payload[pos] = '\xFF';
+  payload[pos + 1] = '\xFF';
+  payload[pos + 2] = '\xFF';
+  payload[pos + 3] = '\x7F';
+  return payload;
+}
+
 TEST(ProtocolFuzzTest, MutatedPayloadCountsNeverCauseRunawayAllocation) {
-  std::string payload;
-  EncodeTablePayload(testing::MakeTable(0), &payload);
+  std::string table;
+  EncodeTablePayload(testing::MakeTable(0), &table);
+  std::string request;
+  EncodeRobustRequestPayload(testing::MakeTable(0), true, 0.5, &request);
+  std::string outcomes;
+  EncodeOutcomesPayload(MakeOutcomes(), &outcomes);
   // Overwrite every 4-byte window with a ~2^31 claim. Windows that land on
   // a length/count field must fail (the claim exceeds the bytes present);
   // windows inside string bytes may still decode — but then the decoded
   // strings came from the payload, so their total size is bounded by it.
-  for (size_t pos = 0; pos + 4 <= payload.size(); ++pos) {
-    std::string mutated = payload;
-    mutated[pos] = '\xFF';
-    mutated[pos + 1] = '\xFF';
-    mutated[pos + 2] = '\xFF';
-    mutated[pos + 3] = '\x7F';
-    auto table = DecodeTablePayload(mutated);
-    if (table.ok()) {
-      size_t decoded_bytes = table.value().id().size();
-      for (const table::Column& column : table.value().columns()) {
-        decoded_bytes += column.name.size();
-        for (const std::string& value : column.values) {
-          decoded_bytes += value.size();
-        }
-      }
-      EXPECT_LE(decoded_bytes, mutated.size()) << "u32 at " << pos;
-    }
-    auto types = DecodeTypesPayload(mutated);
-    if (types.ok()) {
-      size_t decoded_bytes = 0;
-      for (const auto& labels : types.value()) {
-        for (const std::string& label : labels) {
-          decoded_bytes += label.size();
-        }
-      }
-      EXPECT_LE(decoded_bytes, mutated.size()) << "u32 at " << pos;
+  for (size_t pos = 0; pos + 4 <= table.size(); ++pos) {
+    const std::string mutated = WithHugeU32(table, pos);
+    auto decoded = DecodeTablePayload(mutated);
+    if (decoded.ok()) {
+      EXPECT_LE(DecodedBytes(decoded.value()), mutated.size())
+          << "u32 at " << pos;
     }
   }
-  // The unambiguous case: a huge claim in the leading count field fails.
-  std::string huge_count = payload;
-  huge_count[0] = '\xFF';
-  huge_count[1] = '\xFF';
-  huge_count[2] = '\xFF';
-  huge_count[3] = '\x7F';
-  EXPECT_FALSE(DecodeTablePayload(huge_count).ok());
-  EXPECT_FALSE(DecodeTypesPayload(huge_count).ok());
+  for (size_t pos = 0; pos + 4 <= request.size(); ++pos) {
+    const std::string mutated = WithHugeU32(request, pos);
+    auto decoded = DecodeRobustRequestPayload(mutated);
+    if (decoded.ok()) {
+      EXPECT_LE(DecodedBytes(decoded.value().table), mutated.size())
+          << "u32 at " << pos;
+    }
+  }
+  for (size_t pos = 0; pos + 4 <= outcomes.size(); ++pos) {
+    const std::string mutated = WithHugeU32(outcomes, pos);
+    auto decoded = DecodeOutcomesPayload(mutated);
+    if (decoded.ok()) {
+      EXPECT_LE(DecodedBytes(decoded.value()), mutated.size())
+          << "u32 at " << pos;
+    }
+  }
+  // The unambiguous cases: a huge claim in the leading count field fails.
+  EXPECT_FALSE(DecodeTablePayload(WithHugeU32(table, 0)).ok());
+  EXPECT_FALSE(DecodeOutcomesPayload(WithHugeU32(outcomes, 0)).ok());
+  // The robust request's table starts after flags u32 + threshold f64.
+  EXPECT_FALSE(DecodeRobustRequestPayload(WithHugeU32(request, 12)).ok());
 }
 
 TEST(ProtocolFuzzTest, EverySingleByteHeaderMutationIsHandled) {
@@ -370,14 +379,12 @@ TEST_P(ProtocolGarbageFuzzTest, RandomBytesNeverCrashTheDecoder) {
 
 TEST_P(ProtocolGarbageFuzzTest, RandomPayloadMutationsNeverCrashCodecs) {
   util::Rng rng(GetParam());
-  std::vector<std::string> payloads(4);
+  std::vector<std::string> payloads(3);
   EncodeTablePayload(testing::MakeTable(1), &payloads[0]);
-  std::vector<std::vector<std::string>> types = {{"a", "b"}, {"c"}};
-  EncodeTypesPayload(types, &payloads[1]);
-  EncodeRobustRequestPayload(testing::MakeTable(1), true, 0.5, &payloads[2]);
-  EncodeOutcomesPayload(MakeOutcomes(), &payloads[3]);
+  EncodeRobustRequestPayload(testing::MakeTable(1), true, 0.5, &payloads[1]);
+  EncodeOutcomesPayload(MakeOutcomes(), &payloads[2]);
   for (int round = 0; round < 500; ++round) {
-    std::string mutated = payloads[static_cast<size_t>(round & 3)];
+    std::string mutated = payloads[static_cast<size_t>(round) % 3];
     const int flips = 1 + static_cast<int>(rng.NextUint64(4));
     for (int f = 0; f < flips; ++f) {
       const size_t pos = static_cast<size_t>(rng.NextUint64(
@@ -387,7 +394,6 @@ TEST_P(ProtocolGarbageFuzzTest, RandomPayloadMutationsNeverCrashCodecs) {
     // Success or precise failure both fine; crashes and runaway
     // allocations are the only wrong answers.
     (void)DecodeTablePayload(mutated).ok();
-    (void)DecodeTypesPayload(mutated).ok();
     (void)DecodeRobustRequestPayload(mutated).ok();
     (void)DecodeOutcomesPayload(mutated).ok();
   }

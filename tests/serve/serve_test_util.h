@@ -75,8 +75,23 @@ inline table::Table MakeTable(int variant) {
   return table;
 }
 
-/// A table every Annotator entry point rejects (zero columns).
-inline table::Table MakeBadTable() { return table::Table("bad"); }
+/// A zero-column table: annotation answers it with zero outcomes.
+inline table::Table MakeEmptyTable() { return table::Table("empty"); }
+
+/// Field-by-field equality, confidence compared exactly: the served path
+/// must be bit-identical to a sequential Annotator on the same table.
+inline bool SameOutcomes(const std::vector<core::ColumnOutcome>& a,
+                         const std::vector<core::ColumnOutcome>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t c = 0; c < a.size(); ++c) {
+    if (a[c].labels != b[c].labels || a[c].confidence != b[c].confidence ||
+        a[c].skipped_reason != b[c].skipped_reason ||
+        a[c].abstained != b[c].abstained) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace doduo::serve::testing
 

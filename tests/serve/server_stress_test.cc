@@ -5,7 +5,8 @@
 // (tools/check.sh wires this binary into the TSan stage).
 
 #include <atomic>
-#include <map>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +24,48 @@ namespace {
 
 constexpr int kNumVariants = 4;
 
+using Outcomes = std::vector<core::ColumnOutcome>;
+
+/// A client that speaks raw frames, for payloads and frame types the
+/// typed Client never produces.
+class RawConnection {
+ public:
+  explicit RawConnection(int port) {
+    auto fd = ConnectTcp("127.0.0.1", port);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    if (fd.ok()) fd_ = std::move(fd).value();
+  }
+
+  void Send(FrameType type, uint64_t id, const std::string& payload) {
+    Frame frame;
+    frame.type = type;
+    frame.request_id = id;
+    frame.payload = payload;
+    std::string wire;
+    ASSERT_TRUE(EncodeFrame(frame, &wire).ok());
+    ASSERT_TRUE(SendAll(fd_.get(), wire.data(), wire.size()).ok());
+  }
+
+  /// The next frame from the server; false on EOF (or a 10 s silence).
+  bool Receive(Frame* out) {
+    char buffer[4096];
+    for (;;) {
+      auto more = decoder_.Next(out);
+      if (!more.ok()) return false;
+      if (more.value()) return true;
+      auto received = RecvSome(fd_.get(), buffer, sizeof(buffer), 10000);
+      if (!received.ok() || received.value().event != IoEvent::kData) {
+        return false;
+      }
+      decoder_.Feed(std::string_view(buffer, received.value().bytes));
+    }
+  }
+
+ private:
+  UniqueFd fd_;
+  FrameDecoder decoder_;
+};
+
 class ServerTest : public ::testing::Test {
  protected:
   void StartServer(int replicas, BatcherOptions batcher) {
@@ -38,13 +81,11 @@ class ServerTest : public ::testing::Test {
   }
 
   /// Sequential ground truth, computed once per table variant.
-  std::vector<std::vector<std::vector<std::string>>> GroundTruth() {
-    std::vector<std::vector<std::vector<std::string>>> expected;
+  std::vector<Outcomes> GroundTruth() {
+    std::vector<Outcomes> expected;
     core::Annotator annotator = model_.MakeAnnotator();
     for (int v = 0; v < kNumVariants; ++v) {
-      auto types = annotator.AnnotateTypes(testing::MakeTable(v));
-      EXPECT_TRUE(types.ok()) << types.status().ToString();
-      expected.push_back(std::move(types).value());
+      expected.push_back(annotator.AnnotateTypesRobust(testing::MakeTable(v)));
     }
     return expected;
   }
@@ -65,9 +106,10 @@ TEST_F(ServerTest, PingStatsAndAnnotateOverOneConnection) {
 
   const auto expected = GroundTruth();
   for (int v = 0; v < kNumVariants; ++v) {
-    auto types = client.value().AnnotateTypes(testing::MakeTable(v));
-    ASSERT_TRUE(types.ok()) << types.status().ToString();
-    EXPECT_EQ(types.value(), expected[static_cast<size_t>(v)]);
+    auto outcomes = client.value().AnnotateTypesRobust(testing::MakeTable(v));
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    EXPECT_TRUE(testing::SameOutcomes(outcomes.value(),
+                                      expected[static_cast<size_t>(v)]));
   }
 
   auto stats = client.value().Stats();
@@ -114,9 +156,8 @@ TEST_F(ServerTest, RobustAnnotateRoundTripsOutcomesAndThreshold) {
     EXPECT_TRUE(outcome.labels.empty());
   }
 
-  // A zero-column table is a request-level annotate error on the plain
-  // path; the robust path answers with zero outcomes instead.
-  auto empty = client.value().AnnotateTypesRobust(testing::MakeBadTable());
+  // A zero-column table is not an error: it gets zero outcomes.
+  auto empty = client.value().AnnotateTypesRobust(testing::MakeEmptyTable());
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   EXPECT_TRUE(empty.value().empty());
 }
@@ -125,14 +166,68 @@ TEST_F(ServerTest, MalformedTableGetsErrorAndConnectionStaysUsable) {
   BatcherOptions batcher;
   batcher.max_wait_us = 200;
   StartServer(/*replicas=*/1, batcher);
+  std::string good;
+  EncodeRobustRequestPayload(testing::MakeTable(0), true, 0.0, &good);
+  // Well-framed requests whose payload the decoder rejects: an unknown
+  // flag bit, a NaN threshold (the f64 at bytes [4, 12)), and a table cut
+  // short.
+  std::string bad_flags = good;
+  bad_flags[0] = static_cast<char>(static_cast<uint8_t>(bad_flags[0]) | 0x02);
+  std::string nan_threshold = good;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t bits = 0;
+  std::memcpy(&bits, &nan, sizeof(bits));
+  for (int b = 0; b < 8; ++b) {
+    nan_threshold[4 + b] = static_cast<char>((bits >> (8 * b)) & 0xFF);
+  }
+  const std::string truncated = good.substr(0, good.size() - 1);
+
+  RawConnection conn(server_->port());
+  uint64_t id = 0;
+  for (const std::string& payload : {bad_flags, nan_threshold, truncated}) {
+    conn.Send(FrameType::kAnnotateRobustRequest, ++id, payload);
+    Frame reply;
+    ASSERT_TRUE(conn.Receive(&reply)) << "request " << id;
+    EXPECT_EQ(reply.type, FrameType::kErrorResponse);
+    EXPECT_EQ(reply.status, util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(reply.request_id, id);
+  }
+  // Request-level failure, not connection-level: the next request works.
+  conn.Send(FrameType::kAnnotateRobustRequest, ++id, good);
+  Frame reply;
+  ASSERT_TRUE(conn.Receive(&reply));
+  ASSERT_EQ(reply.type, FrameType::kAnnotateRobustResponse);
+  EXPECT_EQ(reply.request_id, id);
+  auto outcomes = DecodeOutcomesPayload(reply.payload);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  EXPECT_TRUE(testing::SameOutcomes(outcomes.value(), GroundTruth()[0]));
+}
+
+TEST_F(ServerTest, RetiredPlainFrameTypesCloseTheConnectionButNotTheServer) {
+  BatcherOptions batcher;
+  StartServer(/*replicas=*/1, batcher);
+  std::string table;
+  EncodeTablePayload(testing::MakeTable(1), &table);
+  // Ids 1 and 2 once carried a types-only annotate request/response; they
+  // are now unknown frame types, a connection-fatal protocol error.
+  for (const uint8_t retired : {1, 2}) {
+    RawConnection conn(server_->port());
+    conn.Send(static_cast<FrameType>(retired), 5, table);
+    Frame reply;
+    ASSERT_TRUE(conn.Receive(&reply)) << "type " << int{retired};
+    EXPECT_EQ(reply.type, FrameType::kErrorResponse);
+    EXPECT_EQ(reply.status, util::StatusCode::kInvalidArgument);
+    EXPECT_NE(reply.payload.find("unknown frame type"), std::string::npos)
+        << reply.payload;
+    EXPECT_FALSE(conn.Receive(&reply)) << "connection stayed open";
+  }
+  // The server is still healthy for a well-behaved client.
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok());
-  auto bad = client.value().AnnotateTypes(testing::MakeBadTable());
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), util::StatusCode::kInvalidArgument);
-  // Request-level failure, not connection-level: the next request works.
-  auto good = client.value().AnnotateTypes(testing::MakeTable(0));
-  EXPECT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(client.value().Ping().ok());
+  auto outcomes = client.value().AnnotateTypesRobust(testing::MakeTable(1));
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  EXPECT_TRUE(testing::SameOutcomes(outcomes.value(), GroundTruth()[1]));
 }
 
 TEST_F(ServerTest, GarbageBytesCloseTheConnectionButNotTheServer) {
@@ -161,9 +256,10 @@ TEST_F(ServerTest, GarbageBytesCloseTheConnectionButNotTheServer) {
     // Mid-frame disconnect: a valid header, then hang up before the
     // payload. The server must treat it as a clean truncation.
     Frame frame;
-    frame.type = FrameType::kAnnotateRequest;
+    frame.type = FrameType::kAnnotateRobustRequest;
     frame.request_id = 9;
-    EncodeTablePayload(testing::MakeTable(1), &frame.payload);
+    EncodeRobustRequestPayload(testing::MakeTable(1), true, 0.0,
+                               &frame.payload);
     std::string wire;
     ASSERT_TRUE(EncodeFrame(frame, &wire).ok());
     auto fd = ConnectTcp("127.0.0.1", server_->port());
@@ -202,10 +298,12 @@ TEST_F(ServerTest, ConcurrentClientsGetExactlyOneCorrectResponseEach) {
       }
       for (int r = 0; r < kRequestsPerClient; ++r) {
         const int variant = (c + r) % kNumVariants;
-        auto types = client.value().AnnotateTypes(testing::MakeTable(variant));
+        auto outcomes =
+            client.value().AnnotateTypesRobust(testing::MakeTable(variant));
         const bool match =
-            types.ok() &&
-            types.value() == expected[static_cast<size_t>(variant)];
+            outcomes.ok() &&
+            testing::SameOutcomes(outcomes.value(),
+                                  expected[static_cast<size_t>(variant)]);
         (match ? correct : wrong).fetch_add(1);
       }
     });
@@ -255,10 +353,12 @@ TEST_F(ServerTest, BackpressureRejectsWithResourceExhausted) {
         return;
       }
       for (int r = 0; r < 32; ++r) {
-        auto types = client.value().AnnotateTypes(testing::MakeTable(0));
-        if (types.ok() && types.value() == expected[0]) {
+        auto outcomes =
+            client.value().AnnotateTypesRobust(testing::MakeTable(0));
+        if (outcomes.ok() &&
+            testing::SameOutcomes(outcomes.value(), expected[0])) {
           ok_count.fetch_add(1);
-        } else if (types.status().code() ==
+        } else if (outcomes.status().code() ==
                    util::StatusCode::kResourceExhausted) {
           rejected.fetch_add(1);
         } else {
@@ -289,8 +389,10 @@ TEST_F(ServerTest, StopDrainsInFlightRequestsBeforeExiting) {
     if (!client.ok()) return;
     // One in-flight request; the server is stopped while it sits in the
     // batching window, and the drain must still answer it.
-    auto types = client.value().AnnotateTypes(testing::MakeTable(2));
-    if (types.ok() && types.value() == expected[2]) answered.fetch_add(1);
+    auto outcomes = client.value().AnnotateTypesRobust(testing::MakeTable(2));
+    if (outcomes.ok() && testing::SameOutcomes(outcomes.value(), expected[2])) {
+      answered.fetch_add(1);
+    }
   });
   // Wait until the request has been accepted by the batcher, then stop:
   // drain-on-stop must answer the parked request rather than dropping it.

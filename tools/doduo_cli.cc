@@ -22,7 +22,8 @@
 //   doduo_cli annotate --server <host:port> <file.csv>...
 //       Client mode: sends each CSV to a running doduo_serve daemon over
 //       the binary frame protocol instead of loading a model locally.
-//       Accepts the same dirty-input flags.
+//       The server answers with outcomes, so --server implies --outcomes;
+//       it accepts the same dirty-input flags.
 //
 //   doduo_cli embed --model <dir> <file.csv>
 //       Prints the contextualized column embeddings as CSV.
@@ -36,8 +37,11 @@
 // local pipeline metrics (per-stage latency histograms and counters, see
 // DESIGN §10) as JSON on stderr before exiting.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -55,9 +59,9 @@ namespace {
 
 using doduo::util::Status;
 
-int Fail(const std::string& message) {
+int Fail(const std::string& message, int exit_code = 1) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
+  return exit_code;
 }
 
 doduo::util::Result<doduo::table::Table> LoadCsvTable(
@@ -79,6 +83,25 @@ bool ParseEndpoint(const std::string& endpoint, std::string* host,
               : endpoint.substr(0, colon);
   *port = static_cast<int>(std::strtol(port_text.c_str(), nullptr, 10));
   return *port > 0 && *port < 65536;
+}
+
+/// Strict full-string parses for numeric flags: trailing text, non-finite
+/// values and out-of-range input are rejected instead of read as 0.
+bool ParseThreshold(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(text, &end);
+  return end != text && *end == '\0' && errno == 0 && std::isfinite(*out) &&
+         *out >= 0.0;
+}
+
+bool ParseThreadCount(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  *out = static_cast<int>(value);
+  return end != text && *end == '\0' && errno == 0 && value >= 1 &&
+         value <= std::numeric_limits<int>::max();
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +169,8 @@ struct OutcomeFlags {
   double abstain_below = 0.0;
 };
 
-/// Client mode: annotate each CSV through a doduo_serve endpoint.
+/// Client mode: annotate each CSV through a doduo_serve endpoint, which
+/// always answers with outcomes.
 int AnnotateRemote(const std::string& endpoint,
                    const std::vector<std::string>& csv_paths,
                    const OutcomeFlags& outcome_flags) {
@@ -161,19 +185,12 @@ int AnnotateRemote(const std::string& endpoint,
     auto table = LoadCsvTable(path);
     if (!table.ok()) return Fail(table.status().ToString());
     if (csv_paths.size() > 1) std::printf("== %s ==\n", path.c_str());
-    if (outcome_flags.enabled) {
-      auto outcomes = client.value().AnnotateTypesRobust(
-          table.value(), outcome_flags.sanitize,
-          outcome_flags.abstain_below);
-      if (!outcomes.ok()) {
-        return Fail(path + ": " + outcomes.status().ToString());
-      }
-      PrintOutcomes(table.value(), outcomes.value());
-      continue;
+    auto outcomes = client.value().AnnotateTypesRobust(
+        table.value(), outcome_flags.sanitize, outcome_flags.abstain_below);
+    if (!outcomes.ok()) {
+      return Fail(path + ": " + outcomes.status().ToString());
     }
-    auto types = client.value().AnnotateTypes(table.value());
-    if (!types.ok()) return Fail(path + ": " + types.status().ToString());
-    PrintTypes(table.value(), types.value());
+    PrintOutcomes(table.value(), outcomes.value());
   }
   return 0;
 }
@@ -289,9 +306,9 @@ const char* kUsage =
     "  doduo_cli train --out <dir> [--mode wikitable|viznet] [--threads N]\n"
     "  doduo_cli annotate --model <dir> [--batch] [--threads N] [--stats]\n"
     "      [--outcomes] [--abstain-below T] [--no-sanitize] <file.csv>...\n"
-    "  doduo_cli annotate --server <host:port> [--outcomes]"
-    " [--abstain-below T]\n"
-    "      [--no-sanitize] <file.csv>...\n"
+    "  doduo_cli annotate --server <host:port> [--abstain-below T]"
+    " [--no-sanitize]\n"
+    "      <file.csv>...\n"
     "  doduo_cli embed --model <dir> [--threads N] [--stats] <file.csv>\n"
     "  doduo_cli stats --server <host:port>\n"
     "\n"
@@ -300,9 +317,10 @@ const char* kUsage =
     "  latency histograms) as JSON on stderr before exiting.\n"
     "  --outcomes uses the dirty-input path: per column, labels with a\n"
     "  calibrated confidence, an abstention, or a machine-readable skip\n"
-    "  reason. --abstain-below T abstains on predictions whose confidence\n"
-    "  falls below T; --no-sanitize skips the column sanitizer pass. Both\n"
-    "  imply --outcomes.\n";
+    "  reason. --abstain-below T (a finite number >= 0) abstains on\n"
+    "  predictions whose confidence falls below T; --no-sanitize skips the\n"
+    "  column sanitizer pass. Both imply --outcomes, and so does --server.\n"
+    "  --threads N takes an integer >= 1.\n";
 
 }  // namespace
 
@@ -326,8 +344,13 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
       mode = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      doduo::util::SetComputeThreads(
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10)));
+      int threads = 0;
+      if (!ParseThreadCount(argv[++i], &threads)) {
+        return Fail(std::string("--threads expects an integer >= 1, got '") +
+                        argv[i] + "'",
+                    2);
+      }
+      doduo::util::SetComputeThreads(threads);
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -335,7 +358,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--outcomes") == 0) {
       outcome_flags.enabled = true;
     } else if (std::strcmp(argv[i], "--abstain-below") == 0 && i + 1 < argc) {
-      outcome_flags.abstain_below = std::strtod(argv[++i], nullptr);
+      if (!ParseThreshold(argv[++i], &outcome_flags.abstain_below)) {
+        return Fail(std::string("--abstain-below expects a finite number "
+                                ">= 0, got '") +
+                        argv[i] + "'",
+                    2);
+      }
       outcome_flags.enabled = true;
     } else if (std::strcmp(argv[i], "--no-sanitize") == 0) {
       outcome_flags.sanitize = false;

@@ -355,8 +355,8 @@ class GraphLinter {
       }
     }
 
-    // Every frame id must be exercised by tests — additive frames (8/9)
-    // must not ship without wire-level coverage.
+    // Every frame id must be exercised by tests — a new frame must not
+    // ship without wire-level coverage.
     for (const Enumerator& e : frames) {
       bool in_tests = false;
       for (int fi = 0; fi < static_cast<int>(model_.files.size()) && !in_tests;
