@@ -115,8 +115,8 @@ void BM_MatMulScalarRef(benchmark::State& state) {
 BENCHMARK(BM_MatMulScalarRef)->Arg(64)->Arg(128)->Arg(256);
 
 // Int8 GEMM through Int8Linear — the full quantized inference cost per
-// call: dynamic per-row activation quantization, the int8 dot kernel, and
-// the fused dequant epilogue. Weight quantization happens once outside the
+// call: dynamic per-row activation quantization, the int8 GEMM kernel, and
+// the dequant epilogue. Weight quantization happens once outside the
 // loop, mirroring Linear's prequantized cache. items_per_second is directly
 // comparable to BM_MatMul at the same size.
 void BM_Int8Gemm(benchmark::State& state) {
@@ -144,30 +144,34 @@ BENCHMARK(BM_Int8Gemm)
     ->ArgPair(256, 1)
     ->ArgPair(256, 4);
 
-// Raw int8 dot product per available ISA kernel (Arg = index into
-// Int8DotKernels(): 0 scalar, then SSE2/AVX2 when the CPU has them).
-void BM_Int8Dot(benchmark::State& state) {
-  const auto kernels = doduo::nn::Int8DotKernels();
+// Int8 GEMM per available kernel (Arg = index into Int8Kernels(): 0 scalar,
+// then AVX2 when the CPU has it) at 256³, single thread. items_per_second
+// is directly comparable to BM_MatMul/256/1.
+void BM_Int8GemmPerIsa(benchmark::State& state) {
+  const auto kernels = doduo::nn::Int8Kernels();
   const auto which = static_cast<size_t>(state.range(0));
   if (which >= kernels.size()) {
     state.SkipWithError("kernel not available on this CPU");
     return;
   }
-  const int64_t k = 4096;
-  std::vector<int8_t> a(static_cast<size_t>(k));
-  std::vector<int8_t> b(static_cast<size_t>(k));
-  for (int64_t i = 0; i < k; ++i) {
-    a[static_cast<size_t>(i)] = static_cast<int8_t>(i * 7 % 255 - 127);
-    b[static_cast<size_t>(i)] = static_cast<int8_t>(i * 13 % 255 - 127);
-  }
+  const int64_t n = 256;
+  doduo::util::SetComputeThreads(1);
+  doduo::util::Rng rng(1);
+  Tensor x({n, n});
+  Tensor w({n, n});
+  x.FillNormal(&rng, 1.0f);
+  w.FillNormal(&rng, 1.0f);
+  doduo::nn::QuantizedWeight qw;
+  doduo::nn::QuantizeWeight(w, &qw);
+  Tensor y;
   for (auto _ : state) {
-    int32_t dot = kernels[which].fn(a.data(), b.data(), k);
-    benchmark::DoNotOptimize(dot);
+    kernels[which].linear(x, doduo::nn::View(qw), nullptr, &y);
+    benchmark::DoNotOptimize(y.data());
   }
   state.SetLabel(kernels[which].name);
-  state.SetItemsProcessed(state.iterations() * 2 * k);
+  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Int8Dot)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Int8GemmPerIsa)->Arg(0)->Arg(1);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   doduo::util::Rng rng(2);
@@ -447,10 +451,11 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // ---------------------------------------------------------------------------
 // BENCH_quant.json — machine-readable quantization scorecard (DESIGN §14),
 // emitted when DODUO_BENCH_QUANT=1: GEMM GFLOP/s for the dispatched fp32
-// path, the fp32 scalar reference, and int8 (with the speedup ratio the
-// acceptance gate checks); batched annotation tables/sec with the quant
-// path off and on; and the per-worker RSS delta of a ReplicaPool built
-// over a v2 mmap checkpoint, next to the bytes the load actually mapped.
+// path, the fp32 scalar reference, and int8 (with int8 over dispatched
+// fp32, the ratio the acceptance gate checks); batched annotation
+// tables/sec with the quant path off and on; and the per-worker RSS delta
+// of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
+// load actually mapped.
 
 template <typename Fn>
 double SecondsPerCall(int iters, const Fn& fn) {
@@ -498,7 +503,10 @@ void EmitQuantBenchJson() {
   const double fp32_gflops = flops / fp32_s / 1e9;
   const double scalar_gflops = flops / scalar_s / 1e9;
   const double int8_gflops = flops / int8_s / 1e9;
-  const double speedup = scalar_s / int8_s;
+  // The gated ratio: int8 against the fp32 path users actually run
+  // (dispatched SIMD MatMul). The scalar ratio is kept for continuity.
+  const double speedup = fp32_s / int8_s;
+  const double speedup_vs_scalar = scalar_s / int8_s;
 
   // End-to-end annotate throughput, fp32 vs int8, same model and tables.
   BatchAnnotateFixture fixture;
@@ -571,10 +579,12 @@ void EmitQuantBenchJson() {
                "  \"gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld,\n"
                "    \"fp32_gflops\": %.3f, \"fp32_scalar_gflops\": %.3f,\n"
                "    \"int8_gflops\": %.3f, \"int8_kernel\": \"%s\",\n"
+               "    \"int8_vs_fp32_simd\": %.3f,\n"
                "    \"int8_vs_fp32_scalar\": %.3f},\n",
                static_cast<long long>(n), static_cast<long long>(n),
                static_cast<long long>(n), fp32_gflops, scalar_gflops,
-               int8_gflops, doduo::nn::Int8KernelName(), speedup);
+               int8_gflops, doduo::nn::Int8KernelName(), speedup,
+               speedup_vs_scalar);
   std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"
@@ -590,10 +600,12 @@ void EmitQuantBenchJson() {
                static_cast<long long>(rss_after_kb), rss_per_worker_kb);
   std::fprintf(out, "}\n");
   std::fclose(out);
-  // The acceptance line tools/check.sh greps: int8 must beat fp32 scalar
-  // by >= 1.5x on this machine.
-  std::fprintf(stderr, "quant_bench: int8/fp32-scalar speedup = %.2f\n",
+  // The acceptance line tools/check.sh greps: int8 must beat dispatched
+  // SIMD fp32 by >= 1.25x on this machine.
+  std::fprintf(stderr, "quant_bench: int8/fp32-simd speedup = %.2f\n",
                speedup);
+  std::fprintf(stderr, "quant_bench: int8/fp32-scalar ratio = %.2f\n",
+               speedup_vs_scalar);
   std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
 }
 

@@ -11,17 +11,18 @@
 
 namespace doduo::nn {
 
-/// An int8 rendering of a 2-D weight, precomputed at checkpoint-convert or
-/// load time (DESIGN §14). The payload is stored *transposed* relative to
-/// the fp32 parameter — row j holds output channel j of a [in, out] weight,
-/// so the int8 GEMM streams contiguous rows — with one fp32 scale per
-/// output channel (symmetric quantization: w ≈ scale[j] · q[j, :]).
-/// The pointers may alias an mmap-ed checkpoint section; `keepalive` pins
-/// whatever owns them. Instances are immutable once built and shared across
-/// replicas via shared_ptr.
+/// An int8 rendering of a 2-D [in, out] weight, precomputed at
+/// checkpoint-convert or load time (DESIGN §14): one fp32 scale per output
+/// channel (symmetric quantization: w[:, j] ≈ scale[j] · q[j, :]) and the
+/// int8 GEMM's weight panels, packed once at load from the checkpoint's
+/// transposed [out, in] table by nn::PackInt8Panels (the layout is private
+/// to nn/quant). `scale` may alias an mmap-ed checkpoint section;
+/// `keepalive` pins whatever owns it. Instances are immutable once built
+/// and shared across replicas via shared_ptr, so every replica reads one
+/// set of panels.
 struct PrequantizedWeight {
-  const int8_t* q = nullptr;     // [out, in], row per output channel
   const float* scale = nullptr;  // [out]
+  std::vector<int16_t> panels;   // PackInt8Panels(q, out, in)
   int64_t out = 0;
   int64_t in = 0;
   std::shared_ptr<const void> keepalive;

@@ -11,17 +11,24 @@ namespace doduo::nn {
 
 // Int8 quantized inference path (DESIGN §14). Weights are quantized
 // symmetrically per output channel (scale[j] = max|w[:, j]| / 127) into a
-// transposed [out, in] int8 layout; activations are quantized dynamically
-// per row (scale[i] = max|x[i, :]| / 127). The GEMM accumulates in int32 —
-// exactly, so the result is bit-identical across the scalar/SSE2/AVX2
-// kernels and at any thread count — and a fused epilogue dequantizes and
-// adds the bias in fp32:
+// transposed [out, in] int8 table, which is packed once into the GEMM's
+// panel layout (PackInt8Panels). Activations are quantized dynamically per
+// row (scale[i] = max|x[i, :]| / 127) straight to int16. A register-blocked
+// GEMM accumulates in int32 — exactly, so the result is bit-identical
+// across the scalar and AVX2 kernels and at any thread count — and a
+// separate epilogue dequantizes and adds the bias in fp32, in this order:
 //
-//   y[i, j] = sa[i] · sw[j] · Σ_l qx[i, l] · qw[j, l]  (+ bias[j])
+//   y[i, j] = (sa[i] · sw[j]) · float(Σ_l qx[i, l] · qw[j, l])  (+ bias[j])
 //
 // The path is opt-in at runtime (DODUO_QUANT=1, default off) and changes
 // numerics only within the quantization error bound; the Table 3/4 parity
-// tests pin its F1 to the fp32 path.
+// tests pin its F1 to the fp32 path. Like the fp32 kernels, a warmed-up
+// Int8Linear makes no heap allocation: its activation scratch is per thread
+// and grows to its high-water mark once (DESIGN §9).
+
+/// Largest reduction length the int32 accumulator holds exactly:
+/// k · 127² ≤ 2³¹ − 1. Int8Linear CHECK-fails above it.
+inline constexpr int64_t kMaxInt8DotK = INT32_MAX / (127 * 127);
 
 /// True when the int8 inference path is enabled. Initialized from
 /// DODUO_QUANT (default off) on first use.
@@ -30,56 +37,73 @@ bool QuantEnabled();
 /// Runtime override of the DODUO_QUANT switch (tests and tools).
 void SetQuantEnabled(bool enabled);
 
-/// Owned int8 rendering of one [in, out] fp32 weight in the kernel layout
-/// described above. Built by QuantizeWeight (Linear's lazy cache) or read
-/// straight out of a v2 int8 checkpoint (Parameter::prequant).
+/// Packs an [out, in] int8 table into the GEMM's weight panels: int16,
+/// eight output channels per panel, k-pairs interleaved
+/// ([out/8][in/2][8][2], both rounded up and zero-padded, which keeps the
+/// sums exact). Deterministic; built once per weight.
+void PackInt8Panels(const int8_t* q, int64_t out, int64_t in,
+                    std::vector<int16_t>* panels);
+
+/// Owned int8 rendering of one [in, out] fp32 weight: the transposed table
+/// (what a v2 int8 checkpoint stores), its scales, and the packed panels
+/// the GEMM reads. Built by QuantizeWeight (Linear's lazy cache).
 struct QuantizedWeight {
-  std::vector<int8_t> q;     // [out * in]; row j = output channel j
-  std::vector<float> scale;  // [out]
+  std::vector<int8_t> q;        // [out * in]; row j = output channel j
+  std::vector<float> scale;     // [out]
+  std::vector<int16_t> panels;  // PackInt8Panels(q, out, in)
   int64_t out = 0;
   int64_t in = 0;
 };
 
 /// Borrowed view over either storage flavor; what the kernels consume.
 struct Int8WeightView {
-  const int8_t* q = nullptr;
+  const int16_t* panels = nullptr;
   const float* scale = nullptr;
   int64_t out = 0;
   int64_t in = 0;
 };
 
 inline Int8WeightView View(const QuantizedWeight& w) {
-  return {w.q.data(), w.scale.data(), w.out, w.in};
+  return {w.panels.data(), w.scale.data(), w.out, w.in};
 }
 inline Int8WeightView View(const PrequantizedWeight& w) {
-  return {w.q, w.scale, w.out, w.in};
+  return {w.panels.data(), w.scale, w.out, w.in};
 }
 
 /// Quantizes a 2-D [in, out] fp32 weight per output channel into the
-/// transposed int8 layout. Deterministic (round-to-nearest-even).
+/// transposed int8 table and packs its panels. Deterministic
+/// (round-to-nearest-even).
 void QuantizeWeight(const Tensor& w, QuantizedWeight* out);
 
 /// Quantized linear layer: x [m, in] fp32 → y [m, out] fp32 through the
-/// int8 GEMM with fused dequant(+bias) epilogue. `bias` ([out]) may be
-/// nullptr (the fused bias/GELU epilogue adds it later). Shards output rows
-/// across the compute pool above the same volume threshold as the fp32
-/// kernels. Unlike the fp32 path this allocates per call (the quantized
-/// activation scratch), so it is not part of the zero-alloc contract.
+/// int8 GEMM and its dequant(+bias) epilogue, on the dispatched kernel.
+/// `bias` ([out]) may be nullptr (the fused bias/GELU epilogue adds it
+/// later). Shards output rows across the compute pool above the same volume
+/// threshold as the fp32 kernels. Requires in ≤ kMaxInt8DotK.
 void Int8Linear(const Tensor& x, const Int8WeightView& w, const float* bias,
                 Tensor* y);
 
-/// Name of the int8 dot kernel the dispatcher selected for this process
-/// ("avx2", "sse2", or "scalar") — for startup logs and bench output.
-const char* Int8KernelName();
-
-/// Every int8 dot kernel this binary can run (scalar always; SSE2/AVX2 when
-/// the CPU supports them), for the cross-ISA bit-equality tests and the
-/// per-kernel benches. Each computes Σ a[i]·b[i] in int32.
-struct Int8DotKernelEntry {
+/// One member of the int8 kernel family. Every member computes the same
+/// integers and the same epilogue, so they are interchangeable bit for bit.
+struct Int8Kernel {
   const char* name;
-  int32_t (*fn)(const int8_t* a, const int8_t* b, int64_t k);
+  /// Quantizes one activation row of length k to int16 values in
+  /// [-127, 127] (round-to-nearest-even, clamped); returns the row scale.
+  float (*quantize_row)(const float* x, int64_t k, int16_t* q);
+  /// Int8Linear through this kernel.
+  void (*linear)(const Tensor& x, const Int8WeightView& w, const float* bias,
+                 Tensor* y);
 };
-std::vector<Int8DotKernelEntry> Int8DotKernels();
+
+/// Every int8 kernel this binary can run on this CPU: "scalar" (the
+/// reference, and the DODUO_SIMD=0 / non-x86 fallback) always, then "avx2"
+/// when the CPU has it — for the cross-kernel bit-equality tests and the
+/// per-kernel benches.
+std::vector<Int8Kernel> Int8Kernels();
+
+/// Name of the kernel Int8Linear dispatches to in this process ("avx2" or
+/// "scalar") — for startup logs and bench output.
+const char* Int8KernelName();
 
 }  // namespace doduo::nn
 

@@ -44,7 +44,8 @@ struct SaveV2Options {
 /// fp32 tensors *borrow* the mapping — every byte extent is validated
 /// against the file size before any allocation or dereference. Int8 entries
 /// are dequantized into owned fp32 values and additionally attach their
-/// zero-copy scale/payload tables as Parameter::prequant. After a v2 mmap
+/// zero-copy scale table and the int8 GEMM panels packed from their payload
+/// as Parameter::prequant. After a v2 mmap
 /// load the model's weights are read-only (inference); training it requires
 /// re-owning the values (e.g. a v1 load or RestoreWeights).
 [[nodiscard]] util::Status LoadParameters(const std::string& path,

@@ -11,11 +11,12 @@
 
 namespace doduo::nn {
 
-/// Number of heap buffer allocations performed by Tensor storage since the
-/// last ResetTensorAllocCount(). Always 0 when the library is compiled
-/// without DODUO_COUNT_ALLOCS (a CMake option, on by default); with it, the
-/// zero-allocation tests assert that steady-state encoder Forward/Backward
-/// never touches the heap (see DESIGN.md §9).
+/// Number of heap buffer allocations performed by Tensor storage (and by
+/// CountedVector scratch, below) since the last ResetTensorAllocCount().
+/// Always 0 when the library is compiled without DODUO_COUNT_ALLOCS (a
+/// CMake option, on by default); with it, the zero-allocation tests assert
+/// that steady-state encoder Forward/Backward never touches the heap (see
+/// DESIGN.md §9).
 uint64_t TensorAllocCount();
 void ResetTensorAllocCount();
 
@@ -43,10 +44,15 @@ T* CountingAllocator<T>::allocate(size_t n) {
   return std::allocator<T>().allocate(n);
 }
 }  // namespace internal
-using FloatBuffer = std::vector<float, internal::CountingAllocator<float>>;
+/// A vector whose buffer allocations the Tensor counter sees — for scratch
+/// that belongs to the zero-alloc contract but is not made of floats.
+template <typename T>
+using CountedVector = std::vector<T, internal::CountingAllocator<T>>;
 #else
-using FloatBuffer = std::vector<float>;
+template <typename T>
+using CountedVector = std::vector<T>;
 #endif
+using FloatBuffer = CountedVector<float>;
 
 /// Dense row-major float32 tensor. This is the only numeric container used
 /// by the neural-network stack; it supports 1-D through 3-D shapes, which is

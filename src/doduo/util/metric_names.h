@@ -49,6 +49,9 @@ inline constexpr std::string_view kLoadBytesMapped = "load.bytes_mapped";
 inline constexpr std::string_view kLoadBytesCopied = "load.bytes_copied";
 inline constexpr std::string_view kLoadCheckpointUs = "load.checkpoint_us";
 
+// -- nn/quant: int8 weight panels built (load or lazy cache, DESIGN §14) ----
+inline constexpr std::string_view kQuantPanelsPacked = "quant.panels_packed";
+
 // -- table/sanitizer: dirty-input repair outcomes ---------------------------
 inline constexpr std::string_view kSanitizerCellsRepaired =
     "sanitizer.cells_repaired";

@@ -17,6 +17,7 @@
 #include "doduo/nn/parameter.h"
 #include "doduo/nn/quant.h"
 #include "doduo/table/table.h"
+#include "doduo/util/metrics.h"
 #include "doduo/util/rng.h"
 #include "gtest/gtest.h"
 
@@ -116,6 +117,8 @@ TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
   Fixture fx;
   const std::string dir = SaveDir(
       &fx, "share_int8", {.checkpoint_version = 2, .quant_int8 = true});
+  const util::Counter* packed = util::GetCounter("quant.panels_packed");
+  const uint64_t packed_before_load = packed->value();
   auto loaded = LoadModelDir(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   LoadedModel& m = *loaded.value();
@@ -127,30 +130,48 @@ TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
   }
   ASSERT_GT(with_prequant, 0) << "int8 checkpoint attached no tables";
 
+  // The load packed every int8 table's GEMM panels once; building replicas
+  // (Annotator::FanOut does it on every batch call) and annotating through
+  // them must pack nothing more.
+  const uint64_t packed_at_load = packed->value();
+  EXPECT_EQ(packed_at_load - packed_before_load,
+            static_cast<uint64_t>(with_prequant));
   ReplicaPool pool(m.model.get(), m.serializer.get(), &m.types,
-                   m.relation_vocab(), 2);
-  const nn::ParameterList replica_params = pool.model(1)->Parameters();
-  ASSERT_EQ(replica_params.size(), primary_params.size());
-  for (size_t i = 0; i < primary_params.size(); ++i) {
-    // One shared table object per parameter, not one per replica.
-    EXPECT_EQ(replica_params[i]->prequant.get(),
-              primary_params[i]->prequant.get())
-        << primary_params[i]->name;
-    if (primary_params[i]->prequant != nullptr) {
-      EXPECT_EQ(replica_params[i]->prequant_revision,
-                replica_params[i]->revision);
+                   m.relation_vocab(), 3);
+  for (int r = 1; r < pool.num_replicas(); ++r) {
+    const nn::ParameterList replica_params = pool.model(r)->Parameters();
+    ASSERT_EQ(replica_params.size(), primary_params.size());
+    for (size_t i = 0; i < primary_params.size(); ++i) {
+      const nn::Parameter& src = *primary_params[i];
+      const nn::Parameter& dst = *replica_params[i];
+      // One shared table object per parameter, not one per replica.
+      EXPECT_EQ(dst.prequant.get(), src.prequant.get()) << src.name;
+      if (src.prequant == nullptr) continue;
+      // Current, so the replica's Linear serves it (Linear::QuantView), and
+      // what it serves is the primary's one copy of the panels.
+      EXPECT_EQ(dst.prequant_revision, dst.revision) << src.name;
+      EXPECT_FALSE(src.prequant->panels.empty()) << src.name;
+      EXPECT_EQ(nn::View(*dst.prequant).panels,
+                nn::View(*src.prequant).panels)
+          << src.name;
     }
   }
+  EXPECT_EQ(packed->value(), packed_at_load) << "ReplicaPool packed panels";
 
   // And the quantized path over shared tables still matches the primary.
   nn::SetQuantEnabled(true);
   const table::Table table = SmallTable();
   auto want = pool.annotator(0)->AnnotateTypes(table);
   auto got = pool.annotator(1)->AnnotateTypes(table);
+  auto got2 = pool.annotator(2)->AnnotateTypes(table);
   nn::SetQuantEnabled(false);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(got2.ok());
   EXPECT_EQ(got.value(), want.value());
+  EXPECT_EQ(got2.value(), want.value());
+  EXPECT_EQ(packed->value(), packed_at_load)
+      << "int8 annotation re-packed a checkpoint table";
   std::filesystem::remove_all(dir);
 }
 

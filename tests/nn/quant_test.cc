@@ -1,13 +1,19 @@
 #include "doduo/nn/quant.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "doduo/nn/linear.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/tensor.h"
 #include "doduo/util/rng.h"
+#include "doduo/util/thread_pool.h"
 #include "gtest/gtest.h"
 
 namespace doduo::nn {
@@ -20,43 +26,217 @@ class QuantTest : public ::testing::Test {
   void TearDown() override { SetQuantEnabled(false); }
 };
 
-std::vector<int8_t> RandomInt8(util::Rng* rng, int64_t n) {
-  std::vector<int8_t> v(static_cast<size_t>(n));
-  for (auto& x : v) x = static_cast<int8_t>(rng->UniformInt(-127, 127));
-  return v;
+// Force the parallel dispatch gate open for every shape, so the thread
+// sweep below shards even the smallest GEMMs. Runs at static-init time,
+// before any kernel call caches the threshold.
+const bool g_force_parallel = [] {
+  setenv("DODUO_PARALLEL_THRESHOLD", "1", 1);
+  return true;
+}();
+
+// The documented Int8Linear contract, computed the slow way: per-row
+// activation quantization (lrintf, clamp to ±127), an exact 64-bit integer
+// dot per output element, then y = (sa · sw) · float(acc) (+ bias).
+Tensor Int8Oracle(const Tensor& x, const QuantizedWeight& w,
+                  const float* bias) {
+  const int64_t m = x.rows();
+  const int64_t k = w.in;
+  Tensor y({m, w.out});
+  std::vector<int64_t> qx(static_cast<size_t>(k));
+  for (int64_t i = 0; i < m; ++i) {
+    float max_abs = 0.0f;
+    for (int64_t l = 0; l < k; ++l) {
+      max_abs = std::max(max_abs, std::fabs(x.at(i, l)));
+    }
+    const float sa = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
+    const float inv = 1.0f / sa;
+    for (int64_t l = 0; l < k; ++l) {
+      qx[static_cast<size_t>(l)] =
+          std::clamp<long>(std::lrintf(x.at(i, l) * inv), -127, 127);
+    }
+    for (int64_t j = 0; j < w.out; ++j) {
+      int64_t acc = 0;
+      for (int64_t l = 0; l < k; ++l) {
+        acc += qx[static_cast<size_t>(l)] *
+               w.q[static_cast<size_t>(j * k + l)];
+      }
+      EXPECT_LE(std::abs(acc), int64_t{INT32_MAX});
+      const float sw = w.scale[static_cast<size_t>(j)];
+      const float v = sa * sw * static_cast<float>(acc);
+      y.at(i, j) = bias != nullptr ? v + bias[j] : v;
+    }
+  }
+  return y;
 }
 
-TEST_F(QuantTest, KernelsAreBitIdenticalAcrossIsas) {
-  // The int32 accumulator is exact, so every dispatched kernel must return
-  // the very same integer — this is what makes DODUO_SIMD a pure speed
-  // knob on the quant path.
-  const std::vector<Int8DotKernelEntry> kernels = Int8DotKernels();
-  ASSERT_GE(kernels.size(), 1u);
-  EXPECT_STREQ(kernels[0].name, "scalar");
-  util::Rng rng(7);
-  // Lengths straddling every SIMD width and tail case.
-  for (const int64_t k : {0, 1, 7, 15, 16, 17, 31, 32, 33, 64, 100, 257}) {
-    const std::vector<int8_t> a = RandomInt8(&rng, k);
-    const std::vector<int8_t> b = RandomInt8(&rng, k);
-    const int32_t want = kernels[0].fn(a.data(), b.data(), k);
-    for (const Int8DotKernelEntry& kernel : kernels) {
-      EXPECT_EQ(kernel.fn(a.data(), b.data(), k), want)
-          << kernel.name << " k=" << k;
+// Bitwise comparison (EXPECT_EQ on floats would let -0.0 == 0.0 through).
+void ExpectBitIdentical(const Tensor& got, const Tensor& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const uint32_t g = std::bit_cast<uint32_t>(got.data()[i]);
+    const uint32_t w = std::bit_cast<uint32_t>(want.data()[i]);
+    if (g != w) {
+      ADD_FAILURE() << what << ": element " << i << " is " << got.data()[i]
+                    << ", oracle " << want.data()[i];
+      return;
     }
   }
 }
 
-TEST_F(QuantTest, KernelsSaturateTheWorstCase) {
-  // k * 127^2 for the largest supported k must not overflow int32 in any
-  // kernel's partial sums: all-(-127) times all-127 is the adversarial
-  // input.
-  const int64_t k = 4096;
-  const std::vector<int8_t> a(static_cast<size_t>(k), int8_t{-127});
-  const std::vector<int8_t> b(static_cast<size_t>(k), int8_t{127});
-  const int32_t want = static_cast<int32_t>(k) * (-127 * 127);
-  for (const Int8DotKernelEntry& kernel : Int8DotKernels()) {
-    EXPECT_EQ(kernel.fn(a.data(), b.data(), k), want) << kernel.name;
+TEST_F(QuantTest, KernelsAreBitIdenticalAcrossIsas) {
+  // The int32 sums are exact and the epilogue order is fixed, so every
+  // kernel at every thread count must reproduce the oracle bit for bit —
+  // which is what makes DODUO_SIMD a pure speed knob on the quant path.
+  // Shapes straddle the 4-row tile, the 8-column panel, the 16-column tile
+  // and odd k (a zero-padded k-pair).
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  ASSERT_GE(kernels.size(), 1u);
+  EXPECT_STREQ(kernels[0].name, "scalar");
+  util::Rng rng(7);
+  for (const int threads : {1, 2, 8}) {
+    util::SetComputeThreads(threads);
+    for (const int64_t m : {1, 3, 4, 5, 77}) {
+      for (const int64_t n : {1, 15, 16, 17, 24, 192}) {
+        for (const int64_t k : {1, 2, 3, 63, 64, 256}) {
+          Tensor x({m, k}), w({k, n});
+          x.FillNormal(&rng, 1.0f);
+          w.FillNormal(&rng, 0.5f);
+          std::vector<float> bias(static_cast<size_t>(n));
+          for (auto& b : bias) b = rng.UniformFloat(-0.5f, 0.5f);
+          QuantizedWeight qw;
+          QuantizeWeight(w, &qw);
+          for (const float* b : {static_cast<const float*>(nullptr),
+                                 static_cast<const float*>(bias.data())}) {
+            const Tensor want = Int8Oracle(x, qw, b);
+            for (const Int8Kernel& kernel : kernels) {
+              Tensor got;
+              kernel.linear(x, View(qw), b, &got);
+              ExpectBitIdentical(
+                  got, want,
+                  std::string(kernel.name) + " m=" + std::to_string(m) +
+                      " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                      " threads=" + std::to_string(threads) +
+                      (b != nullptr ? " bias" : " no bias"));
+            }
+          }
+        }
+      }
+    }
   }
+  util::SetComputeThreads(1);
+}
+
+TEST_F(QuantTest, KernelsSaturateTheWorstCase) {
+  // All-(-127) activations times all-127 weights at the largest k the int32
+  // accumulator admits: k · 127² = 2³¹ − 1 − 4071, so one more step would
+  // overflow. Every kernel must produce the exact sum; scales are 1.
+  const int64_t k = kMaxInt8DotK;
+  ASSERT_LE(k * 127 * 127, int64_t{INT32_MAX});
+  ASSERT_GT((k + 1) * 127 * 127, int64_t{INT32_MAX});
+  const int64_t m = 5, n = 17;
+  Tensor x({m, k}), w({k, n});
+  x.Fill(-127.0f);
+  w.Fill(127.0f);
+  QuantizedWeight qw;
+  QuantizeWeight(w, &qw);
+  const float want = static_cast<float>(static_cast<int32_t>(k * -127 * 127));
+  for (const Int8Kernel& kernel : Int8Kernels()) {
+    Tensor y;
+    kernel.linear(x, View(qw), nullptr, &y);
+    for (int64_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(y.data()[i]),
+                std::bit_cast<uint32_t>(want))
+          << kernel.name << " element " << i << " = " << y.data()[i];
+    }
+  }
+}
+
+TEST(QuantDeathTest, Int8LinearRejectsKPastTheBound) {
+  // One step past the exact bound, (2³¹ − 1) / 127² + 1, the int32 sum can
+  // overflow; Int8Linear must refuse the shape.
+  const int64_t k = 133145;
+  const std::vector<int8_t> q(static_cast<size_t>(k));
+  std::vector<int16_t> panels;
+  PackInt8Panels(q.data(), /*out=*/1, /*in=*/k, &panels);
+  const std::vector<float> scale(1, 1.0f);
+  const Int8WeightView w{panels.data(), scale.data(), /*out=*/1, /*in=*/k};
+  const Tensor x({1, k});
+  Tensor y;
+  EXPECT_DEATH(Int8Linear(x, w, nullptr, &y), "overflow");
+}
+
+TEST_F(QuantTest, QuantizeRowIsIdenticalAcrossKernels) {
+  // The SIMD quantizer must reproduce lrintf + clamp and the NaN-skipping
+  // running max exactly, including on the rows where vector instructions
+  // differ from scalar ones by default (maxps and NaN, cvtps and inf).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  std::vector<std::vector<float>> rows = {
+      std::vector<float>(19, 0.0f),
+      {0.0f, -0.0f, 0.0f, -0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f},
+      std::vector<float>(17, 37 * sub),
+      {sub, -sub, 3 * sub, 0.0f, -5 * sub, 1e-39f, -1e-38f, 2e-38f, sub},
+      {1.0f, -2.0f, inf, 0.5f, -0.25f, 3.0f, 0.0f, -1.0f, 2.0f, 7.0f},
+      {1.0f, -2.0f, -inf, 0.5f, -0.25f, 3.0f, 0.0f, -1.0f, 2.0f, 7.0f},
+      {nan, 1.0f, -2.0f, 0.5f, 3.0f, -4.0f, 0.25f, 8.0f, 1.5f},
+      {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, nan, 9.0f, -nan, 11.0f},
+      // The row max sits in lane 0 of the first vector and a NaN in lane 0
+      // of the second: maxps with the operands swapped would drop the max.
+      {-100.0f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f,
+       nan, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f},
+      std::vector<float>(8, nan),
+      {nan, inf, -inf, 0.0f, -0.0f, sub, 1.0f, -1.0f, 100.0f, -nan},
+  };
+  util::Rng rng(31);
+  for (const int64_t k : {1, 7, 8, 9, 33, 64, 256}) {
+    std::vector<float> row(static_cast<size_t>(k));
+    for (auto& v : row) v = rng.UniformFloat(-3.0f, 3.0f);
+    rows.push_back(row);
+  }
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const auto k = static_cast<int64_t>(rows[r].size());
+    std::vector<int16_t> want(rows[r].size());
+    const float want_scale =
+        kernels[0].quantize_row(rows[r].data(), k, want.data());
+    for (const int16_t q : want) {
+      EXPECT_GE(q, -127);
+      EXPECT_LE(q, 127);
+    }
+    for (const Int8Kernel& kernel : kernels) {
+      std::vector<int16_t> got(rows[r].size());
+      const float scale = kernel.quantize_row(rows[r].data(), k, got.data());
+      EXPECT_EQ(std::bit_cast<uint32_t>(scale),
+                std::bit_cast<uint32_t>(want_scale))
+          << kernel.name << " row " << r;
+      EXPECT_EQ(got, want) << kernel.name << " row " << r;
+    }
+  }
+}
+
+TEST_F(QuantTest, PanelsPadToWholePanelsWithZeros) {
+  // 3 channels × 3 inputs: one panel of 8 channels, two k-pairs; every slot
+  // that is not a real weight must be zero so padded products vanish.
+  const std::vector<int8_t> q = {1, 2, 3, 4, 5, 6, 7, 8, 9};  // [out=3, in=3]
+  std::vector<int16_t> panels;
+  PackInt8Panels(q.data(), /*out=*/3, /*in=*/3, &panels);
+  ASSERT_EQ(panels.size(), 1u * 2 * 8 * 2);
+  // panel[(kk · 8 + c) · 2 + t] = q[c][2kk + t]
+  EXPECT_EQ(panels[0], 1);
+  EXPECT_EQ(panels[1], 2);
+  EXPECT_EQ(panels[2], 4);
+  EXPECT_EQ(panels[3], 5);
+  EXPECT_EQ(panels[4], 7);
+  EXPECT_EQ(panels[5], 8);
+  EXPECT_EQ(panels[16], 3);
+  EXPECT_EQ(panels[17], 0);
+  EXPECT_EQ(panels[18], 6);
+  EXPECT_EQ(panels[20], 9);
+  int64_t nonzero = 0;
+  for (const int16_t v : panels) nonzero += v != 0 ? 1 : 0;
+  EXPECT_EQ(nonzero, 9);
 }
 
 TEST_F(QuantTest, QuantizeWeightRoundTripWithinHalfStep) {
@@ -204,8 +384,8 @@ TEST_F(QuantTest, PrequantizedViewWinsOverLazyCache) {
   Tensor w_alt({8, 4});
   w_alt.Fill(0.5f);
   QuantizeWeight(w_alt, storage.get());
-  pre->q = storage->q.data();
   pre->scale = storage->scale.data();
+  pre->panels = storage->panels;
   pre->out = storage->out;
   pre->in = storage->in;
   pre->keepalive = storage;

@@ -1,10 +1,12 @@
 // Steady-state allocation contract (DESIGN.md §9): after one warm-up
 // iteration, encoder Forward — and Forward + Backward — must perform zero
-// Tensor heap allocations on both the fused and the reference kernel paths.
+// Tensor heap allocations on both the fused and the reference kernel paths,
+// and encoder Forward on the int8 path.
 // Requires the DODUO_COUNT_ALLOCS build (the default); without it these
 // tests compile to skips.
 
 #include "doduo/nn/ops.h"
+#include "doduo/nn/quant.h"
 #include "doduo/transformer/encoder.h"
 #include "gtest/gtest.h"
 
@@ -84,6 +86,25 @@ INSTANTIATE_TEST_SUITE_P(Paths, ZeroAllocTest, ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& param_info) {
                            return param_info.param ? "fused" : "reference";
                          });
+
+TEST(ZeroAllocQuantTest, Int8EncoderForwardIsAllocationFreeAtSteadyState) {
+  // The int8 path is part of the contract too: the lazy weight panels and
+  // the per-thread activation scratch are built by the warm-up, and the
+  // scratch is counted like Tensor storage, so a per-call buffer shows up.
+  util::Rng rng(4);
+  Encoder encoder("enc", SmallConfig(), &rng);
+  encoder.set_training(false);
+  nn::Tensor x({12, 16});
+  x.FillNormal(&rng, 1.0f);
+
+  nn::SetQuantEnabled(true);
+  encoder.Forward(x, nullptr);
+  nn::ResetTensorAllocCount();
+  encoder.Forward(x, nullptr);
+  const uint64_t allocs = nn::TensorAllocCount();
+  nn::SetQuantEnabled(false);
+  EXPECT_EQ(allocs, 0u);
+}
 
 #endif  // DODUO_COUNT_ALLOCS
 
