@@ -541,7 +541,7 @@ void EmitQuantBenchJson() {
   doduo::table::LabelVocab relations;
   const doduo::util::Status saved = doduo::core::SaveModelDir(
       dir, fixture.model.get(), BatchAnnotateFixture::shared().vocab,
-      fixture.types, relations, {.checkpoint_version = 2, .quant_int8 = true});
+      fixture.types, relations, {.quant_int8 = true});
   if (saved.ok()) {
     doduo::util::Counter* mapped =
         doduo::util::GetCounter("load.bytes_mapped");

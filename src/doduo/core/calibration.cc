@@ -21,7 +21,7 @@ double MeanNll(const std::vector<CalibrationExample>& examples,
     if (example.labels.empty() || example.logits.empty()) continue;
     if (multi_label) {
       for (size_t c = 0; c < example.logits.size(); ++c) {
-        const double x = example.logits[c] / temperature;
+        const double x = static_cast<double>(example.logits[c]) / temperature;
         const double y =
             std::find(example.labels.begin(), example.labels.end(),
                       static_cast<int>(c)) != example.labels.end()
@@ -35,7 +35,7 @@ double MeanNll(const std::vector<CalibrationExample>& examples,
       if (gold < 0 || gold >= static_cast<int>(example.logits.size())) {
         continue;
       }
-      double max_z = example.logits[0] / temperature;
+      double max_z = static_cast<double>(example.logits[0]) / temperature;
       for (float z : example.logits) {
         max_z = std::max(max_z, static_cast<double>(z) / temperature);
       }

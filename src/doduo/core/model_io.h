@@ -44,24 +44,25 @@ struct LoadedModel {
 };
 
 /// Loads a saved model directory; the config's dropout is forced to 0
-/// (inference only). Fails with a precise Status naming the unreadable or
-/// corrupt file. Cold-start cost is recorded in util::metrics: histogram
-/// "load.checkpoint_us" (checkpoint wall time) plus counters
+/// (inference only: the fp32 weights borrow the checkpoint's read-only
+/// mapping, see nn::LoadParameters). Fails with a precise Status naming the
+/// unreadable or corrupt file. Cold-start cost is recorded in util::metrics:
+/// histogram "load.checkpoint_us" (checkpoint wall time) plus counters
 /// "load.bytes_mapped" / "load.bytes_copied" — visible in doduo_serve
 /// --stats.
 [[nodiscard]] util::Result<std::unique_ptr<LoadedModel>> LoadModelDir(
     const std::string& dir);
 
-/// How SaveModelDir writes the checkpoint.
+/// How SaveModelDir writes the checkpoint (always the mmap-able format of
+/// DESIGN §14, see nn::SaveParameters).
 struct SaveModelOptions {
-  /// 1 = legacy parse-and-copy stream; 2 = mmap-able aligned format
-  /// (DESIGN §14). Default v2.
-  int checkpoint_version = 2;
-  /// v2 only: store Linear weights as int8 + per-channel scales.
+  /// Store Linear weights as int8 + per-channel scales.
   bool quant_int8 = false;
 };
 
 /// Saves `model` and its vocabularies as a model directory (creates `dir`).
+/// Saving over the directory the model was loaded from is safe: the
+/// checkpoint is replaced by a rename, not rewritten in place.
 [[nodiscard]] util::Status SaveModelDir(const std::string& dir,
                                         DoduoModel* model,
                                         const text::Vocab& vocab,

@@ -235,7 +235,9 @@ void Env::InitializeFromPretrained(core::DoduoModel* model) {
   for (size_t i = 0; i < source.size(); ++i) {
     DODUO_CHECK_EQ(source[i]->name, target[i]->name);
     DODUO_CHECK(nn::SameShape(source[i]->value, target[i]->value));
-    target[i]->value = source[i]->value;
+    // A cache hit leaves the pre-trained weights borrowing the cache
+    // file's read-only mapping; fine-tuning needs its own writable copy.
+    target[i]->value = source[i]->value.MaterializeOwned();
   }
 }
 

@@ -63,7 +63,7 @@ table::Table SmallTable() {
 }
 
 std::string SaveDir(Fixture* fx, const char* name,
-                    const SaveModelOptions& options) {
+                    const SaveModelOptions& options = {}) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   const util::Status saved = SaveModelDir(dir, fx->model.get(), fx->vocab,
                                           fx->types, fx->relations, options);
@@ -73,7 +73,7 @@ std::string SaveDir(Fixture* fx, const char* name,
 
 TEST(ReplicaSharingTest, ReplicasAliasOneWeightCopyOverV2Mmap) {
   Fixture fx;
-  const std::string dir = SaveDir(&fx, "share_v2", {.checkpoint_version = 2});
+  const std::string dir = SaveDir(&fx, "share_v2");
   auto loaded = LoadModelDir(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   LoadedModel& m = *loaded.value();
@@ -115,8 +115,7 @@ TEST(ReplicaSharingTest, ReplicasAliasOneWeightCopyOverV2Mmap) {
 
 TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
   Fixture fx;
-  const std::string dir = SaveDir(
-      &fx, "share_int8", {.checkpoint_version = 2, .quant_int8 = true});
+  const std::string dir = SaveDir(&fx, "share_int8", {.quant_int8 = true});
   const util::Counter* packed = util::GetCounter("quant.panels_packed");
   const uint64_t packed_before_load = packed->value();
   auto loaded = LoadModelDir(dir);
@@ -177,8 +176,7 @@ TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
 
 TEST(ReplicaSharingTest, AdoptedModelRejectsWeightMutation) {
   Fixture fx;
-  const std::string dir =
-      SaveDir(&fx, "share_readonly", {.checkpoint_version = 2});
+  const std::string dir = SaveDir(&fx, "share_readonly");
   auto loaded = LoadModelDir(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   nn::ParameterList params = loaded.value()->model->Parameters();

@@ -4,8 +4,11 @@
 
 #include "doduo/experiments/env.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 
 #include "doduo/experiments/runners.h"
 #include "gtest/gtest.h"
@@ -108,6 +111,34 @@ TEST(EnvTest, CheckpointCacheRoundTrips) {
     for (int64_t i = 0; i < first_weights.size(); ++i) {
       ASSERT_FLOAT_EQ(first_weights.data()[i], second_weights.data()[i]);
     }
+
+    // The cached LM is a read-only mapping of the cache file; a model
+    // initialized from it must still fine-tune.
+    DoduoVariant variant;
+    variant.epochs = 1;
+    const DoduoRun run = RunDoduo(&env, variant);
+    const nn::ParameterList initial = model.encoder()->Parameters();
+    const nn::ParameterList tuned = run.model->encoder()->Parameters();
+    ASSERT_EQ(initial.size(), tuned.size());
+    double moved = 0.0;
+    for (size_t p = 0; p < initial.size(); ++p) {
+      const nn::Tensor& a = initial[p]->value;
+      const nn::Tensor& b = tuned[p]->value;
+      for (int64_t i = 0; i < a.size(); ++i) {
+        moved += std::abs(static_cast<double>(a.data()[i]) -
+                          static_cast<double>(b.data()[i]));
+      }
+    }
+    EXPECT_GT(moved, 0.0);
+  }
+  // The cache holds one checkpoint in the current format (version 2).
+  for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    uint32_t magic_and_version[2] = {};
+    in.read(reinterpret_cast<char*>(magic_and_version),
+            sizeof(magic_and_version));
+    EXPECT_EQ(magic_and_version[0], 0x444F4455u) << entry.path();
+    EXPECT_EQ(magic_and_version[1], 2u) << entry.path();
   }
   unsetenv("DODUO_CACHE_DIR");
   std::filesystem::remove_all(cache_dir);

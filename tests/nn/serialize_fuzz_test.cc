@@ -42,7 +42,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 /// A small but structurally interesting model: several named parameters of
 /// different ranks, so mutations can land in magic, counts, name bytes,
-/// shape dims, or float payload.
+/// shape dims, section offsets, or float payload.
 std::vector<Parameter> MakeParams() {
   std::vector<Parameter> params;
   params.emplace_back("encoder.layer0.wqkv", std::vector<int64_t>{4, 12});
@@ -58,6 +58,8 @@ ParameterList AsList(std::vector<Parameter>& params) {
   return list;
 }
 
+/// fp32 corpus: every tensor is stored as fp32 and loads by borrowing the
+/// mapping — the layout of a default SaveModelDir checkpoint.
 std::string ValidCheckpointBytes(const char* name) {
   util::Rng rng(7);
   std::vector<Parameter> params = MakeParams();
@@ -68,15 +70,15 @@ std::string ValidCheckpointBytes(const char* name) {
   return ReadFileBytes(path);
 }
 
-/// v2 corpus: same model, mmap-able format, int8 on so mutations can also
-/// land in dtype bytes, scale tables, and the section offset fields.
+/// int8 corpus: same model with int8 on, so mutations can also land in
+/// dtype bytes, scale tables, and the scale offset fields.
 std::string ValidV2CheckpointBytes(const char* name) {
   util::Rng rng(7);
   std::vector<Parameter> params = MakeParams();
   for (Parameter& p : params) p.value.FillNormal(&rng, 1.0f);
   const std::string path = TempPath(name);
   const auto saved =
-      SaveParametersV2(path, AsList(params), {.quant_int8 = true});
+      SaveParameters(path, AsList(params), {.quant_int8 = true});
   EXPECT_TRUE(saved.ok()) << saved.ToString();
   return ReadFileBytes(path);
 }
@@ -144,17 +146,16 @@ TEST_P(SerializeFuzzTest, MutatedTruncationsNeverCrash) {
 
 #ifdef DODUO_COUNT_ALLOCS
 // A mutated size field must not translate into a giant allocation: the
-// loader's plausibility caps reject implausible counts/dims BEFORE any
-// buffer is sized (DESIGN §10). Allocation growth across a whole fuzzing
-// sweep stays within what the small valid model itself needs.
+// loader's plausibility caps reject implausible counts BEFORE any buffer is
+// sized (DESIGN §10). Allocation growth across a whole fuzzing sweep stays
+// within what the small valid model itself needs.
 TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
   const std::string valid = ValidCheckpointBytes("fuzz_alloc.bin");
   const std::string path = TempPath("fuzz_alloc_victim.bin");
   util::Rng rng(GetParam() + 3);
   for (int trial = 0; trial < 100; ++trial) {
     std::string bytes = valid;
-    // Target the structural prefix (header + first entry descriptor),
-    // where size fields live.
+    // Target the header, where the count and size fields live.
     const size_t window = std::min<size_t>(bytes.size(), 64);
     bytes[rng.NextUint64(window)] = static_cast<char>(rng.NextUint64(256));
     WriteFileBytes(path, bytes);
@@ -162,9 +163,8 @@ TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
     const uint64_t before = TensorAllocCount();
     const util::Status status = LoadParameters(path, AsList(params));
     const uint64_t grown = TensorAllocCount() - before;
-    // The legacy-QKV gather shim may allocate a few pack buffers; a
-    // runaway (implausible-dim) allocation would be orders of magnitude
-    // more. Keep a loose per-trial cap.
+    // A runaway (implausible-count) allocation would be orders of
+    // magnitude more than this loose per-trial cap.
     ASSERT_LE(grown, 64u) << "trial " << trial << ": "
                           << (status.ok() ? "ok" : status.ToString());
   }
@@ -174,12 +174,13 @@ TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzzTest,
                          ::testing::Values(1u, 42u, 777u, 31337u));
 
-// --- v2 (mmap) format ------------------------------------------------------
+// --- int8 checkpoints -------------------------------------------------------
 //
-// The v2 loader validates every TOC extent against the fstat size before it
-// dereferences the mapping, so the same properties must hold: any mutation,
-// truncation, or misalignment yields a clean Status — including offsets that
-// point outside the file or scale tables that overlap the end.
+// The loader validates every TOC extent against the fstat size before it
+// dereferences the mapping, so the same properties must hold with int8
+// sections: any mutation, truncation, or misalignment yields a clean Status
+// — including offsets that point outside the file or scale tables that
+// overlap the end.
 
 class SerializeV2FuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -229,8 +230,8 @@ TEST_P(SerializeV2FuzzTest, StructuralMutationsNeverCrash) {
 }
 
 TEST_P(SerializeV2FuzzTest, RandomTruncationsAlwaysFailCleanly) {
-  // v2 records its own file size, so EVERY strict prefix must be rejected —
-  // there is no "lucky" truncation that still parses.
+  // A checkpoint records its own file size, so EVERY strict prefix must be
+  // rejected — there is no "lucky" truncation that still parses.
   const std::string valid = ValidV2CheckpointBytes("fuzz_v2_trunc.bin");
   ASSERT_GT(valid.size(), 0u);
   const std::string path = TempPath("fuzz_v2_trunc_victim.bin");

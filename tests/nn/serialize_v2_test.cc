@@ -1,6 +1,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -46,7 +48,7 @@ struct Params {
 TEST(SerializeV2Test, RoundTripThroughGenericLoader) {
   Params src;
   const std::string path = TempPath("v2_roundtrip.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
 
   Params dst;
   for (Parameter* p : dst.list()) p->value.Fill(0.0f);
@@ -65,7 +67,7 @@ TEST(SerializeV2Test, RoundTripThroughGenericLoader) {
 TEST(SerializeV2Test, Fp32TensorsBorrowTheMapping) {
   Params src;
   const std::string path = TempPath("v2_borrow.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
 
   Params dst;
   ASSERT_TRUE(LoadParameters(path, dst.list()).ok());
@@ -88,7 +90,7 @@ TEST(SerializeV2Test, Fp32TensorsBorrowTheMapping) {
 TEST(SerializeV2Test, HeapFallbackWhenMmapDisabled) {
   Params src;
   const std::string path = TempPath("v2_no_mmap.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
 
   ASSERT_EQ(setenv("DODUO_MMAP", "0", 1), 0);
   Params dst;
@@ -106,7 +108,7 @@ TEST(SerializeV2Test, Int8RoundTripAttachesPrequant) {
   Params src;
   const std::string path = TempPath("v2_int8.bin");
   ASSERT_TRUE(
-      SaveParametersV2(path, src.list(), {.quant_int8 = true}).ok());
+      SaveParameters(path, src.list(), {.quant_int8 = true}).ok());
 
   Params dst;
   ASSERT_TRUE(LoadParameters(path, dst.list()).ok());
@@ -138,7 +140,7 @@ TEST(SerializeV2Test, Int8RoundTripAttachesPrequant) {
 TEST(SerializeV2Test, EveryTruncatedPrefixFailsCleanly) {
   Params src;
   const std::string path = TempPath("v2_trunc_src.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
   const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 0u);
 
@@ -157,7 +159,7 @@ TEST(SerializeV2Test, EveryTruncatedPrefixFailsCleanly) {
 TEST(SerializeV2Test, NameAndShapeMismatchesFail) {
   Params src;
   const std::string path = TempPath("v2_mismatch.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
 
   Parameter renamed("other.w", {12, 8});
   Parameter b("enc.dense.b", {8});
@@ -178,7 +180,7 @@ TEST(SerializeV2Test, RecordedSizeMismatchFails) {
   // the loader must refuse rather than trust any internal offset.
   Params src;
   const std::string path = TempPath("v2_size.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
   std::string bytes = ReadFileBytes(path);
   bytes.append(16, '\0');
   WriteFileBytes(path, bytes);
@@ -192,7 +194,7 @@ TEST(SerializeV2Test, RecordedSizeMismatchFails) {
 TEST(SerializeV2Test, CorruptTocOffsetFails) {
   Params src;
   const std::string path = TempPath("v2_toc.bin");
-  ASSERT_TRUE(SaveParametersV2(path, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
   std::string bytes = ReadFileBytes(path);
   // data_offset of entry 0 lives at header(64) + name(64) + dtype/ndim/
   // reserved(8) + dims(32); point it past the end of the file.
@@ -209,31 +211,41 @@ TEST(SerializeV2Test, CorruptTocOffsetFails) {
   std::remove(path.c_str());
 }
 
-TEST(SerializeV2Test, V1CheckpointsStillLoad) {
-  // The dispatch must keep the legacy format working byte-for-byte.
-  Params src;
-  const std::string path = TempPath("v2_v1compat.bin");
-  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
-  Params dst;
-  ASSERT_TRUE(LoadParameters(path, dst.list()).ok());
-  EXPECT_FALSE(dst.w.value.borrowed());
-  for (int64_t i = 0; i < src.w.value.size(); ++i) {
-    EXPECT_EQ(dst.w.value.data()[i], std::as_const(src.w.value).data()[i]);
+TEST(SerializeV2Test, V1CheckpointsAreRejected) {
+  // The retired version-1 stream format: magic "DODU", version 1, then a
+  // parameter count and length-prefixed entries. It must fail cleanly and
+  // say which version it found, without touching the model.
+  std::string bytes;
+  for (uint32_t field : {0x444F4455u, 1u}) {
+    bytes.append(reinterpret_cast<const char*>(&field), sizeof(field));
   }
+  const uint64_t count = 3;
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  bytes.append(256, '\0');
+  const std::string path = TempPath("v2_v1_rejected.bin");
+  WriteFileBytes(path, bytes);
+  Params dst;
+  const util::Status status = LoadParameters(path, dst.list());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("checkpoint version 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(dst.w.value.borrowed());
+  EXPECT_EQ(dst.w.revision, 0u);
   std::remove(path.c_str());
 }
 
 TEST(SerializeV2Test, SavingABorrowedModelRoundTrips) {
-  // Load (borrow) then re-save: SaveParametersV2 must read through the
+  // Load (borrow) then re-save: SaveParameters must read through the
   // borrow, so convert-style pipelines never need to materialize.
   Params src;
   const std::string path1 = TempPath("v2_resave1.bin");
   const std::string path2 = TempPath("v2_resave2.bin");
-  ASSERT_TRUE(SaveParametersV2(path1, src.list()).ok());
+  ASSERT_TRUE(SaveParameters(path1, src.list()).ok());
   Params mid;
   ASSERT_TRUE(LoadParameters(path1, mid.list()).ok());
   ASSERT_TRUE(mid.w.value.borrowed());
-  ASSERT_TRUE(SaveParametersV2(path2, mid.list()).ok());
+  ASSERT_TRUE(SaveParameters(path2, mid.list()).ok());
   Params dst;
   ASSERT_TRUE(LoadParameters(path2, dst.list()).ok());
   for (int64_t i = 0; i < src.w.value.size(); ++i) {
@@ -242,6 +254,35 @@ TEST(SerializeV2Test, SavingABorrowedModelRoundTrips) {
   }
   std::remove(path1.c_str());
   std::remove(path2.c_str());
+}
+
+TEST(SerializeV2Test, SavingABorrowedModelOverItsOwnFileRoundTrips) {
+  // Re-saving in place: the loaded weights borrow the very file being
+  // replaced, so the writer must not truncate it before reading them.
+  Params src;
+  const std::string path = TempPath("v2_resave_inplace.bin");
+  ASSERT_TRUE(SaveParameters(path, src.list()).ok());
+  const std::string original = ReadFileBytes(path);
+  Params mid;
+  ASSERT_TRUE(LoadParameters(path, mid.list()).ok());
+  ASSERT_TRUE(mid.w.value.borrowed());
+  const util::Status saved = SaveParameters(path, mid.list());
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  EXPECT_EQ(ReadFileBytes(path), original);
+  Params dst;
+  ASSERT_TRUE(LoadParameters(path, dst.list()).ok());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  const ParameterList want = src.list();
+  const ParameterList got = dst.list();
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Tensor& a = want[i]->value;
+    const Tensor& b = got[i]->value;
+    ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<size_t>(a.size()) * sizeof(float)),
+              0)
+        << want[i]->name;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
-// doduo_convert — checkpoint migration between model-directory formats
-// (DESIGN §14).
+// doduo_convert — re-saves a model directory (DESIGN §14).
 //
-//   doduo_convert <src_dir> <dst_dir> [--int8] [--v1]
+//   doduo_convert <src_dir> <dst_dir> [--int8]
 //
-// Loads a saved model directory (any checkpoint version; the v1 loader
-// applies the legacy packed-QKV shim) and re-saves it to <dst_dir>:
-// by default as a v2 mmap-able checkpoint, with --int8 storing Linear
-// weights quantized to int8 + per-channel scales (~4x smaller), or with
-// --v1 as the legacy stream format (downgrade path). Vocabularies and
-// config are copied along, so the destination is a complete, loadable
-// model directory.
+// Loads a saved model directory and re-saves it to <dst_dir> as an
+// mmap-able checkpoint, with --int8 storing Linear weights quantized to
+// int8 + per-channel scales (~4x smaller). Vocabularies and config are
+// copied along, so the destination is a complete, loadable model
+// directory. <dst_dir> may be <src_dir>: the checkpoint is replaced by a
+// rename, never rewritten in place.
 
 #include <cstdio>
 #include <cstring>
@@ -19,7 +17,7 @@
 
 namespace {
 
-const char* kUsage = "usage: doduo_convert <src_dir> <dst_dir> [--int8] [--v1]\n";
+const char* kUsage = "usage: doduo_convert <src_dir> <dst_dir> [--int8]\n";
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
@@ -34,19 +32,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--int8") == 0) {
       options.quant_int8 = true;
-    } else if (std::strcmp(argv[i], "--v1") == 0) {
-      options.checkpoint_version = 1;
-    } else if (src.empty()) {
-      src = argv[i];
-    } else if (dst.empty()) {
-      dst = argv[i];
-    } else {
+    } else if (argv[i][0] == '-' || !dst.empty()) {
       std::fputs(kUsage, stderr);
       return 2;
+    } else if (src.empty()) {
+      src = argv[i];
+    } else {
+      dst = argv[i];
     }
   }
-  if (src.empty() || dst.empty() ||
-      (options.quant_int8 && options.checkpoint_version == 1)) {
+  if (src.empty() || dst.empty()) {
     std::fputs(kUsage, stderr);
     return 2;
   }
@@ -61,7 +56,7 @@ int main(int argc, char** argv) {
       !saved.ok()) {
     return Fail(saved.ToString());
   }
-  std::printf("doduo_convert: %s -> %s (v%d%s)\n", src.c_str(), dst.c_str(),
-              options.checkpoint_version, options.quant_int8 ? ", int8" : "");
+  std::printf("doduo_convert: %s -> %s%s\n", src.c_str(), dst.c_str(),
+              options.quant_int8 ? " (int8)" : "");
   return 0;
 }
