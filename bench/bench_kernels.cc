@@ -18,6 +18,7 @@
 #include "doduo/core/annotator.h"
 #include "doduo/core/model_io.h"
 #include "doduo/core/replica_pool.h"
+#include "doduo/nn/activations.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/quant.h"
 #include "doduo/table/serializer.h"
@@ -172,6 +173,54 @@ void BM_Int8GemmPerIsa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Int8GemmPerIsa)->Arg(0)->Arg(1);
+
+// Bench-local scalar FFN epilogue: bias add + GeluScalar per element, the
+// loop BiasGeluForward runs under DODUO_SIMD=0 (the dispatcher caches its
+// choice per process, so the scalar baseline lives here, as for GEMM).
+void BiasGeluScalar(Tensor* pre_act, const Tensor& bias, Tensor* act) {
+  act->ResizeUninitialized(pre_act->shape());
+  const int64_t n = pre_act->cols();
+  for (int64_t i = 0; i < pre_act->rows(); ++i) {
+    float* u = pre_act->row(i);
+    float* out = act->row(i);
+    for (int64_t j = 0; j < n; ++j) {
+      u[j] += bias.data()[j];
+      out[j] = doduo::nn::GeluScalar(u[j]);
+    }
+  }
+}
+
+// GELU epilogue at the FFN shape [rows, 256]; rows 76 and 190 are the web
+// tables' mean and p99 sequence lengths. Second arg: 0 = scalar port,
+// 1 = dispatched BiasGeluForward. The bias is zero so the in-place bias add
+// leaves the N(0, 1) pre-activations as they are across iterations.
+constexpr int64_t kFfnWidth = 256;
+
+void BM_BiasGelu(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const bool dispatched = state.range(1) != 0;
+  doduo::util::Rng rng(4);
+  Tensor pre({rows, kFfnWidth});
+  pre.FillNormal(&rng, 1.0f);
+  const Tensor bias({kFfnWidth});
+  Tensor act;
+  for (auto _ : state) {
+    if (dispatched) {
+      doduo::nn::BiasGeluForward(&pre, bias, &act);
+    } else {
+      BiasGeluScalar(&pre, bias, &act);
+    }
+    benchmark::DoNotOptimize(act.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * kFfnWidth);
+  state.SetLabel(dispatched ? "dispatched" : "scalar");
+}
+BENCHMARK(BM_BiasGelu)
+    ->ArgPair(76, 0)
+    ->ArgPair(76, 1)
+    ->ArgPair(190, 0)
+    ->ArgPair(190, 1);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   doduo::util::Rng rng(2);
@@ -452,8 +501,10 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // BENCH_quant.json — machine-readable quantization scorecard (DESIGN §14),
 // emitted when DODUO_BENCH_QUANT=1: GEMM GFLOP/s for the dispatched fp32
 // path, the fp32 scalar reference, and int8 (with int8 over dispatched
-// fp32, the ratio the acceptance gate checks); batched annotation
-// tables/sec with the quant path off and on; and the per-worker RSS delta
+// fp32, the ratio the acceptance gate checks); the FFN GELU epilogue,
+// dispatched vs the scalar tanh port (the second gated ratio); batched
+// annotation tables/sec with the quant path off and on; and the per-worker
+// RSS delta
 // of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
 // load actually mapped.
 
@@ -507,6 +558,22 @@ void EmitQuantBenchJson() {
   // (dispatched SIMD MatMul). The scalar ratio is kept for continuity.
   const double speedup = fp32_s / int8_s;
   const double speedup_vs_scalar = scalar_s / int8_s;
+
+  // FFN GELU epilogue, dispatched vs the scalar port, summed over the two
+  // BM_BiasGelu shapes (zero bias, so repeated calls see the same input).
+  double gelu_scalar_s = 0.0;
+  double gelu_simd_s = 0.0;
+  for (const int64_t rows : {int64_t{76}, int64_t{190}}) {
+    Tensor pre({rows, kFfnWidth});
+    pre.FillNormal(&rng, 1.0f);
+    const Tensor bias({kFfnWidth});
+    Tensor act;
+    gelu_scalar_s +=
+        SecondsPerCall(200, [&] { BiasGeluScalar(&pre, bias, &act); });
+    gelu_simd_s += SecondsPerCall(
+        200, [&] { doduo::nn::BiasGeluForward(&pre, bias, &act); });
+  }
+  const double gelu_speedup = gelu_scalar_s / gelu_simd_s;
 
   // End-to-end annotate throughput, fp32 vs int8, same model and tables.
   BatchAnnotateFixture fixture;
@@ -586,6 +653,12 @@ void EmitQuantBenchJson() {
                int8_gflops, doduo::nn::Int8KernelName(), speedup,
                speedup_vs_scalar);
   std::fprintf(out,
+               "  \"gelu\": {\"rows\": [76, 190], \"n\": %lld,\n"
+               "    \"scalar_us\": %.2f, \"simd_us\": %.2f,\n"
+               "    \"gelu_simd_vs_scalar\": %.3f},\n",
+               static_cast<long long>(kFfnWidth), gelu_scalar_s * 1e6,
+               gelu_simd_s * 1e6, gelu_speedup);
+  std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"
                "    \"int8_tables_per_sec\": %.2f},\n",
@@ -606,6 +679,10 @@ void EmitQuantBenchJson() {
                speedup);
   std::fprintf(stderr, "quant_bench: int8/fp32-scalar ratio = %.2f\n",
                speedup_vs_scalar);
+  // The second gated line: the SIMD GELU epilogue must beat the scalar
+  // tanh port by >= 3x.
+  std::fprintf(stderr, "quant_bench: gelu simd/scalar speedup = %.2f\n",
+               gelu_speedup);
   std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
 }
 

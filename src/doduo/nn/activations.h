@@ -1,9 +1,22 @@
 #ifndef DODUO_NN_ACTIVATIONS_H_
 #define DODUO_NN_ACTIVATIONS_H_
 
+#include <cstdint>
+
 #include "doduo/nn/tensor.h"
 
 namespace doduo::nn {
+
+/// tanh in float: a line-for-line port of the fdlibm tanhf/expm1f pair that
+/// glibc up to 2.40 ships, in plain IEEE float ops with no FMA. It equals
+/// that tanhf bit for bit, so tanh and GELU results do not depend on the
+/// host's libm. The scalar reference for TanhRow.
+float Tanh(float x);
+
+/// y[i] = Tanh(x[i]) for i in [0, n); `y` may alias `x`. On CPUs with AVX2
+/// an 8-lane kernel that is bit-identical to Tanh runs instead (DODUO_SIMD=0
+/// forces the scalar loop; DESIGN.md §9).
+void TanhRow(const float* x, float* y, int64_t n);
 
 /// Scalar GELU (tanh approximation, as in BERT) and its derivative.
 float GeluScalar(float x);
@@ -18,6 +31,9 @@ void BiasGeluForward(Tensor* pre_act, const Tensor& bias, Tensor* act);
 /// grad_pre = grad_act ⊙ gelu'(pre_act), the backward of BiasGeluForward
 /// with respect to its (biased) pre-activation. Identical math to
 /// Gelu::Backward, minus the cached input copy.
+///
+/// All GELU and tanh layers here are bit-identical to their elementwise
+/// GeluScalar / GeluGradScalar / Tanh loops, SIMD or not.
 void GeluBackward(const Tensor& pre_act, const Tensor& grad_act,
                   Tensor* grad_pre);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 
 namespace doduo::util {
 
@@ -78,6 +80,25 @@ bool IsAsciiDigits(std::string_view text) {
   return std::all_of(text.begin(), text.end(), [](unsigned char c) {
     return std::isdigit(c) != 0;
   });
+}
+
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t min_value, int64_t max_value) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && !text.empty() &&
+      value >= min_value && value <= max_value) {
+    return value;
+  }
+  std::string bounds =
+      max_value >= std::numeric_limits<int>::max()
+          ? ">= " + std::to_string(min_value)
+          : "in [" + std::to_string(min_value) + ", " +
+                std::to_string(max_value) + "]";
+  return Status::InvalidArgument(std::string(flag) + " expects an integer " +
+                                 bounds + ", got '" + std::string(text) +
+                                 "'");
 }
 
 bool LooksNumeric(std::string_view text) {

@@ -1,9 +1,12 @@
 #ifndef DODUO_UTIL_STRING_UTIL_H_
 #define DODUO_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "doduo/util/status.h"
 
 namespace doduo::util {
 
@@ -28,6 +31,15 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 
 /// True if every character is an ASCII digit (and the string is non-empty).
 bool IsAsciiDigits(std::string_view text);
+
+/// Parses the value of the numeric command-line flag `flag`: all of `text`
+/// must be a base-10 integer in [min_value, max_value]. Anything else — an
+/// empty value, trailing text ("4x"), overflow, out of range — is
+/// InvalidArgument with a message for the user, e.g. "--threads expects an
+/// integer >= 1, got '4x'" (the message leaves out an upper bound of
+/// INT_MAX or more).
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t min_value, int64_t max_value);
 
 /// True if the whole string parses as an integer or decimal number,
 /// tolerating one sign, one decimal point, and thousands separators.

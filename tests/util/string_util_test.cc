@@ -140,6 +140,20 @@ TEST(Utf8ClampBytesTest, NeverSplitsASequence) {
   }
 }
 
+TEST(ParseIntFlagTest, AcceptsOnlyWholeIntegersInRange) {
+  EXPECT_EQ(ParseIntFlag("--n", "0", 0, 10).value(), 0);
+  EXPECT_EQ(ParseIntFlag("--n", "10", 0, 10).value(), 10);
+  EXPECT_EQ(ParseIntFlag("--n", "-3", -5, 5).value(), -3);
+  for (const char* bad : {"", "4x", "x", " 4", "4 ", "+4", "1e3", "11", "-1",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseIntFlag("--n", bad, 0, 10).ok()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseIntFlag("--port", "80x", 0, 65535).status().message(),
+            "--port expects an integer in [0, 65535], got '80x'");
+  EXPECT_EQ(ParseIntFlag("--threads", "0", 1, 2147483647).status().message(),
+            "--threads expects an integer >= 1, got '0'");
+}
+
 TEST(CharNgramsTest, PaddedAndUnpadded) {
   auto grams = CharNgrams("ab", 2, /*pad=*/true);  // "^ab$"
   EXPECT_EQ(grams, (std::vector<std::string>{"^a", "ab", "b$"}));

@@ -59,7 +59,8 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # ISAs, the v2 loader fuzz suites, replica weight sharing, the lint rule,
 # and the Table 3/4 F1 parity locks — then the throughput gate: int8 GEMM
 # must beat the fp32 path users run (dispatched SIMD MatMul) by >= 1.25x at
-# 256³. (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
+# 256³, and the SIMD GELU epilogue must beat the scalar tanh port by >= 3x.
+# (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
 # ${sanitizer_filter}.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
   -R 'Quant|SerializeV2|ReplicaSharing'
@@ -75,6 +76,15 @@ awk -v s="${speedup:-0}" 'BEGIN { exit (s + 0 >= 1.25) ? 0 : 1 }' || {
 }
 echo "int8 GEMM speedup ${speedup}x over SIMD fp32 (gate: >= 1.25x);" \
   "scorecard in build/BENCH_quant.json"
+# Same run, second ratio: the SIMD GELU epilogue (AVX2 tanh twin) against
+# the scalar fdlibm tanh port at the FFN shapes, gate >= 3x (DESIGN §9).
+gelu="$(awk -F'= ' '/gelu simd\/scalar speedup/ {print $2}' \
+  build/quant_bench.log)"
+awk -v s="${gelu:-0}" 'BEGIN { exit (s + 0 >= 3) ? 0 : 1 }' || {
+  echo "FAIL: GELU SIMD speedup ${gelu:-unknown}x < 3x over the scalar port"
+  exit 1
+}
+echo "GELU SIMD speedup ${gelu}x over the scalar tanh port (gate: >= 3x)"
 
 echo "=== warning wall (-Werror, Release) ==="
 cmake -B build-werror -S . -DDODUO_WERROR=ON >/dev/null

@@ -42,6 +42,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,36 +73,36 @@ doduo::util::Result<doduo::table::Table> LoadCsvTable(
                                         path);
 }
 
-/// Parses "host:port" (or ":port" / bare "port" for localhost).
-bool ParseEndpoint(const std::string& endpoint, std::string* host,
-                   int* port) {
+/// A doduo_serve endpoint from --server.
+struct Endpoint {
+  std::string host;
+  int port = 0;
+};
+
+/// Parses "host:port" (or ":port" / bare "port" for localhost); the port
+/// parses strictly, like every numeric flag.
+doduo::util::Result<Endpoint> ParseEndpoint(const std::string& endpoint) {
   const auto colon = endpoint.rfind(':');
   const std::string port_text =
       colon == std::string::npos ? endpoint : endpoint.substr(colon + 1);
-  *host = colon == std::string::npos || colon == 0
-              ? "127.0.0.1"
-              : endpoint.substr(0, colon);
-  *port = static_cast<int>(std::strtol(port_text.c_str(), nullptr, 10));
-  return *port > 0 && *port < 65536;
+  auto port = doduo::util::ParseIntFlag("--server port", port_text, 1, 65535);
+  if (!port.ok()) return port.status();
+  Endpoint parsed;
+  parsed.host = colon == std::string::npos || colon == 0
+                    ? "127.0.0.1"
+                    : endpoint.substr(0, colon);
+  parsed.port = static_cast<int>(port.value());
+  return parsed;
 }
 
-/// Strict full-string parses for numeric flags: trailing text, non-finite
-/// values and out-of-range input are rejected instead of read as 0.
+/// Strict full-string parse for --abstain-below: trailing text, non-finite
+/// values and negatives are rejected instead of read as 0.
 bool ParseThreshold(const char* text, double* out) {
   char* end = nullptr;
   errno = 0;
   *out = std::strtod(text, &end);
   return end != text && *end == '\0' && errno == 0 && std::isfinite(*out) &&
          *out >= 0.0;
-}
-
-bool ParseThreadCount(const char* text, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  *out = static_cast<int>(value);
-  return end != text && *end == '\0' && errno == 0 && value >= 1 &&
-         value <= std::numeric_limits<int>::max();
 }
 
 // ---------------------------------------------------------------------------
@@ -171,15 +172,10 @@ struct OutcomeFlags {
 
 /// Client mode: annotate each CSV through a doduo_serve endpoint, which
 /// always answers with outcomes.
-int AnnotateRemote(const std::string& endpoint,
+int AnnotateRemote(const Endpoint& endpoint,
                    const std::vector<std::string>& csv_paths,
                    const OutcomeFlags& outcome_flags) {
-  std::string host;
-  int port = 0;
-  if (!ParseEndpoint(endpoint, &host, &port)) {
-    return Fail("cannot parse --server endpoint: " + endpoint);
-  }
-  auto client = doduo::serve::Client::Connect(host, port);
+  auto client = doduo::serve::Client::Connect(endpoint.host, endpoint.port);
   if (!client.ok()) return Fail(client.status().ToString());
   for (const std::string& path : csv_paths) {
     auto table = LoadCsvTable(path);
@@ -287,13 +283,8 @@ int Embed(const std::string& model_dir, const std::string& csv_path) {
   return 0;
 }
 
-int RemoteStats(const std::string& endpoint) {
-  std::string host;
-  int port = 0;
-  if (!ParseEndpoint(endpoint, &host, &port)) {
-    return Fail("cannot parse --server endpoint: " + endpoint);
-  }
-  auto client = doduo::serve::Client::Connect(host, port);
+int RemoteStats(const Endpoint& endpoint) {
+  auto client = doduo::serve::Client::Connect(endpoint.host, endpoint.port);
   if (!client.ok()) return Fail(client.status().ToString());
   auto stats = client.value().Stats();
   if (!stats.ok()) return Fail(stats.status().ToString());
@@ -328,7 +319,7 @@ int main(int argc, char** argv) {
   std::string command = argc > 1 ? argv[1] : "";
   std::string out_dir;
   std::string model_dir;
-  std::string server;
+  std::optional<Endpoint> server;
   std::string mode = "wikitable";
   std::vector<std::string> csv_paths;
   bool batch = false;
@@ -340,17 +331,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--model") == 0 && i + 1 < argc) {
       model_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--server") == 0 && i + 1 < argc) {
-      server = argv[++i];
+      auto endpoint = ParseEndpoint(argv[++i]);
+      if (!endpoint.ok()) return Fail(endpoint.status().message(), 2);
+      server = endpoint.value();
     } else if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
       mode = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      int threads = 0;
-      if (!ParseThreadCount(argv[++i], &threads)) {
-        return Fail(std::string("--threads expects an integer >= 1, got '") +
-                        argv[i] + "'",
-                    2);
-      }
-      doduo::util::SetComputeThreads(threads);
+      auto threads = doduo::util::ParseIntFlag(
+          "--threads", argv[++i], 1, std::numeric_limits<int>::max());
+      if (!threads.ok()) return Fail(threads.status().message(), 2);
+      doduo::util::SetComputeThreads(static_cast<int>(threads.value()));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       batch = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
@@ -376,15 +366,16 @@ int main(int argc, char** argv) {
   int exit_code = 2;
   if (command == "train" && !out_dir.empty()) {
     exit_code = Train(out_dir, mode);
-  } else if (command == "annotate" && !server.empty() && !csv_paths.empty()) {
-    exit_code = AnnotateRemote(server, csv_paths, outcome_flags);
+  } else if (command == "annotate" && server.has_value() &&
+             !csv_paths.empty()) {
+    exit_code = AnnotateRemote(*server, csv_paths, outcome_flags);
   } else if (command == "annotate" && !model_dir.empty() &&
              !csv_paths.empty()) {
     exit_code = Annotate(model_dir, csv_paths, batch, outcome_flags);
   } else if (command == "embed" && !model_dir.empty() && !csv_paths.empty()) {
     exit_code = Embed(model_dir, csv_paths.front());
-  } else if (command == "stats" && !server.empty()) {
-    exit_code = RemoteStats(server);
+  } else if (command == "stats" && server.has_value()) {
+    exit_code = RemoteStats(*server);
   } else {
     std::fputs(kUsage, stderr);
     return 2;

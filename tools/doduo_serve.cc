@@ -11,13 +11,16 @@
 // (backpressure) instead of queuing without bound.
 //
 // --replicas defaults to the compute pool size (DODUO_NUM_THREADS /
-// --threads). Query live metrics with `doduo_cli stats --server host:port`.
+// --threads). Numeric flags parse strictly: a value that is not wholly an
+// integer in range ("4x", "x", -1) exits 2 with a message. Query live
+// metrics with `doduo_cli stats --server host:port`.
 // SIGINT/SIGTERM drain in-flight requests and exit cleanly.
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "doduo/core/model_io.h"
@@ -25,6 +28,7 @@
 #include "doduo/nn/quant.h"
 #include "doduo/serve/server.h"
 #include "doduo/util/env.h"
+#include "doduo/util/string_util.h"
 #include "doduo/util/thread_pool.h"
 
 namespace {
@@ -42,6 +46,24 @@ int Fail(const std::string& message) {
   return 1;
 }
 
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
+/// Reads the value after the numeric flag at argv[*i] strictly
+/// (util::ParseIntFlag) and advances *i past it. A bad value prints the
+/// error and returns false, so main exits 2 before anything loads.
+bool ReadIntFlag(char** argv, int* i, int min_value, int max_value,
+                 int* out) {
+  const char* flag = argv[*i];
+  auto value =
+      doduo::util::ParseIntFlag(flag, argv[++*i], min_value, max_value);
+  if (!value.ok()) {
+    std::fprintf(stderr, "error: %s\n", value.status().message().c_str());
+    return false;
+  }
+  *out = static_cast<int>(value.value());
+  return true;
+}
+
 const char* kUsage =
     "usage: doduo_serve --model <dir> [--host H] [--port P] [--replicas N]\n"
     "                   [--max-batch N] [--max-wait-us N] [--queue-depth N]\n"
@@ -53,7 +75,7 @@ int main(int argc, char** argv) {
   std::string model_dir;
   doduo::serve::ServerOptions options;
   options.port = 8642;
-  int replicas = 0;  // 0 = compute pool size
+  int replicas = 0;  // unset: the compute pool size
   for (int i = 1; i < argc; ++i) {
     const bool has_value = i + 1 < argc;
     if (std::strcmp(argv[i], "--model") == 0 && has_value) {
@@ -61,20 +83,27 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--host") == 0 && has_value) {
       options.host = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && has_value) {
-      options.port = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!ReadIntFlag(argv, &i, 0, 65535, &options.port)) return 2;
     } else if (std::strcmp(argv[i], "--replicas") == 0 && has_value) {
-      replicas = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!ReadIntFlag(argv, &i, 1, kIntMax, &replicas)) return 2;
     } else if (std::strcmp(argv[i], "--max-batch") == 0 && has_value) {
-      options.batcher.max_batch_size =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!ReadIntFlag(argv, &i, 1, kIntMax,
+                       &options.batcher.max_batch_size)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--max-wait-us") == 0 && has_value) {
-      options.batcher.max_wait_us = std::strtol(argv[++i], nullptr, 10);
+      int max_wait_us = 0;
+      if (!ReadIntFlag(argv, &i, 0, kIntMax, &max_wait_us)) return 2;
+      options.batcher.max_wait_us = max_wait_us;
     } else if (std::strcmp(argv[i], "--queue-depth") == 0 && has_value) {
-      options.batcher.max_queue_depth =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!ReadIntFlag(argv, &i, 1, kIntMax,
+                       &options.batcher.max_queue_depth)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && has_value) {
-      doduo::util::SetComputeThreads(
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10)));
+      int threads = 0;
+      if (!ReadIntFlag(argv, &i, 1, kIntMax, &threads)) return 2;
+      doduo::util::SetComputeThreads(threads);
     } else {
       std::fputs(kUsage, stderr);
       return 2;
