@@ -4,12 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "doduo/core/model_io.h"
 #include "doduo/core/replica_pool.h"
 #include "doduo/nn/activations.h"
+#include "doduo/nn/expf.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/quant.h"
 #include "doduo/table/serializer.h"
@@ -234,13 +238,11 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows);
 
-// Attention forward at (seq, fused): fused=1 is the strided-view packed-QKV
-// path, fused=0 the retained copy-based reference (the pre-fusion kernel
-// sequence). Reports allocs_per_iter — Tensor heap allocations per forward —
-// which must be 0 at steady state in DODUO_COUNT_ALLOCS builds.
+// Attention forward at seq (packed QKV GEMM, per-head kernel, output
+// projection). Reports allocs_per_iter — Tensor heap allocations per
+// forward — which must be 0 at steady state in DODUO_COUNT_ALLOCS builds.
 void BM_AttentionForward(benchmark::State& state) {
   const int seq = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) != 0;
   doduo::util::Rng rng(11);
   doduo::transformer::TransformerConfig config;
   config.max_positions = seq;
@@ -250,7 +252,6 @@ void BM_AttentionForward(benchmark::State& state) {
   config.num_layers = 1;
   config.dropout = 0.0f;
   doduo::transformer::MultiHeadSelfAttention attn("bench", config, &rng);
-  attn.set_use_fused(fused);
   Tensor x({seq, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
   attn.Forward(x, nullptr);  // warm up buffers
@@ -264,13 +265,119 @@ void BM_AttentionForward(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * seq);
 }
-BENCHMARK(BM_AttentionForward)
-    ->ArgPair(64, 1)
-    ->ArgPair(64, 0)
-    ->ArgPair(128, 1)
-    ->ArgPair(128, 0)
-    ->ArgPair(512, 1)
-    ->ArgPair(512, 0);
+BENCHMARK(BM_AttentionForward)->Arg(64)->Arg(128)->Arg(512);
+
+// Bench-local scalar attention head: Dot-order q·kᵀ, the scalar softmax row
+// with nn::Expf, and P·V with the zero skip, the per-element op order of
+// the kernel's reference. The dispatcher caches its SIMD choice per
+// process, so the scalar baseline lives here, as for GEMM and GELU.
+void AttentionHeadScalar(doduo::nn::ConstMatView q, doduo::nn::ConstMatView k,
+                         doduo::nn::ConstMatView v, float scale, Tensor* probs,
+                         doduo::nn::MutMatView ctx) {
+  const int64_t s = q.rows;
+  const int64_t hd = q.cols;
+  probs->ResizeUninitialized({s, s});
+  for (int64_t i = 0; i < s; ++i) {
+    float* p = probs->row(i);
+    float max_logit = -std::numeric_limits<float>::infinity();
+    for (int64_t j = 0; j < s; ++j) {
+      p[j] = doduo::nn::Dot(q.data + i * q.stride, k.data + j * k.stride, hd) *
+             scale;
+      max_logit = std::max(max_logit, p[j]);
+    }
+    double total = 0.0;
+    for (int64_t j = 0; j < s; ++j) {
+      p[j] = doduo::nn::Expf(p[j] - max_logit);
+      total += static_cast<double>(p[j]);
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    float* c = ctx.data + i * ctx.stride;
+    for (int64_t col = 0; col < hd; ++col) c[col] = 0.0f;
+    for (int64_t j = 0; j < s; ++j) {
+      p[j] *= inv;
+      if (p[j] == 0.0f) continue;
+      const float* vrow = v.data + j * v.stride;
+      for (int64_t col = 0; col < hd; ++col) c[col] += p[j] * vrow[col];
+    }
+  }
+}
+
+// The attention core of one layer at the benchmark model's shape (4 heads,
+// hd 16) on a packed [seq, 192] QKV buffer, single thread: (seq, 0) the
+// scalar head above, (seq, 1) the dispatched nn::AttentionHeadForward.
+// seq 76 and 190 are the web tables' mean and p99 sequence lengths.
+constexpr int64_t kAttnHeads = 4;
+constexpr int64_t kAttnHeadDim = 16;
+
+struct AttentionHeadsFixture {
+  explicit AttentionHeadsFixture(int64_t seq)
+      : qkv({seq, 3 * kAttnHeads * kAttnHeadDim}),
+        ctx({seq, kAttnHeads * kAttnHeadDim}) {
+    doduo::util::Rng rng(13);
+    qkv.FillNormal(&rng, 1.0f);
+  }
+  void Run(bool dispatched) {
+    const int64_t d = kAttnHeads * kAttnHeadDim;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(kAttnHeadDim));
+    for (int64_t h = 0; h < kAttnHeads; ++h) {
+      const int64_t off = h * kAttnHeadDim;
+      const auto q = doduo::nn::ColumnsView(qkv, off, kAttnHeadDim);
+      const auto k = doduo::nn::ColumnsView(qkv, d + off, kAttnHeadDim);
+      const auto v = doduo::nn::ColumnsView(qkv, 2 * d + off, kAttnHeadDim);
+      const auto c = doduo::nn::MutColumnsView(&ctx, off, kAttnHeadDim);
+      if (dispatched) {
+        doduo::nn::AttentionHeadForward(q, k, v, scale, nullptr, &kt, &probs,
+                                        c);
+      } else {
+        AttentionHeadScalar(q, k, v, scale, &probs, c);
+      }
+    }
+  }
+  Tensor qkv, ctx, kt, probs;
+};
+
+void BM_AttentionHeads(benchmark::State& state) {
+  const int64_t seq = state.range(0);
+  const bool dispatched = state.range(1) != 0;
+  doduo::util::SetComputeThreads(1);
+  AttentionHeadsFixture fixture(seq);
+  for (auto _ : state) {
+    fixture.Run(dispatched);
+    benchmark::DoNotOptimize(fixture.ctx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kAttnHeads * seq * seq);
+  state.SetLabel(dispatched ? "dispatched" : "scalar");
+}
+BENCHMARK(BM_AttentionHeads)
+    ->ArgPair(76, 0)
+    ->ArgPair(76, 1)
+    ->ArgPair(190, 0)
+    ->ArgPair(190, 1);
+
+// exp over 4096 softmax-range inputs: 0 = the scalar nn::Expf port,
+// 1 = the dispatched ExpfRow (AVX2+FMA twin where available).
+void BM_Expf(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  doduo::util::Rng rng(14);
+  std::vector<float> x(4096);
+  for (float& v : x) v = rng.UniformFloat(-30.0f, 0.0f);
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    if (dispatched) {
+      doduo::nn::ExpfRow(x.data(), 0.0f, y.data(),
+                         static_cast<int64_t>(x.size()));
+    } else {
+      for (size_t i = 0; i < x.size(); ++i) y[i] = doduo::nn::Expf(x[i]);
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(x.size()));
+  state.SetLabel(dispatched ? "dispatched" : "scalar");
+}
+BENCHMARK(BM_Expf)->Arg(0)->Arg(1);
 
 doduo::transformer::TransformerConfig BenchEncoderConfig() {
   doduo::transformer::TransformerConfig config;
@@ -284,16 +391,14 @@ doduo::transformer::TransformerConfig BenchEncoderConfig() {
   return config;
 }
 
-// Full encoder stack (attention + fused bias/GELU FFN) at (seq, fused),
-// with the allocations-per-forward report.
+// Full encoder stack (attention + fused bias/GELU FFN) at seq, with the
+// allocations-per-forward report.
 void BM_EncoderForward(benchmark::State& state) {
   const int seq = static_cast<int>(state.range(0));
-  const bool fused = state.range(1) != 0;
   doduo::util::Rng rng(12);
   doduo::transformer::TransformerConfig config = BenchEncoderConfig();
   config.max_positions = seq;
   doduo::transformer::Encoder encoder("bench", config, &rng);
-  encoder.set_use_fused(fused);
   encoder.set_training(false);
   Tensor x({seq, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
@@ -308,13 +413,7 @@ void BM_EncoderForward(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * seq);
 }
-BENCHMARK(BM_EncoderForward)
-    ->ArgPair(64, 1)
-    ->ArgPair(64, 0)
-    ->ArgPair(128, 1)
-    ->ArgPair(128, 0)
-    ->ArgPair(512, 1)
-    ->ArgPair(512, 0);
+BENCHMARK(BM_EncoderForward)->Arg(64)->Arg(128)->Arg(512);
 
 void BM_BertForward(benchmark::State& state) {
   const int seq = static_cast<int>(state.range(0));
@@ -502,11 +601,11 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // emitted when DODUO_BENCH_QUANT=1: GEMM GFLOP/s for the dispatched fp32
 // path, the fp32 scalar reference, and int8 (with int8 over dispatched
 // fp32, the ratio the acceptance gate checks); the FFN GELU epilogue,
-// dispatched vs the scalar tanh port (the second gated ratio); batched
+// dispatched vs the scalar tanh port (the second gated ratio); the
+// attention core, dispatched vs the scalar head (the third); batched
 // annotation tables/sec with the quant path off and on; and the per-worker
-// RSS delta
-// of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
-// load actually mapped.
+// RSS delta of a ReplicaPool built over a v2 mmap checkpoint, next to the
+// bytes the load actually mapped.
 
 template <typename Fn>
 double SecondsPerCall(int iters, const Fn& fn) {
@@ -574,6 +673,24 @@ void EmitQuantBenchJson() {
         200, [&] { doduo::nn::BiasGeluForward(&pre, bias, &act); });
   }
   const double gelu_speedup = gelu_scalar_s / gelu_simd_s;
+
+  // Attention core of one layer (4 heads, hd 16), dispatched vs the scalar
+  // head, single thread, at the BM_AttentionHeads shapes. Gated per shape:
+  // the smaller ratio is the one reported on stderr.
+  const int64_t attn_seqs[] = {76, 190};
+  double attn_scalar_us[2];
+  double attn_simd_us[2];
+  double attn_speedup = 0.0;
+  doduo::util::SetComputeThreads(1);
+  for (int i = 0; i < 2; ++i) {
+    AttentionHeadsFixture fixture(attn_seqs[i]);
+    const int iters = attn_seqs[i] < 100 ? 400 : 80;
+    attn_scalar_us[i] =
+        SecondsPerCall(iters, [&] { fixture.Run(false); }) * 1e6;
+    attn_simd_us[i] = SecondsPerCall(iters, [&] { fixture.Run(true); }) * 1e6;
+    const double ratio = attn_scalar_us[i] / attn_simd_us[i];
+    attn_speedup = i == 0 ? ratio : std::min(attn_speedup, ratio);
+  }
 
   // End-to-end annotate throughput, fp32 vs int8, same model and tables.
   BatchAnnotateFixture fixture;
@@ -659,6 +776,16 @@ void EmitQuantBenchJson() {
                static_cast<long long>(kFfnWidth), gelu_scalar_s * 1e6,
                gelu_simd_s * 1e6, gelu_speedup);
   std::fprintf(out,
+               "  \"attention\": {\"seq\": [76, 190], \"heads\": %lld, "
+               "\"head_dim\": %lld,\n"
+               "    \"scalar_us\": [%.2f, %.2f], \"simd_us\": [%.2f, %.2f],\n"
+               "    \"attn_simd_vs_scalar\": [%.3f, %.3f]},\n",
+               static_cast<long long>(kAttnHeads),
+               static_cast<long long>(kAttnHeadDim), attn_scalar_us[0],
+               attn_scalar_us[1], attn_simd_us[0], attn_simd_us[1],
+               attn_scalar_us[0] / attn_simd_us[0],
+               attn_scalar_us[1] / attn_simd_us[1]);
+  std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"
                "    \"int8_tables_per_sec\": %.2f},\n",
@@ -683,6 +810,10 @@ void EmitQuantBenchJson() {
   // tanh port by >= 3x.
   std::fprintf(stderr, "quant_bench: gelu simd/scalar speedup = %.2f\n",
                gelu_speedup);
+  // The third gated line: the attention core must beat the scalar head by
+  // >= 2x at both sequence lengths (the smaller ratio is printed).
+  std::fprintf(stderr, "quant_bench: attn simd/scalar speedup = %.2f\n",
+               attn_speedup);
   std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
 }
 

@@ -8,7 +8,7 @@
 #define DODUO_X86_SIMD 1
 #endif
 
-#include "doduo/util/env.h"
+#include "doduo/nn/dispatch.h"
 
 namespace doduo::nn {
 
@@ -180,16 +180,10 @@ constexpr float kGeluCubic3 = 3.0f * kGeluCubic;
 // blends; a vector with any lane outside the blended domain (|x| >= 22,
 // inf, NaN) runs the scalar port for all eight lanes. Only
 // target("avx2") is enabled — not FMA — so no mul+add is contracted.
-// Selected once per process like ops.cc; DODUO_SIMD=0 forces the scalar
+// Selected once per process (UseAvx2); DODUO_SIMD=0 forces the scalar
 // loops.
 
 #if defined(DODUO_X86_SIMD)
-
-bool UseAvx2() {
-  static const bool avx2 = __builtin_cpu_supports("avx2") != 0 &&
-                           util::GetEnvInt("DODUO_SIMD", 1) != 0;
-  return avx2;
-}
 
 // Tanh on eight lanes. Inside the blended domain (|x| < 22) tanh calls
 // expm1f with u = 2|x| in [2, 44) or u = -2|x| in (-2, 0], so of expm1f's

@@ -8,6 +8,7 @@
 #define DODUO_X86_SIMD 1
 #endif
 
+#include "doduo/nn/dispatch.h"
 #include "doduo/util/env.h"
 #include "doduo/util/thread_pool.h"
 
@@ -29,21 +30,6 @@ void CheckMatrix(const Tensor& t, const char* name) {
 // k-tile height for the blocked kernels: a kBlockK × n panel of B stays hot
 // in cache while a shard of output rows streams over it.
 constexpr int64_t kBlockK = 64;
-
-// Kernels go parallel only above this m·k·n volume; below it the fork/join
-// cost dominates and the serial path wins. DODUO_PARALLEL_THRESHOLD
-// overrides the default (the parity/determinism tests set it to 1 so even
-// miniature models exercise the sharded path).
-int64_t ParallelVolumeThreshold() {
-  static const int64_t threshold =
-      util::GetEnvInt("DODUO_PARALLEL_THRESHOLD", 64 * 64 * 64);
-  return threshold;
-}
-
-bool ShouldParallelize(int64_t m, int64_t k, int64_t n) {
-  return m > 1 && m * k * n >= ParallelVolumeThreshold() &&
-         util::ComputeThreads() > 1;
-}
 
 // --- SIMD fast paths ------------------------------------------------------
 //
@@ -594,76 +580,6 @@ void ColumnSumAccum(const Tensor& a, Tensor* out) {
   for (int64_t i = 0; i < a.rows(); ++i) {
     const float* row = a.row(i);
     for (int64_t j = 0; j < n; ++j) po[j] += row[j];
-  }
-}
-
-namespace {
-
-// One softmax row of the fused kernel: t_j = in_j * scale + mask_j, then
-// max-subtract, exp, normalize. t is recomputed per pass instead of stored;
-// the float ops match the unfused Scale → AddInPlace → SoftmaxRows sequence
-// exactly, so results are bit-identical to it. A row whose shifted logits
-// are all non-finite (fully masked with -inf, or NaN input) falls back to a
-// uniform distribution instead of producing NaN.
-void ScaleMaskSoftmaxRow(const float* in, const float* mask_row, float scale,
-                         int64_t n, float* out) {
-  float t0 = in[0] * scale;
-  if (mask_row != nullptr) t0 += mask_row[0];
-  float max_logit = t0;
-  for (int64_t j = 1; j < n; ++j) {
-    float t = in[j] * scale;
-    if (mask_row != nullptr) t += mask_row[j];
-    max_logit = std::max(max_logit, t);
-  }
-  if (!std::isfinite(max_logit)) {
-    const float uniform = 1.0f / static_cast<float>(n);
-    for (int64_t j = 0; j < n; ++j) out[j] = uniform;
-    return;
-  }
-  double total = 0.0;
-  for (int64_t j = 0; j < n; ++j) {
-    float t = in[j] * scale;
-    if (mask_row != nullptr) t += mask_row[j];
-    out[j] = std::exp(t - max_logit);
-    total += static_cast<double>(out[j]);
-  }
-  const float inv = static_cast<float>(1.0 / total);
-  for (int64_t j = 0; j < n; ++j) out[j] *= inv;
-}
-
-}  // namespace
-
-void SoftmaxRows(const Tensor& logits, Tensor* probs) {
-  ScaleMaskSoftmaxRows(logits, 1.0f, nullptr, probs);
-}
-
-void ScaleMaskSoftmaxRows(const Tensor& logits, float scale,
-                          const Tensor* mask, Tensor* probs) {
-  CheckMatrix(logits, "logits");
-  if (mask != nullptr) {
-    DODUO_CHECK(SameShape(logits, *mask))
-        << "mask must match logits: " << logits.ShapeString() << " vs "
-        << mask->ShapeString();
-  }
-  const int64_t m = logits.rows();
-  const int64_t n = logits.cols();
-  if (probs != &logits) probs->ResizeUninitialized(logits.shape());
-  const float* pin = logits.data();
-  const float* pmask = mask != nullptr ? mask->data() : nullptr;
-  float* pout = probs->data();
-  auto rows = [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      ScaleMaskSoftmaxRow(pin + i * n,
-                          pmask != nullptr ? pmask + i * n : nullptr, scale, n,
-                          pout + i * n);
-    }
-  };
-  // Rows are independent and each row's FP order is fixed, so sharding
-  // preserves the bit-determinism contract.
-  if (ShouldParallelize(m, 1, n)) {
-    util::ComputePool()->ParallelFor(0, m, /*grain=*/1, rows);
-  } else {
-    rows(0, m);
   }
 }
 

@@ -93,20 +93,35 @@ void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out);
 
 // --------------------------------------------------------------------------
 
-/// Row-wise softmax of a 2-D tensor, numerically stabilized. Rows whose
-/// logits are all non-finite (e.g. fully masked with -inf) produce a uniform
-/// distribution instead of NaN.
+/// Row-wise softmax of a 2-D tensor, numerically stabilized, with
+/// nn::Expf as its exp. Non-finite rows depend only on their values: any
+/// NaN logit gives an all-NaN row; otherwise +inf logits share the mass
+/// evenly (every other position gets 0), and a row of all -inf logits
+/// (fully masked) is uniform.
 void SoftmaxRows(const Tensor& logits, Tensor* probs);
 
 /// Fused scale→additive-mask→softmax over rows: probs = softmax(logits *
 /// scale + mask), computed in a single kernel (max, exp, normalize) instead
 /// of three passes over the score matrix. `mask` may be nullptr; `probs` may
 /// alias `logits` (the attention path runs it in place on the score buffer).
-/// Bit-identical to Scale + AddInPlace + SoftmaxRows at any thread count;
-/// rows are sharded across the compute pool above the parallel threshold.
-/// Fully-masked rows produce a uniform distribution (see SoftmaxRows).
+/// Bit-identical to Scale + AddInPlace + SoftmaxRows at any thread count,
+/// SIMD or scalar; rows are sharded across the compute pool above the
+/// parallel threshold. Non-finite rows as in SoftmaxRows.
 void ScaleMaskSoftmaxRows(const Tensor& logits, float scale,
                           const Tensor* mask, Tensor* probs);
+
+/// One attention head at inference: probs = softmax(scale · q·kᵀ + mask)
+/// and ctx = probs · v, for q, k, v [s, hd] views, an optional [s, s]
+/// additive mask, probs resized to [s, s] and ctx [s, hd] overwritten.
+/// Bit-identical to MatMulTransposedBView → ScaleMaskSoftmaxRows →
+/// MatMulView (the scalar reference it runs under DODUO_SIMD=0 and for hd
+/// not a multiple of 8) at any thread count. With AVX2 it runs per block of
+/// four query rows: register-blocked q·kᵀ over a packed kᵀ (`kt`, resized
+/// to [hd, s rounded up to 8]), the softmax twin, then P·V in registers
+/// (DESIGN.md §9).
+void AttentionHeadForward(ConstMatView q, ConstMatView k, ConstMatView v,
+                          float scale, const Tensor* mask, Tensor* kt,
+                          Tensor* probs, MutMatView ctx);
 
 /// Backward of row-wise softmax: given probs p and upstream grad dy,
 /// dx_i = p_i * (dy_i - sum_j dy_j p_j), computed per row.

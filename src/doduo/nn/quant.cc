@@ -10,6 +10,7 @@
 #define DODUO_X86_SIMD 1
 #endif
 
+#include "doduo/nn/dispatch.h"
 #include "doduo/util/check.h"
 #include "doduo/util/env.h"
 #include "doduo/util/metrics.h"
@@ -20,20 +21,6 @@ namespace doduo::nn {
 namespace {
 
 std::atomic<int> g_quant_enabled{-1};  // -1: read DODUO_QUANT on first use
-
-// Same parallel gate as the fp32 GEMM family (ops.cc): shard output rows
-// only above a volume where fork/join cost is amortized, overridable via
-// DODUO_PARALLEL_THRESHOLD.
-int64_t ParallelVolumeThreshold() {
-  static const int64_t threshold =
-      util::GetEnvInt("DODUO_PARALLEL_THRESHOLD", 64 * 64 * 64);
-  return threshold;
-}
-
-bool ShouldParallelize(int64_t m, int64_t k, int64_t n) {
-  return m > 1 && m * k * n >= ParallelVolumeThreshold() &&
-         util::ComputeThreads() > 1;
-}
 
 // --- layout ---------------------------------------------------------------
 //

@@ -3,42 +3,10 @@
 #include <cmath>
 
 #include "doduo/nn/ops.h"
-#include "doduo/util/env.h"
 
 namespace doduo::transformer {
 
 namespace {
-
-// Initial kernel path: fused strided-view kernels unless DODUO_FUSED=0
-// (the reference path is the pre-fusion copy-based implementation).
-bool DefaultUseFused() {
-  static const bool fused = util::GetEnvInt("DODUO_FUSED", 1) != 0;
-  return fused;
-}
-
-// Copies the columns [col_begin, col_begin + ncols) of src into dst
-// [s, ncols] (reference path only; the fused path uses strided views).
-void ExtractBand(const nn::Tensor& src, int64_t col_begin, int64_t ncols,
-                 nn::Tensor* dst) {
-  const int64_t s = src.rows();
-  dst->ResizeUninitialized({s, ncols});
-  for (int64_t i = 0; i < s; ++i) {
-    const float* in = src.row(i) + col_begin;
-    float* out = dst->row(i);
-    for (int64_t j = 0; j < ncols; ++j) out[j] = in[j];
-  }
-}
-
-// Writes src [s, ncols] into the columns of dst starting at col_begin.
-void InsertBand(const nn::Tensor& src, int64_t col_begin, nn::Tensor* dst) {
-  const int64_t s = src.rows();
-  const int64_t ncols = src.cols();
-  for (int64_t i = 0; i < s; ++i) {
-    const float* in = src.row(i);
-    float* out = dst->row(i) + col_begin;
-    for (int64_t j = 0; j < ncols; ++j) out[j] = in[j];
-  }
-}
 
 // Builds the packed [d, 3d] QKV projection with weights drawn in the same
 // order as the three separate [d, d] projections it replaces: d² Xavier
@@ -65,18 +33,10 @@ nn::Linear MakePackedQkvProjection(const std::string& name, int64_t d,
 // Workspace slot ids. Forward and backward scratch use disjoint slots so a
 // Forward's leftovers never alias a Backward buffer mid-iteration.
 enum WsSlot : size_t {
-  kScores = 0,    // reference forward [s, s]
-  kQHead,         // reference paths [s, hd]
-  kKHead,
-  kVHead,
-  kHeadCtx,       // reference forward [s, hd]
-  kGradProbs,     // both backward paths [s, s]
-  kGradScores,    // both backward paths [s, s]
-  kGradHeadCtx,   // reference backward [s, hd]
-  kGradQHead,     // reference backward [s, hd]
-  kGradKHead,
-  kGradVHead,
-  kGradInputPart,  // both backward paths [s, d]
+  kKeysT = 0,      // forward: packed Kᵀ of one head, sized by the kernel
+  kGradProbs,      // backward [s, s]
+  kGradScores,     // backward [s, s]
+  kGradInputPart,  // backward [s, d]
 };
 
 }  // namespace
@@ -85,7 +45,6 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(
     const std::string& name, const TransformerConfig& config, util::Rng* rng)
     : num_heads_(config.num_heads),
       head_dim_(config.head_dim()),
-      use_fused_(DefaultUseFused()),
       wqkv_(MakePackedQkvProjection(name + ".wqkv", config.hidden_dim, rng)),
       wo_(name + ".wo", config.hidden_dim, config.hidden_dim, rng) {
   probs_.resize(static_cast<size_t>(num_heads_));
@@ -103,63 +62,20 @@ const nn::Tensor& MultiHeadSelfAttention::Forward(const nn::Tensor& x,
   // [h·hd, (h+1)·hd), K offset by d, V by 2d.
   const nn::Tensor& qkv = wqkv_.Forward(x);
   qkv_ = &qkv;
-  forward_was_fused_ = use_fused_;
-  if (use_fused_) {
-    ForwardFused(qkv, mask, s);
-  } else {
-    ForwardReference(qkv, mask, s);
+  const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
+  context_.ResizeUninitialized({s, d});
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  for (int h = 0; h < num_heads_; ++h) {
+    const int64_t off = static_cast<int64_t>(h) * head_dim_;
+    nn::AttentionHeadForward(nn::ColumnsView(qkv, off, head_dim_),
+                             nn::ColumnsView(qkv, d + off, head_dim_),
+                             nn::ColumnsView(qkv, 2 * d + off, head_dim_),
+                             scale, mask, &ws_.Get(kKeysT, {head_dim_, s}),
+                             &probs_[static_cast<size_t>(h)],
+                             nn::MutColumnsView(&context_, off, head_dim_));
   }
   output_ = &wo_.Forward(context_);
   return *output_;
-}
-
-void MultiHeadSelfAttention::ForwardFused(const nn::Tensor& qkv,
-                                          const AttentionMask* mask,
-                                          int64_t s) {
-  const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
-  context_.ResizeUninitialized({s, d});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  for (int h = 0; h < num_heads_; ++h) {
-    const size_t hi = static_cast<size_t>(h);
-    const int64_t off = static_cast<int64_t>(h) * head_dim_;
-    const nn::ConstMatView qh = nn::ColumnsView(qkv, off, head_dim_);
-    const nn::ConstMatView kh = nn::ColumnsView(qkv, d + off, head_dim_);
-    const nn::ConstMatView vh = nn::ColumnsView(qkv, 2 * d + off, head_dim_);
-    // Scores straight into the probs buffer, then scale+mask+softmax as one
-    // in-place kernel — no separate score matrix, no extra passes.
-    nn::MatMulTransposedBView(qh, kh, &probs_[hi]);
-    nn::ScaleMaskSoftmaxRows(probs_[hi], scale, mask, &probs_[hi]);
-    nn::MatMulView(nn::FullView(probs_[hi]), vh,
-                   nn::MutColumnsView(&context_, off, head_dim_));
-  }
-}
-
-void MultiHeadSelfAttention::ForwardReference(const nn::Tensor& qkv,
-                                              const AttentionMask* mask,
-                                              int64_t s) {
-  const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
-  context_.ResizeUninitialized({s, d});
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  for (int h = 0; h < num_heads_; ++h) {
-    const size_t hi = static_cast<size_t>(h);
-    const int64_t off = static_cast<int64_t>(h) * head_dim_;
-    nn::Tensor& q_head = ws_.Get(kQHead, {s, head_dim_});
-    nn::Tensor& k_head = ws_.Get(kKHead, {s, head_dim_});
-    nn::Tensor& v_head = ws_.Get(kVHead, {s, head_dim_});
-    ExtractBand(qkv, off, head_dim_, &q_head);
-    ExtractBand(qkv, d + off, head_dim_, &k_head);
-    ExtractBand(qkv, 2 * d + off, head_dim_, &v_head);
-
-    nn::Tensor& scores = ws_.Get(kScores, {s, s});
-    nn::MatMulTransposedB(q_head, k_head, &scores);
-    nn::Scale(&scores, scale);
-    if (mask != nullptr) nn::AddInPlace(&scores, *mask);
-    nn::SoftmaxRows(scores, &probs_[hi]);
-
-    nn::Tensor& head_context = ws_.Get(kHeadCtx, {s, head_dim_});
-    nn::MatMul(probs_[hi], v_head, &head_context);
-    InsertBand(head_context, off, &context_);
-  }
 }
 
 const nn::Tensor& MultiHeadSelfAttention::Backward(
@@ -170,10 +86,33 @@ const nn::Tensor& MultiHeadSelfAttention::Backward(
   const int64_t s = grad_context.rows();
   const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
   grad_qkv_.ResizeUninitialized({s, 3 * d});
-  if (forward_was_fused_) {
-    BackwardFused(grad_context, s);
-  } else {
-    BackwardReference(grad_context, s);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  const nn::Tensor& qkv = *qkv_;
+  for (int h = 0; h < num_heads_; ++h) {
+    const size_t hi = static_cast<size_t>(h);
+    const int64_t off = static_cast<int64_t>(h) * head_dim_;
+    const nn::ConstMatView qh = nn::ColumnsView(qkv, off, head_dim_);
+    const nn::ConstMatView kh = nn::ColumnsView(qkv, d + off, head_dim_);
+    const nn::ConstMatView vh = nn::ColumnsView(qkv, 2 * d + off, head_dim_);
+    const nn::ConstMatView dctx =
+        nn::ColumnsView(grad_context, off, head_dim_);
+
+    // ctx_h = P · V:  dP = dctx · Vᵀ, dV = Pᵀ · dctx.
+    nn::Tensor& grad_probs = ws_.Get(kGradProbs, {s, s});
+    nn::MatMulTransposedBView(dctx, vh, &grad_probs);
+    nn::MatMulTransposedAView(
+        nn::FullView(probs_[hi]), dctx,
+        nn::MutColumnsView(&grad_qkv_, 2 * d + off, head_dim_));
+    // Through softmax, then scores = scale · Q Kᵀ (the additive mask is
+    // constant, so it drops out of the gradient).
+    nn::Tensor& grad_scores = ws_.Get(kGradScores, {s, s});
+    nn::SoftmaxRowsBackward(probs_[hi], grad_probs, &grad_scores);
+    nn::Scale(&grad_scores, scale);
+    nn::MatMulView(nn::FullView(grad_scores), kh,
+                   nn::MutColumnsView(&grad_qkv_, off, head_dim_));
+    nn::MatMulTransposedAView(
+        nn::FullView(grad_scores), qh,
+        nn::MutColumnsView(&grad_qkv_, d + off, head_dim_));
   }
   // Packed weight/bias gradients accumulate per element exactly as the
   // split projections' did. The input gradient is summed band by band —
@@ -192,77 +131,6 @@ const nn::Tensor& MultiHeadSelfAttention::Backward(
                             nn::ColumnsView(w, 2 * d, d), &part);
   nn::AddInPlace(&grad_input_, part);
   return grad_input_;
-}
-
-void MultiHeadSelfAttention::BackwardFused(const nn::Tensor& grad_context,
-                                           int64_t s) {
-  const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const nn::Tensor& qkv = *qkv_;
-  for (int h = 0; h < num_heads_; ++h) {
-    const size_t hi = static_cast<size_t>(h);
-    const int64_t off = static_cast<int64_t>(h) * head_dim_;
-    const nn::ConstMatView qh = nn::ColumnsView(qkv, off, head_dim_);
-    const nn::ConstMatView kh = nn::ColumnsView(qkv, d + off, head_dim_);
-    const nn::ConstMatView vh = nn::ColumnsView(qkv, 2 * d + off, head_dim_);
-    const nn::ConstMatView dctx =
-        nn::ColumnsView(grad_context, off, head_dim_);
-    const nn::MutMatView dqh =
-        nn::MutColumnsView(&grad_qkv_, off, head_dim_);
-    const nn::MutMatView dkh =
-        nn::MutColumnsView(&grad_qkv_, d + off, head_dim_);
-    const nn::MutMatView dvh =
-        nn::MutColumnsView(&grad_qkv_, 2 * d + off, head_dim_);
-
-    // ctx_h = P · V:  dP = dctx · Vᵀ, dV = Pᵀ · dctx.
-    nn::Tensor& grad_probs = ws_.Get(kGradProbs, {s, s});
-    nn::MatMulTransposedBView(dctx, vh, &grad_probs);
-    nn::MatMulTransposedAView(nn::FullView(probs_[hi]), dctx, dvh);
-    // Through softmax, then scores = scale · Q Kᵀ (the additive mask is
-    // constant, so it drops out of the gradient).
-    nn::Tensor& grad_scores = ws_.Get(kGradScores, {s, s});
-    nn::SoftmaxRowsBackward(probs_[hi], grad_probs, &grad_scores);
-    nn::Scale(&grad_scores, scale);
-    nn::MatMulView(nn::FullView(grad_scores), kh, dqh);
-    nn::MatMulTransposedAView(nn::FullView(grad_scores), qh, dkh);
-  }
-}
-
-void MultiHeadSelfAttention::BackwardReference(const nn::Tensor& grad_context,
-                                               int64_t s) {
-  const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  const nn::Tensor& qkv = *qkv_;
-  for (int h = 0; h < num_heads_; ++h) {
-    const size_t hi = static_cast<size_t>(h);
-    const int64_t off = static_cast<int64_t>(h) * head_dim_;
-    nn::Tensor& grad_head_ctx = ws_.Get(kGradHeadCtx, {s, head_dim_});
-    nn::Tensor& v_head = ws_.Get(kVHead, {s, head_dim_});
-    ExtractBand(grad_context, off, head_dim_, &grad_head_ctx);
-    ExtractBand(qkv, 2 * d + off, head_dim_, &v_head);
-    // ctx_h = P · V:  dP = dctx · Vᵀ, dV = Pᵀ · dctx.
-    nn::Tensor& grad_probs = ws_.Get(kGradProbs, {s, s});
-    nn::Tensor& grad_vh = ws_.Get(kGradVHead, {s, head_dim_});
-    nn::MatMulTransposedB(grad_head_ctx, v_head, &grad_probs);
-    nn::MatMulTransposedA(probs_[hi], grad_head_ctx, &grad_vh);
-    // Through softmax, then scores = scale · Q Kᵀ (the additive mask is
-    // constant, so it drops out of the gradient).
-    nn::Tensor& grad_scores = ws_.Get(kGradScores, {s, s});
-    nn::SoftmaxRowsBackward(probs_[hi], grad_probs, &grad_scores);
-    nn::Scale(&grad_scores, scale);
-    nn::Tensor& k_head = ws_.Get(kKHead, {s, head_dim_});
-    nn::Tensor& q_head = ws_.Get(kQHead, {s, head_dim_});
-    ExtractBand(qkv, d + off, head_dim_, &k_head);
-    ExtractBand(qkv, off, head_dim_, &q_head);
-    nn::Tensor& grad_qh = ws_.Get(kGradQHead, {s, head_dim_});
-    nn::Tensor& grad_kh = ws_.Get(kGradKHead, {s, head_dim_});
-    nn::MatMul(grad_scores, k_head, &grad_qh);
-    nn::MatMulTransposedA(grad_scores, q_head, &grad_kh);
-
-    InsertBand(grad_qh, off, &grad_qkv_);
-    InsertBand(grad_kh, d + off, &grad_qkv_);
-    InsertBand(grad_vh, 2 * d + off, &grad_qkv_);
-  }
 }
 
 nn::ParameterList MultiHeadSelfAttention::Parameters() {

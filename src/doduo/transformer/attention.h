@@ -27,14 +27,12 @@ inline constexpr float kAttentionMaskValue = -1e9f;
 ///
 /// Q, K and V come from a single packed projection wqkv [d, 3d] (one GEMM
 /// instead of three); per-head work addresses column bands of the packed
-/// [seq, 3d] buffer through strided views, and scale+mask+softmax run as one
-/// fused kernel. A copy-based reference path (the pre-fusion kernels:
-/// ExtractHead/InsertHead plus unfused Scale → AddInPlace → SoftmaxRows) is
-/// retained behind set_use_fused(false) for parity tests and benchmarking;
-/// both paths produce bit-identical outputs and share the packed weights.
-/// Steady-state Forward/Backward on either path performs zero heap
-/// allocations: all scratch lives in a per-layer nn::Workspace (DESIGN.md
-/// §9). The DODUO_FUSED env var (default 1) sets the initial path.
+/// [seq, 3d] buffer through strided views. Each head's forward is one
+/// nn::AttentionHeadForward call: q·kᵀ, scale, mask, softmax and P·V, with
+/// an AVX2 twin that is bit-identical to its view-GEMM reference (DESIGN.md
+/// §9; tests/transformer/attention_oracle.h keeps the pre-fusion copy-based
+/// implementation as a test oracle). Steady-state Forward/Backward perform
+/// zero heap allocations: all scratch lives in a per-layer nn::Workspace.
 class MultiHeadSelfAttention {
  public:
   MultiHeadSelfAttention(const std::string& name,
@@ -45,33 +43,18 @@ class MultiHeadSelfAttention {
   const nn::Tensor& Forward(const nn::Tensor& x, const AttentionMask* mask);
 
   /// grad_out: [seq, d] → d(loss)/dx [seq, d]; accumulates projection
-  /// gradients. Runs on the same path (fused or reference) as the preceding
-  /// Forward.
+  /// gradients.
   const nn::Tensor& Backward(const nn::Tensor& grad_out);
 
   nn::ParameterList Parameters();
-
-  /// Selects the fused (strided-view) or reference (copy-based) kernels for
-  /// subsequent Forward calls.
-  void set_use_fused(bool fused) { use_fused_ = fused; }
-  bool use_fused() const { return use_fused_; }
 
   /// Post-softmax attention probabilities of the last Forward, one [seq,
   /// seq] tensor per head (used by the Figure 6 attention analysis).
   const std::vector<nn::Tensor>& attention_probs() const { return probs_; }
 
  private:
-  void ForwardFused(const nn::Tensor& qkv, const AttentionMask* mask,
-                    int64_t s);
-  void ForwardReference(const nn::Tensor& qkv, const AttentionMask* mask,
-                        int64_t s);
-  void BackwardFused(const nn::Tensor& grad_context, int64_t s);
-  void BackwardReference(const nn::Tensor& grad_context, int64_t s);
-
   int num_heads_;
   int head_dim_;
-  bool use_fused_;
-  bool forward_was_fused_ = true;
   nn::Linear wqkv_;  // packed [d, 3d]: Q | K | V column blocks
   nn::Linear wo_;
 
@@ -88,9 +71,8 @@ class MultiHeadSelfAttention {
   nn::Tensor grad_qkv_;
   nn::Tensor grad_input_;
 
-  // Per-layer scratch arena (head extracts on the reference path, softmax
-  // gradient buffers on both); see Workspace for the zero-allocation
-  // contract.
+  // Per-layer scratch arena (packed Kᵀ per head, softmax gradient
+  // buffers); see Workspace for the zero-allocation contract.
   nn::Workspace ws_;
 };
 

@@ -35,10 +35,6 @@ class BertModel {
 
   void set_training(bool training);
 
-  /// Selects fused or reference kernels throughout the encoder stack (see
-  /// MultiHeadSelfAttention::set_use_fused).
-  void set_use_fused(bool fused) { encoder_.set_use_fused(fused); }
-
   const TransformerConfig& config() const { return config_; }
 
   /// Context-free ("static") embedding of a token id: its row of the token

@@ -6,7 +6,7 @@ namespace doduo::transformer {
 
 namespace {
 
-// Workspace slots for the fused FFN path.
+// Workspace slots for the FFN.
 enum WsSlot : size_t {
   kFfnAct = 0,   // gelu(W1·h + b1) [seq, ffn_dim]
   kFfnGradPre,   // d(loss)/d(W1·h + b1) [seq, ffn_dim]
@@ -23,14 +23,7 @@ TransformerBlock::TransformerBlock(const std::string& name,
       ffn_in_(name + ".ffn_in", config.hidden_dim, config.ffn_dim, rng),
       ffn_out_(name + ".ffn_out", config.ffn_dim, config.hidden_dim, rng),
       ffn_dropout_(config.dropout, rng),
-      ffn_norm_(name + ".ffn_norm", config.hidden_dim),
-      use_fused_(attention_.use_fused()),
-      forward_was_fused_(use_fused_) {}
-
-void TransformerBlock::set_use_fused(bool fused) {
-  use_fused_ = fused;
-  attention_.set_use_fused(fused);
-}
+      ffn_norm_(name + ".ffn_norm", config.hidden_dim) {}
 
 const nn::Tensor& TransformerBlock::Forward(const nn::Tensor& x,
                                             const AttentionMask* mask) {
@@ -39,21 +32,13 @@ const nn::Tensor& TransformerBlock::Forward(const nn::Tensor& x,
   nn::Add(x, attn_dropped, &residual1_);
   const nn::Tensor& hidden = attention_norm_.Forward(residual1_);
 
-  forward_was_fused_ = use_fused_;
-  const nn::Tensor* ffn_activated = nullptr;
-  if (use_fused_) {
-    // W1·h, then bias add + GELU in one epilogue pass; the biased
-    // pre-activation stays in ffn_in_'s output for GeluBackward.
-    nn::Tensor& pre = ffn_in_.ForwardNoBias(hidden);
-    nn::Tensor& act = ws_.Get(kFfnAct, pre.shape());
-    nn::BiasGeluForward(&pre, ffn_in_.bias().value, &act);
-    ffn_pre_ = &pre;
-    ffn_activated = &act;
-  } else {
-    const nn::Tensor& ffn_hidden = ffn_in_.Forward(hidden);
-    ffn_activated = &ffn_act_.Forward(ffn_hidden);
-  }
-  const nn::Tensor& ffn_projected = ffn_out_.Forward(*ffn_activated);
+  // W1·h, then bias add + GELU in one epilogue pass; the biased
+  // pre-activation stays in ffn_in_'s output for GeluBackward.
+  nn::Tensor& pre = ffn_in_.ForwardNoBias(hidden);
+  nn::Tensor& act = ws_.Get(kFfnAct, pre.shape());
+  nn::BiasGeluForward(&pre, ffn_in_.bias().value, &act);
+  ffn_pre_ = &pre;
+  const nn::Tensor& ffn_projected = ffn_out_.Forward(act);
   const nn::Tensor& ffn_dropped = ffn_dropout_.Forward(ffn_projected);
   nn::Add(hidden, ffn_dropped, &residual2_);
   return ffn_norm_.Forward(residual2_);
@@ -65,15 +50,10 @@ const nn::Tensor& TransformerBlock::Backward(const nn::Tensor& grad_out) {
   const nn::Tensor& d_residual2 = ffn_norm_.Backward(grad_out);
   const nn::Tensor& d_ffn_dropped = ffn_dropout_.Backward(d_residual2);
   const nn::Tensor& d_ffn_activated = ffn_out_.Backward(d_ffn_dropped);
-  if (forward_was_fused_) {
-    DODUO_CHECK(ffn_pre_ != nullptr) << "Backward before Forward";
-    nn::Tensor& d_ffn_pre = ws_.Get(kFfnGradPre, d_ffn_activated.shape());
-    nn::GeluBackward(*ffn_pre_, d_ffn_activated, &d_ffn_pre);
-    grad_hidden_ = ffn_in_.Backward(d_ffn_pre);
-  } else {
-    const nn::Tensor& d_ffn_hidden = ffn_act_.Backward(d_ffn_activated);
-    grad_hidden_ = ffn_in_.Backward(d_ffn_hidden);
-  }
+  DODUO_CHECK(ffn_pre_ != nullptr) << "Backward before Forward";
+  nn::Tensor& d_ffn_pre = ws_.Get(kFfnGradPre, d_ffn_activated.shape());
+  nn::GeluBackward(*ffn_pre_, d_ffn_activated, &d_ffn_pre);
+  grad_hidden_ = ffn_in_.Backward(d_ffn_pre);
   nn::AddInPlace(&grad_hidden_, d_residual2);  // skip path
 
   const nn::Tensor& d_residual1 = attention_norm_.Backward(grad_hidden_);

@@ -17,11 +17,9 @@ namespace doduo::transformer {
 ///   h  = LayerNorm(x + Dropout(SelfAttention(x)))
 ///   y  = LayerNorm(h + Dropout(W2·GELU(W1·h)))
 ///
-/// On the fused path (default) the FFN's bias add and GELU run as one
-/// epilogue pass over W1·h (BiasGeluForward) with the activation buffer in a
-/// per-block workspace; attention runs its strided-view kernels. The
-/// reference path keeps the separate AddRowBroadcast + Gelu-layer sequence.
-/// Both paths are bit-identical and allocation-free at steady state.
+/// The FFN's bias add and GELU run as one epilogue pass over W1·h
+/// (BiasGeluForward) with the activation buffer in a per-block workspace;
+/// attention runs its per-head kernel. Allocation-free at steady state.
 class TransformerBlock {
  public:
   TransformerBlock(const std::string& name, const TransformerConfig& config,
@@ -37,11 +35,6 @@ class TransformerBlock {
 
   void set_training(bool training);
 
-  /// Selects fused or reference kernels for the attention and FFN of this
-  /// block (see MultiHeadSelfAttention::set_use_fused).
-  void set_use_fused(bool fused);
-  bool use_fused() const { return use_fused_; }
-
   /// Attention probabilities of the last Forward (per head).
   const std::vector<nn::Tensor>& attention_probs() const {
     return attention_.attention_probs();
@@ -52,20 +45,17 @@ class TransformerBlock {
   nn::Dropout attention_dropout_;
   nn::LayerNorm attention_norm_;
   nn::Linear ffn_in_;
-  nn::Gelu ffn_act_;  // reference path only; fused path uses BiasGeluForward
   nn::Linear ffn_out_;
   nn::Dropout ffn_dropout_;
   nn::LayerNorm ffn_norm_;
 
-  bool use_fused_;
-  bool forward_was_fused_;
-  const nn::Tensor* ffn_pre_ = nullptr;  // biased pre-activation (fused path)
+  const nn::Tensor* ffn_pre_ = nullptr;  // biased pre-activation
 
   nn::Tensor residual1_;  // x + dropout(attn(x))
   nn::Tensor residual2_;  // h + dropout(ffn(h))
   nn::Tensor grad_hidden_;
   nn::Tensor grad_input_;
-  nn::Workspace ws_;  // FFN activation + gradient scratch (fused path)
+  nn::Workspace ws_;  // FFN activation + gradient scratch
 };
 
 }  // namespace doduo::transformer

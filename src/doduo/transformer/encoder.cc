@@ -40,10 +40,6 @@ void Encoder::set_training(bool training) {
   for (auto& block : blocks_) block->set_training(training);
 }
 
-void Encoder::set_use_fused(bool fused) {
-  for (auto& block : blocks_) block->set_use_fused(fused);
-}
-
 const std::vector<nn::Tensor>& Encoder::attention_probs(int layer) const {
   DODUO_CHECK(layer >= 0 && layer < num_layers());
   return blocks_[static_cast<size_t>(layer)]->attention_probs();

@@ -25,10 +25,6 @@ class Encoder {
 
   void set_training(bool training);
 
-  /// Selects fused or reference kernels in every block (see
-  /// TransformerBlock::set_use_fused).
-  void set_use_fused(bool fused);
-
   int num_layers() const { return static_cast<int>(blocks_.size()); }
 
   /// Attention probabilities of layer `layer` from the last Forward.

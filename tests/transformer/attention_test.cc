@@ -5,6 +5,7 @@
 #include "doduo/nn/ops.h"
 #include "gtest/gtest.h"
 #include "testing/gradcheck.h"
+#include "transformer/attention_oracle.h"
 
 namespace doduo::transformer {
 namespace {
@@ -131,32 +132,35 @@ TEST(AttentionTest, ParameterGradientCheck) {
 }
 
 TEST(AttentionTest, ReferenceParameterGradientCheck) {
-  // Same check on the retained copy-based kernels.
+  // Same check on the copy-based test oracle the kernel parity tests use.
   util::Rng rng(6);
-  MultiHeadSelfAttention attn("a", SmallConfig(), &rng);
-  attn.set_use_fused(false);
+  const TransformerConfig config = SmallConfig();
+  MultiHeadSelfAttention attn("a", config, &rng);
+  AttentionOracle oracle(&attn, config);
   nn::Tensor x({2, 8});
   x.FillNormal(&rng, 0.5f);
   nn::Tensor dy({2, 8});
   dy.FillNormal(&rng, 1.0f);
 
-  nn::ParameterList params = attn.Parameters();
+  nn::ParameterList params = oracle.Parameters();
   nn::ZeroAllGrads(params);
-  attn.Forward(x, nullptr);
-  attn.Backward(dy);
+  oracle.Forward(x, nullptr);
+  oracle.Backward(dy);
 
-  auto loss = [&]() { return WeightedSum(attn.Forward(x, nullptr), dy); };
+  auto loss = [&]() { return WeightedSum(oracle.Forward(x, nullptr), dy); };
   nn::Tensor wqkv_grad = params[0]->grad;
   testing::ExpectInputGradientsClose(&params[0]->value, loss, wqkv_grad, 1e-3,
                                      3e-2, 3e-2);
 }
 
 TEST(AttentionTest, FusedMatchesReferenceBitwise) {
-  // The strided-view kernels must reproduce the copy-based path exactly —
+  // The per-head kernel must reproduce the copy-based oracle exactly —
   // forward outputs, attention probabilities, input gradients, and
   // parameter gradients are all required to be bit-identical.
   util::Rng rng(8);
-  MultiHeadSelfAttention attn("a", SmallConfig(), &rng);
+  const TransformerConfig config = SmallConfig();
+  MultiHeadSelfAttention attn("a", config, &rng);
+  AttentionOracle oracle(&attn, config);
   nn::Tensor x({5, 8});
   x.FillNormal(&rng, 0.7f);
   nn::Tensor dy({5, 8});
@@ -166,20 +170,15 @@ TEST(AttentionTest, FusedMatchesReferenceBitwise) {
   mask.at(4, 1) = kAttentionMaskValue;
 
   nn::ParameterList params = attn.Parameters();
-
-  attn.set_use_fused(true);
+  nn::ParameterList ref_params = oracle.Parameters();
   nn::ZeroAllGrads(params);
+  nn::ZeroAllGrads(ref_params);
   nn::Tensor y_fused = attn.Forward(x, &mask);
-  std::vector<nn::Tensor> probs_fused = attn.attention_probs();
   nn::Tensor dx_fused = attn.Backward(dy);
-  std::vector<nn::Tensor> grads_fused;
-  for (nn::Parameter* p : params) grads_fused.push_back(p->grad);
-
-  attn.set_use_fused(false);
-  nn::ZeroAllGrads(params);
-  nn::Tensor y_ref = attn.Forward(x, &mask);
-  std::vector<nn::Tensor> probs_ref = attn.attention_probs();
-  nn::Tensor dx_ref = attn.Backward(dy);
+  nn::Tensor y_ref = oracle.Forward(x, &mask);
+  nn::Tensor dx_ref = oracle.Backward(dy);
+  const std::vector<nn::Tensor>& probs_fused = attn.attention_probs();
+  const std::vector<nn::Tensor>& probs_ref = oracle.attention_probs();
 
   ASSERT_EQ(y_fused.size(), y_ref.size());
   for (int64_t i = 0; i < y_ref.size(); ++i) {
@@ -196,7 +195,7 @@ TEST(AttentionTest, FusedMatchesReferenceBitwise) {
   }
   for (size_t p = 0; p < params.size(); ++p) {
     for (int64_t i = 0; i < params[p]->grad.size(); ++i) {
-      ASSERT_EQ(grads_fused[p].data()[i], params[p]->grad.data()[i])
+      ASSERT_EQ(params[p]->grad.data()[i], ref_params[p]->grad.data()[i])
           << "param " << p << " elt " << i;
     }
   }

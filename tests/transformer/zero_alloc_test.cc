@@ -1,7 +1,8 @@
 // Steady-state allocation contract (DESIGN.md §9): after one warm-up
 // iteration, encoder Forward — and Forward + Backward — must perform zero
-// Tensor heap allocations on both the fused and the reference kernel paths,
-// and encoder Forward on the int8 path.
+// Tensor heap allocations, both where attention runs its blocked per-head
+// kernel (head_dim a multiple of 8) and where it runs the view GEMMs, and
+// encoder Forward on the int8 path.
 // Requires the DODUO_COUNT_ALLOCS build (the default); without it these
 // tests compile to skips.
 
@@ -13,10 +14,11 @@
 namespace doduo::transformer {
 namespace {
 
-TransformerConfig SmallConfig() {
+// head_dim 8 by default; 6 keeps attention on the view GEMMs.
+TransformerConfig SmallConfig(int head_dim = 8) {
   TransformerConfig config;
   config.vocab_size = 50;
-  config.hidden_dim = 16;
+  config.hidden_dim = 2 * head_dim;
   config.num_heads = 2;
   config.ffn_dim = 32;
   config.num_layers = 2;
@@ -36,10 +38,10 @@ class ZeroAllocTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ZeroAllocTest, EncoderForwardIsAllocationFreeAtSteadyState) {
   util::Rng rng(1);
-  Encoder encoder("enc", SmallConfig(), &rng);
-  encoder.set_use_fused(GetParam());
+  const TransformerConfig config = SmallConfig(GetParam() ? 8 : 6);
+  Encoder encoder("enc", config, &rng);
   encoder.set_training(false);
-  nn::Tensor x({12, 16});
+  nn::Tensor x({12, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
 
   encoder.Forward(x, nullptr);  // warm-up sizes every buffer
@@ -50,12 +52,12 @@ TEST_P(ZeroAllocTest, EncoderForwardIsAllocationFreeAtSteadyState) {
 
 TEST_P(ZeroAllocTest, EncoderForwardBackwardIsAllocationFreeAtSteadyState) {
   util::Rng rng(2);
-  Encoder encoder("enc", SmallConfig(), &rng);
-  encoder.set_use_fused(GetParam());
+  const TransformerConfig config = SmallConfig(GetParam() ? 8 : 6);
+  Encoder encoder("enc", config, &rng);
   encoder.set_training(false);
-  nn::Tensor x({12, 16});
+  nn::Tensor x({12, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
-  nn::Tensor dy({12, 16});
+  nn::Tensor dy({12, config.hidden_dim});
   dy.FillNormal(&rng, 1.0f);
 
   encoder.Forward(x, nullptr);
@@ -68,10 +70,10 @@ TEST_P(ZeroAllocTest, EncoderForwardBackwardIsAllocationFreeAtSteadyState) {
 
 TEST_P(ZeroAllocTest, MaskedForwardIsAllocationFreeAtSteadyState) {
   util::Rng rng(3);
-  Encoder encoder("enc", SmallConfig(), &rng);
-  encoder.set_use_fused(GetParam());
+  const TransformerConfig config = SmallConfig(GetParam() ? 8 : 6);
+  Encoder encoder("enc", config, &rng);
   encoder.set_training(false);
-  nn::Tensor x({8, 16});
+  nn::Tensor x({8, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
   AttentionMask mask({8, 8});
   mask.at(0, 5) = kAttentionMaskValue;
@@ -84,7 +86,7 @@ TEST_P(ZeroAllocTest, MaskedForwardIsAllocationFreeAtSteadyState) {
 
 INSTANTIATE_TEST_SUITE_P(Paths, ZeroAllocTest, ::testing::Values(true, false),
                          [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "fused" : "reference";
+                           return param_info.param ? "fused" : "view";
                          });
 
 TEST(ZeroAllocQuantTest, Int8EncoderForwardIsAllocationFreeAtSteadyState) {

@@ -59,7 +59,8 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # ISAs, the v2 loader fuzz suites, replica weight sharing, the lint rule,
 # and the Table 3/4 F1 parity locks — then the throughput gate: int8 GEMM
 # must beat the fp32 path users run (dispatched SIMD MatMul) by >= 1.25x at
-# 256³, and the SIMD GELU epilogue must beat the scalar tanh port by >= 3x.
+# 256³, the SIMD GELU epilogue must beat the scalar tanh port by >= 3x, and
+# the attention kernel must beat the scalar head by >= 2x.
 # (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
 # ${sanitizer_filter}.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
@@ -85,6 +86,15 @@ awk -v s="${gelu:-0}" 'BEGIN { exit (s + 0 >= 3) ? 0 : 1 }' || {
   exit 1
 }
 echo "GELU SIMD speedup ${gelu}x over the scalar tanh port (gate: >= 3x)"
+# Same run, third ratio: the attention core (4 heads, hd 16, seq 76 and
+# 190) dispatched against the scalar head; the smaller ratio must be >= 2x.
+attn="$(awk -F'= ' '/attn simd\/scalar speedup/ {print $2}' \
+  build/quant_bench.log)"
+awk -v s="${attn:-0}" 'BEGIN { exit (s + 0 >= 2) ? 0 : 1 }' || {
+  echo "FAIL: attention SIMD speedup ${attn:-unknown}x < 2x over the scalar head"
+  exit 1
+}
+echo "attention SIMD speedup ${attn}x over the scalar head (gate: >= 2x)"
 
 echo "=== warning wall (-Werror, Release) ==="
 cmake -B build-werror -S . -DDODUO_WERROR=ON >/dev/null
