@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "doduo/baselines/sherlock_features.h"
@@ -82,42 +84,92 @@ void BM_MatMulTransposedB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposedB)->ArgPair(256, 1)->ArgPair(256, 4);
 
-// Bench-local fp32 scalar GEMM. The production dispatcher caches its SIMD
-// choice once per process, so the "fp32 with no vector units" baseline the
-// int8 speedup claim compares against (DESIGN §14) is computed here rather
-// than by flipping DODUO_SIMD mid-run.
-void Fp32ScalarGemm(const Tensor& a, const Tensor& b, Tensor* out) {
-  const int64_t m = a.dim(0);
-  const int64_t k = a.dim(1);
-  const int64_t n = b.dim(1);
-  out->ResizeUninitialized({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) pc[i * n + j] = 0.0f;
-    for (int64_t l = 0; l < k; ++l) {
-      const float av = pa[i * k + l];
-      for (int64_t j = 0; j < n; ++j) pc[i * n + j] += av * pb[l * n + j];
-    }
+// The fp32 GEMM kernel named `name` (Fp32GemmKernels), or nullptr when
+// this CPU cannot run it. The list ignores DODUO_SIMD, so the scalar and
+// axpy baselines are reachable on any host.
+const doduo::nn::Fp32GemmKernel* FindFp32Kernel(const char* name) {
+  static const std::vector<doduo::nn::Fp32GemmKernel> kernels =
+      doduo::nn::Fp32GemmKernels();
+  for (const doduo::nn::Fp32GemmKernel& kernel : kernels) {
+    if (std::strcmp(kernel.name, name) == 0) return &kernel;
   }
+  return nullptr;
 }
 
 void BM_MatMulScalarRef(benchmark::State& state) {
   const int64_t n = state.range(0);
+  doduo::util::SetComputeThreads(1);
   doduo::util::Rng rng(1);
   Tensor a({n, n});
   Tensor b({n, n});
   a.FillNormal(&rng, 1.0f);
   b.FillNormal(&rng, 1.0f);
   Tensor c;
+  const doduo::nn::Fp32GemmKernel& scalar = *FindFp32Kernel("scalar");
   for (auto _ : state) {
-    Fp32ScalarGemm(a, b, &c);
+    scalar.matmul(a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_MatMulScalarRef)->Arg(64)->Arg(128)->Arg(256);
+
+// The four Linear GEMMs of one encoder block at the benchmark model's
+// shape (hidden 64, FFN 256) over `rows` tokens: QKV [rows,64]·[64,192],
+// output projection [rows,64]·[64,64], FFN up [rows,64]·[64,256] and FFN
+// down [rows,256]·[256,64].
+constexpr int64_t kLinearShapes[4][2] = {
+    {64, 192}, {64, 64}, {64, 256}, {256, 64}};
+
+struct LinearShapesFixture {
+  explicit LinearShapesFixture(int64_t rows) : outs(4) {
+    doduo::util::Rng rng(15);
+    for (const auto& [k, n] : kLinearShapes) {
+      xs.emplace_back(std::vector<int64_t>{rows, k});
+      ws.emplace_back(std::vector<int64_t>{k, n});
+      xs.back().FillNormal(&rng, 1.0f);
+      ws.back().FillNormal(&rng, 1.0f);
+      flops += 2.0 * static_cast<double>(rows * k * n);
+    }
+  }
+  void Run(const doduo::nn::Fp32GemmKernel& kernel) {
+    for (size_t i = 0; i < xs.size(); ++i) {
+      kernel.matmul(xs[i], ws[i], &outs[i]);
+    }
+  }
+  std::vector<Tensor> xs, ws, outs;
+  double flops = 0.0;
+};
+
+// Args (rows, kernel): rows 76 and 190 are the web tables' mean and p99
+// sequence lengths; kernel 0 = scalar, 1 = avx, 2 = avx512 (skipped where
+// the CPU lacks it). Single thread; items_per_second is FLOP/s.
+void BM_MatMulLinearShapes(benchmark::State& state) {
+  static const char* const kNames[] = {"scalar", "avx", "avx512"};
+  const doduo::nn::Fp32GemmKernel* kernel =
+      FindFp32Kernel(kNames[state.range(1)]);
+  if (kernel == nullptr) {
+    state.SkipWithError("kernel not available on this CPU");
+    return;
+  }
+  doduo::util::SetComputeThreads(1);
+  LinearShapesFixture fixture(state.range(0));
+  for (auto _ : state) {
+    fixture.Run(*kernel);
+    for (Tensor& out : fixture.outs) benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture.flops));
+  state.SetLabel(kernel->name);
+}
+BENCHMARK(BM_MatMulLinearShapes)
+    ->ArgPair(76, 0)
+    ->ArgPair(76, 1)
+    ->ArgPair(76, 2)
+    ->ArgPair(190, 0)
+    ->ArgPair(190, 1)
+    ->ArgPair(190, 2);
 
 // Int8 GEMM through Int8Linear — the full quantized inference cost per
 // call: dynamic per-row activation quantization, the int8 GEMM kernel, and
@@ -597,15 +649,18 @@ void BM_AnnotateTypesQuant(benchmark::State& state) {
 BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 
 // ---------------------------------------------------------------------------
-// BENCH_quant.json — machine-readable quantization scorecard (DESIGN §14),
+// BENCH_quant.json — machine-readable kernel scorecard (DESIGN §14),
 // emitted when DODUO_BENCH_QUANT=1: GEMM GFLOP/s for the dispatched fp32
 // path, the fp32 scalar reference, and int8 (with int8 over dispatched
 // fp32, the ratio the acceptance gate checks); the FFN GELU epilogue,
 // dispatched vs the scalar tanh port (the second gated ratio); the
-// attention core, dispatched vs the scalar head (the third); batched
-// annotation tables/sec with the quant path off and on; and the per-worker
-// RSS delta of a ReplicaPool built over a v2 mmap checkpoint, next to the
-// bytes the load actually mapped.
+// attention core, dispatched vs the scalar head (the third); the four
+// Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); batched annotation
+// tables/sec with the quant path off and on; and the per-worker RSS delta
+// of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
+// load actually mapped. Both sides of every gated ratio are the best of
+// kGateReps interleaved repetitions, so a burst of load from a neighbour
+// on a shared host does not decide a gate.
 
 template <typename Fn>
 double SecondsPerCall(int iters, const Fn& fn) {
@@ -615,6 +670,22 @@ double SecondsPerCall(int iters, const Fn& fn) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   return elapsed.count() / iters;
+}
+
+constexpr int kGateReps = 5;
+
+// Seconds per call of `base` and `fast` (first and second), each the best
+// of kGateReps repetitions timed alternately.
+template <typename Base, typename Fast>
+std::pair<double, double> BestOfInterleaved(int iters, const Base& base,
+                                            const Fast& fast) {
+  double best_base = std::numeric_limits<double>::infinity();
+  double best_fast = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    best_base = std::min(best_base, SecondsPerCall(iters, base));
+    best_fast = std::min(best_fast, SecondsPerCall(iters, fast));
+  }
+  return {best_base, best_fast};
 }
 
 // Resident set size in kB from /proc/self/status, or -1 off-Linux.
@@ -644,12 +715,12 @@ void EmitQuantBenchJson() {
                        static_cast<double>(n);
 
   Tensor y;
-  const double fp32_s =
-      SecondsPerCall(20, [&] { doduo::nn::MatMul(x, w, &y); });
-  const double scalar_s =
-      SecondsPerCall(5, [&] { Fp32ScalarGemm(x, w, &y); });
-  const double int8_s = SecondsPerCall(
-      20, [&] { doduo::nn::Int8Linear(x, doduo::nn::View(qw), nullptr, &y); });
+  doduo::util::SetComputeThreads(1);
+  const auto [fp32_s, int8_s] = BestOfInterleaved(
+      20, [&] { doduo::nn::MatMul(x, w, &y); },
+      [&] { doduo::nn::Int8Linear(x, doduo::nn::View(qw), nullptr, &y); });
+  const doduo::nn::Fp32GemmKernel& scalar = *FindFp32Kernel("scalar");
+  const double scalar_s = SecondsPerCall(5, [&] { scalar.matmul(x, w, &y); });
   const double fp32_gflops = flops / fp32_s / 1e9;
   const double scalar_gflops = flops / scalar_s / 1e9;
   const double int8_gflops = flops / int8_s / 1e9;
@@ -667,10 +738,11 @@ void EmitQuantBenchJson() {
     pre.FillNormal(&rng, 1.0f);
     const Tensor bias({kFfnWidth});
     Tensor act;
-    gelu_scalar_s +=
-        SecondsPerCall(200, [&] { BiasGeluScalar(&pre, bias, &act); });
-    gelu_simd_s += SecondsPerCall(
-        200, [&] { doduo::nn::BiasGeluForward(&pre, bias, &act); });
+    const auto [scalar_s_rows, simd_s_rows] = BestOfInterleaved(
+        200, [&] { BiasGeluScalar(&pre, bias, &act); },
+        [&] { doduo::nn::BiasGeluForward(&pre, bias, &act); });
+    gelu_scalar_s += scalar_s_rows;
+    gelu_simd_s += simd_s_rows;
   }
   const double gelu_speedup = gelu_scalar_s / gelu_simd_s;
 
@@ -681,16 +753,36 @@ void EmitQuantBenchJson() {
   double attn_scalar_us[2];
   double attn_simd_us[2];
   double attn_speedup = 0.0;
-  doduo::util::SetComputeThreads(1);
   for (int i = 0; i < 2; ++i) {
     AttentionHeadsFixture fixture(attn_seqs[i]);
     const int iters = attn_seqs[i] < 100 ? 400 : 80;
-    attn_scalar_us[i] =
-        SecondsPerCall(iters, [&] { fixture.Run(false); }) * 1e6;
-    attn_simd_us[i] = SecondsPerCall(iters, [&] { fixture.Run(true); }) * 1e6;
+    const auto [scalar_s_seq, simd_s_seq] =
+        BestOfInterleaved(iters, [&] { fixture.Run(false); },
+                          [&] { fixture.Run(true); });
+    attn_scalar_us[i] = scalar_s_seq * 1e6;
+    attn_simd_us[i] = simd_s_seq * 1e6;
     const double ratio = attn_scalar_us[i] / attn_simd_us[i];
     attn_speedup = i == 0 ? ratio : std::min(attn_speedup, ratio);
   }
+
+  // The four Linear GEMMs at rows 76 and 190, the AVX-512 tile against the
+  // AVX axpy it replaced, single thread; the gated ratio is of the summed
+  // times. Hosts without AVX-512F have no tile and skip the gate.
+  const doduo::nn::Fp32GemmKernel* avx = FindFp32Kernel("avx");
+  const doduo::nn::Fp32GemmKernel* tile = FindFp32Kernel("avx512");
+  double tile_avx_us = 0.0;
+  double tile_us = 0.0;
+  if (avx != nullptr && tile != nullptr) {
+    for (const int64_t rows : {int64_t{76}, int64_t{190}}) {
+      LinearShapesFixture fixture(rows);
+      const auto [avx_s_rows, tile_s_rows] =
+          BestOfInterleaved(rows < 100 ? 200 : 80, [&] { fixture.Run(*avx); },
+                            [&] { fixture.Run(*tile); });
+      tile_avx_us += avx_s_rows * 1e6;
+      tile_us += tile_s_rows * 1e6;
+    }
+  }
+  const double tile_speedup = tile_us > 0.0 ? tile_avx_us / tile_us : 0.0;
 
   // End-to-end annotate throughput, fp32 vs int8, same model and tables.
   BatchAnnotateFixture fixture;
@@ -785,6 +877,18 @@ void EmitQuantBenchJson() {
                attn_scalar_us[1], attn_simd_us[0], attn_simd_us[1],
                attn_scalar_us[0] / attn_simd_us[0],
                attn_scalar_us[1] / attn_simd_us[1]);
+  if (tile_us > 0.0) {
+    std::fprintf(out,
+                 "  \"gemm_tile\": {\"rows\": [76, 190], "
+                 "\"shapes\": \"64x192 64x64 64x256 256x64\",\n"
+                 "    \"avx_us\": %.2f, \"tile_us\": %.2f,\n"
+                 "    \"tile_vs_avx\": %.3f},\n",
+                 tile_avx_us, tile_us, tile_speedup);
+  } else {
+    std::fprintf(out,
+                 "  \"gemm_tile\": {\"tile_vs_avx\": null, "
+                 "\"skipped\": \"cpu has no avx512f\"},\n");
+  }
   std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"
@@ -814,6 +918,15 @@ void EmitQuantBenchJson() {
   // >= 2x at both sequence lengths (the smaller ratio is printed).
   std::fprintf(stderr, "quant_bench: attn simd/scalar speedup = %.2f\n",
                attn_speedup);
+  // The fourth gated line: the AVX-512 tile must beat the AVX axpy by
+  // >= 1.3x over the four Linear shapes; hosts without it print a skip.
+  if (tile_us > 0.0) {
+    std::fprintf(stderr, "quant_bench: gemm tile/avx speedup = %.2f\n",
+                 tile_speedup);
+  } else {
+    std::fprintf(stderr,
+                 "quant_bench: gemm tile/avx skipped: cpu has no avx512f\n");
+  }
   std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
 }
 

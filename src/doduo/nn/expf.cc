@@ -11,7 +11,7 @@
 #define DODUO_X86_SIMD 1
 #endif
 
-#include "doduo/util/env.h"
+#include "doduo/nn/dispatch.h"
 
 namespace doduo::nn {
 
@@ -123,7 +123,7 @@ namespace {
 bool UseAvx2Fma() {
   static const bool avx2_fma = __builtin_cpu_supports("avx2") != 0 &&
                                __builtin_cpu_supports("fma") != 0 &&
-                               util::GetEnvInt("DODUO_SIMD", 1) != 0;
+                               SimdEnabled();
   return avx2_fma;
 }
 

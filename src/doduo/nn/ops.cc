@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -9,7 +10,6 @@
 #endif
 
 #include "doduo/nn/dispatch.h"
-#include "doduo/util/env.h"
 #include "doduo/util/thread_pool.h"
 
 namespace doduo::nn {
@@ -44,15 +44,15 @@ constexpr int64_t kBlockK = 64;
 //    reduction extracts lanes and adds them left-associatively exactly like
 //    the scalar `acc0 + acc1 + acc2 + acc3`.
 // No FMA: mulps/addps round each op separately, like the scalar code. The
-// AVX paths are compiled per-function via target attributes (FMA is *not*
-// enabled, so the compiler cannot contract mul+add) and selected at runtime
-// with __builtin_cpu_supports; DODUO_SIMD=0 forces the scalar paths.
+// SIMD paths are compiled per-function via target attributes, nn is built
+// with -ffp-contract=off so the compiler never fuses a mul+add into an FMA
+// (AVX-512F includes FMA), and they are selected at runtime with
+// __builtin_cpu_supports; DODUO_SIMD=0 forces the scalar paths.
 
 #if defined(DODUO_X86_SIMD)
 
 bool UseAvx() {
-  static const bool avx = __builtin_cpu_supports("avx") != 0 &&
-                          util::GetEnvInt("DODUO_SIMD", 1) != 0;
+  static const bool avx = __builtin_cpu_supports("avx") != 0 && SimdEnabled();
   return avx;
 }
 
@@ -198,6 +198,118 @@ __attribute__((target("avx"))) void MatMulRowsAvx(
   }
 }
 
+// --- AVX-512 tile ---------------------------------------------------------
+//
+// MatMul's kernel where the CPU has AVX-512F: a register-blocked tile keeps
+// kTileRows x kTileCols elements of C in 24 zmm accumulators while l runs
+// over the whole k, so each element of C is stored once instead of being
+// loaded and stored every four k-steps as in the axpy. Per element the
+// arithmetic is the reference's: c = +0, then c = c + a[i,l]·b[l,j] for l
+// ascending, a rounded mul and a rounded add per step. The one difference
+// is that the tile also adds the products of a = ±0, which the axpy skips.
+// With b finite such a product is ±0 and c + (±0) = c, because c starts at
+// +0 and never becomes −0 (x + (−x) rounds to +0), so the bits match;
+// MatMulTile checks B first and runs the axpy when any entry is inf or NaN
+// (DESIGN.md §9). 512-bit registers are what make the tile pay: without
+// FMA, mul and add each take an FP-port slot, and an AVX2 tile measured no
+// faster than the axpy.
+
+constexpr int64_t kTileRows = 12;
+constexpr int64_t kTileCols = 32;
+
+bool UseAvx512() {
+  static const bool avx512 =
+      __builtin_cpu_supports("avx512f") != 0 && SimdEnabled();
+  return avx512;
+}
+
+// True when no element of b[0, count) is inf or NaN, i.e. no exponent
+// field is all ones.
+__attribute__((target("avx512f"))) bool AllFiniteAvx512(const float* b,
+                                                        int64_t count) {
+  const __m512i exponent = _mm512_set1_epi32(0x7f800000);
+  __m512i high = _mm512_setzero_si512();
+  int64_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    high = _mm512_max_epu32(
+        high, _mm512_and_si512(_mm512_loadu_si512(b + i), exponent));
+  }
+  if (i < count) {
+    const auto tail = static_cast<__mmask16>((1u << (count - i)) - 1);
+    high = _mm512_max_epu32(
+        high, _mm512_and_si512(_mm512_maskz_loadu_epi32(tail, b + i),
+                               exponent));
+  }
+  return _mm512_cmpeq_epi32_mask(high, exponent) == 0;
+}
+
+// Lanes [0, cols) of one 16-float register, for cols of any sign.
+inline __mmask16 LaneMask(int64_t cols) {
+  if (cols >= 16) return 0xffff;
+  return cols <= 0 ? 0 : static_cast<__mmask16>((1u << cols) - 1);
+}
+
+// C[0, R) x [0, 32) = A[0, R) x [0, k) · B[0, k) x [0, 32), with row
+// strides k (A) and n (B, C); lanes outside m0 | m1 << 16 are neither read
+// nor written.
+template <int R>
+__attribute__((target("avx512f"))) inline void GemmTileAvx512(
+    const float* pa, const float* pb, float* pc, int64_t k, int64_t n,
+    __mmask16 m0, __mmask16 m1) {
+  __m512 c0[R];
+  __m512 c1[R];
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+    c0[r] = _mm512_setzero_ps();
+    c1[r] = _mm512_setzero_ps();
+  }
+  for (int64_t l = 0; l < k; ++l) {
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0, pb + l * n);
+    const __m512 b1 = _mm512_maskz_loadu_ps(m1, pb + l * n + 16);
+#pragma GCC unroll 12
+    for (int r = 0; r < R; ++r) {
+      const __m512 a = _mm512_set1_ps(pa[r * k + l]);
+      c0[r] = _mm512_add_ps(c0[r], _mm512_mul_ps(a, b0));
+      c1[r] = _mm512_add_ps(c1[r], _mm512_mul_ps(a, b1));
+    }
+  }
+#pragma GCC unroll 12
+  for (int r = 0; r < R; ++r) {
+    _mm512_mask_storeu_ps(pc + r * n, m0, c0[r]);
+    _mm512_mask_storeu_ps(pc + r * n + 16, m1, c1[r]);
+  }
+}
+
+// C rows [row_begin, row_end) = A · B for contiguous A [m,k], B [k,n] and
+// C [m,n], overwriting C; B must be finite (see above).
+__attribute__((target("avx512f"))) void MatMulRowsAvx512(
+    const float* pa, const float* pb, float* pc, int64_t k, int64_t n,
+    int64_t row_begin, int64_t row_end) {
+  for (int64_t i = row_begin; i < row_end; i += kTileRows) {
+    const float* a = pa + i * k;
+    for (int64_t j = 0; j < n; j += kTileCols) {
+      const __mmask16 m0 = LaneMask(n - j);
+      const __mmask16 m1 = LaneMask(n - j - 16);
+      const float* b = pb + j;
+      float* c = pc + i * n + j;
+      switch (std::min(kTileRows, row_end - i)) {
+        case 12: GemmTileAvx512<12>(a, b, c, k, n, m0, m1); break;
+        case 11: GemmTileAvx512<11>(a, b, c, k, n, m0, m1); break;
+        case 10: GemmTileAvx512<10>(a, b, c, k, n, m0, m1); break;
+        case 9: GemmTileAvx512<9>(a, b, c, k, n, m0, m1); break;
+        case 8: GemmTileAvx512<8>(a, b, c, k, n, m0, m1); break;
+        case 7: GemmTileAvx512<7>(a, b, c, k, n, m0, m1); break;
+        case 6: GemmTileAvx512<6>(a, b, c, k, n, m0, m1); break;
+        case 5: GemmTileAvx512<5>(a, b, c, k, n, m0, m1); break;
+        case 4: GemmTileAvx512<4>(a, b, c, k, n, m0, m1); break;
+        case 3: GemmTileAvx512<3>(a, b, c, k, n, m0, m1); break;
+        case 2: GemmTileAvx512<2>(a, b, c, k, n, m0, m1); break;
+        default: GemmTileAvx512<1>(a, b, c, k, n, m0, m1); break;
+      }
+    }
+  }
+}
+
 #endif  // DODUO_X86_SIMD
 
 void MatMulRows(const float* pa, const float* pb, float* pc, int64_t k,
@@ -214,34 +326,77 @@ void MatMulRows(const float* pa, const float* pb, float* pc, int64_t k,
                    c_stride);
 }
 
-// C[m,n] (+)= A[m,k] · B[k,n].
-void MatMulImpl(const Tensor& a, const Tensor& b, Tensor* out,
-                bool accumulate) {
+struct GemmDims {
+  int64_t m, k, n;
+};
+
+GemmDims CheckGemm(const Tensor& a, const Tensor& b) {
   CheckMatrix(a, "a");
   CheckMatrix(b, "b");
-  const int64_t m = a.rows();
-  const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  DODUO_CHECK_EQ(k, b.rows()) << "inner dimensions differ: "
-                              << a.ShapeString() << " vs " << b.ShapeString();
-  if (accumulate) {
-    DODUO_CHECK(out->ndim() == 2 && out->rows() == m && out->cols() == n);
+  DODUO_CHECK_EQ(a.cols(), b.rows())
+      << "inner dimensions differ: " << a.ShapeString() << " vs "
+      << b.ShapeString();
+  return {a.rows(), a.cols(), b.cols()};
+}
+
+// Runs rows(row_begin, row_end) over [0, m), sharded across the compute
+// pool above the volume threshold.
+template <typename Rows>
+void ForRowShards(const GemmDims& d, const Rows& rows) {
+  if (ShouldParallelize(d.m, d.k, d.n)) {
+    util::ComputePool()->ParallelFor(0, d.m, /*grain=*/1, rows);
   } else {
-    out->ResizeUninitialized({m, n});
+    rows(0, d.m);
+  }
+}
+
+// C[m,n] (+)= A[m,k] · B[k,n] through the axpy rows kernel `Rows`: C is
+// zeroed first unless accumulating.
+template <auto Rows>
+void MatMulAxpy(const Tensor& a, const Tensor& b, Tensor* out,
+                bool accumulate) {
+  const GemmDims d = CheckGemm(a, b);
+  if (accumulate) {
+    DODUO_CHECK(out->ndim() == 2 && out->rows() == d.m && out->cols() == d.n);
+  } else {
+    out->ResizeUninitialized({d.m, d.n});
     out->Zero();
   }
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out->data();
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(
-        0, m, /*grain=*/1, [&](int64_t row_begin, int64_t row_end) {
-          MatMulRows(pa, pb, pc, k, n, row_begin, row_end, k, n, n);
-        });
-  } else {
-    MatMulRows(pa, pb, pc, k, n, 0, m, k, n, n);
-  }
+  ForRowShards(d, [&](int64_t row_begin, int64_t row_end) {
+    Rows(pa, pb, pc, d.k, d.n, row_begin, row_end, d.k, d.n, d.n);
+  });
 }
+
+void MatMulScalar(const Tensor& a, const Tensor& b, Tensor* out) {
+  MatMulAxpy<&MatMulRowsScalar>(a, b, out, /*accumulate=*/false);
+}
+
+#if defined(DODUO_X86_SIMD)
+
+void MatMulAvx(const Tensor& a, const Tensor& b, Tensor* out) {
+  MatMulAxpy<&MatMulRowsAvx>(a, b, out, /*accumulate=*/false);
+}
+
+// The AVX-512 member: the tile when B is finite, else the AVX axpy.
+void MatMulTile(const Tensor& a, const Tensor& b, Tensor* out) {
+  const GemmDims d = CheckGemm(a, b);
+  if (!AllFiniteAvx512(b.data(), b.size())) {
+    MatMulAvx(a, b, out);
+    return;
+  }
+  out->ResizeUninitialized({d.m, d.n});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* pc = out->data();
+  ForRowShards(d, [&](int64_t row_begin, int64_t row_end) {
+    MatMulRowsAvx512(pa, pb, pc, d.k, d.n, row_begin, row_end);
+  });
+}
+
+#endif  // DODUO_X86_SIMD
 
 void CheckView(const ConstMatView& v, const char* name) {
   DODUO_CHECK(v.data != nullptr && v.rows > 0 && v.cols > 0 &&
@@ -252,11 +407,30 @@ void CheckView(const ConstMatView& v, const char* name) {
 }  // namespace
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
-  MatMulImpl(a, b, out, /*accumulate=*/false);
+#if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) {
+    MatMulTile(a, b, out);
+    return;
+  }
+#endif
+  MatMulAxpy<&MatMulRows>(a, b, out, /*accumulate=*/false);
 }
 
 void MatMulAccum(const Tensor& a, const Tensor& b, Tensor* out) {
-  MatMulImpl(a, b, out, /*accumulate=*/true);
+  MatMulAxpy<&MatMulRows>(a, b, out, /*accumulate=*/true);
+}
+
+std::vector<Fp32GemmKernel> Fp32GemmKernels() {
+  std::vector<Fp32GemmKernel> kernels{{"scalar", &MatMulScalar}};
+#if defined(DODUO_X86_SIMD)
+  if (__builtin_cpu_supports("avx") != 0) {
+    kernels.push_back({"avx", &MatMulAvx});
+  }
+  if (__builtin_cpu_supports("avx512f") != 0) {
+    kernels.push_back({"avx512", &MatMulTile});
+  }
+#endif
+  return kernels;
 }
 
 void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -271,6 +445,7 @@ void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = out->data();
+  [[maybe_unused]] const bool simd = SimdEnabled();
   auto rows = [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
       const float* arow = pa + i * k;
@@ -278,7 +453,7 @@ void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out) {
 #if defined(DODUO_X86_SIMD)
       // Four dots per step share arow and run four independent accumulator
       // chains; each dot's bit pattern matches Dot() exactly.
-      for (; j + 4 <= n; j += 4) {
+      for (; simd && j + 4 <= n; j += 4) {
         const float* brow = pb + j * k;
         Dot4Sse(arow, brow, brow + k, brow + 2 * k, brow + 3 * k, k,
                 pc + i * n + j);
@@ -484,12 +659,13 @@ void MatMulTransposedBView(ConstMatView a, ConstMatView b, Tensor* out) {
   DODUO_CHECK_EQ(k, b.cols) << "inner dimensions differ";
   out->ResizeUninitialized({m, n});
   float* pc = out->data();
+  [[maybe_unused]] const bool simd = SimdEnabled();
   auto rows = [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
       const float* arow = a.data + i * a.stride;
       int64_t j = 0;
 #if defined(DODUO_X86_SIMD)
-      for (; j + 4 <= n; j += 4) {
+      for (; simd && j + 4 <= n; j += 4) {
         const float* brow = b.data + j * b.stride;
         Dot4Sse(arow, brow, brow + b.stride, brow + 2 * b.stride,
                 brow + 3 * b.stride, k, pc + i * n + j);

@@ -1,6 +1,8 @@
 #ifndef DODUO_NN_OPS_H_
 #define DODUO_NN_OPS_H_
 
+#include <vector>
+
 #include "doduo/nn/tensor.h"
 
 namespace doduo::nn {
@@ -15,8 +17,26 @@ namespace doduo::nn {
 // fixed regardless of thread count, so results are bit-identical whether
 // DODUO_NUM_THREADS is 1 or N (see DESIGN.md §7).
 
-/// out = a · b for a[m,k], b[k,n]; out resized to [m,n].
+/// out = a · b for a[m,k], b[k,n]; out resized to [m,n] and overwritten.
+/// Dispatches to the AVX-512 tile where the CPU has it (DODUO_SIMD=0 turns
+/// it off), else to the AVX or scalar axpy; all give the same bits.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// One member of the fp32 GEMM family behind MatMul. Every member computes
+/// the same bits at any thread count, so they are interchangeable.
+struct Fp32GemmKernel {
+  const char* name;
+  /// MatMul through this kernel.
+  void (*matmul)(const Tensor& a, const Tensor& b, Tensor* out);
+};
+
+/// Every fp32 GEMM kernel this binary can run on this CPU: "scalar" (the
+/// reference, zero-skipping axpy) always, then "avx" (the axpy in 256-bit
+/// registers) and "avx512" (the register-blocked tile, or the avx axpy when
+/// B holds inf/NaN) when the CPU has them — for the cross-kernel
+/// bit-equality tests and the per-kernel benches. Unlike MatMul, the list
+/// ignores DODUO_SIMD.
+std::vector<Fp32GemmKernel> Fp32GemmKernels();
 
 /// out += a · b.
 void MatMulAccum(const Tensor& a, const Tensor& b, Tensor* out);

@@ -378,7 +378,7 @@ bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 const Int8Kernel& PickInt8Kernel() {
   static const Int8Kernel& kernel = []() -> const Int8Kernel& {
 #if defined(DODUO_X86_SIMD)
-    if (util::GetEnvInt("DODUO_SIMD", 1) != 0 && CpuHasAvx2()) {
+    if (SimdEnabled() && CpuHasAvx2()) {
       return kAvx2Kernel;
     }
 #endif

@@ -359,6 +359,18 @@ TEST(HotPathAllocTest, GrowthCallOnForwardPathFires) {
   EXPECT_TRUE(AnyMessageContains(vs, "Forward -> Helper"));
 }
 
+TEST(HotPathAllocTest, TemplateCallOnForwardPathFires) {
+  Files files = HotPathTree("  Tile<12>(x);\n  if (a < b) Other(x);\n");
+  files.push_back({"src/doduo/nn/tile.cc",
+                   "template <int R> void Tile(const Tensor& x) {\n"
+                   "  scratch.push_back(1.0f);\n"
+                   "}\n"});
+  const auto vs = RunRule(std::move(files), kRuleHotPathAlloc);
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].file, "src/doduo/nn/tile.cc");
+  EXPECT_TRUE(AnyMessageContains(vs, "Forward -> Helper -> Tile"));
+}
+
 TEST(HotPathAllocTest, NakedNewOnForwardPathFires) {
   const auto vs =
       RunRule(HotPathTree("  float* p = new float[8];\n  Use(p);\n"),

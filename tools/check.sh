@@ -57,10 +57,13 @@ fi
 echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # Focused re-run of the quantization contracts — kernel bit-equality across
 # ISAs, the v2 loader fuzz suites, replica weight sharing, the lint rule,
-# and the Table 3/4 F1 parity locks — then the throughput gate: int8 GEMM
+# and the Table 3/4 F1 parity locks — then the throughput gates: int8 GEMM
 # must beat the fp32 path users run (dispatched SIMD MatMul) by >= 1.25x at
-# 256³, the SIMD GELU epilogue must beat the scalar tanh port by >= 3x, and
-# the attention kernel must beat the scalar head by >= 2x.
+# 256³, the SIMD GELU epilogue must beat the scalar tanh port by >= 3x, the
+# attention kernel must beat the scalar head by >= 2x, and on AVX-512F
+# hosts the fp32 GEMM tile must beat the AVX axpy by >= 1.3x over the four
+# Linear shapes. Each side of each ratio is the best of 5 interleaved
+# repetitions.
 # (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
 # ${sanitizer_filter}.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
@@ -95,6 +98,21 @@ awk -v s="${attn:-0}" 'BEGIN { exit (s + 0 >= 2) ? 0 : 1 }' || {
   exit 1
 }
 echo "attention SIMD speedup ${attn}x over the scalar head (gate: >= 2x)"
+# Same run, fourth ratio: the AVX-512 GEMM tile against the AVX axpy over
+# the four Linear shapes at rows 76 and 190, gate >= 1.3x; hosts without
+# AVX-512F have no tile and print the skip reason instead.
+if grep -q 'gemm tile/avx skipped' build/quant_bench.log; then
+  echo "GEMM tile gate skipped: $(sed -n 's/.*gemm tile\/avx skipped: //p' \
+    build/quant_bench.log)"
+else
+  tile="$(awk -F'= ' '/gemm tile\/avx speedup/ {print $2}' \
+    build/quant_bench.log)"
+  awk -v s="${tile:-0}" 'BEGIN { exit (s + 0 >= 1.3) ? 0 : 1 }' || {
+    echo "FAIL: GEMM tile speedup ${tile:-unknown}x < 1.3x over the AVX axpy"
+    exit 1
+  }
+  echo "GEMM tile speedup ${tile}x over the AVX axpy (gate: >= 1.3x)"
+fi
 
 echo "=== warning wall (-Werror, Release) ==="
 cmake -B build-werror -S . -DDODUO_WERROR=ON >/dev/null

@@ -590,6 +590,26 @@ class GraphLinter {
     }
   }
 
+  /// True when the identifier at `i` is called: `name(` or, for a
+  /// template, `name<...>(` (the AVX-512 GEMM tile is reached that way).
+  static bool IsCall(const std::vector<Token>& toks, int i) {
+    const int n = static_cast<int>(toks.size());
+    if (i + 1 < n && toks[i + 1].text == "(") return true;
+    if (i + 1 >= n || toks[i + 1].text != "<") return false;
+    int depth = 0;
+    for (int j = i + 1; j < n; ++j) {
+      const std::string_view t = toks[j].text;
+      if (t == "<") {
+        ++depth;
+      } else if (t == ">" && --depth == 0) {
+        return j + 1 < n && toks[j + 1].text == "(";
+      } else if (t == ";" || t == "{" || t == "}" || t == "(") {
+        return false;  // a comparison, not a template argument list
+      }
+    }
+    return false;
+  }
+
   void CheckHotPathAllocs() {
     // Index every function definition in the hot-path modules.
     std::vector<FunctionDef> defs;
@@ -633,10 +653,7 @@ class GraphLinter {
         if (t.kind != TokenKind::kIdent || IsStatementKeyword(t.text)) {
           continue;
         }
-        if (i + 1 >= static_cast<int>(toks.size()) ||
-            toks[i + 1].text != "(") {
-          continue;
-        }
+        if (!IsCall(toks, i)) continue;
         auto it = defs_by_name.find(t.text);
         if (it == defs_by_name.end()) continue;
         for (int callee : it->second) {
