@@ -23,4 +23,3 @@ doduo_bench(exp_fig5_per_class)
 doduo_bench(exp_fig6_attention)
 doduo_bench(exp_ablation_attention)
 doduo_bench(bench_kernels)
-doduo_bench(bench_serve)

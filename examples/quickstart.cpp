@@ -68,9 +68,10 @@ int main() {
     std::printf("  (col 0, col %zu): %s\n", c + 1, relations[c].c_str());
   }
 
-  // 4. Bulk annotation: hand the annotator many tables at once and the
-  //    forward passes fan out across the compute pool (DODUO_NUM_THREADS).
-  //    Results are identical to looping AnnotateTypes table by table.
+  // 4. Bulk annotation: hand the annotator many tables at once; every
+  //    table is validated up front, then the forward passes fan out across
+  //    the compute pool (DODUO_NUM_THREADS). Results are identical to
+  //    looping AnnotateTypes table by table.
   std::vector<doduo::table::Table> fleet(4, table);
   const auto batch_types = annotator.AnnotateTypesBatch(fleet).value();
   std::printf("batch of %zu tables annotated; first column of each:\n",

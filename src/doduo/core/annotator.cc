@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <string>
+#include <utility>
 
 #include "doduo/core/calibration.h"
 #include "doduo/core/replica_pool.h"
-#include "doduo/util/logging.h"
+#include "doduo/util/check.h"
 #include "doduo/util/thread_pool.h"
 
 namespace doduo::core {
@@ -37,8 +38,6 @@ util::Status CountError(util::Status status) {
   return status;
 }
 
-// Shared by the scalar and batched type paths so both decode logits
-// identically.
 std::vector<std::vector<std::string>> DecodeTypeLogits(
     const nn::Tensor& logits, const DoduoConfig& config,
     const table::LabelVocab& type_vocab) {
@@ -73,6 +72,25 @@ std::vector<std::vector<std::string>> DecodeTypeLogits(
   return annotations;
 }
 
+// The plain type API is a projection of the outcome pipeline: with the
+// sanitizer off and no abstention, every column of a validated table comes
+// back annotated, so its labels are the whole answer.
+AnnotateOptions PlainOptions() {
+  AnnotateOptions options;
+  options.sanitize = false;
+  return options;
+}
+
+std::vector<std::vector<std::string>> Labels(
+    std::vector<ColumnOutcome> outcomes) {
+  std::vector<std::vector<std::string>> labels;
+  labels.reserve(outcomes.size());
+  for (ColumnOutcome& outcome : outcomes) {
+    labels.push_back(std::move(outcome.labels));
+  }
+  return labels;
+}
+
 }  // namespace
 
 void ApplyAbstention(ColumnOutcome* outcome, double abstain_below) {
@@ -99,15 +117,9 @@ Annotator::Annotator(DoduoModel* model,
 
 util::Result<std::vector<std::vector<std::string>>> Annotator::AnnotateTypes(
     const table::Table& table) const {
-  util::ScopedTimer timer(Metrics().annotate_us, "annotator.annotate_types");
-  auto input = serializer_->SerializeTable(table);
-  if (!input.ok()) return CountError(input.status());
-  model_->set_training(false);
-  const nn::Tensor& logits = model_->ForwardTypes(input.value());
-  Metrics().tables->Increment();
-  Metrics().columns->Increment(
-      static_cast<uint64_t>(table.num_columns()));
-  return DecodeTypeLogits(logits, model_->config(), *type_vocab_);
+  util::Status valid = serializer_->ValidateTable(table);
+  if (!valid.ok()) return CountError(std::move(valid));
+  return Labels(AnnotateTypesRobust(table, PlainOptions()));
 }
 
 util::Status Annotator::ValidatePairs(
@@ -133,41 +145,6 @@ util::Status Annotator::ValidatePairs(
       }
     }
   }
-  return util::Status::Ok();
-}
-
-util::Status Annotator::ForEachTable(
-    std::span<const table::Table> tables,
-    const std::function<void(DoduoModel*, size_t,
-                             const table::SerializedTable&)>& fn) const {
-  util::ScopedTimer timer(Metrics().batch_us, "annotator.batch");
-  model_->set_training(false);
-
-  // Serialization is cheap relative to the encoder and shares the tokenizer,
-  // so it happens up front on the calling thread — which also means every
-  // table is validated before the first forward pass runs.
-  std::vector<table::SerializedTable> serialized;
-  serialized.reserve(tables.size());
-  for (size_t t = 0; t < tables.size(); ++t) {
-    auto input = serializer_->SerializeTable(tables[t]);
-    if (!input.ok()) {
-      return CountError(util::Status(
-          input.status().code(),
-          "table " + std::to_string(t) + " of " +
-              std::to_string(tables.size()) + ": " +
-              input.status().message()));
-    }
-    serialized.push_back(std::move(input).value());
-  }
-  Metrics().batches->Increment();
-  Metrics().tables->Increment(tables.size());
-  for (const table::Table& table : tables) {
-    Metrics().columns->Increment(static_cast<uint64_t>(table.num_columns()));
-  }
-
-  FanOut(tables.size(), [&](DoduoModel* model, size_t t) {
-    fn(model, t, serialized[t]);
-  });
   return util::Status::Ok();
 }
 
@@ -208,29 +185,25 @@ void Annotator::FanOut(
       });
 }
 
-bool WarnIfBatchClampedToTableCount(size_t num_tables, int pool_threads) {
-  if (num_tables == 0 || pool_threads <= 0 ||
-      static_cast<size_t>(pool_threads) <= num_tables) {
-    return false;
-  }
-  DODUO_LOG(Warning) << "batch of " << num_tables << " table(s) cannot use "
-                     << pool_threads
-                     << " compute threads; batch fan-out is clamped to the "
-                        "table count and the extra threads stay idle";
-  return true;
-}
-
 util::Result<std::vector<std::vector<std::vector<std::string>>>>
 Annotator::AnnotateTypesBatch(std::span<const table::Table> tables) const {
-  std::vector<std::vector<std::vector<std::string>>> results(tables.size());
-  const DoduoConfig& config = model_->config();
-  util::Status status = ForEachTable(
-      tables, [&](DoduoModel* model, size_t index,
-                  const table::SerializedTable& input) {
-        results[index] =
-            DecodeTypeLogits(model->ForwardTypes(input), config, *type_vocab_);
-      });
-  if (!status.ok()) return status;
+  // Every table is validated before the first forward pass runs.
+  for (size_t t = 0; t < tables.size(); ++t) {
+    util::Status valid = serializer_->ValidateTable(tables[t]);
+    if (!valid.ok()) {
+      return CountError(util::Status(
+          valid.code(), "table " + std::to_string(t) + " of " +
+                            std::to_string(tables.size()) + ": " +
+                            valid.message()));
+    }
+  }
+  std::vector<std::vector<ColumnOutcome>> outcomes =
+      AnnotateTypesRobustBatch(tables, PlainOptions());
+  std::vector<std::vector<std::vector<std::string>>> results;
+  results.reserve(outcomes.size());
+  for (std::vector<ColumnOutcome>& table_outcomes : outcomes) {
+    results.push_back(Labels(std::move(table_outcomes)));
+  }
   return results;
 }
 
@@ -243,7 +216,7 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
 
   // Classify columns and clean the annotatable ones. On clean input the
   // sanitizer reports no modification and the original table flows through
-  // untouched, which keeps labels byte-identical to AnnotateTypes.
+  // untouched, so the labels equal the unsanitized ones.
   const table::Table* effective = &table;
   table::SanitizeResult sanitized;
   if (options.sanitize) {
@@ -343,18 +316,6 @@ std::vector<std::vector<ColumnOutcome>> Annotator::AnnotateTypesRobustBatch(
   FanOut(tables.size(), [&](DoduoModel* model, size_t index) {
     results[index] = RobustOutcomes(model, tables[index], options);
   });
-  return results;
-}
-
-util::Result<std::vector<nn::Tensor>> Annotator::ColumnEmbeddingsBatch(
-    std::span<const table::Table> tables) const {
-  std::vector<nn::Tensor> results(tables.size());
-  util::Status status = ForEachTable(
-      tables, [&](DoduoModel* model, size_t index,
-                  const table::SerializedTable& input) {
-        results[index] = model->ColumnEmbeddings(input);
-      });
-  if (!status.ok()) return status;
   return results;
 }
 

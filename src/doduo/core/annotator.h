@@ -74,7 +74,10 @@ class Annotator {
             const table::LabelVocab* relation_vocab);
 
   /// Predicted semantic type names per column (one or more per column for
-  /// multi-label models).
+  /// multi-label models): the labels of AnnotateTypesRobust with the
+  /// sanitizer off, after the serializer's column-count checks. A table
+  /// with more than (max_total_tokens - 1) / 2 columns is annotated in
+  /// column chunks, so every column is labelled from its cell content.
   [[nodiscard]] util::Result<std::vector<std::vector<std::string>>>
   AnnotateTypes(
       const table::Table& table) const;
@@ -89,9 +92,13 @@ class Annotator {
   std::vector<ColumnOutcome> AnnotateTypesRobust(
       const table::Table& table, const AnnotateOptions& options = {}) const;
 
-  /// AnnotateTypesRobust for every table, fanning independent tables
-  /// across model replicas like AnnotateTypesBatch. Index-aligned with the
-  /// input; never fails.
+  /// The batch layer: AnnotateTypesRobust for every table, with the
+  /// forward passes of independent tables running concurrently on the
+  /// global compute pool (util::ComputePool), one model replica per worker.
+  /// Results are index-aligned with the input and identical to looping the
+  /// scalar call (replicas share the same weights and the kernels are
+  /// bit-deterministic across thread counts). Sequential when the pool has
+  /// one thread or fewer than two tables are given. Never fails.
   std::vector<std::vector<ColumnOutcome>> AnnotateTypesRobustBatch(
       std::span<const table::Table> tables,
       const AnnotateOptions& options = {}) const;
@@ -110,25 +117,12 @@ class Annotator {
   /// Contextualized column embeddings [num_columns, hidden_dim].
   [[nodiscard]] util::Result<nn::Tensor> ColumnEmbeddings(const table::Table& table) const;
 
-  // -- Batched inference ----------------------------------------------------
-  //
-  // The bulk path: tables are validated and serialized up front, then
-  // encoder forward passes for independent tables run concurrently on the
-  // global compute pool (util::ComputePool), one model replica per worker.
-  // Results are index-aligned with the input and identical to looping the
-  // scalar calls (replicas share the same weights and the kernels are
-  // bit-deterministic across thread counts). Falls back to a sequential
-  // loop when the pool has one thread or fewer than two tables are given.
-  // A malformed table fails the whole batch before any forward pass runs;
-  // the error message names the failing table index.
-
-  /// AnnotateTypes for every table: result[t][column] = type names.
+  /// AnnotateTypes for every table: result[t][column] = type names, the
+  /// labels of AnnotateTypesRobustBatch with the sanitizer off. Every table
+  /// is validated up front: a malformed one fails the whole batch before
+  /// any forward pass runs, and the message names its index.
   [[nodiscard]] util::Result<std::vector<std::vector<std::vector<std::string>>>>
   AnnotateTypesBatch(std::span<const table::Table> tables) const;
-
-  /// ColumnEmbeddings for every table: result[t] = [num_columns, hidden].
-  [[nodiscard]] util::Result<std::vector<nn::Tensor>> ColumnEmbeddingsBatch(
-      std::span<const table::Table> tables) const;
 
   /// Caps how many model replicas a batch call may fan out across
   /// (0 = no cap, use the compute pool size; 1 = always sequential).
@@ -145,24 +139,15 @@ class Annotator {
   static util::MetricsSnapshot StatsSnapshot();
 
  private:
-  /// Validates and serializes `tables`, then invokes
-  /// `fn(model, table_index, serialized)` once per table, fanning out
-  /// across model replicas when profitable. `fn` must only touch per-index
-  /// output slots. Fails without calling `fn` if any table is malformed.
-  [[nodiscard]] util::Status ForEachTable(
-      std::span<const table::Table> tables,
-      const std::function<void(DoduoModel*, size_t,
-                               const table::SerializedTable&)>& fn) const;
-
-  /// Replica fan-out skeleton shared by ForEachTable and the robust batch:
-  /// invokes `fn(model, index)` for every index in [0, count), striding
-  /// indices across replicas (sequential when only one replica is
-  /// profitable or the caller is already a pool worker).
+  /// The replica fan-out skeleton of the batch layer: invokes
+  /// `fn(model, index)` for every index in [0, count), striding indices
+  /// across replicas (sequential when only one replica is profitable or
+  /// the caller is already a pool worker).
   void FanOut(size_t count,
               const std::function<void(DoduoModel*, size_t)>& fn) const;
 
-  /// The per-table robust pipeline (sanitize, chunk, forward, decode) run
-  /// on one model replica.
+  /// The per-table type pipeline (sanitize, chunk, serialize, forward,
+  /// decode) run on one model replica; every type entry point ends here.
   std::vector<ColumnOutcome> RobustOutcomes(
       DoduoModel* model, const table::Table& table,
       const AnnotateOptions& options) const;
@@ -179,13 +164,6 @@ class Annotator {
   const table::LabelVocab* relation_vocab_;
   int max_batch_replicas_ = 0;
 };
-
-/// True when a batch of `num_tables` cannot occupy all `pool_threads`
-/// compute-pool replicas — the batch fan-out clamps to the table count —
-/// in which case a util::logging warning naming both numbers is emitted.
-/// `doduo_cli annotate --batch` calls this so a user who asked for more
-/// threads than they gave tables learns why the extra threads sit idle.
-bool WarnIfBatchClampedToTableCount(size_t num_tables, int pool_threads);
 
 }  // namespace doduo::core
 

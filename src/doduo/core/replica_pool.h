@@ -33,7 +33,7 @@ namespace doduo::core {
 ///
 /// Callers that serve long-running traffic (serve::DynamicBatcher) build
 /// one pool at startup and reuse it for every batch; the per-call batch
-/// path (Annotator::ForEachTable) builds a short-lived pool per call so a
+/// path (Annotator::FanOut) builds a short-lived pool per call so a
 /// freshly-trained primary is always re-snapshotted.
 class ReplicaPool {
  public:
@@ -59,8 +59,9 @@ class ReplicaPool {
   /// An annotator bound to replica r. Its batch entry points never fan out
   /// across the compute pool (replica fan-out capped at 1): parallelism
   /// across replicas is the pool owner's job, so a worker thread driving
-  /// `annotator(r)->AnnotateTypesBatch(...)` gets the plain sequential
-  /// validate -> serialize -> forward -> decode path on its own replica.
+  /// `annotator(r)->AnnotateTypesRobustBatch(...)` runs the per-table
+  /// pipeline (sanitize, chunk, serialize, forward, decode) sequentially
+  /// on its own replica.
   Annotator* annotator(int r) const;
 
   /// The shared immutable weight snapshot taken at construction.

@@ -74,18 +74,14 @@ void TableSerializer::AppendColumnTokens(const Column& column, int budget,
   }
 }
 
-util::Result<SerializedTable> TableSerializer::SerializeTable(
-    const Table& table) const {
-  util::ScopedTimer timer(Metrics().serialize_us, "serializer.serialize");
+util::Status TableSerializer::ValidateTable(const Table& table) const {
   const int n = table.num_columns();
   if (n <= 0) {
     return util::Status::InvalidArgument("table '" + table.id() +
                                          "' has no columns");
   }
-  // Budget per column under the total limit: n [CLS] markers + trailing
-  // [SEP] are always kept.
-  const int available = options_.max_total_tokens - n - 1;
-  if (available < 0) {
+  // n [CLS] markers + the trailing [SEP] are always kept.
+  if (options_.max_total_tokens - n - 1 < 0) {
     return util::Status::InvalidArgument(
         "table '" + table.id() + "' has " + std::to_string(n) +
         " columns but max_total_tokens=" +
@@ -93,6 +89,17 @@ util::Result<SerializedTable> TableSerializer::SerializeTable(
         std::to_string(options_.max_total_tokens - 1) +
         " column [CLS] markers plus the trailing [SEP]");
   }
+  return util::Status::Ok();
+}
+
+util::Result<SerializedTable> TableSerializer::SerializeTable(
+    const Table& table) const {
+  util::ScopedTimer timer(Metrics().serialize_us, "serializer.serialize");
+  util::Status valid = ValidateTable(table);
+  if (!valid.ok()) return valid;
+  // Budget per column under the total limit.
+  const int n = table.num_columns();
+  const int available = options_.max_total_tokens - n - 1;
   const int budget =
       std::min(options_.max_tokens_per_column, std::max(0, available / n));
 

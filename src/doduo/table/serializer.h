@@ -49,6 +49,11 @@ class TableSerializer {
   TableSerializer(const text::WordPieceTokenizer* tokenizer,
                   SerializerOptions options);
 
+  /// The column-count checks of SerializeTable: InvalidArgument for a
+  /// zero-column table or one with more columns than max_total_tokens - 1
+  /// [CLS] markers can carry.
+  [[nodiscard]] util::Status ValidateTable(const Table& table) const;
+
   /// DODUO's table-wise serialization: one [CLS] per column.
   [[nodiscard]] util::Result<SerializedTable> SerializeTable(const Table& table) const;
 

@@ -98,8 +98,7 @@ MetricsSnapshot SnapshotMetrics();
 /// Approximate `q`-quantile (q in [0, 1]) of a histogram in microseconds:
 /// the inclusive upper bound of the bucket holding the ceil(q * count)-th
 /// sample, i.e. an upper estimate no more than 2x the true value (the
-/// buckets are power-of-two wide). Returns 0 for an empty histogram. The
-/// serving SLO report (bench_serve, DESIGN §12) reads p50/p99 through this.
+/// buckets are power-of-two wide). Returns 0 for an empty histogram.
 uint64_t ApproxQuantileMicros(const HistogramSnapshot& histogram, double q);
 
 /// Snapshots `histogram` and computes the quantile directly.

@@ -168,7 +168,6 @@ TEST_F(AnnotatorErrorTest, BatchErrorNamesFailingTableIndex) {
   EXPECT_NE(types.status().message().find("table 1 of 3"), std::string::npos);
   EXPECT_NE(types.status().message().find("bad_batch_table"),
             std::string::npos);
-  EXPECT_FALSE(annotator_->ColumnEmbeddingsBatch(tables).ok());
 }
 
 TEST_F(AnnotatorErrorTest, MetricsTrackAnnotationsAndErrors) {
@@ -185,10 +184,12 @@ TEST_F(AnnotatorErrorTest, MetricsTrackAnnotationsAndErrors) {
   EXPECT_EQ(util::GetHistogram("model.heads_us")->count(), 1u);
   EXPECT_GT(util::GetHistogram("serializer.serialize_us")->count(), 0u);
 
-  // A failed call counts as an error, not as an annotated table.
+  // A failed call counts as an error, not as an annotated table, and is
+  // rejected before the pipeline's latency sample.
   ASSERT_FALSE(annotator_->AnnotateTypes(table::Table("nope")).ok());
   EXPECT_EQ(util::GetCounter("annotator.errors_total")->value(), 1u);
   EXPECT_EQ(util::GetCounter("annotator.tables_total")->value(), 1u);
+  EXPECT_EQ(util::GetHistogram("annotator.annotate_us")->count(), 1u);
 
   // Batch calls count the batch and each table.
   std::vector<table::Table> tables = {GoodTable("b0"), GoodTable("b1")};
@@ -220,21 +221,6 @@ TEST_F(AnnotatorErrorTest, ErrorsDoNotDisturbSubsequentAnnotations) {
   auto after = annotator_->AnnotateTypes(GoodTable());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(before.value(), after.value());
-}
-
-TEST(BatchClampWarningTest, FiresOnlyWhenThreadsExceedTables) {
-  // `doduo_cli annotate --batch` regression: the batch fan-out silently
-  // clamps to min(pool threads, table count); the CLI must warn when the
-  // clamp bites so idle threads are explained, and stay quiet otherwise.
-  EXPECT_TRUE(WarnIfBatchClampedToTableCount(/*num_tables=*/2,
-                                             /*pool_threads=*/8));
-  EXPECT_FALSE(WarnIfBatchClampedToTableCount(8, 8));
-  EXPECT_FALSE(WarnIfBatchClampedToTableCount(9, 8));
-  EXPECT_FALSE(WarnIfBatchClampedToTableCount(8, 2));
-  // Degenerate inputs never warn: nothing useful to say about an empty
-  // batch or an unsized pool.
-  EXPECT_FALSE(WarnIfBatchClampedToTableCount(0, 8));
-  EXPECT_FALSE(WarnIfBatchClampedToTableCount(2, 0));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The dirty-input contract (DESIGN §15): AnnotateTypesRobust never fails a
 // whole table — every column comes back annotated with a calibrated
 // confidence, abstained, or skipped with a machine-readable reason — and on
-// clean input its labels are byte-identical to AnnotateTypes.
+// clean input its labels are byte-identical to AnnotateTypes, which is its
+// unsanitized projection.
 
 #include <memory>
 #include <string>
@@ -55,6 +56,17 @@ class AnnotatorRobustTest : public ::testing::Test {
     table.AddColumn({"a", {"alpha", "beta"}});
     table.AddColumn({"b", {"gamma"}});
     table.AddColumn({"c", {"delta", "alpha"}});
+    return table;
+  }
+
+  /// `n` columns of varied content, named "wide<n>".
+  static table::Table WideTable(int n) {
+    static const char* const kWords[] = {"alpha", "beta", "gamma", "delta"};
+    table::Table table("wide" + std::to_string(n));
+    for (int c = 0; c < n; ++c) {
+      table.AddColumn({"col" + std::to_string(c),
+                       {kWords[c % 4], kWords[(c / 4) % 4], kWords[(c + 1) % 4]}});
+    }
     return table;
   }
 
@@ -120,6 +132,57 @@ TEST_F(AnnotatorRobustTest, WideTableIsChunkedNotRejected) {
     EXPECT_TRUE(outcome.annotated());
     EXPECT_TRUE(outcome.skipped_reason.empty());
   }
+}
+
+TEST_F(AnnotatorRobustTest, PlainLabelsAreUnsanitizedOutcomeLabels) {
+  // With T = max_total_tokens and cap = (T - 1) / 2, a table of cap < n <=
+  // T - 1 columns fits the serializer only with 0 content tokens per
+  // column. The plain API must chunk it like the outcome pipeline instead
+  // of labelling every column from its bare [CLS] marker.
+  const int total = config_.serializer.max_total_tokens;
+  const int cap = (total - 1) / 2;
+  AnnotateOptions unsanitized;
+  unsanitized.sanitize = false;
+  std::vector<table::Table> tables;
+  std::vector<std::vector<ColumnOutcome>> expected;
+  for (int n : {cap, cap + 1, total - 1}) {
+    tables.push_back(WideTable(n));
+    expected.push_back(
+        annotator_->AnnotateTypesRobust(tables.back(), unsanitized));
+    const auto plain = annotator_->AnnotateTypes(tables.back());
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_EQ(plain.value().size(), static_cast<size_t>(n));
+    for (size_t c = 0; c < plain.value().size(); ++c) {
+      EXPECT_EQ(plain.value()[c], expected.back()[c].labels)
+          << "n=" << n << " column " << c;
+    }
+  }
+  const auto batch = annotator_->AnnotateTypesBatch(tables);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch.value().size(), tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    ASSERT_EQ(batch.value()[t].size(), expected[t].size());
+    for (size_t c = 0; c < expected[t].size(); ++c) {
+      EXPECT_EQ(batch.value()[t][c], expected[t][c].labels)
+          << "table " << t << " column " << c;
+    }
+  }
+
+  // Past the band the plain API still rejects, with the serializer's
+  // messages.
+  const std::vector<table::Table> rejected = {CleanTable(),
+                                              WideTable(total)};
+  const auto too_wide = annotator_->AnnotateTypesBatch(rejected);
+  ASSERT_FALSE(too_wide.ok());
+  EXPECT_EQ(too_wide.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(too_wide.status().message(),
+            "table 1 of 2: table 'wide64' has 64 columns but "
+            "max_total_tokens=64 fits at most 63 column [CLS] markers plus "
+            "the trailing [SEP]");
+  const auto empty = annotator_->AnnotateTypes(table::Table("none"));
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty.status().message(), "table 'none' has no columns");
 }
 
 TEST_F(AnnotatorRobustTest, AbstentionThresholdTradesCoverageMonotonically) {

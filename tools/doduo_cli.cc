@@ -5,12 +5,11 @@
 //       self-contained model directory (weights, vocabulary, label
 //       inventories, configuration).
 //
-//   doduo_cli annotate --model <dir> [--batch] <file.csv>...
+//   doduo_cli annotate --model <dir> <file.csv>...
 //       Loads a saved model and prints per-column semantic types (and
-//       key-column relations when the model has a relation head). With
-//       --batch, all given CSVs are annotated in one AnnotateTypesBatch
-//       call that fans out across the compute pool (warning when the batch
-//       is smaller than the pool — the fan-out clamps to the table count).
+//       key-column relations when the model has a relation head). All
+//       given CSVs are annotated in one AnnotateTypesBatch call, which fans
+//       the tables out across model replicas when --threads allows.
 //
 //       Dirty-input flags (DESIGN §15): --outcomes switches to the robust
 //       path, printing a calibrated confidence, an abstention, or a
@@ -105,6 +104,15 @@ bool ParseThreshold(const char* text, double* out) {
          *out >= 0.0;
 }
 
+/// True for the flags that read the next argument as their value.
+bool TakesValue(const char* flag) {
+  for (const char* name : {"--out", "--model", "--server", "--mode",
+                           "--threads", "--abstain-below"}) {
+    if (std::strcmp(flag, name) == 0) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Subcommands.
 // ---------------------------------------------------------------------------
@@ -192,7 +200,7 @@ int AnnotateRemote(const Endpoint& endpoint,
 }
 
 int Annotate(const std::string& model_dir,
-             const std::vector<std::string>& csv_paths, bool batch,
+             const std::vector<std::string>& csv_paths,
              const OutcomeFlags& outcome_flags) {
   auto loaded = doduo::core::LoadModelDir(model_dir);
   if (!loaded.ok()) return Fail(loaded.status().ToString());
@@ -210,16 +218,7 @@ int Annotate(const std::string& model_dir,
     doduo::core::AnnotateOptions options;
     options.sanitize = outcome_flags.sanitize;
     options.abstain_below = outcome_flags.abstain_below;
-    std::vector<std::vector<doduo::core::ColumnOutcome>> outcomes;
-    if (batch) {
-      doduo::core::WarnIfBatchClampedToTableCount(
-          tables.size(), doduo::util::ComputePool()->num_threads());
-      outcomes = annotator.AnnotateTypesRobustBatch(tables, options);
-    } else {
-      for (const doduo::table::Table& table : tables) {
-        outcomes.push_back(annotator.AnnotateTypesRobust(table, options));
-      }
-    }
+    const auto outcomes = annotator.AnnotateTypesRobustBatch(tables, options);
     for (size_t t = 0; t < tables.size(); ++t) {
       if (tables.size() > 1) std::printf("== %s ==\n", csv_paths[t].c_str());
       PrintOutcomes(tables[t], outcomes[t]);
@@ -227,25 +226,11 @@ int Annotate(const std::string& model_dir,
     return 0;
   }
 
-  std::vector<std::vector<std::vector<std::string>>> types;
-  if (batch) {
-    doduo::core::WarnIfBatchClampedToTableCount(
-        tables.size(), doduo::util::ComputePool()->num_threads());
-    auto result = annotator.AnnotateTypesBatch(tables);
-    if (!result.ok()) return Fail(result.status().ToString());
-    types = std::move(result).value();
-  } else {
-    for (size_t t = 0; t < tables.size(); ++t) {
-      auto result = annotator.AnnotateTypes(tables[t]);
-      if (!result.ok()) {
-        return Fail(csv_paths[t] + ": " + result.status().ToString());
-      }
-      types.push_back(std::move(result).value());
-    }
-  }
+  const auto types = annotator.AnnotateTypesBatch(tables);
+  if (!types.ok()) return Fail(types.status().ToString());
   for (size_t t = 0; t < tables.size(); ++t) {
     if (tables.size() > 1) std::printf("== %s ==\n", csv_paths[t].c_str());
-    PrintTypes(tables[t], types[t]);
+    PrintTypes(tables[t], types.value()[t]);
     if (m.config.num_relations > 0 && tables[t].num_columns() > 1) {
       auto relations = annotator.AnnotateKeyRelations(tables[t]);
       if (!relations.ok()) {
@@ -295,7 +280,7 @@ int RemoteStats(const Endpoint& endpoint) {
 const char* kUsage =
     "usage:\n"
     "  doduo_cli train --out <dir> [--mode wikitable|viznet] [--threads N]\n"
-    "  doduo_cli annotate --model <dir> [--batch] [--threads N] [--stats]\n"
+    "  doduo_cli annotate --model <dir> [--threads N] [--stats]\n"
     "      [--outcomes] [--abstain-below T] [--no-sanitize] <file.csv>...\n"
     "  doduo_cli annotate --server <host:port> [--abstain-below T]"
     " [--no-sanitize]\n"
@@ -322,7 +307,6 @@ int main(int argc, char** argv) {
   std::optional<Endpoint> server;
   std::string mode = "wikitable";
   std::vector<std::string> csv_paths;
-  bool batch = false;
   bool stats = false;
   OutcomeFlags outcome_flags;
   for (int i = 2; i < argc; ++i) {
@@ -341,8 +325,6 @@ int main(int argc, char** argv) {
           "--threads", argv[++i], 1, std::numeric_limits<int>::max());
       if (!threads.ok()) return Fail(threads.status().message(), 2);
       doduo::util::SetComputeThreads(static_cast<int>(threads.value()));
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      batch = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     } else if (std::strcmp(argv[i], "--outcomes") == 0) {
@@ -358,6 +340,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--no-sanitize") == 0) {
       outcome_flags.sanitize = false;
       outcome_flags.enabled = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A mistyped or retired flag is a usage error, not a file name.
+      return Fail(std::string(TakesValue(argv[i]) ? "missing value for flag '"
+                                                  : "unknown flag '") +
+                      argv[i] + "'",
+                  2);
     } else {
       csv_paths.emplace_back(argv[i]);
     }
@@ -371,7 +359,7 @@ int main(int argc, char** argv) {
     exit_code = AnnotateRemote(*server, csv_paths, outcome_flags);
   } else if (command == "annotate" && !model_dir.empty() &&
              !csv_paths.empty()) {
-    exit_code = Annotate(model_dir, csv_paths, batch, outcome_flags);
+    exit_code = Annotate(model_dir, csv_paths, outcome_flags);
   } else if (command == "embed" && !model_dir.empty() && !csv_paths.empty()) {
     exit_code = Embed(model_dir, csv_paths.front());
   } else if (command == "stats" && server.has_value()) {
