@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the library's hot kernels: dense
-// matmul, attention/encoder forward, WordPiece tokenization, table
-// serialization, Sherlock feature extraction, and k-means.
+// matmul, attention/encoder forward, WordPiece tokenization, CSV parsing,
+// column sanitizing, table serialization, Sherlock feature extraction, and
+// k-means.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -27,11 +29,15 @@
 #include "doduo/nn/expf.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/quant.h"
+#include "doduo/table/sanitizer.h"
 #include "doduo/table/serializer.h"
+#include "doduo/table/table.h"
 #include "doduo/text/wordpiece_trainer.h"
 #include "doduo/transformer/bert.h"
+#include "doduo/util/csv.h"
 #include "doduo/util/env.h"
 #include "doduo/util/metrics.h"
+#include "doduo/util/rng.h"
 #include "doduo/util/thread_pool.h"
 
 namespace {
@@ -550,6 +556,80 @@ void BM_SerializeTable(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeTable);
 
+// Lake-shaped CSV for the ingest kernels (the shape of perfbench's
+// lake_dirty tables): 6000 rows x 10 columns of one- to three-word cells,
+// one null-heavy column (95 % null markers), 2 % of the other cells
+// ill-formed UTF-8 and 1 % quoted for an embedded comma.
+const std::string& LakeCsv() {
+  static const std::string text = [] {
+    static const char* const kWords[] = {
+        "george", "miller", "happy", "feet", "oslo", "bergen", "tromso",
+        "united", "kingdom", "france", "judy", "morris", "silent", "storm",
+        "international", "airport", "river", "thames", "university",
+        "college", "symphony", "orchestra", "football", "club"};
+    static const char* const kNulls[] = {"", "null", "N/A", "NaN", "-"};
+    constexpr int kRows = 6000;
+    constexpr int kCols = 10;
+    doduo::util::Rng rng(11);
+    doduo::util::CsvRows rows(kRows + 1);
+    for (int c = 0; c < kCols; ++c) {
+      rows[0].push_back("type_" + std::to_string(c));
+    }
+    for (int r = 1; r <= kRows; ++r) {
+      for (int c = 0; c < kCols; ++c) {
+        std::string cell;
+        if (c == kCols - 1 && rng.Bernoulli(0.95)) {
+          cell = kNulls[rng.NextUint64(5)];
+        } else {
+          const uint64_t words = 1 + rng.NextUint64(3);
+          for (uint64_t w = 0; w < words; ++w) {
+            if (w > 0) cell += rng.Bernoulli(0.01) ? ", " : " ";
+            cell += kWords[rng.NextUint64(std::size(kWords))];
+          }
+          if (rng.Bernoulli(0.02)) cell += rng.Bernoulli(0.5) ? "\x80" : "\xC3";
+        }
+        rows[static_cast<size_t>(r)].push_back(std::move(cell));
+      }
+    }
+    return doduo::util::WriteCsvString(rows);
+  }();
+  return text;
+}
+
+const doduo::table::Table& LakeTable() {
+  static const doduo::table::Table table =
+      doduo::table::TableFromCsvRows(doduo::util::ParseCsv(LakeCsv()).value(),
+                                     true, "lake")
+          .value();
+  return table;
+}
+
+// CSV text to rows, MB/s of CSV text.
+void BM_ParseCsv(benchmark::State& state) {
+  const std::string& text = LakeCsv();
+  for (auto _ : state) {
+    auto rows = doduo::util::ParseCsv(text);
+    benchmark::DoNotOptimize(rows.value().data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseCsv);
+
+// Classify every column and repair the dirty ones, MB/s of the table's CSV
+// text.
+void BM_Sanitize(benchmark::State& state) {
+  const doduo::table::Table& table = LakeTable();
+  const doduo::table::ColumnSanitizer sanitizer;
+  for (auto _ : state) {
+    auto result = sanitizer.Sanitize(table);
+    benchmark::DoNotOptimize(result.columns.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(LakeCsv().size()));
+}
+BENCHMARK(BM_Sanitize);
+
 void BM_SherlockFeatures(benchmark::State& state) {
   doduo::table::Column column;
   doduo::util::Rng rng(5);
@@ -655,7 +735,8 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // fp32, the ratio the acceptance gate checks); the FFN GELU epilogue,
 // dispatched vs the scalar tanh port (the second gated ratio); the
 // attention core, dispatched vs the scalar head (the third); the four
-// Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); batched annotation
+// Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); lake ingest MB/s
+// (CSV parse and sanitize, ungated); batched annotation
 // tables/sec with the quant path off and on; and the per-worker RSS delta
 // of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
 // load actually mapped. Both sides of every gated ratio are the best of
@@ -784,6 +865,23 @@ void EmitQuantBenchJson() {
   }
   const double tile_speedup = tile_us > 0.0 ? tile_avx_us / tile_us : 0.0;
 
+  // Lake ingest, single thread: CSV text to rows, and the sanitizer over
+  // the parsed table, in MB/s of CSV text (best of kGateReps).
+  const double csv_mb = static_cast<double>(LakeCsv().size()) / 1e6;
+  double parse_s = std::numeric_limits<double>::infinity();
+  double sanitize_s = std::numeric_limits<double>::infinity();
+  const doduo::table::ColumnSanitizer sanitizer;
+  for (int rep = 0; rep < kGateReps; ++rep) {
+    parse_s = std::min(parse_s, SecondsPerCall(5, [&] {
+      auto rows = doduo::util::ParseCsv(LakeCsv());
+      benchmark::DoNotOptimize(rows.value().data());
+    }));
+    sanitize_s = std::min(sanitize_s, SecondsPerCall(5, [&] {
+      auto result = sanitizer.Sanitize(LakeTable());
+      benchmark::DoNotOptimize(result.columns.data());
+    }));
+  }
+
   // End-to-end annotate throughput, fp32 vs int8, same model and tables.
   BatchAnnotateFixture fixture;
   doduo::core::Annotator annotator(fixture.model.get(),
@@ -889,6 +987,11 @@ void EmitQuantBenchJson() {
                  "  \"gemm_tile\": {\"tile_vs_avx\": null, "
                  "\"skipped\": \"cpu has no avx512f\"},\n");
   }
+  std::fprintf(out,
+               "  \"ingest\": {\"csv_mb\": %.3f,\n"
+               "    \"parse_csv_mb_per_s\": %.1f,"
+               " \"sanitize_mb_per_s\": %.1f},\n",
+               csv_mb, csv_mb / parse_s, csv_mb / sanitize_s);
   std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"

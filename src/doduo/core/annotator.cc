@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -250,19 +251,11 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
   const DoduoConfig& config = model->config();
   for (size_t begin = 0; begin < annotatable.size(); begin += chunk_cap) {
     const size_t end = std::min(annotatable.size(), begin + chunk_cap);
-    // The common case — every column annotatable, one chunk — serializes
-    // the table itself; only wide or partially skipped tables pay for a
-    // column-subset copy.
-    table::Table subset;
-    const table::Table* chunk = effective;
-    if (end - begin != static_cast<size_t>(effective->num_columns())) {
-      subset.set_id(effective->id());
-      for (size_t i = begin; i < end; ++i) {
-        subset.AddColumn(effective->column(annotatable[i]));
-      }
-      chunk = &subset;
-    }
-    auto input = serializer_->SerializeTable(*chunk);
+    // A chunk is serialized straight from the table by column index, so
+    // wide and partially skipped tables copy no cells.
+    auto input = serializer_->SerializeTable(
+        *effective,
+        std::span<const int>(annotatable).subspan(begin, end - begin));
     if (!input.ok()) {
       // Unreachable for chunks within the cap, but the robust contract is
       // that no column ever loses its outcome: record it as a skip.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "doduo/table/table.h"
@@ -67,6 +68,11 @@ struct SanitizeResult {
 /// tokenizer and serializer downstream never see ill-formed bytes. The
 /// pass never rejects a whole table: the worst outcome for a column is a
 /// machine-readable skip reason.
+///
+/// Cells are compared in the C locale whatever the process locale is:
+/// whitespace is ' ' and '\t' '\n' '\v' '\f' '\r', case folding maps only
+/// 'A'-'Z', and every byte >= 0x80 is an ordinary non-space byte. The scan
+/// works on views of the cells and allocates nothing per cell (DESIGN §15).
 class ColumnSanitizer {
  public:
   explicit ColumnSanitizer(SanitizerOptions options = {});
@@ -85,9 +91,10 @@ class ColumnSanitizer {
   SanitizerOptions options_;
 };
 
-/// True when `value`, trimmed and lowercased, is empty or a conventional
-/// null marker ("null", "none", "n/a", "na", "nan", "nil", "-", "?").
-bool IsNullMarker(const std::string& value);
+/// True when `value`, trimmed and lowercased (C locale), is empty or a
+/// conventional null marker ("null", "none", "n/a", "na", "nan", "nil",
+/// "-", "?"). Allocates nothing.
+bool IsNullMarker(std::string_view value);
 
 }  // namespace doduo::table
 

@@ -1,7 +1,9 @@
 #include "doduo/table/serializer.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include "doduo/util/check.h"
 #include "doduo/util/metrics.h"
@@ -36,6 +38,25 @@ util::Status BadColumnIndex(const Table& table, int column) {
       "column index " + std::to_string(column) + " out of range for table '" +
       table.id() + "' with " + std::to_string(table.num_columns()) +
       " columns");
+}
+
+// The column-count checks of a table-wise serialization of `n` columns of
+// `table`.
+util::Status CheckColumnCount(const Table& table, int n,
+                              int max_total_tokens) {
+  if (n <= 0) {
+    return util::Status::InvalidArgument("table '" + table.id() +
+                                         "' has no columns");
+  }
+  // n [CLS] markers + the trailing [SEP] are always kept.
+  if (max_total_tokens - n - 1 < 0) {
+    return util::Status::InvalidArgument(
+        "table '" + table.id() + "' has " + std::to_string(n) +
+        " columns but max_total_tokens=" + std::to_string(max_total_tokens) +
+        " fits at most " + std::to_string(max_total_tokens - 1) +
+        " column [CLS] markers plus the trailing [SEP]");
+  }
+  return util::Status::Ok();
 }
 
 }  // namespace
@@ -75,30 +96,30 @@ void TableSerializer::AppendColumnTokens(const Column& column, int budget,
 }
 
 util::Status TableSerializer::ValidateTable(const Table& table) const {
-  const int n = table.num_columns();
-  if (n <= 0) {
-    return util::Status::InvalidArgument("table '" + table.id() +
-                                         "' has no columns");
-  }
-  // n [CLS] markers + the trailing [SEP] are always kept.
-  if (options_.max_total_tokens - n - 1 < 0) {
-    return util::Status::InvalidArgument(
-        "table '" + table.id() + "' has " + std::to_string(n) +
-        " columns but max_total_tokens=" +
-        std::to_string(options_.max_total_tokens) + " fits at most " +
-        std::to_string(options_.max_total_tokens - 1) +
-        " column [CLS] markers plus the trailing [SEP]");
-  }
-  return util::Status::Ok();
+  return CheckColumnCount(table, table.num_columns(),
+                          options_.max_total_tokens);
 }
 
 util::Result<SerializedTable> TableSerializer::SerializeTable(
     const Table& table) const {
+  std::vector<int> columns(static_cast<size_t>(table.num_columns()));
+  std::iota(columns.begin(), columns.end(), 0);
+  return SerializeTable(table, columns);
+}
+
+util::Result<SerializedTable> TableSerializer::SerializeTable(
+    const Table& table, std::span<const int> columns) const {
   util::ScopedTimer timer(Metrics().serialize_us, "serializer.serialize");
-  util::Status valid = ValidateTable(table);
+  const int n = static_cast<int>(columns.size());
+  util::Status valid =
+      CheckColumnCount(table, n, options_.max_total_tokens);
   if (!valid.ok()) return valid;
+  for (int column : columns) {
+    if (column < 0 || column >= table.num_columns()) {
+      return BadColumnIndex(table, column);
+    }
+  }
   // Budget per column under the total limit.
-  const int n = table.num_columns();
   const int available = options_.max_total_tokens - n - 1;
   const int budget =
       std::min(options_.max_tokens_per_column, std::max(0, available / n));
@@ -106,11 +127,11 @@ util::Result<SerializedTable> TableSerializer::SerializeTable(
   SerializedTable out;
   out.token_ids.reserve(static_cast<size_t>(options_.max_total_tokens));
   out.row_ids.reserve(static_cast<size_t>(options_.max_total_tokens));
-  for (int c = 0; c < n; ++c) {
+  for (int column : columns) {
     out.cls_positions.push_back(
         static_cast<int64_t>(out.token_ids.size()));
     Push(&out, Vocab::kClsId, -1);
-    AppendColumnTokens(table.column(c), budget, &out);
+    AppendColumnTokens(table.column(column), budget, &out);
   }
   Push(&out, Vocab::kSepId, -1);
   Metrics().tables->Increment();

@@ -2,6 +2,7 @@
 #define DODUO_TABLE_SERIALIZER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "doduo/table/table.h"
@@ -56,6 +57,14 @@ class TableSerializer {
 
   /// DODUO's table-wise serialization: one [CLS] per column.
   [[nodiscard]] util::Result<SerializedTable> SerializeTable(const Table& table) const;
+
+  /// Table-wise serialization of the listed columns of `table`, in list
+  /// order, as if they were a table of their own (the column-chunk path of
+  /// wide or partially skipped tables, without copying a subset table).
+  /// The column-count checks of ValidateTable apply to the list; an
+  /// out-of-range index is InvalidArgument.
+  [[nodiscard]] util::Result<SerializedTable> SerializeTable(
+      const Table& table, std::span<const int> columns) const;
 
   /// Single-column serialization (the DOSOLO_SCol type model).
   [[nodiscard]] util::Result<SerializedTable> SerializeColumn(const Table& table,

@@ -1,6 +1,7 @@
 #include "doduo/table/table.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "doduo/util/check.h"
 
@@ -35,8 +36,9 @@ void Table::ShuffleRows(util::Rng* rng) {
     shuffled.reserve(column.values.size());
     for (size_t new_row = 0; new_row < permutation.size(); ++new_row) {
       const size_t old_row = permutation[new_row];
+      // Each source row is read once, so its cell can be moved.
       if (old_row < column.values.size()) {
-        shuffled.push_back(column.values[old_row]);
+        shuffled.push_back(std::move(column.values[old_row]));
       }
     }
     column.values = std::move(shuffled);
@@ -68,18 +70,20 @@ util::Result<Table> TableFromCsvRows(
   if (width == 0) {
     return util::Status::InvalidArgument("zero-width table");
   }
-  Table table(std::move(id));
+  const size_t first = has_header ? 1 : 0;
+  std::vector<Column> columns(width);
   for (size_t c = 0; c < width; ++c) {
-    Column column;
-    if (has_header) column.name = rows[0][c];
-    table.AddColumn(std::move(column));
+    if (has_header) columns[c].name = rows[0][c];
+    columns[c].values.reserve(rows.size() - first);
   }
-  for (size_t r = has_header ? 1 : 0; r < rows.size(); ++r) {
-    for (size_t c = 0; c < width && c < rows[r].size(); ++c) {
-      table.mutable_column(static_cast<int>(c))
-          .values.push_back(rows[r][c]);
+  for (size_t r = first; r < rows.size(); ++r) {
+    const std::vector<std::string>& row = rows[r];
+    for (size_t c = 0; c < width && c < row.size(); ++c) {
+      columns[c].values.push_back(row[c]);
     }
   }
+  Table table(std::move(id));
+  for (Column& column : columns) table.AddColumn(std::move(column));
   return table;
 }
 

@@ -1,7 +1,5 @@
 #include "doduo/util/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -139,35 +137,6 @@ MetricsSnapshot SnapshotMetrics() {
     snapshot.histograms.push_back(std::move(h));
   }
   return snapshot;
-}
-
-uint64_t ApproxQuantileMicros(const HistogramSnapshot& histogram, double q) {
-  if (histogram.count == 0) return 0;
-  q = std::min(1.0, std::max(0.0, q));
-  // Rank of the q-th sample, 1-based; q = 0 maps to the first sample.
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::ceil(q * static_cast<double>(histogram.count))));
-  uint64_t seen = 0;
-  for (const auto& [upper_micros, count] : histogram.buckets) {
-    seen += count;
-    if (seen >= rank) return upper_micros;
-  }
-  // count and the bucket sums can race (relaxed snapshot); fall back to the
-  // largest non-empty bucket.
-  return histogram.buckets.empty() ? 0 : histogram.buckets.back().first;
-}
-
-uint64_t ApproxQuantileMicros(const Histogram& histogram, double q) {
-  HistogramSnapshot snapshot;
-  snapshot.count = histogram.count();
-  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-    const uint64_t count = histogram.bucket_count(b);
-    if (count > 0) {
-      snapshot.buckets.emplace_back(Histogram::BucketUpperMicros(b), count);
-    }
-  }
-  return ApproxQuantileMicros(snapshot, q);
 }
 
 std::string MetricsToJson() {

@@ -95,15 +95,6 @@ struct MetricsSnapshot {
 /// Consistent-enough copy of every registered metric, sorted by name.
 MetricsSnapshot SnapshotMetrics();
 
-/// Approximate `q`-quantile (q in [0, 1]) of a histogram in microseconds:
-/// the inclusive upper bound of the bucket holding the ceil(q * count)-th
-/// sample, i.e. an upper estimate no more than 2x the true value (the
-/// buckets are power-of-two wide). Returns 0 for an empty histogram.
-uint64_t ApproxQuantileMicros(const HistogramSnapshot& histogram, double q);
-
-/// Snapshots `histogram` and computes the quantile directly.
-uint64_t ApproxQuantileMicros(const Histogram& histogram, double q);
-
 /// JSON object {"counters": {...}, "histograms": {...}} of the snapshot
 /// (doduo_cli --stats and the bench binaries' DODUO_BENCH_METRICS dump).
 std::string MetricsToJson();

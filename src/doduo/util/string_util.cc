@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 namespace doduo::util {
@@ -144,6 +146,34 @@ size_t Utf8Length(std::string_view text) {
 
 namespace {
 
+/// True when no byte of `text` has its high bit set. Overlapping word loads
+/// keep the short strings table cells usually are to a few branches.
+bool IsAscii(std::string_view text) {
+  const char* data = text.data();
+  const size_t size = text.size();
+  uint64_t bits = 0;
+  if (size >= 8) {
+    uint64_t word = 0;
+    for (size_t i = 0; i + 8 <= size; i += 8) {
+      std::memcpy(&word, data + i, 8);
+      bits |= word;
+    }
+    std::memcpy(&word, data + size - 8, 8);
+    bits |= word;
+  } else if (size >= 4) {
+    uint32_t head = 0;
+    uint32_t tail = 0;
+    std::memcpy(&head, data, 4);
+    std::memcpy(&tail, data + size - 4, 4);
+    bits = head | tail;
+  } else {
+    for (size_t i = 0; i < size; ++i) {
+      bits |= static_cast<unsigned char>(data[i]);
+    }
+  }
+  return (bits & 0x8080808080808080ULL) == 0;
+}
+
 /// Length of the well-formed UTF-8 sequence starting at `text[pos]`, or 0
 /// when the bytes there are ill-formed (truncated, overlong, a surrogate,
 /// or above U+10FFFF). Follows the Unicode 15 table of valid byte ranges.
@@ -181,6 +211,7 @@ size_t Utf8SequenceLength(std::string_view text, size_t pos) {
 }  // namespace
 
 bool Utf8IsValid(std::string_view text) {
+  if (IsAscii(text)) return true;
   size_t pos = 0;
   while (pos < text.size()) {
     const size_t len = Utf8SequenceLength(text, pos);

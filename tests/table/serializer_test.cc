@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "doduo/util/metrics.h"
 #include "gtest/gtest.h"
@@ -247,6 +248,48 @@ TEST_F(SerializerTest, BadColumnIndexIsInvalidArgument) {
               std::string::npos);
     EXPECT_FALSE(serializer.SerializeColumnPair(t, 0, bad).ok()) << bad;
     EXPECT_FALSE(serializer.SerializeColumnPair(t, bad, 0).ok()) << bad;
+  }
+}
+
+TEST_F(SerializerTest, ColumnListSerializesLikeASubsetTable) {
+  text::WordPieceTokenizer tokenizer(&vocab_);
+  TableSerializer serializer(&tokenizer, {.max_tokens_per_column = 3,
+                                          .max_total_tokens = 9,
+                                          .include_metadata = true});
+  const Table t = MakeTable();
+  for (const std::vector<int>& columns :
+       {std::vector<int>{0, 1, 2}, std::vector<int>{2, 0},
+        std::vector<int>{1}, std::vector<int>{1, 1}}) {
+    Table subset(t.id());
+    for (int c : columns) subset.AddColumn(t.column(c));
+    const SerializedTable want = serializer.SerializeTable(subset).value();
+    const SerializedTable got = serializer.SerializeTable(t, columns).value();
+    EXPECT_EQ(got.token_ids, want.token_ids);
+    EXPECT_EQ(got.cls_positions, want.cls_positions);
+    EXPECT_EQ(got.row_ids, want.row_ids);
+  }
+}
+
+TEST_F(SerializerTest, ColumnListKeepsTheTableChecksAndMessages) {
+  text::WordPieceTokenizer tokenizer(&vocab_);
+  TableSerializer serializer(&tokenizer, {.max_total_tokens = 3});
+  const Table t = MakeTable();
+  // The count checks of a table of as many columns as the list holds.
+  Table empty(t.id());
+  EXPECT_EQ(serializer.SerializeTable(t, {}).status().message(),
+            serializer.SerializeTable(empty).status().message());
+  Table wide(t.id());
+  for (int c = 0; c < 3; ++c) wide.AddColumn(t.column(c));
+  const std::vector<int> all = {0, 1, 2};
+  EXPECT_EQ(serializer.SerializeTable(t, all).status().message(),
+            serializer.SerializeTable(wide).status().message());
+  for (int bad : {-1, 3}) {
+    const std::vector<int> columns = {0, bad};
+    auto result = serializer.SerializeTable(t, columns);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(),
+              serializer.SerializeColumn(t, bad).status().message());
   }
 }
 

@@ -149,39 +149,6 @@ TEST(MetricsTest, ResetMetricsZeroesEverything) {
   EXPECT_EQ(histogram->sum_micros(), 0u);
 }
 
-TEST(MetricsTest, ApproxQuantileWalksBuckets) {
-  Histogram* histogram = GetHistogram("test.quantile_histogram");
-  histogram->Reset();
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.5), 0u);  // empty
-  // 90 fast samples in (2,4]us, 10 slow ones in (512,1024]us.
-  for (int i = 0; i < 90; ++i) histogram->Record(3);
-  for (int i = 0; i < 10; ++i) histogram->Record(700);
-  // p50 lands in the fast bucket, p99 in the slow one; the estimate is the
-  // bucket's inclusive upper bound (<= 2x the true value).
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.50), 4u);
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.90), 4u);
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.91), 1024u);
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.99), 1024u);
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 1.0), 1024u);
-  // q=0 still needs one sample: rank is clamped to the first sample.
-  EXPECT_EQ(ApproxQuantileMicros(*histogram, 0.0), 4u);
-}
-
-TEST(MetricsTest, ApproxQuantileFromSnapshotMatchesLive) {
-  Histogram* histogram = GetHistogram("test.quantile_snapshot_histogram");
-  histogram->Reset();
-  for (int i = 0; i < 8; ++i) histogram->Record(100);
-  const MetricsSnapshot snapshot = SnapshotMetrics();
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    if (h.name == "test.quantile_snapshot_histogram") {
-      EXPECT_EQ(ApproxQuantileMicros(h, 0.5),
-                ApproxQuantileMicros(*histogram, 0.5));
-      return;
-    }
-  }
-  FAIL() << "snapshot missing the test histogram";
-}
-
 TEST(MetricsTest, ConcurrentIncrementsAreLossless) {
   Counter* counter = GetCounter("test.concurrent_counter");
   Histogram* histogram = GetHistogram("test.concurrent_histogram");

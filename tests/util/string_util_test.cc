@@ -101,6 +101,24 @@ TEST(Utf8ValidityTest, RecognizesWellAndIllFormedSequences) {
   EXPECT_FALSE(Utf8IsValid("\xFF"));              // invalid lead byte
 }
 
+TEST(Utf8ValidityTest, AsciiRunsOfEveryLengthAroundEveryByte) {
+  // Utf8IsValid clears all-ASCII text with word loads that overlap at the
+  // tail; a byte at any offset, after any run length, must still be judged
+  // as the sequence walk of Utf8Repair judges it (valid exactly when
+  // repair is a no-op).
+  for (size_t before = 0; before < 18; ++before) {
+    for (int byte = 0; byte < 256; ++byte) {
+      for (const std::string& tail : {std::string(), std::string("\xA9"),
+                                      std::string("abcdefghij")}) {
+        const std::string text =
+            std::string(before, 'a') + static_cast<char>(byte) + tail;
+        EXPECT_EQ(Utf8IsValid(text), Utf8Repair(text) == text)
+            << "run " << before << " byte " << byte;
+      }
+    }
+  }
+}
+
 TEST(Utf8RepairTest, ValidTextIsUntouched) {
   EXPECT_EQ(Utf8Repair("plain"), "plain");
   EXPECT_EQ(Utf8Repair("caf\xC3\xA9"), "caf\xC3\xA9");
