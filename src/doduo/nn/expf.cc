@@ -66,7 +66,9 @@ constexpr float kMayUnderflow = -0x1.9d1d9ep6f;  // below: 2^-149 or 0
 // picks one per CPU (an ifunc): std::fma is then one instruction instead
 // of a libm call. Both equal the port's definition, since its body has no
 // mul+add pair the compiler could contract besides the explicit std::fma.
-#if defined(DODUO_X86_SIMD) && defined(__GNUC__) && !defined(__clang__)
+// Not under TSan: its instrumented ifunc resolver runs before TSan starts.
+#if defined(DODUO_X86_SIMD) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define DODUO_EXPF_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define DODUO_EXPF_CLONES

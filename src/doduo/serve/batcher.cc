@@ -21,10 +21,8 @@ int64_t SteadyNowUs() {
 
 // -- BatchQueue ---------------------------------------------------------------
 
-BatchQueue::BatchQueue(int max_batch_size, int64_t max_wait_us,
-                       int max_queue_depth)
+BatchQueue::BatchQueue(int max_batch_size, int max_queue_depth)
     : max_batch_size_(std::max(1, max_batch_size)),
-      max_wait_us_(std::max<int64_t>(0, max_wait_us)),
       max_queue_depth_(std::max(1, max_queue_depth)) {}
 
 util::Status BatchQueue::Enqueue(PendingRequest&& request, int64_t now_us) {
@@ -39,15 +37,8 @@ util::Status BatchQueue::Enqueue(PendingRequest&& request, int64_t now_us) {
   return Status::Ok();
 }
 
-bool BatchQueue::Ready(int64_t now_us) const {
-  if (queue_.empty()) return false;
-  if (queue_.size() >= static_cast<size_t>(max_batch_size_)) return true;
-  return now_us >= queue_.front().enqueue_us + max_wait_us_;
-}
-
-std::vector<PendingRequest> BatchQueue::CutBatch(int64_t now_us, bool force) {
+std::vector<PendingRequest> BatchQueue::CutBatch() {
   std::vector<PendingRequest> batch;
-  if (queue_.empty() || (!force && !Ready(now_us))) return batch;
   const size_t n =
       std::min(queue_.size(), static_cast<size_t>(max_batch_size_));
   batch.reserve(n);
@@ -58,19 +49,13 @@ std::vector<PendingRequest> BatchQueue::CutBatch(int64_t now_us, bool force) {
   return batch;
 }
 
-int64_t BatchQueue::NextDeadlineUs() const {
-  if (queue_.empty()) return -1;
-  return queue_.front().enqueue_us + max_wait_us_;
-}
-
 // -- DynamicBatcher -----------------------------------------------------------
 
 DynamicBatcher::DynamicBatcher(core::ReplicaPool* replicas,
                                BatcherOptions options)
     : replicas_(replicas),
       options_(std::move(options)),
-      queue_(options_.max_batch_size, options_.max_wait_us,
-             options_.max_queue_depth),
+      queue_(options_.max_batch_size, options_.max_queue_depth),
       queue_wait_us_(util::GetHistogram("serve.queue_wait_us")),
       batch_assembly_us_(util::GetHistogram("serve.batch_assembly_us")),
       inference_us_(util::GetHistogram("serve.inference_us")),
@@ -122,11 +107,11 @@ void DynamicBatcher::Submit(uint64_t id, table::Table table, bool sanitize,
   cv_.NotifyOne();
 }
 
-size_t DynamicBatcher::DrainOnce(bool force) {
+size_t DynamicBatcher::DrainOnce() {
   std::vector<PendingRequest> batch;
   {
     util::MutexLock lock(&mu_);
-    batch = queue_.CutBatch(NowUs(), force);
+    batch = queue_.CutBatch();
   }
   const size_t n = batch.size();
   if (n > 0) RunBatch(std::move(batch), 0);
@@ -144,7 +129,7 @@ void DynamicBatcher::Stop() {
   workers_.clear();
   // Manual mode (and a zero-worker edge) drains here; threaded workers
   // already drained before exiting.
-  while (DrainOnce(/*force=*/true) > 0) {
+  while (DrainOnce() > 0) {
   }
 }
 
@@ -158,31 +143,16 @@ void DynamicBatcher::WorkerLoop(int replica_index) {
     std::vector<PendingRequest> batch;
     {
       util::MutexLock lock(&mu_);
-      // Wait until a flush trigger fires or we are told to stop. The timed
-      // wait targets the front request's deadline so flush-on-deadline
-      // never depends on more traffic arriving.
-      for (;;) {
-        if (stopping_ || queue_.Ready(NowUs())) break;
-        const int64_t deadline = queue_.NextDeadlineUs();
-        if (deadline < 0) {
-          cv_.Wait(&mu_);
-        } else {
-          const int64_t wait_us = std::max<int64_t>(1, deadline - NowUs());
-          (void)cv_.WaitFor(&mu_, wait_us);
-        }
-      }
-      batch = queue_.CutBatch(NowUs(), /*force=*/stopping_);
-      if (batch.empty()) {
-        if (stopping_) return;
-        continue;
-      }
+      // Idle: cut at once whatever is queued, so batches grow only while
+      // every worker is busy. Submit notifies once per request, so no
+      // request stays queued while a worker waits. Stopping drains first.
+      while (!stopping_ && queue_.empty()) cv_.Wait(&mu_);
+      batch = queue_.CutBatch();
+      if (batch.empty()) return;  // stopping and drained
     }
     // Inference runs with mu_ released so Submit never waits on a forward
     // pass.
     RunBatch(std::move(batch), replica_index);
-    // More work may be ready (e.g. a burst deeper than one batch); let a
-    // sibling grab it while this worker loops back to the queue.
-    cv_.NotifyOne();
   }
 }
 
@@ -198,8 +168,8 @@ void DynamicBatcher::RunBatch(std::vector<PendingRequest> batch,
         std::max<int64_t>(0, cut_us - request.enqueue_us)));
     oldest_us = std::min(oldest_us, request.enqueue_us);
   }
-  // Assembly latency: how long the batch took to fill from its first
-  // request to the cut.
+  // Assembly latency: how long the oldest request of the batch waited for
+  // a free worker.
   batch_assembly_us_->Record(
       static_cast<uint64_t>(std::max<int64_t>(0, cut_us - oldest_us)));
   batch_size_->Record(batch.size());

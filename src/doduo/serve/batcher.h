@@ -35,14 +35,13 @@ struct PendingRequest {
   int64_t enqueue_us = 0;  // stamped by BatchQueue::Enqueue
 };
 
-/// The deterministic half of dynamic batching (DESIGN §12): a FIFO of
-/// pending requests with the two flush triggers — batch full, or the
-/// OLDEST pending request has waited max_wait_us. No threads, no clocks:
-/// every transition takes an explicit `now_us`, so unit tests drive the
-/// state machine step by step with a synthetic timeline.
+/// The deterministic half of dynamic batching (DESIGN §12): a bounded FIFO
+/// of pending requests. No threads, no clocks: Enqueue takes an explicit
+/// `now_us` stamp (read back by the wait histograms), and CutBatch takes
+/// whatever is queued, so unit tests drive it step by step.
 class BatchQueue {
  public:
-  BatchQueue(int max_batch_size, int64_t max_wait_us, int max_queue_depth);
+  BatchQueue(int max_batch_size, int max_queue_depth);
 
   /// Enqueues (stamping request.enqueue_us = now_us). Rejects with
   /// kResourceExhausted — the backpressure signal — when max_queue_depth
@@ -50,38 +49,27 @@ class BatchQueue {
   /// from, so the caller still owns its callback.
   [[nodiscard]] util::Status Enqueue(PendingRequest&& request, int64_t now_us);
 
-  /// True when CutBatch(now_us) would return a non-empty batch: a full
-  /// batch is waiting, or the front request's deadline has passed.
-  bool Ready(int64_t now_us) const;
+  /// Pops the oldest min(size, max_batch_size) requests, in FIFO order.
+  /// Empty vector when nothing is queued.
+  std::vector<PendingRequest> CutBatch();
 
-  /// Pops the next batch — the oldest min(size, max_batch_size) requests,
-  /// in FIFO order — if Ready(now_us) or `force`. Empty vector otherwise.
-  std::vector<PendingRequest> CutBatch(int64_t now_us, bool force);
-
-  /// Absolute µs timestamp at which the front request must flush, or -1
-  /// when the queue is empty. The scheduling hint for timed waits.
-  int64_t NextDeadlineUs() const;
-
+  bool empty() const { return queue_.empty(); }
   size_t size() const { return queue_.size(); }
-  int max_batch_size() const { return max_batch_size_; }
-  int64_t max_wait_us() const { return max_wait_us_; }
 
  private:
   int max_batch_size_;
-  int64_t max_wait_us_;
   int max_queue_depth_;
   std::deque<PendingRequest> queue_;
 };
 
 struct BatcherOptions {
   int max_batch_size = 8;
-  int64_t max_wait_us = 2000;
   int max_queue_depth = 256;
   /// Worker threads == replicas consumed from the pool (clamped to the
   /// pool's replica count).
   int num_workers = 1;
-  /// Injectable monotonic clock; nullptr = steady_clock. Tests pair a fake
-  /// clock with manual_drain so nothing ever really waits.
+  /// Injectable monotonic clock for the enqueue stamps and the wait
+  /// histograms; nullptr = steady_clock. No scheduling decision reads it.
   std::function<int64_t()> clock_us;
   /// When true no worker threads start; the owner pumps batches through
   /// DrainOnce(). Deterministic-test mode.
@@ -94,9 +82,10 @@ struct BatcherOptions {
 /// concurrently without sharing forward state, while all replicas share one
 /// immutable weight snapshot.
 ///
-/// Flush policy: a worker cuts a batch as soon as max_batch_size requests
-/// wait, or the oldest request has waited max_wait_us. A cut batch is
-/// grouped by its requests' sanitize flag, each group makes one
+/// Flush policy (work-conserving): an idle worker cuts whatever is queued,
+/// up to max_batch_size requests, so batches grow only while every worker
+/// is busy. Nothing waits on a timer. A cut batch is grouped by its
+/// requests' sanitize flag, each group makes one
 /// AnnotateTypesRobustBatch call, and each request's abstention threshold
 /// is applied to its own outcomes afterwards (core::ApplyAbstention), so
 /// co-batched clients with different thresholds never contaminate each
@@ -120,10 +109,9 @@ class DynamicBatcher {
   void Submit(uint64_t id, table::Table table, bool sanitize,
               double abstain_below, AnnotateCallback callback);
 
-  /// manual_drain mode: cuts at most one batch (force = flush even if
-  /// neither trigger fired) and runs it synchronously on replica 0.
-  /// Returns how many requests were completed.
-  size_t DrainOnce(bool force);
+  /// manual_drain mode: cuts at most one batch and runs it synchronously on
+  /// replica 0. Returns how many requests were completed.
+  size_t DrainOnce();
 
   /// Stops workers after draining every accepted request. Idempotent.
   void Stop();

@@ -52,6 +52,13 @@ struct Server::Connection {
   util::Mutex write_mu{"serve.connection.write"};
 };
 
+/// A reader thread and the flag it raises on exit, so the accept loop can
+/// join it (freeing its stack) without blocking on a live connection.
+struct Server::ConnectionThread {
+  std::thread thread;
+  std::atomic<bool> finished{false};
+};
+
 Server::Server(core::ReplicaPool* replicas, ServerOptions options)
     : replicas_(replicas),
       options_(std::move(options)),
@@ -81,7 +88,7 @@ void Server::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     util::MutexLock lock(&conn_mu_);
-    for (std::thread& t : connection_threads_) t.join();
+    for (auto& connection : connection_threads_) connection->thread.join();
     connection_threads_.clear();
   }
   // Readers are gone; drain every accepted request. Callbacks still hold
@@ -105,9 +112,23 @@ bool Server::WaitFor(int64_t timeout_us) {
   return stopped_;
 }
 
+size_t Server::connections_live() const {
+  util::MutexLock lock(&conn_mu_);
+  return connection_threads_.size();
+}
+
 void Server::AcceptLoop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     auto accepted = AcceptWithTimeout(listen_fd_.get(), kPollMs);
+    {
+      // Join the readers whose loop has returned (brief: they are exiting).
+      util::MutexLock lock(&conn_mu_);
+      std::erase_if(connection_threads_, [](auto& connection) {
+        if (!connection->finished.load(std::memory_order_acquire)) return false;
+        connection->thread.join();
+        return true;
+      });
+    }
     if (!accepted.ok()) {
       DODUO_LOG(Warning) << "accept failed: " << accepted.status().ToString();
       continue;
@@ -116,9 +137,13 @@ void Server::AcceptLoop() {
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>(std::move(accepted).value());
     util::MutexLock lock(&conn_mu_);
-    connection_threads_.emplace_back(
-        [this, conn = std::move(conn)]() mutable {
+    // A record is dropped only after its thread is joined.
+    connection_threads_.push_back(std::make_unique<ConnectionThread>());
+    ConnectionThread* record = connection_threads_.back().get();
+    record->thread =
+        std::thread([this, record, conn = std::move(conn)]() mutable {
           ConnectionLoop(std::move(conn));
+          record->finished.store(true, std::memory_order_release);
         });
   }
 }

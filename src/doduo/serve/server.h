@@ -75,8 +75,13 @@ class Server {
     return connections_accepted_.load(std::memory_order_relaxed);
   }
 
+  /// Connection threads not yet joined: the open connections plus those
+  /// closed since the accept loop's last accept or poll tick.
+  size_t connections_live() const;
+
  private:
   struct Connection;
+  struct ConnectionThread;
 
   void AcceptLoop();
   void ConnectionLoop(std::shared_ptr<Connection> conn);
@@ -92,8 +97,9 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> connections_accepted_{0};
   std::thread accept_thread_;
-  util::Mutex conn_mu_{"serve.server.conn"};
-  std::vector<std::thread> connection_threads_ DODUO_GUARDED_BY(conn_mu_);
+  mutable util::Mutex conn_mu_{"serve.server.conn"};
+  std::vector<std::unique_ptr<ConnectionThread>> connection_threads_
+      DODUO_GUARDED_BY(conn_mu_);
   util::Mutex stop_mu_{"serve.server.stop"};
   util::CondVar stop_cv_;
   bool stopped_ DODUO_GUARDED_BY(stop_mu_) = false;

@@ -1,17 +1,22 @@
 // Deterministic unit tests for the dynamic batcher (DESIGN §12): the
-// BatchQueue state machine is driven with an explicit synthetic timeline,
-// and DynamicBatcher runs in manual_drain mode with an injected clock — no
-// real sockets, no real sleeps, no wall-clock dependence anywhere.
+// BatchQueue FIFO is driven step by step, DynamicBatcher runs in
+// manual_drain mode with an injected clock, and the threaded tests pin the
+// work-conserving policy by blocking the worker inside a callback — no
+// real sockets, no sleeps; the timed waits below only bound a failure.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "doduo/serve/batcher.h"
+#include "doduo/util/metrics.h"
+#include "doduo/util/mutex.h"
 #include "doduo/util/status.h"
 #include "gtest/gtest.h"
 #include "serve/serve_test_util.h"
@@ -35,52 +40,119 @@ std::vector<uint64_t> Ids(const std::vector<PendingRequest>& batch) {
   return ids;
 }
 
+/// A one-shot latch: Wait blocks until some thread calls Signal.
+class Gate {
+ public:
+  void Signal() {
+    util::MutexLock lock(&mu_);
+    open_ = true;
+    cv_.NotifyAll();
+  }
+  void Wait() {
+    util::MutexLock lock(&mu_);
+    while (!open_) cv_.Wait(&mu_);
+  }
+
+ private:
+  util::Mutex mu_{"test.gate"};
+  util::CondVar cv_;
+  bool open_ = false;
+};
+
+/// Callbacks seen per request id, and how many carried the expected
+/// outcomes. Safe to call from batcher workers.
+class Completions {
+ public:
+  void Record(uint64_t id, bool correct) {
+    util::MutexLock lock(&mu_);
+    ++calls_[id];
+    correct_ += correct ? 1 : 0;
+    ++total_;
+    cv_.NotifyAll();
+  }
+
+  /// Blocks until `n` callbacks have fired; false after 60 s, so a batcher
+  /// that never answers fails the test instead of hanging it.
+  bool WaitForTotal(int n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    util::MutexLock lock(&mu_);
+    while (total_ < n) {
+      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) return false;
+      (void)cv_.WaitFor(&mu_, left.count());
+    }
+    return true;
+  }
+
+  int total() {
+    util::MutexLock lock(&mu_);
+    return total_;
+  }
+  int correct() {
+    util::MutexLock lock(&mu_);
+    return correct_;
+  }
+  /// True when every id in [0, n) got exactly one callback and no other id
+  /// got any.
+  bool ExactlyOnceEach(uint64_t n) {
+    util::MutexLock lock(&mu_);
+    if (calls_.size() != n) return false;
+    for (uint64_t id = 0; id < n; ++id) {
+      auto it = calls_.find(id);
+      if (it == calls_.end() || it->second != 1) return false;
+    }
+    return true;
+  }
+
+ private:
+  util::Mutex mu_{"test.completions"};
+  util::CondVar cv_;
+  std::map<uint64_t, int> calls_;
+  int correct_ = 0;
+  int total_ = 0;
+};
+
 // -- BatchQueue ---------------------------------------------------------------
 
 TEST(BatchQueueTest, FlushesWhenBatchFills) {
-  BatchQueue queue(/*max_batch_size=*/3, /*max_wait_us=*/1000,
-                   /*max_queue_depth=*/16);
+  BatchQueue queue(/*max_batch_size=*/3, /*max_queue_depth=*/16);
   ASSERT_TRUE(queue.Enqueue(Request(1), 10).ok());
   ASSERT_TRUE(queue.Enqueue(Request(2), 11).ok());
-  EXPECT_FALSE(queue.Ready(12));  // neither full nor expired
-  EXPECT_TRUE(queue.CutBatch(12, /*force=*/false).empty());
   ASSERT_TRUE(queue.Enqueue(Request(3), 12).ok());
-  EXPECT_TRUE(queue.Ready(12));  // full, regardless of elapsed time
-  const auto batch = queue.CutBatch(12, /*force=*/false);
+  const auto batch = queue.CutBatch();
   EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{1, 2, 3}));
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(BatchQueueTest, FlushesWhenOldestRequestExpires) {
-  BatchQueue queue(/*max_batch_size=*/8, /*max_wait_us=*/1000,
-                   /*max_queue_depth=*/16);
+TEST(BatchQueueTest, CutTakesPartialBatchAtOnceAndKeepsStamps) {
+  BatchQueue queue(/*max_batch_size=*/8, /*max_queue_depth=*/16);
   ASSERT_TRUE(queue.Enqueue(Request(1), 100).ok());
   ASSERT_TRUE(queue.Enqueue(Request(2), 600).ok());
-  EXPECT_EQ(queue.NextDeadlineUs(), 1100);  // oldest request's deadline
-  EXPECT_FALSE(queue.Ready(1099));
-  EXPECT_TRUE(queue.Ready(1100));
-  // The deadline flush takes every waiting request, not just the expired
-  // one.
-  EXPECT_EQ(Ids(queue.CutBatch(1100, /*force=*/false)),
-            (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(queue.NextDeadlineUs(), -1);
+  // Two of eight: no fill level or age gates the cut.
+  const auto batch = queue.CutBatch();
+  EXPECT_EQ(Ids(batch), (std::vector<uint64_t>{1, 2}));
+  // The enqueue stamps travel with the batch for the wait histograms.
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].enqueue_us, 100);
+  EXPECT_EQ(batch[1].enqueue_us, 600);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(BatchQueueTest, CutBatchKeepsFifoOrderAndCapsAtBatchSize) {
-  BatchQueue queue(/*max_batch_size=*/2, /*max_wait_us=*/0,
-                   /*max_queue_depth=*/16);
+  BatchQueue queue(/*max_batch_size=*/2, /*max_queue_depth=*/16);
   for (uint64_t id = 1; id <= 5; ++id) {
     ASSERT_TRUE(queue.Enqueue(Request(id), static_cast<int64_t>(id)).ok());
   }
-  EXPECT_EQ(Ids(queue.CutBatch(10, false)), (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(Ids(queue.CutBatch(10, false)), (std::vector<uint64_t>{3, 4}));
-  EXPECT_EQ(Ids(queue.CutBatch(10, false)), (std::vector<uint64_t>{5}));
-  EXPECT_TRUE(queue.CutBatch(10, false).empty());
+  EXPECT_EQ(Ids(queue.CutBatch()), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(Ids(queue.CutBatch()), (std::vector<uint64_t>{3, 4}));
+  EXPECT_EQ(Ids(queue.CutBatch()), (std::vector<uint64_t>{5}));
+  EXPECT_TRUE(queue.CutBatch().empty());
 }
 
 TEST(BatchQueueTest, RejectsWhenFullAndLeavesRequestIntact) {
-  BatchQueue queue(/*max_batch_size=*/4, /*max_wait_us=*/1000,
-                   /*max_queue_depth=*/2);
+  BatchQueue queue(/*max_batch_size=*/4, /*max_queue_depth=*/2);
   ASSERT_TRUE(queue.Enqueue(Request(1), 0).ok());
   ASSERT_TRUE(queue.Enqueue(Request(2), 0).ok());
   PendingRequest rejected = Request(3);
@@ -97,17 +169,17 @@ TEST(BatchQueueTest, RejectsWhenFullAndLeavesRequestIntact) {
   rejected.callback(status);
   EXPECT_TRUE(callback_alive);
   // Draining frees capacity again.
-  EXPECT_EQ(queue.CutBatch(0, /*force=*/true).size(), 2u);
+  EXPECT_EQ(queue.CutBatch().size(), 2u);
   EXPECT_TRUE(queue.Enqueue(Request(4), 1).ok());
 }
 
-TEST(BatchQueueTest, ForceFlushesPartialBatch) {
-  BatchQueue queue(/*max_batch_size=*/8, /*max_wait_us=*/1000000,
-                   /*max_queue_depth=*/16);
+TEST(BatchQueueTest, CutOnEmptyQueueReturnsNothing) {
+  BatchQueue queue(/*max_batch_size=*/8, /*max_queue_depth=*/16);
+  EXPECT_TRUE(queue.CutBatch().empty());
   ASSERT_TRUE(queue.Enqueue(Request(1), 0).ok());
-  EXPECT_TRUE(queue.CutBatch(1, /*force=*/false).empty());
-  EXPECT_EQ(Ids(queue.CutBatch(1, /*force=*/true)),
-            (std::vector<uint64_t>{1}));
+  EXPECT_FALSE(queue.empty());
+  EXPECT_EQ(Ids(queue.CutBatch()), (std::vector<uint64_t>{1}));
+  EXPECT_TRUE(queue.CutBatch().empty());
 }
 
 // -- DynamicBatcher (manual drain, injected clock) ---------------------------
@@ -116,10 +188,9 @@ class DynamicBatcherTest : public ::testing::Test {
  protected:
   DynamicBatcherTest() : pool_(model_.MakePool(1)) {}
 
-  BatcherOptions Options(int max_batch, int64_t max_wait, int depth) {
+  BatcherOptions Options(int max_batch, int depth) {
     BatcherOptions options;
     options.max_batch_size = max_batch;
-    options.max_wait_us = max_wait;
     options.max_queue_depth = depth;
     options.manual_drain = true;
     options.clock_us = [this] { return now_us_; };
@@ -132,7 +203,7 @@ class DynamicBatcherTest : public ::testing::Test {
 };
 
 TEST_F(DynamicBatcherTest, DrainMatchesSequentialAnnotatorExactly) {
-  DynamicBatcher batcher(pool_.get(), Options(4, 1000, 16));
+  DynamicBatcher batcher(pool_.get(), Options(4, 16));
   std::vector<uint64_t> completed;
   std::vector<util::Result<Outcomes>> results;
   for (uint64_t id = 0; id < 4; ++id) {
@@ -144,7 +215,7 @@ TEST_F(DynamicBatcherTest, DrainMatchesSequentialAnnotatorExactly) {
                    });
   }
   EXPECT_EQ(batcher.queue_depth(), 4u);
-  ASSERT_EQ(batcher.DrainOnce(/*force=*/false), 4u);  // batch is full
+  ASSERT_EQ(batcher.DrainOnce(), 4u);
   ASSERT_EQ(completed, (std::vector<uint64_t>{0, 1, 2, 3}));  // FIFO
   core::Annotator annotator = model_.MakeAnnotator();
   for (uint64_t id = 0; id < 4; ++id) {
@@ -159,25 +230,33 @@ TEST_F(DynamicBatcherTest, DrainMatchesSequentialAnnotatorExactly) {
   }
 }
 
-TEST_F(DynamicBatcherTest, DeadlineFlushUsesInjectedClock) {
-  DynamicBatcher batcher(pool_.get(), Options(8, 500, 16));
+TEST_F(DynamicBatcherTest, WaitHistogramsReadInjectedClockStamps) {
+  DynamicBatcher batcher(pool_.get(), Options(8, 16));
+  util::Histogram* queue_wait = util::GetHistogram("serve.queue_wait_us");
+  util::Histogram* assembly = util::GetHistogram("serve.batch_assembly_us");
+  const uint64_t waits_before = queue_wait->count();
+  const uint64_t wait_sum_before = queue_wait->sum_micros();
+  const uint64_t assembly_sum_before = assembly->sum_micros();
   int completions = 0;
+  auto count = [&](util::Result<Outcomes> result) {
+    EXPECT_TRUE(result.ok());
+    ++completions;
+  };
   now_us_ = 1000;
-  batcher.Submit(1, testing::MakeTable(1), /*sanitize=*/true,
-                 /*abstain_below=*/0.0, [&](util::Result<Outcomes> result) {
-                   EXPECT_TRUE(result.ok());
-                   ++completions;
-                 });
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/false), 0u);  // not expired yet
-  now_us_ = 1499;
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/false), 0u);
-  now_us_ = 1500;  // enqueue + max_wait reached
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/false), 1u);
-  EXPECT_EQ(completions, 1);
+  batcher.Submit(1, testing::MakeTable(1), true, 0.0, count);
+  now_us_ = 1400;
+  batcher.Submit(2, testing::MakeTable(2), true, 0.0, count);
+  now_us_ = 1600;  // the cut: waits of 600 and 200 µs
+  EXPECT_EQ(batcher.DrainOnce(), 2u);
+  EXPECT_EQ(completions, 2);
+  EXPECT_EQ(queue_wait->count() - waits_before, 2u);
+  EXPECT_EQ(queue_wait->sum_micros() - wait_sum_before, 800u);
+  // Assembly is the oldest request's wait at the cut.
+  EXPECT_EQ(assembly->sum_micros() - assembly_sum_before, 600u);
 }
 
 TEST_F(DynamicBatcherTest, RejectsWithResourceExhaustedWhenQueueFull) {
-  DynamicBatcher batcher(pool_.get(), Options(8, 1000, /*depth=*/2));
+  DynamicBatcher batcher(pool_.get(), Options(8, /*depth=*/2));
   int ok_callbacks = 0;
   int rejections = 0;
   for (uint64_t id = 0; id < 5; ++id) {
@@ -197,13 +276,13 @@ TEST_F(DynamicBatcherTest, RejectsWithResourceExhaustedWhenQueueFull) {
   // answered, the two accepted ones complete on drain.
   EXPECT_EQ(rejections, 3);
   EXPECT_EQ(ok_callbacks, 0);
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/true), 2u);
+  EXPECT_EQ(batcher.DrainOnce(), 2u);
   EXPECT_EQ(ok_callbacks, 2);
   EXPECT_EQ(rejections, 3);
 }
 
 TEST_F(DynamicBatcherTest, ZeroColumnTableGetsEmptyOutcomesBesideNeighbours) {
-  DynamicBatcher batcher(pool_.get(), Options(4, 1000, 16));
+  DynamicBatcher batcher(pool_.get(), Options(4, 16));
   std::map<uint64_t, util::Result<Outcomes>> results;
   auto record = [&](uint64_t id) {
     return [&, id](util::Result<Outcomes> result) {
@@ -213,7 +292,7 @@ TEST_F(DynamicBatcherTest, ZeroColumnTableGetsEmptyOutcomesBesideNeighbours) {
   batcher.Submit(0, testing::MakeTable(0), true, 0.0, record(0));
   batcher.Submit(1, testing::MakeEmptyTable(), true, 0.0, record(1));
   batcher.Submit(2, testing::MakeTable(2), true, 0.0, record(2));
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/true), 3u);
+  EXPECT_EQ(batcher.DrainOnce(), 3u);
   ASSERT_EQ(results.size(), 3u);
   for (const auto& [id, result] : results) {
     ASSERT_TRUE(result.ok()) << "id " << id << ": "
@@ -233,7 +312,7 @@ TEST_F(DynamicBatcherTest, ZeroColumnTableGetsEmptyOutcomesBesideNeighbours) {
 }
 
 TEST_F(DynamicBatcherTest, StopDrainsEveryAcceptedRequest) {
-  DynamicBatcher batcher(pool_.get(), Options(4, 1000000, 64));
+  DynamicBatcher batcher(pool_.get(), Options(4, 64));
   int completions = 0;
   for (uint64_t id = 0; id < 10; ++id) {
     batcher.Submit(id, testing::MakeTable(static_cast<int>(id)),
@@ -260,7 +339,7 @@ TEST_F(DynamicBatcherTest, MixedBatchKeepsPerRequestOptionsApart) {
   // One batch carrying every option mix: sanitized, unsanitized, and a
   // per-request abstention threshold. Each must match its own scalar-path
   // ground truth — co-batching changes nothing.
-  DynamicBatcher batcher(pool_.get(), Options(8, 1000, 16));
+  DynamicBatcher batcher(pool_.get(), Options(8, 16));
   table::Table dirty("dirty");
   dirty.AddColumn({"void", {"", "null", "-"}});
   dirty.AddColumn({"a", {"alpha", "beta"}});
@@ -281,7 +360,7 @@ TEST_F(DynamicBatcherTest, MixedBatchKeepsPerRequestOptionsApart) {
                  record(2));
   batcher.Submit(3, testing::MakeTable(0), /*sanitize=*/true,
                  /*abstain_below=*/1.01, record(3));
-  EXPECT_EQ(batcher.DrainOnce(/*force=*/true), 4u);
+  EXPECT_EQ(batcher.DrainOnce(), 4u);
 
   ASSERT_EQ(results.size(), 4u);
   for (const auto& [id, result] : results) {
@@ -322,7 +401,6 @@ TEST_F(DynamicBatcherTest, ThreadedWorkersDrainWithRealClock) {
   auto pool = model_.MakePool(2);
   BatcherOptions options;
   options.max_batch_size = 4;
-  options.max_wait_us = 200;
   options.max_queue_depth = 64;
   options.num_workers = 2;
   core::Annotator annotator = model_.MakeAnnotator();
@@ -348,6 +426,133 @@ TEST_F(DynamicBatcherTest, ThreadedWorkersDrainWithRealClock) {
     }
   }  // destructor == Stop(): joins workers after the queue drains
   EXPECT_EQ(correct.load(), 32);
+}
+
+// -- Work-conserving policy (threaded workers) -------------------------------
+
+class WorkConservingTest : public ::testing::Test {
+ protected:
+  WorkConservingTest() : pool_(model_.MakePool(1)) {
+    core::Annotator annotator = model_.MakeAnnotator();
+    for (int v = 0; v < 4; ++v) {
+      expected_.push_back(
+          annotator.AnnotateTypesRobust(testing::MakeTable(v)));
+    }
+  }
+
+  /// One worker thread, a clock frozen at 1000 µs: nothing in the policy
+  /// may wait on time.
+  BatcherOptions Options() const {
+    BatcherOptions options;
+    options.max_batch_size = 8;
+    options.max_queue_depth = 4096;
+    options.num_workers = 1;
+    options.clock_us = [] { return int64_t{1000}; };
+    return options;
+  }
+
+  /// Submits request `id`, recording its callback in `done`.
+  void Submit(DynamicBatcher* batcher, uint64_t id, Completions* done) {
+    batcher->Submit(id, testing::MakeTable(static_cast<int>(id)), true, 0.0,
+                    [this, id, done](util::Result<Outcomes> result) {
+                      done->Record(id, result.ok() &&
+                                           testing::SameOutcomes(
+                                               result.value(),
+                                               expected_[id & 3]));
+                    });
+  }
+
+  /// Submits request 0 and returns once the worker is inside its
+  /// callback, where it stays until `release` is signalled.
+  void BlockWorker(DynamicBatcher* batcher, Gate* entered, Gate* release,
+                   Completions* done) {
+    batcher->Submit(0, testing::MakeTable(0), true, 0.0,
+                    [this, entered, release, done](
+                        util::Result<Outcomes> result) {
+                      entered->Signal();
+                      release->Wait();
+                      done->Record(0, result.ok() &&
+                                          testing::SameOutcomes(
+                                              result.value(), expected_[0]));
+                    });
+    entered->Wait();
+  }
+
+  testing::TestModel model_;
+  std::unique_ptr<core::ReplicaPool> pool_;
+  std::vector<Outcomes> expected_;
+};
+
+TEST_F(WorkConservingTest, IdleWorkerAnswersAtOnceWithFrozenClock) {
+  DynamicBatcher batcher(pool_.get(), Options());
+  Completions done;
+  Submit(&batcher, 1, &done);
+  // One request of a possible eight, and the clock never moves: an idle
+  // worker answers it anyway, long before Stop.
+  ASSERT_TRUE(done.WaitForTotal(1)) << "idle worker held the request";
+  EXPECT_EQ(done.correct(), 1);
+  batcher.Stop();
+  EXPECT_EQ(done.total(), 1);
+}
+
+TEST_F(WorkConservingTest, RequestsQueuedBehindABusyWorkerShareOneBatch) {
+  constexpr uint64_t kQueued = 5;  // <= max_batch_size
+  util::Counter* batches = util::GetCounter("serve.batches_total");
+  const uint64_t batches_before = batches->value();
+  DynamicBatcher batcher(pool_.get(), Options());
+  Completions done;
+  Gate entered;
+  Gate release;
+  BlockWorker(&batcher, &entered, &release, &done);
+  for (uint64_t id = 1; id <= kQueued; ++id) Submit(&batcher, id, &done);
+  EXPECT_EQ(batcher.queue_depth(), kQueued);  // the only worker is busy
+  release.Signal();
+  ASSERT_TRUE(done.WaitForTotal(1 + kQueued));
+  // Request 0 alone, then everything that piled up behind it in one cut.
+  EXPECT_EQ(batches->value() - batches_before, 2u);
+  EXPECT_EQ(done.correct(), 1 + static_cast<int>(kQueued));
+  EXPECT_TRUE(done.ExactlyOnceEach(1 + kQueued));
+  batcher.Stop();
+}
+
+TEST_F(WorkConservingTest, StopWhileWorkerBusyAnswersEveryRequestOnce) {
+  constexpr uint64_t kQueued = 5;
+  DynamicBatcher batcher(pool_.get(), Options());
+  Completions done;
+  Gate entered;
+  Gate release;
+  BlockWorker(&batcher, &entered, &release, &done);
+  for (uint64_t id = 1; id <= kQueued; ++id) Submit(&batcher, id, &done);
+  std::thread stopper([&batcher] { batcher.Stop(); });
+  // Stop has begun once Submit refuses with "shutting down". Probes
+  // accepted before that are ordinary requests and must be answered too.
+  uint64_t next = kQueued + 1;
+  bool stopping = false;
+  while (!stopping) {
+    const uint64_t id = next;
+    batcher.Submit(id, testing::MakeTable(static_cast<int>(id)), true, 0.0,
+                   [&, id](util::Result<Outcomes> result) {
+                     if (!result.ok() &&
+                         result.status().message().find("shutting down") !=
+                             std::string::npos) {
+                       stopping = true;  // synchronous: this thread
+                       return;
+                     }
+                     done.Record(id, result.ok() &&
+                                         testing::SameOutcomes(
+                                             result.value(),
+                                             expected_[id & 3]));
+                   });
+    if (!stopping) ++next;
+    std::this_thread::yield();
+  }
+  release.Signal();
+  stopper.join();
+  // Every accepted request got exactly one real, correct result.
+  EXPECT_EQ(done.total(), static_cast<int>(next));
+  EXPECT_EQ(done.correct(), static_cast<int>(next));
+  EXPECT_TRUE(done.ExactlyOnceEach(next));
+  EXPECT_EQ(batcher.queue_depth(), 0u);
 }
 
 }  // namespace

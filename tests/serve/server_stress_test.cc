@@ -4,7 +4,9 @@
 // produces for the same table. Runs clean under -DDODUO_TSAN=ON
 // (tools/check.sh wires this binary into the TSan stage).
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -98,7 +100,6 @@ class ServerTest : public ::testing::Test {
 TEST_F(ServerTest, PingStatsAndAnnotateOverOneConnection) {
   BatcherOptions batcher;
   batcher.max_batch_size = 4;
-  batcher.max_wait_us = 500;
   StartServer(/*replicas=*/1, batcher);
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -123,7 +124,6 @@ TEST_F(ServerTest, PingStatsAndAnnotateOverOneConnection) {
 TEST_F(ServerTest, RobustAnnotateRoundTripsOutcomesAndThreshold) {
   BatcherOptions batcher;
   batcher.max_batch_size = 4;
-  batcher.max_wait_us = 500;
   StartServer(/*replicas=*/1, batcher);
   auto client = Client::Connect("127.0.0.1", server_->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
@@ -164,7 +164,6 @@ TEST_F(ServerTest, RobustAnnotateRoundTripsOutcomesAndThreshold) {
 
 TEST_F(ServerTest, MalformedTableGetsErrorAndConnectionStaysUsable) {
   BatcherOptions batcher;
-  batcher.max_wait_us = 200;
   StartServer(/*replicas=*/1, batcher);
   std::string good;
   EncodeRobustRequestPayload(testing::MakeTable(0), true, 0.0, &good);
@@ -280,7 +279,6 @@ TEST_F(ServerTest, ConcurrentClientsGetExactlyOneCorrectResponseEach) {
   constexpr int kRequestsPerClient = 64;  // 512 total
   BatcherOptions batcher;
   batcher.max_batch_size = 8;
-  batcher.max_wait_us = 300;
   batcher.max_queue_depth = 1024;  // no rejections in this test
   StartServer(/*replicas=*/3, batcher);
   const auto expected = GroundTruth();
@@ -316,9 +314,10 @@ TEST_F(ServerTest, ConcurrentClientsGetExactlyOneCorrectResponseEach) {
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GE(server_->connections_accepted(), static_cast<uint64_t>(kClients));
 
-  // The batcher actually batched: with 8 clients racing a 300µs window,
-  // batches must have formed (weaker than an exact count on purpose —
-  // scheduling noise must not flake this test).
+  // The batcher ran: at least one batch (how many requests share a batch
+  // depends on how often all three replicas were busy at once, so the
+  // count is deliberately not pinned — scheduling noise must not flake
+  // this test).
   auto stats = core::Annotator::StatsSnapshot();
   uint64_t batches = 0;
   uint64_t requests = 0;
@@ -333,7 +332,6 @@ TEST_F(ServerTest, ConcurrentClientsGetExactlyOneCorrectResponseEach) {
 TEST_F(ServerTest, BackpressureRejectsWithResourceExhausted) {
   BatcherOptions batcher;
   batcher.max_batch_size = 2;
-  batcher.max_wait_us = 50;
   batcher.max_queue_depth = 1;
   StartServer(/*replicas=*/1, batcher);
 
@@ -376,7 +374,6 @@ TEST_F(ServerTest, BackpressureRejectsWithResourceExhausted) {
 TEST_F(ServerTest, StopDrainsInFlightRequestsBeforeExiting) {
   BatcherOptions batcher;
   batcher.max_batch_size = 16;
-  batcher.max_wait_us = 100000;  // long window: Stop must flush, not wait
   batcher.max_queue_depth = 64;
   StartServer(/*replicas=*/1, batcher);
   const auto expected = GroundTruth();
@@ -387,15 +384,15 @@ TEST_F(ServerTest, StopDrainsInFlightRequestsBeforeExiting) {
   std::thread client_thread([&] {
     auto client = Client::Connect("127.0.0.1", server_->port());
     if (!client.ok()) return;
-    // One in-flight request; the server is stopped while it sits in the
-    // batching window, and the drain must still answer it.
+    // One in-flight request; the server is stopped while it is queued or
+    // running, and the drain must still answer it.
     auto outcomes = client.value().AnnotateTypesRobust(testing::MakeTable(2));
     if (outcomes.ok() && testing::SameOutcomes(outcomes.value(), expected[2])) {
       answered.fetch_add(1);
     }
   });
   // Wait until the request has been accepted by the batcher, then stop:
-  // drain-on-stop must answer the parked request rather than dropping it.
+  // drain-on-stop must answer the accepted request rather than drop it.
   while (util::GetCounter("serve.requests_total")->value() ==
          requests_before) {
     std::this_thread::yield();
@@ -403,6 +400,32 @@ TEST_F(ServerTest, StopDrainsInFlightRequestsBeforeExiting) {
   server_->Stop();
   client_thread.join();
   EXPECT_EQ(answered.load(), 1);
+}
+
+TEST_F(ServerTest, ClosedConnectionsAreReaped) {
+  // Each connection thread keeps its stack until joined; a daemon that
+  // joined them only at Stop would grow by one per client ever served.
+  constexpr int kCycles = 200;
+  StartServer(/*replicas=*/1, BatcherOptions{});
+  size_t most_live = 0;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    auto client = Client::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Ping().ok());
+    most_live = std::max(most_live, server_->connections_live());
+  }  // each client closes at the end of its cycle
+  EXPECT_GE(server_->connections_accepted(), static_cast<uint64_t>(kCycles));
+  // Every accept reaps the threads of the connections closed before it,
+  // so only the few still winding down add to the open one.
+  EXPECT_LE(most_live, 16u);
+  // With no more clients, the accept loop's poll tick reaps the rest.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->connections_live() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(server_->connections_live(), 0u);
 }
 
 }  // namespace

@@ -1,19 +1,20 @@
 // doduo_serve — long-running annotation daemon (DESIGN §12).
 //
 //   doduo_serve --model <dir> [--host H] [--port P] [--replicas N]
-//               [--max-batch N] [--max-wait-us N] [--queue-depth N]
+//               [--max-batch N] [--queue-depth N] [--threads N]
 //
 // Loads a saved model directory once, builds a ReplicaPool (one immutable
 // shared weight snapshot, per-replica forward workspaces), and serves the
-// length-prefixed binary protocol of serve/protocol.h over TCP. Concurrent
-// single-table requests are coalesced into batches by the dynamic batcher;
-// when the queue is full new requests are rejected with kResourceExhausted
-// (backpressure) instead of queuing without bound.
+// length-prefixed binary protocol of serve/protocol.h over TCP. An idle
+// replica takes what is queued at once (up to --max-batch), so requests
+// share a batch only while every replica is busy; a full queue rejects
+// new requests with kResourceExhausted (backpressure).
 //
 // --replicas defaults to the compute pool size (DODUO_NUM_THREADS /
 // --threads). Numeric flags parse strictly: a value that is not wholly an
-// integer in range ("4x", "x", -1) exits 2 with a message. Query live
-// metrics with `doduo_cli stats --server host:port`.
+// integer in range ("4x", "x", -1) exits 2 with a message, as do unknown
+// flags and flags missing their value. Query live metrics with
+// `doduo_cli stats --server host:port`.
 // SIGINT/SIGTERM drain in-flight requests and exit cleanly.
 
 #include <atomic>
@@ -41,9 +42,9 @@ std::atomic<bool> g_shutdown{false};
 
 void HandleSignal(int /*signum*/) { g_shutdown.store(true); }
 
-int Fail(const std::string& message) {
+int Fail(const std::string& message, int exit_code = 1) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
-  return 1;
+  return exit_code;
 }
 
 constexpr int kIntMax = std::numeric_limits<int>::max();
@@ -66,8 +67,16 @@ bool ReadIntFlag(char** argv, int* i, int min_value, int max_value,
 
 const char* kUsage =
     "usage: doduo_serve --model <dir> [--host H] [--port P] [--replicas N]\n"
-    "                   [--max-batch N] [--max-wait-us N] [--queue-depth N]\n"
-    "                   [--threads N]\n";
+    "                   [--max-batch N] [--queue-depth N] [--threads N]\n";
+
+/// doduo_serve's flags, every one of which takes a value.
+bool TakesValue(const char* arg) {
+  for (const char* name : {"--model", "--host", "--port", "--replicas",
+                           "--max-batch", "--queue-depth", "--threads"}) {
+    if (std::strcmp(arg, name) == 0) return true;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -91,10 +100,6 @@ int main(int argc, char** argv) {
                        &options.batcher.max_batch_size)) {
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--max-wait-us") == 0 && has_value) {
-      int max_wait_us = 0;
-      if (!ReadIntFlag(argv, &i, 0, kIntMax, &max_wait_us)) return 2;
-      options.batcher.max_wait_us = max_wait_us;
     } else if (std::strcmp(argv[i], "--queue-depth") == 0 && has_value) {
       if (!ReadIntFlag(argv, &i, 1, kIntMax,
                        &options.batcher.max_queue_depth)) {
@@ -105,8 +110,11 @@ int main(int argc, char** argv) {
       if (!ReadIntFlag(argv, &i, 1, kIntMax, &threads)) return 2;
       doduo::util::SetComputeThreads(threads);
     } else {
-      std::fputs(kUsage, stderr);
-      return 2;
+      // A mistyped or retired flag is a usage error that names the flag.
+      return Fail(std::string(TakesValue(argv[i]) ? "missing value for flag '"
+                                                  : "unknown flag '") +
+                      argv[i] + "'",
+                  2);
     }
   }
   if (model_dir.empty()) {
@@ -132,9 +140,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  std::printf("doduo_serve: %d replica(s), batch<=%d, wait<=%ldus\n",
-              pool.num_replicas(), options.batcher.max_batch_size,
-              static_cast<long>(options.batcher.max_wait_us));
+  std::printf("doduo_serve: %d replica(s), batch<=%d\n", pool.num_replicas(),
+              options.batcher.max_batch_size);
   std::printf("doduo_serve: int8 %s (kernel %s, DODUO_QUANT)\n",
               doduo::nn::QuantEnabled() ? "on" : "off",
               doduo::nn::Int8KernelName());
