@@ -95,7 +95,15 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   if (table.num_columns() > 1) {
-    const auto relations = annotator.AnnotateKeyRelations(table).value();
+    // Relations see the whole table at once, so a table the type path
+    // chunked can still be too wide for them.
+    auto relations_result = annotator.AnnotateKeyRelations(table);
+    if (!relations_result.ok()) {
+      std::fprintf(stderr, "cannot annotate relations of %s: %s\n",
+                   path.c_str(), relations_result.status().ToString().c_str());
+      return 1;
+    }
+    const auto relations = std::move(relations_result).value();
     std::printf("predicted relations from column '%s':\n",
                 table.column(0).name.c_str());
     for (size_t c = 0; c < relations.size(); ++c) {

@@ -149,6 +149,23 @@ util::Status Annotator::ValidatePairs(
   return util::Status::Ok();
 }
 
+util::Status Annotator::ValidateWholeWidth(const table::Table& table) const {
+  // Relation pairs and embeddings see the whole table in one sequence, so
+  // a table the type path would chunk cannot be split here: past the cap
+  // its columns would carry no content tokens at all.
+  const int cap = serializer_->ChunkCap();
+  if (table.num_columns() > cap) {
+    return util::Status::InvalidArgument(
+        "table '" + table.id() + "' has " +
+        std::to_string(table.num_columns()) +
+        " columns; relation and embedding calls serialize the whole table, "
+        "and max_total_tokens=" +
+        std::to_string(serializer_->options().max_total_tokens) +
+        " leaves content tokens for at most " + std::to_string(cap));
+  }
+  return util::Status::Ok();
+}
+
 void Annotator::FanOut(
     size_t count, const std::function<void(DoduoModel*, size_t)>& fn) const {
   util::ThreadPool* pool = util::ComputePool();
@@ -243,10 +260,9 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
   }
 
   // Tables wider than the token budget are annotated in column chunks
-  // instead of failing: capping a chunk at (max_total_tokens - 1) / 2
-  // leaves every column its [CLS] plus at least one value token.
-  const size_t chunk_cap = static_cast<size_t>(
-      std::max(1, (serializer_->options().max_total_tokens - 1) / 2));
+  // instead of failing: a chunk of at most ChunkCap() columns leaves every
+  // column its [CLS] plus at least one value token.
+  const size_t chunk_cap = static_cast<size_t>(serializer_->ChunkCap());
 
   const DoduoConfig& config = model->config();
   for (size_t begin = 0; begin < annotatable.size(); begin += chunk_cap) {
@@ -324,6 +340,8 @@ util::Result<std::vector<std::string>> Annotator::AnnotateRelations(
   }
   auto input = serializer_->SerializeTable(table);
   if (!input.ok()) return CountError(input.status());
+  util::Status width = ValidateWholeWidth(table);
+  if (!width.ok()) return CountError(std::move(width));
   util::Status pair_status = ValidatePairs(table, pairs);
   if (!pair_status.ok()) return CountError(std::move(pair_status));
   if (pairs.empty()) return std::vector<std::string>{};
@@ -359,6 +377,8 @@ util::Result<nn::Tensor> Annotator::ColumnEmbeddings(
   util::ScopedTimer timer(Metrics().annotate_us, "annotator.embed");
   auto input = serializer_->SerializeTable(table);
   if (!input.ok()) return CountError(input.status());
+  util::Status width = ValidateWholeWidth(table);
+  if (!width.ok()) return CountError(std::move(width));
   model_->set_training(false);
   Metrics().tables->Increment();
   Metrics().columns->Increment(static_cast<uint64_t>(table.num_columns()));

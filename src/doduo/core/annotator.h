@@ -76,7 +76,7 @@ class Annotator {
   /// Predicted semantic type names per column (one or more per column for
   /// multi-label models): the labels of AnnotateTypesRobust with the
   /// sanitizer off, after the serializer's column-count checks. A table
-  /// with more than (max_total_tokens - 1) / 2 columns is annotated in
+  /// with more than TableSerializer::ChunkCap() columns is annotated in
   /// column chunks, so every column is labelled from its cell content.
   [[nodiscard]] util::Result<std::vector<std::vector<std::string>>>
   AnnotateTypes(
@@ -105,7 +105,8 @@ class Annotator {
 
   /// Predicted relation names between the given column pairs. Pairs must be
   /// in-range column indices and free of duplicates; an empty pair list
-  /// yields an empty result.
+  /// yields an empty result. The table is serialized whole, so one wider
+  /// than TableSerializer::ChunkCap() columns is InvalidArgument.
   [[nodiscard]] util::Result<std::vector<std::string>> AnnotateRelations(
       const table::Table& table,
       const std::vector<std::pair<int, int>>& pairs) const;
@@ -114,7 +115,8 @@ class Annotator {
   [[nodiscard]] util::Result<std::vector<std::string>> AnnotateKeyRelations(
       const table::Table& table) const;
 
-  /// Contextualized column embeddings [num_columns, hidden_dim].
+  /// Contextualized column embeddings [num_columns, hidden_dim]. Like
+  /// AnnotateRelations, rejects a table wider than ChunkCap() columns.
   [[nodiscard]] util::Result<nn::Tensor> ColumnEmbeddings(const table::Table& table) const;
 
   /// AnnotateTypes for every table: result[t][column] = type names, the
@@ -151,6 +153,12 @@ class Annotator {
   std::vector<ColumnOutcome> RobustOutcomes(
       DoduoModel* model, const table::Table& table,
       const AnnotateOptions& options) const;
+
+  /// InvalidArgument for a table wider than TableSerializer::ChunkCap():
+  /// the relation and embedding paths serialize a table whole, and past
+  /// the cap its columns would carry no content tokens.
+  [[nodiscard]] util::Status ValidateWholeWidth(
+      const table::Table& table) const;
 
   /// Non-OK when any pair index is out of range for `table` or the same
   /// pair appears twice.

@@ -64,8 +64,7 @@ DynamicBatcher::DynamicBatcher(core::ReplicaPool* replicas,
       requests_rejected_(util::GetCounter("serve.requests_rejected")),
       batches_total_(util::GetCounter("serve.batches_total")) {
   if (options_.manual_drain) return;
-  const int workers = std::max(
-      1, std::min(options_.num_workers, replicas_->num_replicas()));
+  const int workers = replicas_->num_replicas();
   workers_.reserve(workers);
   for (int w = 0; w < workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });

@@ -65,9 +65,6 @@ class BatchQueue {
 struct BatcherOptions {
   int max_batch_size = 8;
   int max_queue_depth = 256;
-  /// Worker threads == replicas consumed from the pool (clamped to the
-  /// pool's replica count).
-  int num_workers = 1;
   /// Injectable monotonic clock for the enqueue stamps and the wait
   /// histograms; nullptr = steady_clock. No scheduling decision reads it.
   std::function<int64_t()> clock_us;
@@ -77,10 +74,11 @@ struct BatcherOptions {
 };
 
 /// Coalesces concurrent single-table annotate requests into batches for
-/// Annotator::AnnotateTypesRobustBatch. Worker thread w owns replica w of the
-/// ReplicaPool for its whole lifetime, so batches on different workers run
-/// concurrently without sharing forward state, while all replicas share one
-/// immutable weight snapshot.
+/// Annotator::AnnotateTypesRobustBatch. It starts one worker thread per
+/// replica of the pool it is given, and worker w owns replica w for its whole
+/// lifetime, so batches on different workers run concurrently without
+/// sharing forward state, while all replicas share one immutable weight
+/// snapshot.
 ///
 /// Flush policy (work-conserving): an idle worker cuts whatever is queued,
 /// up to max_batch_size requests, so batches grow only while every worker

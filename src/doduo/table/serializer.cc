@@ -181,6 +181,10 @@ util::Result<SerializedTable> TableSerializer::SerializeColumnPair(
   return out;
 }
 
+int TableSerializer::ChunkCap() const {
+  return std::max(1, (options_.max_total_tokens - 1) / 2);
+}
+
 int TableSerializer::MaxSupportedColumns() const {
   // Each column costs [CLS] + max_tokens_per_column; plus the final [SEP].
   return (options_.max_total_tokens - 1) /

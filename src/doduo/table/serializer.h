@@ -81,6 +81,13 @@ class TableSerializer {
   /// Table 8).
   int MaxSupportedColumns() const;
 
+  /// Largest column count one serialization may have so that every column
+  /// keeps its [CLS] plus at least one value token:
+  /// max(1, (max_total_tokens - 1) / 2). Wider tables are annotated in
+  /// column chunks of this size by the type path; the whole-table paths
+  /// (relations, embeddings) reject them.
+  int ChunkCap() const;
+
   const SerializerOptions& options() const { return options_; }
 
  private:

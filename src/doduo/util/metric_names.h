@@ -7,7 +7,7 @@ namespace doduo::util::metric_names {
 
 // The central metric-name registry (DESIGN §10, §16). Every name passed to
 // GetCounter/GetHistogram anywhere in src/ must appear here, and every name
-// here must have a call site; `doduo_lint --all` (metrics-registry pass)
+// here must have a call site; `doduo_lint` (metrics-registry pass)
 // enforces both directions and suggests the nearest registered name when a
 // literal looks typo'd. Names with the "test." prefix are ad-hoc test
 // metrics and exempt.

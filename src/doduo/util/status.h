@@ -27,8 +27,8 @@ const char* StatusCodeName(StatusCode code);
 /// recoverable errors. Programmer errors use DODUO_CHECK instead.
 ///
 /// [[nodiscard]] on the type makes every ignored Status-returning call a
-/// compile-time warning (an error under -DDODUO_WERROR=ON); doduo_lint's
-/// discarded-status rule backstops call sites the compiler cannot see.
+/// compile-time error: the build passes -Werror=unused-result. `(void)` is
+/// the explicit discard.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

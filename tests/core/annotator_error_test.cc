@@ -104,6 +104,42 @@ TEST_F(AnnotatorErrorTest, TokenBudgetUnderflowIsInvalidArgument) {
   EXPECT_NE(types.status().message().find("wide"), std::string::npos);
 }
 
+TEST_F(AnnotatorErrorTest, WholeTablePathsRejectTablesPastTheChunkCap) {
+  // T = 64 gives ChunkCap() = 31. Past it, a table serialized whole would
+  // give its columns no content tokens, so the relation and embedding
+  // paths reject it while the type path chunks it.
+  ASSERT_EQ(config_.serializer.max_total_tokens, 64);
+  ASSERT_EQ(serializer_->ChunkCap(), 31);
+  auto table_of = [](int n) {
+    table::Table table("band_" + std::to_string(n));
+    for (int c = 0; c < n; ++c) table.AddColumn({"col", {"alpha"}});
+    return table;
+  };
+  const table::Table fits = table_of(31);
+  EXPECT_TRUE(annotator_->ColumnEmbeddings(fits).ok());
+  EXPECT_TRUE(annotator_->AnnotateKeyRelations(fits).ok());
+  EXPECT_TRUE(annotator_->AnnotateRelations(fits, {{0, 30}}).ok());
+  for (int n : {32, 63}) {
+    const table::Table wide = table_of(n);
+    for (const util::Status& status :
+         {annotator_->ColumnEmbeddings(wide).status(),
+          annotator_->AnnotateKeyRelations(wide).status(),
+          annotator_->AnnotateRelations(wide, {{0, 1}}).status()}) {
+      ASSERT_FALSE(status.ok()) << n;
+      EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+      const std::string& message = status.message();
+      EXPECT_NE(message.find("'band_" + std::to_string(n) + "'"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("has " + std::to_string(n) + " columns"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("at most 31"), std::string::npos) << message;
+    }
+    EXPECT_TRUE(annotator_->AnnotateTypes(wide).ok()) << n;
+  }
+}
+
 TEST_F(AnnotatorErrorTest, OutOfRangePairIsInvalidArgument) {
   auto relations = annotator_->AnnotateRelations(GoodTable(), {{0, 5}});
   ASSERT_FALSE(relations.ok());

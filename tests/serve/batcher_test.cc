@@ -402,7 +402,6 @@ TEST_F(DynamicBatcherTest, ThreadedWorkersDrainWithRealClock) {
   BatcherOptions options;
   options.max_batch_size = 4;
   options.max_queue_depth = 64;
-  options.num_workers = 2;
   core::Annotator annotator = model_.MakeAnnotator();
   std::vector<Outcomes> expected;
   for (int v = 0; v < 4; ++v) {
@@ -446,7 +445,6 @@ class WorkConservingTest : public ::testing::Test {
     BatcherOptions options;
     options.max_batch_size = 8;
     options.max_queue_depth = 4096;
-    options.num_workers = 1;
     options.clock_us = [] { return int64_t{1000}; };
     return options;
   }

@@ -71,7 +71,7 @@ TEST(ProtocolTest, RoundTripsAllFrameFields) {
 
 TEST(ProtocolTest, EveryFrameTypeRoundTripsThroughTheDecoder) {
   // Every id the protocol defines, request and response side alike — the
-  // frame-symmetry lint pass (doduo_lint --all) holds this list and the
+  // frame-symmetry lint pass (doduo_lint) holds this list and the
   // FrameType enum to each other.
   const FrameType kAllFrameTypes[] = {
       FrameType::kStatsRequest,          FrameType::kStatsResponse,

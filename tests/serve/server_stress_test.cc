@@ -75,7 +75,6 @@ class ServerTest : public ::testing::Test {
     ServerOptions options;
     options.port = 0;  // ephemeral
     options.batcher = batcher;
-    options.batcher.num_workers = replicas;
     server_ = std::make_unique<Server>(pool_.get(), options);
     auto started = server_->Start();
     ASSERT_TRUE(started.ok()) << started.ToString();

@@ -13,13 +13,8 @@
 namespace doduo::lint {
 namespace {
 
-std::vector<Violation> Lint(std::string_view path, std::string_view source,
-                           std::vector<std::string> status_functions = {}) {
-  LintOptions options;
-  for (std::string& name : status_functions) {
-    options.status_functions.insert(std::move(name));
-  }
-  return LintSource(path, source, options);
+std::vector<Violation> Lint(std::string_view path, std::string_view source) {
+  return LintSource(path, source);
 }
 
 bool HasRule(const std::vector<Violation>& vs, std::string_view rule) {
@@ -27,64 +22,6 @@ bool HasRule(const std::vector<Violation>& vs, std::string_view rule) {
     if (v.rule == rule) return true;
   }
   return false;
-}
-
-// -- discarded-status -------------------------------------------------------
-
-TEST(DiscardedStatusTest, BareCallStatementFires) {
-  const auto vs = Lint("src/doduo/core/x.cc",
-                      "void f() {\n  LoadParameters(path, params);\n}\n",
-                      {"LoadParameters"});
-  ASSERT_EQ(vs.size(), 1u);
-  EXPECT_EQ(vs[0].rule, kRuleDiscardedStatus);
-  EXPECT_EQ(vs[0].line, 2);
-  EXPECT_EQ(vs[0].file, "src/doduo/core/x.cc");
-}
-
-TEST(DiscardedStatusTest, MemberChainCallFires) {
-  const auto vs = Lint("src/doduo/core/x.cc",
-                      "void f() {\n  vocab.Save(path);\n}\n", {"Save"});
-  EXPECT_TRUE(HasRule(vs, kRuleDiscardedStatus));
-}
-
-TEST(DiscardedStatusTest, SingleStatementIfBodyFires) {
-  const auto vs = Lint("src/doduo/core/x.cc",
-                      "void f(bool c) {\n  if (c) Save(path);\n}\n", {"Save"});
-  EXPECT_TRUE(HasRule(vs, kRuleDiscardedStatus));
-}
-
-TEST(DiscardedStatusTest, CheckedAndConsumedCallsAreQuiet) {
-  const auto vs = Lint("src/doduo/core/x.cc",
-                      "util::Status g() {\n"
-                      "  auto s = Save(path);\n"
-                      "  if (!Save(path).ok()) return s;\n"
-                      "  return Save(path);\n"
-                      "}\n",
-                      {"Save"});
-  EXPECT_TRUE(vs.empty());
-}
-
-TEST(DiscardedStatusTest, VoidCastIsAnExplicitDiscard) {
-  const auto vs = Lint("src/doduo/core/x.cc",
-                      "void f() {\n  (void)Save(path);\n}\n", {"Save"});
-  EXPECT_TRUE(vs.empty());
-}
-
-TEST(DiscardedStatusTest, DeclarationIsNotACall) {
-  const auto vs = Lint("src/doduo/nn/serialize.h",
-                      "#pragma once\n"
-                      "util::Status SaveParameters(const std::string& path,\n"
-                      "                            const ParameterList& p);\n",
-                      {"SaveParameters"});
-  EXPECT_TRUE(vs.empty());
-}
-
-TEST(DiscardedStatusTest, NolintSuppresses) {
-  const auto vs =
-      Lint("src/doduo/core/x.cc",
-          "void f() {\n  Save(path);  // NOLINT(discarded-status)\n}\n",
-          {"Save"});
-  EXPECT_TRUE(vs.empty());
 }
 
 // -- no-abort ---------------------------------------------------------------
@@ -564,55 +501,27 @@ TEST(NolintTest, MultipleRulesInOneAnnotation) {
                   .empty());
 }
 
-// -- CollectStatusFunctions -------------------------------------------------
-
-TEST(CollectStatusFunctionsTest, FindsStatusAndResultDeclarations) {
-  std::set<std::string, std::less<>> names;
-  CollectStatusFunctions(
-      "util::Status SaveParameters(const std::string& path);\n"
-      "util::Result<std::vector<int>> Decode(std::string_view bytes);\n"
-      "[[nodiscard]] Result<Table> TableFromCsvRows(const CsvRows& rows);\n"
-      "void NotThisOne(int x);\n",
-      &names);
-  EXPECT_EQ(names.count("SaveParameters"), 1u);
-  EXPECT_EQ(names.count("Decode"), 1u);
-  EXPECT_EQ(names.count("TableFromCsvRows"), 1u);
-  EXPECT_EQ(names.count("NotThisOne"), 0u);
-}
-
-TEST(CollectStatusFunctionsTest, FindsQualifiedDefinitions) {
-  std::set<std::string, std::less<>> names;
-  CollectStatusFunctions(
-      "util::Status Annotator::ForEachTable(std::span<const Table> t) {\n"
-      "  return util::Status::Ok();\n"
-      "}\n",
-      &names);
-  EXPECT_EQ(names.count("ForEachTable"), 1u);
-}
-
 TEST(NolintTest, MultiLineStatementAcceptsNolintOnAnyOfItsLines) {
   // The call spans three lines; the escape sits on the last one, where the
   // offending argument actually is. The report anchors to the first line,
-  // but the whole statement span honors the annotation.
-  const auto vs = Lint("src/doduo/core/x.cc",
+  // but the whole call span honors the annotation.
+  const auto vs = Lint("src/doduo/serve/server.cc",
                        "void f() {\n"
-                       "  Save(\n"
-                       "      very_long_path,\n"
-                       "      options);  // NOLINT(discarded-status)\n"
-                       "}\n",
-                       {"Save"});
-  EXPECT_FALSE(HasRule(vs, kRuleDiscardedStatus));
+                       "  send(\n"
+                       "      fd, buf,\n"
+                       "      n, 0);  // NOLINT(serve-raw-io)\n"
+                       "}\n");
+  EXPECT_FALSE(HasRule(vs, kRuleServeRawIo));
 }
 
 TEST(NolintTest, MultiLineStatementWithoutNolintStillFires) {
-  const auto vs = Lint("src/doduo/core/x.cc",
+  const auto vs = Lint("src/doduo/serve/server.cc",
                        "void f() {\n"
-                       "  Save(\n"
-                       "      very_long_path,\n"
-                       "      options);\n"
-                       "}\n",
-                       {"Save"});
-  ASSERT_TRUE(HasRule(vs, kRuleDiscardedStatus));
+                       "  send(\n"
+                       "      fd, buf,\n"
+                       "      n, 0);\n"
+                       "}\n");
+  ASSERT_TRUE(HasRule(vs, kRuleServeRawIo));
   EXPECT_EQ(vs[0].line, 2);  // anchored where the call starts
 }
 
@@ -620,9 +529,9 @@ TEST(NolintTest, MultiLineStatementWithoutNolintStillFires) {
 
 TEST(DedupeTest, TwoOffendersOnOneLineAreOneFinding) {
   const auto vs = Lint("src/doduo/core/x.cc",
-                       "void f() { Save(a); Save(b); }\n", {"Save"});
+                       "void f() { std::abort(); std::abort(); }\n");
   ASSERT_EQ(vs.size(), 1u);
-  EXPECT_EQ(vs[0].rule, kRuleDiscardedStatus);
+  EXPECT_EQ(vs[0].rule, kRuleNoAbort);
 }
 
 TEST(DedupeTest, DistinctRulesOnOneLineBothSurvive) {
@@ -634,7 +543,7 @@ TEST(DedupeTest, DistinctRulesOnOneLineBothSurvive) {
 
 TEST(DedupeTest, SameRuleOnDistinctLinesBothSurvive) {
   const auto vs = Lint("src/doduo/core/x.cc",
-                       "void f() {\n  Save(a);\n  Save(b);\n}\n", {"Save"});
+                       "void f() {\n  std::abort();\n  std::abort();\n}\n");
   EXPECT_EQ(vs.size(), 2u);
 }
 

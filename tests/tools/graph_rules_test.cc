@@ -20,7 +20,7 @@ using Files = std::vector<std::pair<std::string, std::string>>;
 std::vector<Violation> RunRule(Files files, std::string_view rule) {
   const ProjectModel model = ProjectModel::Build(std::move(files));
   std::vector<Violation> out;
-  for (Violation& v : RunGraphRules(model, GraphRuleOptions{})) {
+  for (Violation& v : RunGraphRules(model)) {
     if (v.rule == rule) out.push_back(std::move(v));
   }
   return out;
@@ -349,6 +349,15 @@ Files HotPathTree(const std::string& helper_body) {
   };
 }
 
+// Allocation-free definitions of the int8 kernel-table roots other than
+// GemmBlockAvx2 (one line each).
+std::string Int8KernelStubs() {
+  return "void Int8LinearWith(int) {}\n"
+         "void QuantizeRowScalar(int) {}\n"
+         "void QuantizeRowAvx2(int) {}\n"
+         "void GemmBlockScalar(int) {}\n";
+}
+
 TEST(HotPathAllocTest, GrowthCallOnForwardPathFires) {
   const auto vs =
       RunRule(HotPathTree("  scratch.push_back(1.0f);\n"), kRuleHotPathAlloc);
@@ -377,6 +386,37 @@ TEST(HotPathAllocTest, NakedNewOnForwardPathFires) {
               kRuleHotPathAlloc);
   ASSERT_EQ(vs.size(), 1u);
   EXPECT_TRUE(AnyMessageContains(vs, "'new'"));
+}
+
+TEST(HotPathAllocTest, Int8KernelTableTargetFires) {
+  // The encoder reaches the int8 GEMM only through Int8Kernel's function
+  // pointers, which name resolution cannot follow; the functions the
+  // kernel tables point at are roots of their own.
+  Files files = HotPathTree("  PickInt8Kernel().linear(x);\n");
+  files.push_back({"src/doduo/nn/quant.cc", Int8KernelStubs() +
+                   "void GemmBlockAvx2(const Int8Block& b) {\n"
+                   "  rows.push_back(b.rows);\n"
+                   "}\n"
+                   "constexpr Int8Kernel kAvx2Kernel{\"avx2\", "
+                   "&GemmBlockAvx2};\n"});
+  const auto vs = RunRule(std::move(files), kRuleHotPathAlloc);
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].file, "src/doduo/nn/quant.cc");
+  EXPECT_EQ(vs[0].line, 6);
+  EXPECT_TRUE(AnyMessageContains(vs, "'push_back' in 'GemmBlockAvx2'"));
+}
+
+TEST(HotPathAllocTest, RootMissingFromItsFileFires) {
+  // A renamed kernel must not drop out of the audit unnoticed: nn/quant.cc
+  // is in the tree, but GemmBlockAvx2 is no longer defined there.
+  Files files = HotPathTree("");
+  files.push_back({"src/doduo/nn/quant.cc",
+                   Int8KernelStubs() + "void GemmBlockAvx512(int) {}\n"});
+  const auto vs = RunRule(std::move(files), kRuleHotPathAlloc);
+  ASSERT_EQ(vs.size(), 1u);
+  EXPECT_EQ(vs[0].file, "src/doduo/nn/quant.cc");
+  EXPECT_EQ(vs[0].line, 1);
+  EXPECT_TRUE(AnyMessageContains(vs, "root 'GemmBlockAvx2'"));
 }
 
 TEST(HotPathAllocTest, UnreachableFunctionIsQuiet) {

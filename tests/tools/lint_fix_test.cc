@@ -23,7 +23,7 @@ std::string Fixed(std::string_view path, std::string_view source,
 
 bool LintsCleanOf(std::string_view path, std::string_view source,
                   std::string_view rule) {
-  for (const Violation& v : LintSource(path, source, LintOptions{})) {
+  for (const Violation& v : LintSource(path, source)) {
     if (v.rule == rule) return false;
   }
   return true;

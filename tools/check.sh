@@ -32,18 +32,20 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 sanitizer_filter='nn_test|transformer_test|serve_test'
 
 echo "=== doduo_lint (project invariants, whole-program) ==="
-# The linter is cheap and catches discarded Status values, stray abort/rand
-# calls, raw std::mutex use, detached threads, and include hygiene before
-# any compile finishes, so it runs first and is never skipped — not even
-# under --fast (DESIGN §11). --all adds the cross-file passes (DESIGN §16):
+# The linter is cheap and catches stray abort/rand calls, raw std::mutex
+# use, detached threads, and include hygiene before any compile finishes,
+# so it runs first and is never skipped — not even under --fast
+# (DESIGN §11). Every run includes the cross-file passes (DESIGN §16):
 # layering DAG, include cycles, serve-frame symmetry, metrics registry,
-# and the hot-path allocation audit. The JSON report (SARIF-lite) lands in
-# build/lint_report.json for CI annotation; the human-readable run gates.
+# and the hot-path allocation audit. A discarded Status is the compiler's
+# job (-Werror=unused-result in every build). The JSON report (SARIF-lite)
+# lands in build/lint_report.json for CI annotation; the human-readable
+# run gates.
 cmake -B build -S . >/dev/null
 cmake --build build -j "${jobs}" --target doduo_lint
-./build/tools/doduo_lint --all --format=json . > build/lint_report.json \
+./build/tools/doduo_lint --format=json . > build/lint_report.json \
   || true  # keep the report even when dirty; the gating run is next
-./build/tools/doduo_lint --all .
+./build/tools/doduo_lint .
 
 echo "=== tier-1 (Release) ==="
 cmake --build build -j "${jobs}"

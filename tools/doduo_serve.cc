@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
   }
   doduo::core::ReplicaPool pool(m.model.get(), m.serializer.get(), &m.types,
                                 m.relation_vocab(), replicas);
-  options.batcher.num_workers = pool.num_replicas();
 
   doduo::serve::Server server(&pool, options);
   if (doduo::util::Status started = server.Start(); !started.ok()) {

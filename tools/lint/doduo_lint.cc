@@ -1,14 +1,11 @@
 // doduo_lint: project-invariant static analysis (DESIGN §11, §16).
 //
-//   doduo_lint [--all] [--fix] [--format=text|json]
-//              [--baseline=FILE] [--write-baseline=FILE] [repo-root]
+//   doduo_lint [--fix] [--format=text|json] [repo-root]
 //
 // Walks src/, tools/, bench/, examples/, and tests/ under the repo root
-// (default: the current directory), collects every Status/Result-returning
-// function name from the sources, then lints each file against the
+// (default: the current directory) and lints each file against the
 // per-file rules:
 //
-//   discarded-status   ignored call to a Status/Result-returning function
 //   no-abort           abort/exit/assert outside util/logging|status|mutex
 //   no-raw-random      rand/srand/time/random_device outside util/rng
 //   no-naked-new       new/delete/malloc in nn/ and transformer/ kernels
@@ -21,8 +18,11 @@
 //   detached-thread    std::thread::detach() anywhere in the tree
 //   sleep-sync         sleep_for/sleep_until as synchronization in serve
 //                      tests; wait on the observable condition instead
+//   quant-no-float-in-int8-kernel
+//                      float types, literals or intrinsics in a function
+//                      named *Int8*Kernel*
 //
-// With --all, the whole-program passes (graph_rules.h) run on top:
+// then runs the whole-program passes (graph_rules.h) over all of them:
 //
 //   layering           module include DAG (util → text → table → … → serve)
 //   include-cycle      file-level include graph is acyclic
@@ -30,23 +30,22 @@
 //   metrics-registry   metric names match util/metric_names.h exactly
 //   hot-path-alloc     no alloc reachable from the encoder forward path
 //
+// A discarded util::Status / util::Result<T> is not a lint rule: both are
+// [[nodiscard]] types and the build treats unused-result as an error.
+//
 // --fix rewrites files in place for the mechanical rules (include-order,
 // header-guard); the result is idempotent. --format=json emits a
-// SARIF-lite report on stdout for CI artifacts. --baseline=FILE suppresses
-// known violations ("rule path" per line, '#' comments); when the flag is
-// absent, tools/lint/lint_baseline.txt under the repo root is used if it
-// exists. --write-baseline=FILE snapshots current violations and exits 0.
+// SARIF-lite report on stdout for CI artifacts.
 //
 // Violations print as "file:line: rule-id message"; a `// NOLINT(rule-id)`
-// comment on the offending line suppresses them. Exit status is 0 when the
-// tree is clean, 1 when violations were found, 2 on usage/IO errors —
-// scripts can tell "dirty tree" from "broken invocation".
+// comment on the offending line is the only way to suppress one. Exit
+// status is 0 when the tree is clean, 1 when violations were found, 2 on
+// usage/IO errors — scripts can tell "dirty tree" from "broken invocation".
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -81,23 +80,6 @@ bool WriteFile(const fs::path& path, std::string_view text) {
   return out.good();
 }
 
-/// Baseline: accepted (rule, repo-relative path) pairs.
-using Baseline = std::set<std::pair<std::string, std::string>>;
-
-bool LoadBaseline(const fs::path& path, Baseline* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream fields(line);
-    std::string rule, file;
-    if (fields >> rule >> file) out->emplace(rule, file);
-  }
-  return true;
-}
-
 void JsonEscape(std::string_view s, std::string* out) {
   for (char c : s) {
     switch (c) {
@@ -120,7 +102,7 @@ void JsonEscape(std::string_view s, std::string* out) {
 /// SARIF-lite: the subset of SARIF that CI annotators actually read —
 /// one result per violation with ruleId, level, message, and location.
 std::string FormatJson(const std::vector<doduo::lint::Violation>& violations,
-                       size_t files_scanned, size_t baselined) {
+                       size_t files_scanned) {
   std::string out = "{\n  \"tool\": \"doduo_lint\",\n  \"results\": [";
   bool first = true;
   for (const doduo::lint::Violation& v : violations) {
@@ -137,40 +119,29 @@ std::string FormatJson(const std::vector<doduo::lint::Violation>& violations,
   out += violations.empty() ? "],\n" : "\n  ],\n";
   out += "  \"summary\": {\"files\": " + std::to_string(files_scanned) +
          ", \"violations\": " + std::to_string(violations.size()) +
-         ", \"baselined\": " + std::to_string(baselined) + "}\n}\n";
+         "}\n}\n";
   return out;
 }
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: doduo_lint [--all] [--fix] [--format=text|json]\n"
-               "                  [--baseline=FILE] [--write-baseline=FILE]\n"
-               "                  [repo-root]\n");
+               "usage: doduo_lint [--fix] [--format=text|json] [repo-root]\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool all = false;
   bool fix = false;
   std::string format = "text";
-  std::string baseline_flag;
-  std::string write_baseline;
   fs::path root;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--all") {
-      all = true;
-    } else if (arg == "--fix") {
+    if (arg == "--fix") {
       fix = true;
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
       if (format != "text" && format != "json") return Usage();
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_flag = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline = arg.substr(17);
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else if (root.empty()) {
@@ -214,9 +185,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Load every file up front: the status-function scan, --fix, and the
+  // Load every file up front: --fix, the per-file rules and the
   // whole-program model all want (repo-relative path, text) pairs.
-  doduo::lint::LintOptions options;
   std::vector<std::pair<std::string, std::string>> sources;
   sources.reserve(files.size());
   for (const fs::path& p : files) {
@@ -253,25 +223,17 @@ int main(int argc, char** argv) {
                  total_fixes, files_fixed);
   }
 
-  for (const auto& [rel, text] : sources) {
-    doduo::lint::CollectStatusFunctions(text, &options.status_functions);
-  }
-
   std::vector<doduo::lint::Violation> violations;
   for (const auto& [rel, text] : sources) {
-    for (doduo::lint::Violation& v :
-         doduo::lint::LintSource(rel, text, options)) {
+    for (doduo::lint::Violation& v : doduo::lint::LintSource(rel, text)) {
       violations.push_back(std::move(v));
     }
   }
-  size_t files_scanned = sources.size();
-  if (all) {
-    doduo::lint::ProjectModel model =
-        doduo::lint::ProjectModel::Build(std::move(sources));
-    for (doduo::lint::Violation& v :
-         doduo::lint::RunGraphRules(model, doduo::lint::GraphRuleOptions{})) {
-      violations.push_back(std::move(v));
-    }
+  const size_t files_scanned = sources.size();
+  const doduo::lint::ProjectModel model =
+      doduo::lint::ProjectModel::Build(std::move(sources));
+  for (doduo::lint::Violation& v : doduo::lint::RunGraphRules(model)) {
+    violations.push_back(std::move(v));
   }
   std::sort(violations.begin(), violations.end(),
             [](const doduo::lint::Violation& a,
@@ -288,70 +250,18 @@ int main(int argc, char** argv) {
                   }),
       violations.end());
 
-  if (!write_baseline.empty()) {
-    std::string text =
-        "# doduo_lint baseline: accepted pre-existing violations.\n"
-        "# One \"rule path\" pair per line; '#' starts a comment.\n";
-    Baseline pairs;
-    for (const doduo::lint::Violation& v : violations) {
-      pairs.emplace(v.rule, v.file);
-    }
-    for (const auto& [rule, file] : pairs) {
-      text += rule + " " + file + "\n";
-    }
-    if (!WriteFile(write_baseline, text)) {
-      std::fprintf(stderr, "doduo_lint: cannot write %s\n",
-                   write_baseline.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "doduo_lint: wrote %zu baseline entrie(s) to %s\n",
-                 pairs.size(), write_baseline.c_str());
-    return 0;
-  }
-
-  // Baseline: an explicit --baseline=FILE must exist; the implicit
-  // tools/lint/lint_baseline.txt is optional.
-  Baseline baseline;
-  if (!baseline_flag.empty()) {
-    if (!LoadBaseline(baseline_flag, &baseline)) {
-      std::fprintf(stderr, "doduo_lint: cannot read baseline %s\n",
-                   baseline_flag.c_str());
-      return 2;
-    }
-  } else {
-    LoadBaseline(root / "tools/lint/lint_baseline.txt", &baseline);
-  }
-  size_t baselined = 0;
-  if (!baseline.empty()) {
-    auto keep = std::remove_if(
-        violations.begin(), violations.end(),
-        [&](const doduo::lint::Violation& v) {
-          return baseline.count({v.rule, v.file}) > 0;
-        });
-    baselined = static_cast<size_t>(violations.end() - keep);
-    violations.erase(keep, violations.end());
-  }
-
   if (format == "json") {
-    std::fputs(FormatJson(violations, files_scanned, baselined).c_str(),
-               stdout);
+    std::fputs(FormatJson(violations, files_scanned).c_str(), stdout);
     return violations.empty() ? 0 : 1;
   }
   for (const doduo::lint::Violation& v : violations) {
     std::printf("%s\n", doduo::lint::FormatViolation(v).c_str());
   }
   if (!violations.empty()) {
-    std::printf("doduo_lint: %zu violation(s) across %zu file(s)%s\n",
-                violations.size(), files_scanned,
-                baselined > 0
-                    ? (" (" + std::to_string(baselined) + " baselined)")
-                          .c_str()
-                    : "");
+    std::printf("doduo_lint: %zu violation(s) across %zu file(s)\n",
+                violations.size(), files_scanned);
     return 1;
   }
-  std::printf("doduo_lint: %zu file(s) clean%s\n", files_scanned,
-              baselined > 0
-                  ? (" (" + std::to_string(baselined) + " baselined)").c_str()
-                  : "");
+  std::printf("doduo_lint: %zu file(s) clean\n", files_scanned);
   return 0;
 }

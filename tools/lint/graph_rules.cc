@@ -1,12 +1,54 @@
 #include "lint/graph_rules.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 namespace doduo::lint {
 
 namespace {
+
+// frame-symmetry inputs.
+constexpr char kProtocolHeader[] = "serve/protocol.h";
+constexpr char kFrameEnum[] = "FrameType";
+constexpr char kEncodeFile[] = "serve/client.cc";
+constexpr char kDecodeFile[] = "serve/server.cc";
+constexpr char kTestDir[] = "tests/";
+constexpr char kFuzzMarker[] = "fuzz";
+
+// metrics-registry inputs.
+constexpr char kRegistryHeader[] = "util/metric_names.h";
+/// Name prefix that needs no registration (ad-hoc test metrics).
+constexpr char kMetricExemptPrefix[] = "test.";
+
+// hot-path-alloc inputs.
+struct HotPathRoot {
+  std::string_view file;      // suffix of the defining file's path
+  std::string_view function;  // function name
+};
+/// The encoder forward pass, plus the functions the int8 kernel tables
+/// (nn/quant.cc) point at: calls through Int8Kernel's function pointers
+/// are invisible to name resolution, so their targets are roots too. A
+/// root whose file is in the tree but defines no such function is itself
+/// a finding, so a renamed kernel cannot silently drop out of the audit.
+constexpr HotPathRoot kHotPathRoots[] = {
+    {"transformer/encoder.cc", "Forward"},
+    {"nn/quant.cc", "Int8LinearWith"},
+    {"nn/quant.cc", "QuantizeRowScalar"},
+    {"nn/quant.cc", "QuantizeRowAvx2"},
+    {"nn/quant.cc", "GemmBlockScalar"},
+    {"nn/quant.cc", "GemmBlockAvx2"}};
+/// Modules whose function definitions participate in the call graph.
+constexpr std::string_view kHotPathModules[] = {"nn", "transformer"};
+/// Path substrings exempt from the audit: the buffer/arena primitives
+/// themselves (nn::Tensor, nn::Workspace) are the instrumented allocation
+/// choke points the rest of the hot path must go through.
+constexpr std::string_view kHotPathExemptPaths[] = {"nn/tensor",
+                                                    "nn/workspace"};
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
@@ -41,8 +83,7 @@ bool IsStatementKeyword(std::string_view t) {
 
 class GraphLinter {
  public:
-  GraphLinter(const ProjectModel& model, const GraphRuleOptions& options)
-      : model_(model), options_(options) {}
+  explicit GraphLinter(const ProjectModel& model) : model_(model) {}
 
   std::vector<Violation> Run() {
     CheckLayering();
@@ -103,8 +144,8 @@ class GraphLinter {
   void CheckLayering() {
     for (int fi = 0; fi < static_cast<int>(model_.files.size()); ++fi) {
       const FileModel& file = model_.files[static_cast<size_t>(fi)];
-      auto self = options_.layer_ranks.find(file.module);
-      if (self == options_.layer_ranks.end()) {
+      auto self = layer_ranks_.find(file.module);
+      if (self == layer_ranks_.end()) {
         if (StartsWith(file.path, "src/doduo/")) {
           Report(fi, 1, kRuleLayering,
                  "module '" + file.module +
@@ -119,8 +160,8 @@ class GraphLinter {
         if (inc.system) continue;
         const std::string dep = IncludeModule(inc);
         if (dep.empty() || dep == file.module) continue;
-        auto it = options_.layer_ranks.find(dep);
-        const int dep_rank = it == options_.layer_ranks.end()
+        auto it = layer_ranks_.find(dep);
+        const int dep_rank = it == layer_ranks_.end()
                                  ? kUnconstrainedRank
                                  : it->second;
         if (dep_rank >= rank) {
@@ -219,7 +260,7 @@ class GraphLinter {
     const int n = static_cast<int>(toks.size());
     for (int i = 0; i + 2 < n; ++i) {
       if (toks[i].text != "enum" || toks[i + 1].text != "class" ||
-          toks[i + 2].text != options_.frame_enum) {
+          toks[i + 2].text != kFrameEnum) {
         continue;
       }
       *enum_line = toks[i].line;
@@ -256,13 +297,13 @@ class GraphLinter {
   }
 
   void CheckFrameSymmetry() {
-    const int proto = model_.FindFileBySuffix(options_.protocol_header_suffix);
+    const int proto = model_.FindFileBySuffix(kProtocolHeader);
     if (proto < 0) {
       for (int fi = 0; fi < static_cast<int>(model_.files.size()); ++fi) {
         if (model_.files[static_cast<size_t>(fi)].module == "serve") {
           Report(fi, 1, kRuleFrameSymmetry,
-                 "serve module present but no " +
-                     options_.protocol_header_suffix +
+                 std::string("serve module present but no ") +
+                     kProtocolHeader +
                      " in the project model; the wire contract has no "
                      "checkable home");
           return;
@@ -274,8 +315,8 @@ class GraphLinter {
     int enum_line = 1;
     if (!ParseFrameEnum(proto, &frames, &enum_line)) {
       Report(proto, 1, kRuleFrameSymmetry,
-             "no 'enum class " + options_.frame_enum + "' found in " +
-                 options_.protocol_header_suffix);
+             std::string("no 'enum class ") + kFrameEnum + "' found in " +
+                 kProtocolHeader);
       return;
     }
 
@@ -329,16 +370,15 @@ class GraphLinter {
     // expects it, the server decodes and answers it. A frame missing from
     // either side is silently dead (or worse, a connection-fatal unknown
     // type for an up-level peer).
-    const int enc = model_.FindFileBySuffix(options_.encode_file_suffix);
-    const int dec = model_.FindFileBySuffix(options_.decode_file_suffix);
+    const int enc = model_.FindFileBySuffix(kEncodeFile);
+    const int dec = model_.FindFileBySuffix(kDecodeFile);
     for (const auto& [side, fi] :
          {std::pair<std::string_view, int>{"encode", enc},
           std::pair<std::string_view, int>{"decode", dec}}) {
       if (fi < 0) {
         Report(proto, enum_line, kRuleFrameSymmetry,
-               "no " +
-                   (side == "encode" ? options_.encode_file_suffix
-                                     : options_.decode_file_suffix) +
+               std::string("no ") +
+                   (side == "encode" ? kEncodeFile : kDecodeFile) +
                    " in the project model to carry the " + std::string(side) +
                    " side of the frame protocol");
         continue;
@@ -361,8 +401,7 @@ class GraphLinter {
       bool in_tests = false;
       for (int fi = 0; fi < static_cast<int>(model_.files.size()) && !in_tests;
            ++fi) {
-        if (StartsWith(model_.files[static_cast<size_t>(fi)].path,
-                       options_.test_dir_prefix) &&
+        if (StartsWith(model_.files[static_cast<size_t>(fi)].path, kTestDir) &&
             HasIdent(fi, e.name)) {
           in_tests = true;
         }
@@ -370,8 +409,7 @@ class GraphLinter {
       if (!in_tests) {
         Report(proto, e.line, kRuleFrameSymmetry,
                "frame " + e.name + " (id " + std::to_string(e.value) +
-                   ") has no test reference under " +
-                   options_.test_dir_prefix +
+                   ") has no test reference under " + kTestDir +
                    "; at minimum the wire fuzz suite must construct it");
       }
     }
@@ -417,8 +455,8 @@ class GraphLinter {
       for (int fi = 0; fi < static_cast<int>(model_.files.size()) && !fuzzed;
            ++fi) {
         const FileModel& f = model_.files[static_cast<size_t>(fi)];
-        if (StartsWith(f.path, options_.test_dir_prefix) &&
-            f.path.find(options_.fuzz_marker) != std::string::npos &&
+        if (StartsWith(f.path, kTestDir) &&
+            f.path.find(kFuzzMarker) != std::string::npos &&
             HasIdent(fi, target)) {
           fuzzed = true;
         }
@@ -430,7 +468,7 @@ class GraphLinter {
         Report(proto, line, kRuleFrameSymmetry,
                target +
                    " is not exercised by any fuzz test (tests/**/*" +
-                   options_.fuzz_marker +
+                   kFuzzMarker +
                    "*); every wire decoder chews untrusted bytes");
       }
     }
@@ -451,7 +489,7 @@ class GraphLinter {
       // the registry header are not call sites.
       if (EndsWith(f.path, "util/metrics.h") ||
           EndsWith(f.path, "util/metrics.cc") ||
-          EndsWith(f.path, options_.registry_header_suffix)) {
+          EndsWith(f.path, kRegistryHeader)) {
         continue;
       }
       const int n = static_cast<int>(f.tokens.size());
@@ -475,14 +513,13 @@ class GraphLinter {
         }
       }
     }
-    const int reg = model_.FindFileBySuffix(options_.registry_header_suffix);
+    const int reg = model_.FindFileBySuffix(kRegistryHeader);
     if (reg < 0) {
       // A tree with no metrics use needs no registry; one with uses does.
       if (!uses.empty()) {
         Report(uses[0].file, uses[0].line, kRuleMetricsRegistry,
-               "metric names are used but the model has no " +
-                   options_.registry_header_suffix +
-                   " registry header (DESIGN §16)");
+               std::string("metric names are used but the model has no ") +
+                   kRegistryHeader + " registry header (DESIGN §16)");
       }
       return;
     }
@@ -494,11 +531,7 @@ class GraphLinter {
 
     std::set<std::string> used_names;
     for (const Use& use : uses) {
-      bool exempt = false;
-      for (const std::string& prefix : options_.metric_exempt_prefixes) {
-        if (StartsWith(use.name, prefix)) exempt = true;
-      }
-      if (exempt) continue;
+      if (StartsWith(use.name, kMetricExemptPrefix)) continue;
       used_names.insert(use.name);
       if (registered.count(use.name) > 0) continue;
       // Typo'd near-duplicate? Suggest the closest registered name.
@@ -513,7 +546,7 @@ class GraphLinter {
       }
       Report(use.file, use.line, kRuleMetricsRegistry,
              "metric name \"" + use.name + "\" is not in " +
-                 options_.registry_header_suffix +
+                 kRegistryHeader +
                  (best.empty() ? "; register it there (one header owns "
                                  "every metric name)"
                                : "; did you mean \"" + best + "\"?"));
@@ -539,14 +572,14 @@ class GraphLinter {
   };
 
   bool InHotPathModules(const FileModel& f) const {
-    for (const std::string& m : options_.hot_path_modules) {
+    for (const std::string_view m : kHotPathModules) {
       if (f.module == m) return true;
     }
     return false;
   }
 
   bool IsExemptPath(const FileModel& f) const {
-    for (const std::string& p : options_.hot_path_exempt_paths) {
+    for (const std::string_view p : kHotPathExemptPaths) {
       if (f.path.find(p) != std::string::npos) return true;
     }
     return false;
@@ -618,29 +651,39 @@ class GraphLinter {
         CollectFunctionDefs(fi, &defs);
       }
     }
-    if (defs.empty()) return;
     std::map<std::string, std::vector<int>, std::less<>> defs_by_name;
     for (int d = 0; d < static_cast<int>(defs.size()); ++d) {
       defs_by_name[defs[static_cast<size_t>(d)].name].push_back(d);
     }
 
-    // Seed the worklist with the roots (Encoder::Forward by default) and
-    // walk the name-resolved call graph. Name resolution over-approximates
-    // (every definition of a called name is reachable), which errs toward
-    // auditing more code — the safe direction for a zero-alloc contract.
+    // Seed the worklist with the roots (Encoder::Forward and the int8
+    // kernel-table targets) and walk the name-resolved call graph. Name
+    // resolution over-approximates (every definition of a called name is
+    // reachable), which errs toward auditing more code — the safe
+    // direction for a zero-alloc contract.
     std::vector<int> worklist;
     std::vector<int> parent(defs.size(), -2);  // -2 unreached, -1 root
-    for (const auto& root : options_.hot_path_roots) {
+    for (const HotPathRoot& root : kHotPathRoots) {
+      bool defined = false;
       for (int d = 0; d < static_cast<int>(defs.size()); ++d) {
         const FunctionDef& def = defs[static_cast<size_t>(d)];
         if (def.name == root.function &&
-            model_.files[static_cast<size_t>(def.file)].path.find(
-                root.file_contains) != std::string::npos) {
+            EndsWith(model_.files[static_cast<size_t>(def.file)].path,
+                     root.file)) {
+          defined = true;
           if (parent[static_cast<size_t>(d)] == -2) {
             parent[static_cast<size_t>(d)] = -1;
             worklist.push_back(d);
           }
         }
+      }
+      const int root_file = model_.FindFileBySuffix(root.file);
+      if (!defined && root_file >= 0) {
+        Report(root_file, 1, kRuleHotPathAlloc,
+               "hot-path root '" + std::string(root.function) +
+                   "' has no definition in " + std::string(root.file) +
+                   ", so the allocation audit no longer covers it; update "
+                   "kHotPathRoots in tools/lint/graph_rules.cc");
       }
     }
     for (size_t w = 0; w < worklist.size(); ++w) {
@@ -732,15 +775,16 @@ class GraphLinter {
   }
 
   const ProjectModel& model_;
-  const GraphRuleOptions& options_;
+  /// Module -> layer rank; includes may only point strictly downward.
+  const std::map<std::string, int, std::less<>> layer_ranks_ =
+      DefaultLayerRanks();
   std::vector<Violation> violations_;
 };
 
 }  // namespace
 
-std::vector<Violation> RunGraphRules(const ProjectModel& model,
-                                     const GraphRuleOptions& options) {
-  return GraphLinter(model, options).Run();
+std::vector<Violation> RunGraphRules(const ProjectModel& model) {
+  return GraphLinter(model).Run();
 }
 
 }  // namespace doduo::lint

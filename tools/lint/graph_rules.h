@@ -1,8 +1,6 @@
 #ifndef DODUO_TOOLS_LINT_GRAPH_RULES_H_
 #define DODUO_TOOLS_LINT_GRAPH_RULES_H_
 
-#include <map>
-#include <string>
 #include <vector>
 
 #include "lint/project_model.h"
@@ -25,8 +23,9 @@
 //                    function reachable from the encoder forward path
 //                    (mechanizes the allocs_per_iter=0 contract)
 //
-// All knobs live in GraphRuleOptions so tests can point the passes at
-// synthetic in-memory repositories; the defaults describe the real tree.
+// The inputs each pass reads (file paths, the layer DAG, hot-path roots)
+// are named constants in graph_rules.cc: they describe this tree, and the
+// tests build their synthetic repositories on the same paths.
 
 namespace doduo::lint {
 
@@ -36,44 +35,10 @@ inline constexpr char kRuleFrameSymmetry[] = "frame-symmetry";
 inline constexpr char kRuleMetricsRegistry[] = "metrics-registry";
 inline constexpr char kRuleHotPathAlloc[] = "hot-path-alloc";
 
-struct GraphRuleOptions {
-  /// Module -> layer rank; includes may only point strictly downward.
-  std::map<std::string, int, std::less<>> layer_ranks = DefaultLayerRanks();
-
-  // frame-symmetry inputs.
-  std::string protocol_header_suffix = "serve/protocol.h";
-  std::string frame_enum = "FrameType";
-  std::string encode_file_suffix = "serve/client.cc";
-  std::string decode_file_suffix = "serve/server.cc";
-  std::string test_dir_prefix = "tests/";
-  std::string fuzz_marker = "fuzz";
-
-  // metrics-registry inputs.
-  std::string registry_header_suffix = "util/metric_names.h";
-  /// Name prefixes that need no registration (ad-hoc test metrics).
-  std::vector<std::string> metric_exempt_prefixes = {"test."};
-
-  // hot-path-alloc inputs.
-  struct HotPathRoot {
-    std::string file_contains;  // substring of the defining file's path
-    std::string function;       // function name
-  };
-  std::vector<HotPathRoot> hot_path_roots = {
-      {"transformer/encoder", "Forward"}};
-  /// Modules whose function definitions participate in the call graph.
-  std::vector<std::string> hot_path_modules = {"nn", "transformer"};
-  /// Path substrings exempt from the audit: the buffer/arena primitives
-  /// themselves (nn::Tensor, nn::Workspace) are the instrumented
-  /// allocation choke points the rest of the hot path must go through.
-  std::vector<std::string> hot_path_exempt_paths = {"nn/tensor",
-                                                    "nn/workspace"};
-};
-
 /// Runs every whole-program pass. Violations honor the per-line
 /// `// NOLINT(rule-id)` escapes of the file they attach to, and are
 /// deduplicated on (file, line, rule) and sorted.
-std::vector<Violation> RunGraphRules(const ProjectModel& model,
-                                     const GraphRuleOptions& options);
+std::vector<Violation> RunGraphRules(const ProjectModel& model);
 
 }  // namespace doduo::lint
 

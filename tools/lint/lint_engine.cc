@@ -302,9 +302,8 @@ namespace {
 
 class Linter {
  public:
-  Linter(std::string_view path, std::string_view source,
-         const LintOptions& options)
-      : path_(path), source_(source), options_(options) {
+  Linter(std::string_view path, std::string_view source)
+      : path_(path), source_(source) {
     stripped_ = StripSource(source, &suppressions_);
     tokens_ = Tokenize(stripped_);
   }
@@ -365,22 +364,7 @@ class Linter {
     return p != nullptr && (p->text == "." || p->text == "->");
   }
 
-  /// Walks a postfix chain (`a.b->c::Call`) backwards from the name at `i`
-  /// to the chain's first token. Returns -1 when the receiver is itself a
-  /// call or similarly complex (the caller then stays silent).
-  int ChainStart(int i) const {
-    int k = i;
-    while (k >= 1) {
-      const std::string_view sep = tokens_[k - 1].text;
-      if (sep != "." && sep != "->" && sep != "::") return k;
-      if (k < 2) return -1;
-      if (tokens_[k - 2].kind != TokenKind::kIdent) return -1;
-      k -= 2;
-    }
-    return k;
-  }
-
-  // discarded-status, no-abort, no-raw-random, no-naked-new, raw-mutex,
+  // no-abort, no-raw-random, no-naked-new, serve-raw-io, raw-mutex,
   // detached-thread, sleep-sync: one pass over the token stream.
   void CheckCallTokens() {
     // util/mutex joins the exempt set: the lock-order deadlock detector is
@@ -395,8 +379,7 @@ class Linter {
         PathContains(path_, "nn/") || PathContains(path_, "transformer/");
     // serve-raw-io: raw POSIX socket/fd calls are confined to
     // serve/socket_io.{h,cc}, whose [[nodiscard]] wrappers carry the
-    // Status contract (and whose names CollectStatusFunctions picks up, so
-    // discarded-status covers their call sites automatically).
+    // Status contract.
     const bool serve_scoped = PathContains(path_, "serve/") &&
                               !PathContains(path_, "serve/socket_io");
     // raw-mutex: std synchronization primitives are confined to
@@ -509,46 +492,7 @@ class Linter {
                        "hidden behind a timer; wait on the observable "
                        "condition instead");
       }
-
-      if (call && options_.status_functions.count(t.text) > 0) {
-        CheckDiscardedStatus(i);
-      }
     }
-  }
-
-  /// tokens_[i] names a Status/Result-returning function and tokens_[i+1]
-  /// is "(": flags the call when it forms a whole expression statement.
-  void CheckDiscardedStatus(int i) {
-    const int close = MatchParen(tokens_, i + 1);
-    if (close < 0 || close + 1 >= static_cast<int>(tokens_.size())) return;
-    if (tokens_[close + 1].text != ";") return;
-    const int start = ChainStart(i);
-    if (start < 0) return;
-    // The statement's NOLINT may sit on any of its lines (multi-line calls
-    // conventionally carry it after the closing paren).
-    const int end_line = tokens_[close + 1].line;
-    if (start == 0) {
-      ReportDiscarded(tokens_[i], end_line);
-      return;
-    }
-    const Token& prev = tokens_[start - 1];
-    const std::string_view p = prev.text;
-    if (p == ";" || p == "{" || p == "}" || p == ":" || p == "else" ||
-        p == "do") {
-      ReportDiscarded(tokens_[i], end_line);
-    } else if (p == ")") {
-      // `(void)Call();` is an explicit discard; `if (...) Call();` is not.
-      const bool void_cast = start >= 3 && tokens_[start - 2].text == "void" &&
-                             tokens_[start - 3].text == "(";
-      if (!void_cast) ReportDiscarded(tokens_[i], end_line);
-    }
-  }
-
-  void ReportDiscarded(const Token& name, int end_line) {
-    ReportSpan(name.line, end_line, kRuleDiscardedStatus,
-               "result of Status-returning '" + std::string(name.text) +
-                   "' is ignored; check .ok() or cast to (void) with a "
-                   "reason");
   }
 
   // metrics-in-loop: registry lookups (GetCounter/GetHistogram) must be
@@ -764,7 +708,6 @@ class Linter {
 
   std::string_view path_;
   std::string_view source_;
-  const LintOptions& options_;
   std::string stripped_;
   Suppressions suppressions_;
   std::vector<Token> tokens_;
@@ -932,45 +875,9 @@ void FixHeaderGuard(std::string_view path, std::vector<std::string>* lines) {
 
 }  // namespace
 
-void CollectStatusFunctions(std::string_view source,
-                            std::set<std::string, std::less<>>* out) {
-  Suppressions ignored;
-  const std::string stripped = StripSource(source, &ignored);
-  const std::vector<Token> toks = Tokenize(stripped);
-  const int n = static_cast<int>(toks.size());
-  for (int i = 0; i < n; ++i) {
-    if (toks[i].kind != TokenKind::kIdent) continue;
-    int j = -1;  // first token after the return type
-    if (toks[i].text == "Status") {
-      j = i + 1;
-    } else if (toks[i].text == "Result" && i + 1 < n &&
-               toks[i + 1].text == "<") {
-      int depth = 0;
-      for (int k = i + 1; k < n; ++k) {
-        if (toks[k].text == "<") ++depth;
-        if (toks[k].text == ">" && --depth == 0) {
-          j = k + 1;
-          break;
-        }
-      }
-    }
-    if (j < 0 || j >= n || toks[j].kind != TokenKind::kIdent) continue;
-    // Qualified-id: ident (:: ident)* then '('.
-    int name = j;
-    while (name + 2 < n && toks[name + 1].text == "::" &&
-           toks[name + 2].kind == TokenKind::kIdent) {
-      name += 2;
-    }
-    if (name + 1 < n && toks[name + 1].text == "(") {
-      out->emplace(toks[name].text);
-    }
-  }
-}
-
 std::vector<Violation> LintSource(std::string_view path,
-                                  std::string_view source,
-                                  const LintOptions& options) {
-  return Linter(path, source, options).Run();
+                                  std::string_view source) {
+  return Linter(path, source).Run();
 }
 
 std::string FormatViolation(const Violation& v) {
@@ -982,10 +889,9 @@ std::string ApplyFixes(std::string_view path, std::string_view source,
                        int* fixes_applied) {
   int applied = 0;
   std::string text(source);
-  const LintOptions no_options;
   bool needs_include_fix = false;
   bool needs_guard_fix = false;
-  for (const Violation& v : LintSource(path, text, no_options)) {
+  for (const Violation& v : LintSource(path, text)) {
     if (v.rule == kRuleIncludeOrder) needs_include_fix = true;
     if (v.rule == kRuleHeaderGuard) needs_guard_fix = true;
   }

@@ -10,7 +10,9 @@
 // The rule engine behind doduo_lint (DESIGN §11, §16): a dependency-free,
 // token/line-based checker for project invariants that the compiler cannot
 // see (determinism contract, workspace-arena discipline, cached-metric
-// pattern) or that it only enforces with our help ([[nodiscard]] Status).
+// pattern). Discarded util::Status / util::Result<T> is the compiler's job:
+// both are [[nodiscard]] types and the build promotes unused-result to an
+// error.
 // It is deliberately not a real C++ parser: every rule is written so that a
 // shallow token scan — comment- and string-literal-aware — has no false
 // positives on this codebase, and the `// NOLINT(rule-id)` escape hatch
@@ -34,17 +36,9 @@ struct Violation {
   std::string message;
 };
 
-/// Engine configuration. `status_functions` is the set of function names
-/// known to return util::Status / util::Result<T>; the driver populates it
-/// by scanning every header with CollectStatusFunctions.
-struct LintOptions {
-  std::set<std::string, std::less<>> status_functions;
-};
-
 // Rule identifiers (the `rule-id` printed in diagnostics and accepted by
 // `// NOLINT(rule-id)`). See DESIGN §11 for each per-file rule's rationale
 // and DESIGN §16 for the whole-program rules in graph_rules.h.
-inline constexpr char kRuleDiscardedStatus[] = "discarded-status";
 inline constexpr char kRuleNoAbort[] = "no-abort";
 inline constexpr char kRuleNoRawRandom[] = "no-raw-random";
 inline constexpr char kRuleNoNakedNew[] = "no-naked-new";
@@ -112,19 +106,12 @@ std::vector<StringLiteral> CollectStringLiterals(std::string_view source);
 // Per-file linting.
 // ---------------------------------------------------------------------------
 
-/// Scans C++ source (typically a header) for function declarations whose
-/// return type is util::Status or util::Result<T> and inserts their names
-/// into `out`.
-void CollectStatusFunctions(std::string_view source,
-                            std::set<std::string, std::less<>>* out);
-
 /// Lints one translation unit. `path` should be repo-relative (it is both
 /// the reported location and the input to path-scoped rules such as
 /// no-naked-new, which only applies under nn/ and transformer/). Reports
 /// are deduplicated: one (file, line, rule) triple appears at most once.
 std::vector<Violation> LintSource(std::string_view path,
-                                  std::string_view source,
-                                  const LintOptions& options);
+                                  std::string_view source);
 
 /// Formats a violation as "file:line: rule-id message".
 std::string FormatViolation(const Violation& v);

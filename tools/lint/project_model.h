@@ -9,8 +9,8 @@
 
 #include "lint/lint_engine.h"
 
-// The whole-program intermediate representation behind doduo_lint --all
-// (DESIGN §16). Where lint_engine.h sees one translation unit at a time,
+// The whole-program intermediate representation behind doduo_lint's
+// cross-file passes (DESIGN §16). Where lint_engine.h sees one translation unit at a time,
 // the ProjectModel sees the repository as a graph: every source file with
 // its module, token stream, string literals, and resolved include edges.
 // The cross-file passes in graph_rules.h (layering DAG, serve-frame
