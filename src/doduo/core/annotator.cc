@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -9,6 +10,8 @@
 #include "doduo/core/calibration.h"
 #include "doduo/core/replica_pool.h"
 #include "doduo/util/check.h"
+#include "doduo/util/mutex.h"
+#include "doduo/util/thread_annotations.h"
 #include "doduo/util/thread_pool.h"
 
 namespace doduo::core {
@@ -110,7 +113,8 @@ Annotator::Annotator(DoduoModel* model,
     : model_(model),
       serializer_(serializer),
       type_vocab_(type_vocab),
-      relation_vocab_(relation_vocab) {
+      relation_vocab_(relation_vocab),
+      replica_cache_(std::make_shared<ReplicaCache>()) {
   DODUO_CHECK(model != nullptr);
   DODUO_CHECK(serializer != nullptr);
   DODUO_CHECK(type_vocab != nullptr);
@@ -166,16 +170,45 @@ util::Status Annotator::ValidateWholeWidth(const table::Table& table) const {
   return util::Status::Ok();
 }
 
+struct Annotator::ReplicaCache {
+  util::Mutex mu{"core.replica_cache"};
+  std::unique_ptr<ReplicaPool> pool DODUO_GUARDED_BY(mu);
+};
+
+std::unique_ptr<ReplicaPool> Annotator::CheckOutReplicas(
+    int num_replicas) const {
+  std::unique_ptr<ReplicaPool> replicas;
+  {
+    util::MutexLock lock(&replica_cache_->mu);
+    replicas = std::move(replica_cache_->pool);
+  }
+  if (replicas != nullptr && replicas->Fresh() &&
+      replicas->num_replicas() >= num_replicas) {
+    replicas->SyncFromPrimary();
+    return replicas;
+  }
+  // A stale pool goes before its replacement is built, so the two never
+  // hold workspaces at the same time.
+  replicas.reset();
+  return std::make_unique<ReplicaPool>(model_, serializer_, type_vocab_,
+                                       relation_vocab_, num_replicas);
+}
+
+void Annotator::ReturnReplicas(std::unique_ptr<ReplicaPool> replicas) const {
+  util::MutexLock lock(&replica_cache_->mu);
+  if (replica_cache_->pool == nullptr) {
+    replica_cache_->pool = std::move(replicas);
+  }
+  // Otherwise the parameter dies once this returns, after the lock is
+  // released: a pool's teardown never runs under core.replica_cache.
+}
+
 void Annotator::FanOut(
     size_t count, const std::function<void(DoduoModel*, size_t)>& fn) const {
   util::ThreadPool* pool = util::ComputePool();
-  size_t replicas_wanted =
+  const size_t replicas_wanted =
       std::min<size_t>(static_cast<size_t>(pool->num_threads()), count);
-  if (max_batch_replicas_ > 0) {
-    replicas_wanted = std::min<size_t>(
-        replicas_wanted, static_cast<size_t>(max_batch_replicas_));
-  }
-  if (replicas_wanted <= 1 || util::ThreadPool::InWorker()) {
+  if (replicas_wanted <= 1 || util::ThreadPool::RunsInline()) {
     for (size_t t = 0; t < count; ++t) {
       fn(model_, t);
     }
@@ -185,22 +218,29 @@ void Annotator::FanOut(
   // The forward pass caches state in the model, so concurrent tables need
   // separate replicas. ReplicaPool snapshots the weights once into an
   // immutable shared copy and materializes the replicas from it; replica 0
-  // is the primary model itself (the caller's ParallelFor chunk).
-  const ReplicaPool replicas(model_, serializer_, type_vocab_,
-                             relation_vocab_,
-                             static_cast<int>(replicas_wanted));
+  // is the primary model itself (the caller's ParallelFor chunk). The pool
+  // outlives the call: later calls reuse it, and its replicas' workspaces
+  // stay warm, until the weights move.
+  std::unique_ptr<ReplicaPool> replicas =
+      CheckOutReplicas(static_cast<int>(replicas_wanted));
 
   const size_t stride = replicas_wanted;
   pool->ParallelFor(
       0, static_cast<int64_t>(replicas_wanted), /*grain=*/1,
       [&](int64_t replica_begin, int64_t replica_end) {
         for (int64_t r = replica_begin; r < replica_end; ++r) {
-          DoduoModel* model = replicas.model(static_cast<int>(r));
+          // Every replica thread, the caller's included, keeps its kernels
+          // serial while it holds the replica: the other workers are busy
+          // with sibling replicas.
+          const ReplicaPool::ScopedUse use(replicas.get(),
+                                           static_cast<int>(r));
+          DoduoModel* model = replicas->model(static_cast<int>(r));
           for (size_t t = static_cast<size_t>(r); t < count; t += stride) {
             fn(model, t);
           }
         }
       });
+  ReturnReplicas(std::move(replicas));
 }
 
 util::Result<std::vector<std::vector<std::vector<std::string>>>>
@@ -264,7 +304,10 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
   // column its [CLS] plus at least one value token.
   const size_t chunk_cap = static_cast<size_t>(serializer_->ChunkCap());
 
-  const DoduoConfig& config = model->config();
+  // The decode policy (multi-label threshold, calibration temperature) is
+  // the annotator's own model's: a kept replica was configured when it was
+  // built, and a later set_calibration_temperature reaches only model_.
+  const DoduoConfig& config = model_->config();
   for (size_t begin = 0; begin < annotatable.size(); begin += chunk_cap) {
     const size_t end = std::min(annotatable.size(), begin + chunk_cap);
     // A chunk is serialized straight from the table by column index, so

@@ -2,6 +2,7 @@
 #define DODUO_CORE_ANNOTATOR_H_
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -15,6 +16,8 @@
 #include "doduo/util/status.h"
 
 namespace doduo::core {
+
+class ReplicaPool;
 
 /// Per-column result of the robust (dirty-input) annotation path. Exactly
 /// one of three shapes:
@@ -65,6 +68,12 @@ void ApplyAbstention(ColumnOutcome* outcome, double abstain_below);
 /// token budget, out-of-range or duplicate relation pairs, and relation
 /// calls on a model built without a relation head. Valid inputs produce
 /// exactly the same bytes as before the Status migration.
+///
+/// Batch calls fan tables out across model replicas (DESIGN §7) and keep
+/// the replicas for the next batch call while the model's weights stay at
+/// the same revision; copies of an annotator share them. Like the model
+/// itself, an annotator serves one call at a time: replica 0 of every
+/// fan-out is the model passed in here.
 class Annotator {
  public:
   /// All pointers must outlive the annotator. `relation_vocab` may be
@@ -126,13 +135,6 @@ class Annotator {
   [[nodiscard]] util::Result<std::vector<std::vector<std::vector<std::string>>>>
   AnnotateTypesBatch(std::span<const table::Table> tables) const;
 
-  /// Caps how many model replicas a batch call may fan out across
-  /// (0 = no cap, use the compute pool size; 1 = always sequential).
-  /// core::ReplicaPool sets 1 on its per-replica annotators so a serving
-  /// worker that already owns a replica never builds nested replicas.
-  void set_max_batch_replicas(int cap) { max_batch_replicas_ = cap; }
-  int max_batch_replicas() const { return max_batch_replicas_; }
-
   // -- Observability --------------------------------------------------------
 
   /// Snapshot of the process-wide pipeline metrics (serialize/forward/head
@@ -141,12 +143,25 @@ class Annotator {
   static util::MetricsSnapshot StatsSnapshot();
 
  private:
+  /// The fan-out replicas a batch call keeps for the next one; shared by
+  /// copies of this annotator (defined in annotator.cc).
+  struct ReplicaCache;
+
   /// The replica fan-out skeleton of the batch layer: invokes
   /// `fn(model, index)` for every index in [0, count), striding indices
   /// across replicas (sequential when only one replica is profitable or
-  /// the caller is already a pool worker).
+  /// the caller's ParallelFor already runs inline: a pool worker, or a
+  /// thread that holds a replica).
   void FanOut(size_t count,
               const std::function<void(DoduoModel*, size_t)>& fn) const;
+
+  /// Takes the cached replica pool when it is still Fresh() and has at
+  /// least `num_replicas` replicas; otherwise builds a new one.
+  std::unique_ptr<ReplicaPool> CheckOutReplicas(int num_replicas) const;
+
+  /// Puts `replicas` back for the next batch call, unless a concurrent
+  /// call already did; then `replicas` is dropped.
+  void ReturnReplicas(std::unique_ptr<ReplicaPool> replicas) const;
 
   /// The per-table type pipeline (sanitize, chunk, serialize, forward,
   /// decode) run on one model replica; every type entry point ends here.
@@ -170,7 +185,7 @@ class Annotator {
   const table::TableSerializer* serializer_;
   const table::LabelVocab* type_vocab_;
   const table::LabelVocab* relation_vocab_;
-  int max_batch_replicas_ = 0;
+  std::shared_ptr<ReplicaCache> replica_cache_;
 };
 
 }  // namespace doduo::core

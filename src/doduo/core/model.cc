@@ -195,6 +195,11 @@ void DoduoModel::RestoreWeights(const std::vector<nn::Tensor>& snapshot) {
   for (size_t i = 0; i < params.size(); ++i) {
     DODUO_CHECK(nn::SameShape(params[i]->value, snapshot[i]));
     params[i]->value = snapshot[i];
+    // A replica that adopted a snapshot dropped its gradients; owning its
+    // weights again makes it trainable again.
+    if (params[i]->grad.empty()) {
+      params[i]->grad = nn::Tensor(snapshot[i].shape());
+    }
     params[i]->BumpRevision();
   }
 }
@@ -218,6 +223,10 @@ void DoduoModel::AdoptWeights(
           src.shape(), src.data(),
           std::shared_ptr<const void>(snapshot, snapshot.get()));
     }
+    // Read-only weights cannot be stepped, so the gradient buffers are
+    // dead weight: a kept replica costs its forward workspaces, not also a
+    // model-sized gradient copy.
+    params[i]->grad = nn::Tensor();
     params[i]->BumpRevision();
   }
 }

@@ -43,6 +43,10 @@ using AttentionMaskBuilder =
 /// concatenated pairs of [CLS] embeddings (Figure 1 of the paper).
 class DoduoModel {
  public:
+  /// `rng` draws the initial weights. nullptr skips the draws: every weight
+  /// starts at zero (LayerNorm gains at one) and dropout cannot train, for
+  /// a model whose weights are loaded or adopted next (LoadModelDir,
+  /// ReplicaPool), where drawing them would be most of the set-up cost.
   DoduoModel(const DoduoConfig& config, util::Rng* rng);
 
   // -- Forward passes -------------------------------------------------------
@@ -99,7 +103,7 @@ class DoduoModel {
 
   /// Snapshots / restores all parameter values (best-checkpoint selection).
   /// Restoring copies the snapshot into owned storage, so the model stays
-  /// trainable afterwards.
+  /// (or, after AdoptWeights, becomes again) trainable.
   std::vector<nn::Tensor> SnapshotWeights();
   void RestoreWeights(const std::vector<nn::Tensor>& snapshot);
 
@@ -107,7 +111,8 @@ class DoduoModel {
   /// floats (nn::Tensor::Borrowed): the model becomes an inference-only
   /// replica sharing the snapshot's physical storage — the zero-copy half
   /// of DESIGN §14. The snapshot is pinned by each adopted parameter, so it
-  /// may outlive the caller's reference.
+  /// may outlive the caller's reference. The gradient buffers are released
+  /// (Backward aborts until RestoreWeights re-owns the weights).
   void AdoptWeights(std::shared_ptr<const std::vector<nn::Tensor>> snapshot);
 
  private:

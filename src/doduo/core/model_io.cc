@@ -9,7 +9,6 @@
 
 #include "doduo/nn/serialize.h"
 #include "doduo/util/metrics.h"
-#include "doduo/util/rng.h"
 
 namespace doduo::core {
 
@@ -116,8 +115,8 @@ util::Result<std::unique_ptr<LoadedModel>> LoadModelDir(
     loaded->relations = std::move(relations).value();
   }
 
-  util::Rng rng(1);
-  loaded->model = std::make_unique<DoduoModel>(loaded->config, &rng);
+  // Every weight comes from the checkpoint, so none is drawn first.
+  loaded->model = std::make_unique<DoduoModel>(loaded->config, nullptr);
   static util::Histogram* const checkpoint_us =
       util::GetHistogram("load.checkpoint_us");
   Status status;

@@ -5,7 +5,7 @@
 
 #include "doduo/nn/parameter.h"
 #include "doduo/util/check.h"
-#include "doduo/util/rng.h"
+#include "doduo/util/metrics.h"
 
 namespace doduo::core {
 
@@ -25,13 +25,18 @@ ReplicaPool::ReplicaPool(DoduoModel* primary,
   weights_ = std::make_shared<const std::vector<nn::Tensor>>(
       primary->SnapshotWeights());
 
+  const nn::ParameterList primary_params = primary->Parameters();
+  revisions_.reserve(primary_params.size());
+  for (const nn::Parameter* p : primary_params) {
+    revisions_.push_back(p->revision);
+  }
+
   models_.reserve(static_cast<size_t>(num_replicas));
   models_.push_back(primary);
   owned_models_.reserve(static_cast<size_t>(num_replicas - 1));
-  const nn::ParameterList primary_params = primary->Parameters();
   for (int r = 1; r < num_replicas; ++r) {
-    util::Rng rng(1);  // initializer values are immediately overwritten
-    auto replica = std::make_unique<DoduoModel>(primary->config(), &rng);
+    // No initial weights are drawn: AdoptWeights replaces them all.
+    auto replica = std::make_unique<DoduoModel>(primary->config(), nullptr);
     // Zero-copy: every replica borrows the shared snapshot instead of
     // materializing its own weight copy, so pool RSS is O(1) in the number
     // of replicas (and, for an mmap-ed v2 checkpoint, shared across
@@ -55,12 +60,27 @@ ReplicaPool::ReplicaPool(DoduoModel* primary,
 
   annotators_.reserve(models_.size());
   for (DoduoModel* model : models_) {
-    auto annotator = std::make_unique<Annotator>(model, serializer,
-                                                 type_vocab, relation_vocab);
-    annotator->set_max_batch_replicas(1);
-    annotators_.push_back(std::move(annotator));
+    annotators_.push_back(std::make_unique<Annotator>(
+        model, serializer, type_vocab, relation_vocab));
   }
   in_use_.assign(models_.size(), false);
+  static util::Counter* builds = util::GetCounter("replica_pool.builds_total");
+  builds->Increment();
+}
+
+bool ReplicaPool::Fresh() const {
+  const nn::ParameterList params = models_[0]->Parameters();
+  if (params.size() != revisions_.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (params[i]->revision != revisions_[i]) return false;
+  }
+  return true;
+}
+
+void ReplicaPool::SyncFromPrimary() {
+  for (size_t r = 1; r < models_.size(); ++r) {
+    models_[r]->set_mask_builder(models_[0]->mask_builder());
+  }
 }
 
 ReplicaPool::ScopedUse::ScopedUse(ReplicaPool* pool, int r)

@@ -1,6 +1,7 @@
 #ifndef DODUO_CORE_REPLICA_POOL_H_
 #define DODUO_CORE_REPLICA_POOL_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "doduo/core/model.h"
 #include "doduo/nn/tensor.h"
 #include "doduo/util/mutex.h"
+#include "doduo/util/thread_pool.h"
 #include "doduo/util/thread_annotations.h"
 
 namespace doduo::core {
@@ -31,17 +33,17 @@ namespace doduo::core {
 /// (encoder arenas, forward caches), so replica r is safe to use from one
 /// thread at a time, and different replicas are safe to use concurrently.
 ///
-/// Callers that serve long-running traffic (serve::DynamicBatcher) build
-/// one pool at startup and reuse it for every batch; the per-call batch
-/// path (Annotator::FanOut) builds a short-lived pool per call so a
-/// freshly-trained primary is always re-snapshotted.
+/// Owners keep a pool for as long as its snapshot is current:
+/// serve::DynamicBatcher builds one at startup, and Annotator::FanOut keeps
+/// the pool of its last batch call and rebuilds it only once Fresh()
+/// turns false.
 class ReplicaPool {
  public:
   /// Builds `num_replicas` (clamped to >= 1) replicas of `primary`. All
   /// pointers must outlive the pool. `relation_vocab` may be nullptr for
   /// types-only models. The primary's weights must not change while the
   /// pool is in use (replicas 1..n-1 keep the construction-time snapshot;
-  /// replica 0 would drift).
+  /// replica 0 would drift). Every build counts `replica_pool.builds_total`.
   ReplicaPool(DoduoModel* primary, const table::TableSerializer* serializer,
               const table::LabelVocab* type_vocab,
               const table::LabelVocab* relation_vocab, int num_replicas);
@@ -56,9 +58,9 @@ class ReplicaPool {
   /// replica.
   DoduoModel* model(int r) const;
 
-  /// An annotator bound to replica r. Its batch entry points never fan out
-  /// across the compute pool (replica fan-out capped at 1): parallelism
-  /// across replicas is the pool owner's job, so a worker thread driving
+  /// An annotator bound to replica r. Driven under ScopedUse, as the pool
+  /// owner does, its batch entry points never fan out: parallelism across
+  /// replicas is the pool owner's job, so a worker thread driving
   /// `annotator(r)->AnnotateTypesRobustBatch(...)` runs the per-table
   /// pipeline (sanitize, chunk, serialize, forward, decode) sequentially
   /// on its own replica.
@@ -69,11 +71,24 @@ class ReplicaPool {
     return weights_;
   }
 
+  /// True while every primary parameter is at the revision the snapshot
+  /// was taken at: no checkpoint load, optimizer step or RestoreWeights
+  /// has overwritten the primary's weights since construction.
+  bool Fresh() const;
+
+  /// Re-copies what the replicas take from the primary besides its
+  /// weights, today the attention-mask builder. Call with no replica in
+  /// use.
+  void SyncFromPrimary();
+
   /// RAII enforcement of the one-thread-per-replica contract: holds replica
   /// `r` exclusively for the scope's lifetime and aborts (DODUO_CHECK) if
   /// the replica is already in use — two batcher workers sharing an index,
   /// or a caller fanning one replica out across the compute pool, is a
   /// protocol bug that would silently corrupt per-request forward state.
+  /// The scope also keeps the holding thread's kernels serial
+  /// (util::ThreadPool::ScopedInline): replicas run side by side, so a
+  /// replica's GEMMs never shard onto threads that drive its siblings.
   /// The guard costs one uncontended mutex acquisition per batch, nothing
   /// per table.
   class ScopedUse {
@@ -87,10 +102,12 @@ class ReplicaPool {
    private:
     ReplicaPool* const pool_;
     const int r_;
+    const util::ThreadPool::ScopedInline serial_kernels_;
   };
 
  private:
   std::shared_ptr<const std::vector<nn::Tensor>> weights_;
+  std::vector<uint64_t> revisions_;  // the primary's, at the snapshot
   std::vector<DoduoModel*> models_;  // [0] = primary; rest own_models_
   std::vector<std::unique_ptr<DoduoModel>> owned_models_;
   std::vector<std::unique_ptr<Annotator>> annotators_;

@@ -4,7 +4,6 @@ namespace doduo::nn {
 
 Dropout::Dropout(float rate, util::Rng* rng) : rate_(rate), rng_(rng) {
   DODUO_CHECK(rate >= 0.0f && rate < 1.0f);
-  DODUO_CHECK(rng != nullptr);
 }
 
 const Tensor& Dropout::Forward(const Tensor& x) {
@@ -14,6 +13,7 @@ const Tensor& Dropout::Forward(const Tensor& x) {
     return output_;
   }
   identity_last_forward_ = false;
+  DODUO_CHECK(rng_ != nullptr) << "dropout in training needs an rng";
   mask_.ResizeUninitialized(x.shape());
   output_.ResizeUninitialized(x.shape());
   const float keep_scale = 1.0f / (1.0f - rate_);

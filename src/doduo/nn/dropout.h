@@ -11,7 +11,9 @@ namespace doduo::nn {
 /// evaluation.
 class Dropout {
  public:
-  /// `rng` must outlive the layer. `rate` in [0, 1).
+  /// `rng` must outlive the layer; it may be nullptr for a layer that never
+  /// masks (a model built only to have its weights loaded or adopted).
+  /// `rate` in [0, 1).
   Dropout(float rate, util::Rng* rng);
 
   /// Switches between training (masking) and evaluation (identity) mode.

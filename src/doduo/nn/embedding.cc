@@ -8,7 +8,7 @@ namespace doduo::nn {
 Embedding::Embedding(std::string name, int64_t vocab_size, int64_t dim,
                      util::Rng* rng)
     : table_(name + ".table", {vocab_size, dim}) {
-  table_.value.FillNormal(rng, 0.02f);
+  if (rng != nullptr) table_.value.FillNormal(rng, 0.02f);
 }
 
 const Tensor& Embedding::Forward(const std::vector<int>& ids) {
@@ -35,6 +35,8 @@ void Embedding::Backward(const Tensor& grad_out) {
   DODUO_CHECK(!cached_ids_.empty()) << "Backward before Forward";
   DODUO_CHECK_EQ(grad_out.rows(), static_cast<int64_t>(cached_ids_.size()));
   DODUO_CHECK_EQ(grad_out.cols(), dim());
+  DODUO_CHECK(SameShape(table_.grad, table_.value))
+      << "no gradient storage (an inference-only replica cannot train)";
   const int64_t d = dim();
   for (size_t i = 0; i < cached_ids_.size(); ++i) {
     const float* src = grad_out.row(static_cast<int64_t>(i));

@@ -13,7 +13,9 @@ namespace doduo::nn {
 /// Lookup-table embedding: ids → rows of a trainable [vocab, dim] matrix.
 class Embedding {
  public:
-  /// Table initialized Normal(0, 0.02), matching BERT's initializer.
+  /// Table initialized Normal(0, 0.02), matching BERT's initializer. Pass
+  /// rng == nullptr to skip initialization (the table stays zero), as for
+  /// Linear.
   Embedding(std::string name, int64_t vocab_size, int64_t dim,
             util::Rng* rng);
 

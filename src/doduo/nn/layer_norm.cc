@@ -49,6 +49,8 @@ const Tensor& LayerNorm::Forward(const Tensor& x) {
 const Tensor& LayerNorm::Backward(const Tensor& grad_out) {
   DODUO_CHECK(!normalized_.empty()) << "Backward before Forward";
   DODUO_CHECK(SameShape(grad_out, normalized_));
+  DODUO_CHECK(SameShape(gamma_.grad, gamma_.value))
+      << "no gradient storage (an inference-only replica cannot train)";
   const int64_t m = grad_out.rows();
   const int64_t n = grad_out.cols();
   grad_input_.ResizeUninitialized({m, n});

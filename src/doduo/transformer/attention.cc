@@ -16,6 +16,7 @@ namespace {
 nn::Linear MakePackedQkvProjection(const std::string& name, int64_t d,
                                    util::Rng* rng) {
   nn::Linear packed(name, d, 3 * d, nullptr);
+  if (rng == nullptr) return packed;
   const float limit = std::sqrt(6.0f / static_cast<float>(2 * d));
   nn::Tensor& w = packed.weight().value;
   for (int part = 0; part < 3; ++part) {

@@ -39,6 +39,10 @@ inline constexpr std::string_view kAnnotateAbstained = "annotate.abstained";
 inline constexpr std::string_view kAnnotateSkippedCols =
     "annotate.skipped_cols";
 
+// -- core/replica_pool: fan-out replica pools built (DESIGN §7) -------------
+inline constexpr std::string_view kReplicaPoolBuildsTotal =
+    "replica_pool.builds_total";
+
 // -- core/model: forward-pass stage latencies -------------------------------
 inline constexpr std::string_view kModelEncoderForwardUs =
     "model.encoder_forward_us";

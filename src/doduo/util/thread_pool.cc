@@ -11,10 +11,10 @@ namespace doduo::util {
 
 namespace {
 
-// Set for the lifetime of every worker thread; ParallelFor consults it so a
-// nested call from inside a task runs inline instead of blocking on the
-// queue it is supposed to drain.
-thread_local bool t_in_worker = false;
+// Set for the lifetime of every worker thread and inside every
+// ScopedInline; ParallelFor consults it so a nested call from inside a task
+// runs inline instead of blocking on the queue it is supposed to drain.
+thread_local bool t_runs_inline = false;
 
 }  // namespace
 
@@ -35,7 +35,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::InWorker() { return t_in_worker; }
+bool ThreadPool::RunsInline() { return t_runs_inline; }
+
+ThreadPool::ScopedInline::ScopedInline() : previous_(t_runs_inline) {
+  t_runs_inline = true;
+}
+
+ThreadPool::ScopedInline::~ScopedInline() { t_runs_inline = previous_; }
 
 void ThreadPool::Submit(std::function<void()> fn) {
   DODUO_CHECK(fn != nullptr);
@@ -50,7 +56,7 @@ void ThreadPool::Submit(std::function<void()> fn) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_worker = true;
+  t_runs_inline = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -71,7 +77,7 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   if (begin >= end) return;
   const int64_t range = end - begin;
   const int64_t min_chunk = std::max<int64_t>(1, grain);
-  if (num_threads() <= 1 || range <= min_chunk || InWorker()) {
+  if (num_threads() <= 1 || range <= min_chunk || RunsInline()) {
     fn(begin, end);
     return;
   }

@@ -46,13 +46,32 @@ class ThreadPool {
   ///
   /// Runs inline — sequentially on the calling thread — when the range is
   /// empty or fits one grain, when the pool has a single thread, and when
-  /// called from inside a pool worker (so nested ParallelFor calls are safe
-  /// and can never deadlock).
+  /// RunsInline() (so nested ParallelFor calls are safe and can never
+  /// deadlock).
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                    const std::function<void(int64_t, int64_t)>& fn);
 
-  /// True when the calling thread is one of this pool's workers.
-  static bool InWorker();
+  /// True when ParallelFor on the calling thread runs inline: the thread is
+  /// a pool worker, or it is inside a ScopedInline.
+  static bool RunsInline();
+
+  /// While alive, ParallelFor on the constructing thread runs inline,
+  /// exactly as it does inside a pool worker. A thread that drives one
+  /// model replica of a fan-out holds one (core::ReplicaPool::ScopedUse),
+  /// so its kernels stay serial instead of sharding onto workers that are
+  /// busy with sibling replicas: the fan-out is the one level of
+  /// parallelism. Scopes nest; each restores the state it found.
+  class ScopedInline {
+   public:
+    ScopedInline();
+    ~ScopedInline();
+
+    ScopedInline(const ScopedInline&) = delete;
+    ScopedInline& operator=(const ScopedInline&) = delete;
+
+   private:
+    const bool previous_;
+  };
 
  private:
   void WorkerLoop();

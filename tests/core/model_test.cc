@@ -29,6 +29,23 @@ table::SerializedTable MakeInput() {
   return input;
 }
 
+TEST(DoduoModelTest, NullRngDrawsNoInitialWeights) {
+  // The construction LoadModelDir and ReplicaPool use: nothing is drawn,
+  // every weight is zero and every LayerNorm gain one, and a dropout layer
+  // that would need random draws refuses to train.
+  DoduoConfig config = SmallConfig();
+  config.encoder.dropout = 0.1f;
+  DoduoModel model(config, nullptr);
+  for (nn::Parameter* p : model.Parameters()) {
+    const bool gain = p->name.ends_with(".gamma");
+    for (int64_t i = 0; i < p->value.size(); ++i) {
+      ASSERT_EQ(p->value.data()[i], gain ? 1.0f : 0.0f) << p->name;
+    }
+  }
+  model.set_training(true);
+  EXPECT_DEATH((void)model.ForwardTypes(MakeInput()), "needs an rng");
+}
+
 TEST(DoduoModelTest, TypeLogitsShape) {
   DoduoConfig config = SmallConfig();
   util::Rng rng(1);

@@ -189,7 +189,8 @@ TEST(ReplicaSharingTest, AdoptedModelRejectsWeightMutation) {
 
 TEST(ReplicaSharingTest, RestoreWeightsReownsAfterAdoption) {
   // A model that adopted a snapshot can be made trainable again by
-  // RestoreWeights (the copying path) — and its revision moves so stale
+  // RestoreWeights (the copying path): its gradient buffers, released by
+  // the adoption, come back — and its revision moves so stale
   // int8 caches die.
   Fixture fx;
   auto snapshot = std::make_shared<const std::vector<nn::Tensor>>(
@@ -199,10 +200,13 @@ TEST(ReplicaSharingTest, RestoreWeightsReownsAfterAdoption) {
   replica.AdoptWeights(snapshot);
   for (nn::Parameter* p : replica.Parameters()) {
     EXPECT_TRUE(p->value.borrowed()) << p->name;
+    // An inference-only replica holds no gradient buffers.
+    EXPECT_TRUE(p->grad.empty()) << p->name;
   }
   replica.RestoreWeights(*snapshot);
   for (nn::Parameter* p : replica.Parameters()) {
     EXPECT_FALSE(p->value.borrowed()) << p->name;
+    EXPECT_TRUE(nn::SameShape(p->grad, p->value)) << p->name;
     EXPECT_GT(p->revision, 0u);
   }
 }

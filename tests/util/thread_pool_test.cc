@@ -9,6 +9,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -120,6 +121,50 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
     }
   });
   EXPECT_EQ(total.load(), 8 * 10);
+}
+
+TEST(ThreadPoolTest, ScopedInlineRunsEveryChunkOnTheCallingThread) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  ASSERT_FALSE(ThreadPool::RunsInline());
+  ThreadPool::ScopedInline serial;
+  EXPECT_TRUE(ThreadPool::RunsInline());
+  std::vector<std::thread::id> ran_on;
+  std::vector<std::pair<int64_t, int64_t>> chunks;
+  // Without the scope this range splits into 4 chunks over the workers.
+  pool.ParallelFor(0, 1000, 1, [&](int64_t begin, int64_t end) {
+    ran_on.push_back(std::this_thread::get_id());
+    chunks.emplace_back(begin, end);
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0], std::make_pair(int64_t{0}, int64_t{1000}));
+  EXPECT_EQ(ran_on[0], caller);
+}
+
+TEST(ThreadPoolTest, ScopedInlineNestsAndRestores) {
+  ASSERT_FALSE(ThreadPool::RunsInline());
+  {
+    ThreadPool::ScopedInline outer;
+    {
+      ThreadPool::ScopedInline inner;
+      EXPECT_TRUE(ThreadPool::RunsInline());
+    }
+    // The inner scope restores what it found: still inline.
+    EXPECT_TRUE(ThreadPool::RunsInline());
+  }
+  EXPECT_FALSE(ThreadPool::RunsInline());
+
+  // Inside a worker the state is inline already, and a scope there leaves
+  // it inline when it closes.
+  std::atomic<bool> inline_after{false};
+  {
+    ThreadPool pool(2);
+    pool.Submit([&inline_after] {
+      { ThreadPool::ScopedInline scope; }
+      inline_after.store(ThreadPool::RunsInline());
+    });
+  }  // destructor drains the queue
+  EXPECT_TRUE(inline_after.load());
 }
 
 TEST(ThreadPoolTest, SubmitFromWorkerIsSafe) {
