@@ -35,7 +35,7 @@ std::vector<std::string> SatoModel::TableDocument(
 
 nn::Tensor SatoModel::Unaries(
     const table::Table& table,
-    const std::vector<float>& topic_features) const {
+    const std::vector<float>& topic_features) {
   nn::Tensor unaries({table.num_columns(), num_types_});
   for (int c = 0; c < table.num_columns(); ++c) {
     const std::vector<float> logits =

@@ -36,7 +36,7 @@ class SatoModel {
 
   /// Per-column unary log-scores of one table [n, num_types].
   nn::Tensor Unaries(const table::Table& table,
-                     const std::vector<float>& topic_features) const;
+                     const std::vector<float>& topic_features);
 
   int num_types_;
   Options options_;

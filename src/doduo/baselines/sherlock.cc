@@ -1,7 +1,6 @@
 #include "doduo/baselines/sherlock.h"
 
-#include <algorithm>
-
+#include "doduo/core/calibration.h"
 #include "doduo/nn/losses.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/optimizer.h"
@@ -100,19 +99,12 @@ void SherlockModel::Train(
   }
 }
 
-std::vector<float> SherlockModel::Predict(
-    const table::Column& column, const std::vector<float>& extra) const {
+std::vector<float> SherlockModel::Predict(const table::Column& column,
+                                         const std::vector<float>& extra) {
   const nn::Tensor features = FeatureRow(column, extra);
-  nn::Tensor hidden1, hidden2, logits;
-  layer1_->ForwardInto(features, &hidden1);
-  for (int64_t i = 0; i < hidden1.size(); ++i) {
-    hidden1.data()[i] = std::max(0.0f, hidden1.data()[i]);
-  }
-  layer2_->ForwardInto(hidden1, &hidden2);
-  for (int64_t i = 0; i < hidden2.size(); ++i) {
-    hidden2.data()[i] = std::max(0.0f, hidden2.data()[i]);
-  }
-  output_->ForwardInto(hidden2, &logits);
+  const nn::Tensor& hidden1 = act1_->Forward(layer1_->Forward(features));
+  const nn::Tensor& hidden2 = act2_->Forward(layer2_->Forward(hidden1));
+  const nn::Tensor& logits = output_->Forward(hidden2);
   return std::vector<float>(logits.data(), logits.data() + logits.size());
 }
 
@@ -129,23 +121,9 @@ core::EvalResult SherlockModel::EvaluateTypes(
     for (int c = 0; c < annotated.table.num_columns(); ++c) {
       const std::vector<float> logits =
           Predict(annotated.table.column(c), extra);
-      std::vector<int> predicted;
-      if (options_.multi_label) {
-        int best = 0;
-        for (int j = 0; j < num_types_; ++j) {
-          if (logits[static_cast<size_t>(j)] > 0.0f) predicted.push_back(j);
-          if (logits[static_cast<size_t>(j)] >
-              logits[static_cast<size_t>(best)]) {
-            best = j;
-          }
-        }
-        if (predicted.empty()) predicted.push_back(best);
-      } else {
-        predicted.push_back(static_cast<int>(
-            std::max_element(logits.begin(), logits.end()) -
-            logits.begin()));
-      }
-      result.sets.predicted.push_back(std::move(predicted));
+      // A sigmoid cut at 0.5 is the cut at logit 0.
+      result.sets.predicted.push_back(core::DecodeClasses(
+          logits.data(), num_types_, options_.multi_label, 0.5f));
       result.sets.actual.push_back(
           annotated.column_types[static_cast<size_t>(c)]);
     }

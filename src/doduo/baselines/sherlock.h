@@ -40,9 +40,10 @@ class SherlockModel {
              const table::DatasetSplits& splits,
              const std::vector<std::vector<float>>& extra_features = {});
 
-  /// Per-class logits for one column.
+  /// Per-class logits for one column. Runs the layers' Forward as Train
+  /// does, so it overwrites their forward state.
   std::vector<float> Predict(const table::Column& column,
-                             const std::vector<float>& extra) const;
+                             const std::vector<float>& extra);
 
   /// Evaluates type prediction over the given tables.
   core::EvalResult EvaluateTypes(

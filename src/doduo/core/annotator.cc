@@ -1,7 +1,6 @@
 #include "doduo/core/annotator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
@@ -40,40 +39,6 @@ AnnotatorMetrics& Metrics() {
 util::Status CountError(util::Status status) {
   Metrics().errors->Increment();
   return status;
-}
-
-std::vector<std::vector<std::string>> DecodeTypeLogits(
-    const nn::Tensor& logits, const DoduoConfig& config,
-    const table::LabelVocab& type_vocab) {
-  std::vector<std::vector<std::string>> annotations;
-  annotations.reserve(static_cast<size_t>(logits.rows()));
-  for (int64_t row = 0; row < logits.rows(); ++row) {
-    const float* z = logits.row(row);
-    std::vector<std::string> names;
-    if (config.multi_label) {
-      const float threshold = config.multi_label_threshold;
-      const float z_threshold =
-          std::log(threshold) - std::log(1.0f - threshold);
-      int64_t best = 0;
-      for (int64_t j = 0; j < logits.cols(); ++j) {
-        if (z[j] > z_threshold) {
-          names.push_back(type_vocab.Name(static_cast<int>(j)));
-        }
-        if (z[j] > z[best]) best = j;
-      }
-      if (names.empty()) {
-        names.push_back(type_vocab.Name(static_cast<int>(best)));
-      }
-    } else {
-      int64_t best = 0;
-      for (int64_t j = 1; j < logits.cols(); ++j) {
-        if (z[j] > z[best]) best = j;
-      }
-      names.push_back(type_vocab.Name(static_cast<int>(best)));
-    }
-    annotations.push_back(std::move(names));
-  }
-  return annotations;
 }
 
 // The plain type API is a projection of the outcome pipeline: with the
@@ -328,13 +293,15 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
       continue;
     }
     const nn::Tensor& logits = model->ForwardTypes(input.value());
-    std::vector<std::vector<std::string>> labels =
-        DecodeTypeLogits(logits, config, *type_vocab_);
     for (size_t i = begin; i < end; ++i) {
       ColumnOutcome& outcome =
           outcomes[static_cast<size_t>(annotatable[i])];
       const int64_t row = static_cast<int64_t>(i - begin);
-      outcome.labels = std::move(labels[static_cast<size_t>(row)]);
+      for (int type : DecodeClasses(logits.row(row), logits.cols(),
+                                    config.multi_label,
+                                    config.multi_label_threshold)) {
+        outcome.labels.push_back(type_vocab_->Name(type));
+      }
       outcome.confidence = CalibratedConfidence(
           logits.row(row), logits.cols(), config.calibration_temperature,
           config.multi_label);

@@ -107,7 +107,9 @@ class Annotator {
   /// Results are index-aligned with the input and identical to looping the
   /// scalar call (replicas share the same weights and the kernels are
   /// bit-deterministic across thread counts). Sequential when the pool has
-  /// one thread or fewer than two tables are given. Never fails.
+  /// one thread, when fewer than two tables are given, or when the calling
+  /// thread runs inline (util::ThreadPool::RunsInline(): a pool worker, or
+  /// a replica holder such as a doduo_serve batcher worker). Never fails.
   std::vector<std::vector<ColumnOutcome>> AnnotateTypesRobustBatch(
       std::span<const table::Table> tables,
       const AnnotateOptions& options = {}) const;

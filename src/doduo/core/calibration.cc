@@ -112,6 +112,24 @@ double CalibratedConfidence(const float* logits, int64_t num_classes,
   return 1.0 / sum_exp;  // == exp(0) / sum over shifted logits
 }
 
+std::vector<int> DecodeClasses(const float* logits, int64_t num_classes,
+                               bool multi_label, float threshold) {
+  DODUO_CHECK_GT(num_classes, 0);
+  int64_t best = 0;
+  for (int64_t c = 1; c < num_classes; ++c) {
+    if (logits[c] > logits[best]) best = c;
+  }
+  std::vector<int> picked;
+  if (multi_label) {
+    const float cut = std::log(threshold) - std::log(1.0f - threshold);
+    for (int64_t c = 0; c < num_classes; ++c) {
+      if (logits[c] > cut) picked.push_back(static_cast<int>(c));
+    }
+  }
+  if (picked.empty()) picked.push_back(static_cast<int>(best));
+  return picked;
+}
+
 std::vector<CalibrationExample> CollectTypeCalibration(
     DoduoModel* model, const table::TableSerializer* serializer,
     const table::ColumnAnnotationDataset& dataset,

@@ -31,6 +31,13 @@ double FitTemperature(const std::vector<CalibrationExample>& examples,
 double CalibratedConfidence(const float* logits, int64_t num_classes,
                             double temperature, bool multi_label);
 
+/// The predicted classes of a logit row, in ascending order. Single-label:
+/// the argmax. Multi-label: every class whose logit is above
+/// log(t) − log(1 − t), i.e. sigmoid(z) > t for t = `threshold`; when none
+/// is, the argmax. Argmax ties go to the lowest index.
+std::vector<int> DecodeClasses(const float* logits, int64_t num_classes,
+                               bool multi_label, float threshold);
+
 /// Runs the model forward over `table_indices` (eval mode) and collects
 /// one CalibrationExample per labeled column of the type task.
 std::vector<CalibrationExample> CollectTypeCalibration(

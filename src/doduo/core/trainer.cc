@@ -1,10 +1,11 @@
 #include "doduo/core/trainer.h"
 
 #include <algorithm>
-#include <cmath>
 
+#include "doduo/core/calibration.h"
 #include "doduo/nn/losses.h"
 #include "doduo/nn/ops.h"
+#include "doduo/nn/optimizer.h"
 #include "doduo/util/logging.h"
 
 namespace doduo::core {
@@ -34,6 +35,92 @@ std::vector<int> PrimaryLabels(const std::vector<std::vector<int>>& labels) {
     primary.push_back(set[0]);
   }
   return primary;
+}
+
+// The two tasks differ only in these ends of the shared epoch and
+// evaluation loops (and in their class counts).
+const nn::Tensor& Forward(DoduoModel* model, const TypeExample& example) {
+  return model->ForwardTypes(example.input);
+}
+
+const nn::Tensor& Forward(DoduoModel* model,
+                          const RelationExample& example) {
+  return model->ForwardRelations(example.input, example.pairs);
+}
+
+void Backward(DoduoModel* model, const TypeExample& /*example*/,
+              const nn::Tensor& grad_logits) {
+  model->BackwardTypes(grad_logits);
+}
+
+void Backward(DoduoModel* model, const RelationExample& /*example*/,
+              const nn::Tensor& grad_logits) {
+  model->BackwardRelations(grad_logits);
+}
+
+// One epoch of one task in a shuffled order, with an optimizer step every
+// batch_size examples and one for a partial last batch. Returns the mean
+// example loss.
+template <typename Example>
+double TrainEpoch(DoduoModel* model, const std::vector<Example>& examples,
+                  int num_classes, util::Rng* rng, nn::Adam* optimizer,
+                  const nn::LinearDecaySchedule& schedule) {
+  const DoduoConfig& config = model->config();
+  std::vector<size_t> order(examples.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  rng->Shuffle(&order);
+
+  double epoch_loss = 0.0;
+  int64_t count = 0;
+  int in_batch = 0;
+  for (size_t idx : order) {
+    const Example& example = examples[idx];
+    const nn::Tensor& logits = Forward(model, example);
+    nn::LossResult loss;
+    if (config.multi_label) {
+      loss = nn::BinaryCrossEntropyWithLogits(
+          logits, MultiHot(example.labels, num_classes), {});
+    } else {
+      loss = nn::SoftmaxCrossEntropy(logits, PrimaryLabels(example.labels));
+    }
+    epoch_loss += loss.loss;
+    ++count;
+    nn::Scale(&loss.grad_logits,
+              1.0f / static_cast<float>(config.batch_size));
+    Backward(model, example, loss.grad_logits);
+    if (++in_batch == config.batch_size) {
+      optimizer->Step(schedule.LearningRate(optimizer->step_count()));
+      in_batch = 0;
+    }
+  }
+  if (in_batch > 0) {
+    optimizer->Step(schedule.LearningRate(optimizer->step_count()));
+  }
+  return count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
+}
+
+// Decodes every example's logits and scores them against its labels.
+template <typename Example>
+EvalResult Evaluate(DoduoModel* model, const std::vector<Example>& examples,
+                    int num_classes) {
+  const DoduoConfig& config = model->config();
+  EvalResult result;
+  for (const Example& example : examples) {
+    const nn::Tensor& logits = Forward(model, example);
+    DODUO_CHECK_EQ(logits.rows(),
+                   static_cast<int64_t>(example.labels.size()));
+    for (int64_t row = 0; row < logits.rows(); ++row) {
+      result.sets.predicted.push_back(
+          DecodeClasses(logits.row(row), logits.cols(), config.multi_label,
+                        config.multi_label_threshold));
+      result.sets.actual.push_back(
+          example.labels[static_cast<size_t>(row)]);
+    }
+  }
+  const auto counts = eval::CountPerClass(result.sets, num_classes);
+  result.micro = eval::MicroPrf(counts);
+  result.macro = eval::MacroPrf(counts);
+  return result;
 }
 
 }  // namespace
@@ -108,106 +195,6 @@ Trainer::Trainer(DoduoModel* model,
   DODUO_CHECK(model != nullptr);
 }
 
-std::vector<int> Trainer::DecodeRow(const nn::Tensor& logits,
-                                    int64_t row) const {
-  const int64_t c = logits.cols();
-  const float* z = logits.row(row);
-  if (!model_->config().multi_label) {
-    int64_t best = 0;
-    for (int64_t j = 1; j < c; ++j) {
-      if (z[j] > z[best]) best = j;
-    }
-    return {static_cast<int>(best)};
-  }
-  std::vector<int> predicted;
-  // sigmoid(z) > threshold  ⇔  z > logit(threshold).
-  const float threshold = model_->config().multi_label_threshold;
-  const float z_threshold =
-      std::log(threshold) - std::log(1.0f - threshold);
-  int64_t best = 0;
-  for (int64_t j = 0; j < c; ++j) {
-    if (z[j] > z_threshold) predicted.push_back(static_cast<int>(j));
-    if (z[j] > z[best]) best = j;
-  }
-  if (predicted.empty()) predicted.push_back(static_cast<int>(best));
-  return predicted;
-}
-
-double Trainer::TrainTypeEpoch(std::vector<TypeExample>* examples,
-                               util::Rng* rng, nn::Adam* optimizer,
-                               const nn::LinearDecaySchedule& schedule) {
-  const DoduoConfig& config = model_->config();
-  std::vector<size_t> order(examples->size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-
-  double epoch_loss = 0.0;
-  int64_t count = 0;
-  int in_batch = 0;
-  for (size_t idx : order) {
-    const TypeExample& example = (*examples)[idx];
-    const nn::Tensor& logits = model_->ForwardTypes(example.input);
-    nn::LossResult loss;
-    if (config.multi_label) {
-      loss = nn::BinaryCrossEntropyWithLogits(
-          logits, MultiHot(example.labels, config.num_types), {});
-    } else {
-      loss = nn::SoftmaxCrossEntropy(logits, PrimaryLabels(example.labels));
-    }
-    epoch_loss += loss.loss;
-    ++count;
-    nn::Scale(&loss.grad_logits,
-              1.0f / static_cast<float>(config.batch_size));
-    model_->BackwardTypes(loss.grad_logits);
-    if (++in_batch == config.batch_size) {
-      optimizer->Step(schedule.LearningRate(optimizer->step_count()));
-      in_batch = 0;
-    }
-  }
-  if (in_batch > 0) {
-    optimizer->Step(schedule.LearningRate(optimizer->step_count()));
-  }
-  return count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
-}
-
-double Trainer::TrainRelationEpoch(std::vector<RelationExample>* examples,
-                                   util::Rng* rng, nn::Adam* optimizer,
-                                   const nn::LinearDecaySchedule& schedule) {
-  const DoduoConfig& config = model_->config();
-  std::vector<size_t> order(examples->size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  rng->Shuffle(&order);
-
-  double epoch_loss = 0.0;
-  int64_t count = 0;
-  int in_batch = 0;
-  for (size_t idx : order) {
-    const RelationExample& example = (*examples)[idx];
-    const nn::Tensor& logits =
-        model_->ForwardRelations(example.input, example.pairs);
-    nn::LossResult loss;
-    if (config.multi_label) {
-      loss = nn::BinaryCrossEntropyWithLogits(
-          logits, MultiHot(example.labels, config.num_relations), {});
-    } else {
-      loss = nn::SoftmaxCrossEntropy(logits, PrimaryLabels(example.labels));
-    }
-    epoch_loss += loss.loss;
-    ++count;
-    nn::Scale(&loss.grad_logits,
-              1.0f / static_cast<float>(config.batch_size));
-    model_->BackwardRelations(loss.grad_logits);
-    if (++in_batch == config.batch_size) {
-      optimizer->Step(schedule.LearningRate(optimizer->step_count()));
-      in_batch = 0;
-    }
-  }
-  if (in_batch > 0) {
-    optimizer->Step(schedule.LearningRate(optimizer->step_count()));
-  }
-  return count > 0 ? epoch_loss / static_cast<double>(count) : 0.0;
-}
-
 TrainHistory Trainer::Train(const table::ColumnAnnotationDataset& dataset,
                             const table::DatasetSplits& splits) {
   const DoduoConfig& config = model_->config();
@@ -263,14 +250,13 @@ TrainHistory Trainer::Train(const table::ColumnAnnotationDataset& dataset,
     double type_loss = 0.0;
     double relation_loss = 0.0;
     if (train_types) {
-      type_loss =
-          TrainTypeEpoch(&type_examples, &rng, &type_optimizer,
-                         type_schedule);
+      type_loss = TrainEpoch(model_, type_examples, config.num_types, &rng,
+                             &type_optimizer, type_schedule);
     }
     if (train_relations) {
-      relation_loss = TrainRelationEpoch(&relation_examples, &rng,
-                                         &relation_optimizer,
-                                         relation_schedule);
+      relation_loss =
+          TrainEpoch(model_, relation_examples, config.num_relations, &rng,
+                     &relation_optimizer, relation_schedule);
     }
 
     // Validation micro-F1 (per task) drives checkpoint selection; each
@@ -336,47 +322,17 @@ EvalResult Trainer::EvaluateTypes(
     const table::ColumnAnnotationDataset& dataset,
     const std::vector<size_t>& table_indices) {
   model_->set_training(false);
-  const std::vector<TypeExample> examples =
-      builder_.BuildTypeExamples(dataset, table_indices);
-  EvalResult result;
-  for (const TypeExample& example : examples) {
-    const nn::Tensor& logits = model_->ForwardTypes(example.input);
-    DODUO_CHECK_EQ(logits.rows(),
-                   static_cast<int64_t>(example.labels.size()));
-    for (int64_t row = 0; row < logits.rows(); ++row) {
-      result.sets.predicted.push_back(DecodeRow(logits, row));
-      result.sets.actual.push_back(
-          example.labels[static_cast<size_t>(row)]);
-    }
-  }
-  const auto counts =
-      eval::CountPerClass(result.sets, model_->config().num_types);
-  result.micro = eval::MicroPrf(counts);
-  result.macro = eval::MacroPrf(counts);
-  return result;
+  return Evaluate(model_, builder_.BuildTypeExamples(dataset, table_indices),
+                  model_->config().num_types);
 }
 
 EvalResult Trainer::EvaluateRelations(
     const table::ColumnAnnotationDataset& dataset,
     const std::vector<size_t>& table_indices) {
   model_->set_training(false);
-  const std::vector<RelationExample> examples =
-      builder_.BuildRelationExamples(dataset, table_indices);
-  EvalResult result;
-  for (const RelationExample& example : examples) {
-    const nn::Tensor& logits =
-        model_->ForwardRelations(example.input, example.pairs);
-    for (int64_t row = 0; row < logits.rows(); ++row) {
-      result.sets.predicted.push_back(DecodeRow(logits, row));
-      result.sets.actual.push_back(
-          example.labels[static_cast<size_t>(row)]);
-    }
-  }
-  const auto counts =
-      eval::CountPerClass(result.sets, model_->config().num_relations);
-  result.micro = eval::MicroPrf(counts);
-  result.macro = eval::MacroPrf(counts);
-  return result;
+  return Evaluate(model_,
+                  builder_.BuildRelationExamples(dataset, table_indices),
+                  model_->config().num_relations);
 }
 
 }  // namespace doduo::core

@@ -6,7 +6,6 @@
 
 #include "doduo/core/model.h"
 #include "doduo/eval/metrics.h"
-#include "doduo/nn/optimizer.h"
 #include "doduo/table/dataset.h"
 #include "doduo/table/serializer.h"
 
@@ -93,17 +92,6 @@ class Trainer {
                                const std::vector<size_t>& table_indices);
 
  private:
-  /// Multi-label: classes above the sigmoid threshold (or argmax if none);
-  /// single-label: argmax.
-  std::vector<int> DecodeRow(const nn::Tensor& logits, int64_t row) const;
-
-  double TrainTypeEpoch(std::vector<TypeExample>* examples, util::Rng* rng,
-                        nn::Adam* optimizer,
-                        const nn::LinearDecaySchedule& schedule);
-  double TrainRelationEpoch(std::vector<RelationExample>* examples,
-                            util::Rng* rng, nn::Adam* optimizer,
-                            const nn::LinearDecaySchedule& schedule);
-
   DoduoModel* model_;
   const table::TableSerializer* serializer_;
   ExampleBuilder builder_;

@@ -435,22 +435,23 @@ void GeluBackward(const Tensor& pre_act, const Tensor& grad_act,
 }
 
 const Tensor& Gelu::Forward(const Tensor& x) {
-  cached_input_ = x;
+  input_ = &x;
   output_.ResizeUninitialized(x.shape());
   GeluRow(x.data(), output_.data(), x.size());
   return output_;
 }
 
 const Tensor& Gelu::Backward(const Tensor& grad_out) {
-  DODUO_CHECK(SameShape(grad_out, cached_input_));
+  DODUO_CHECK(input_ != nullptr) << "Backward before Forward";
+  DODUO_CHECK(SameShape(grad_out, *input_));
   grad_input_.ResizeUninitialized(grad_out.shape());
-  GeluGradRow(cached_input_.data(), grad_out.data(), grad_input_.data(),
+  GeluGradRow(input_->data(), grad_out.data(), grad_input_.data(),
               grad_out.size());
   return grad_input_;
 }
 
 const Tensor& Relu::Forward(const Tensor& x) {
-  cached_input_ = x;
+  input_ = &x;
   output_.ResizeUninitialized(x.shape());
   const float* in = x.data();
   float* out = output_.data();
@@ -459,10 +460,11 @@ const Tensor& Relu::Forward(const Tensor& x) {
 }
 
 const Tensor& Relu::Backward(const Tensor& grad_out) {
-  DODUO_CHECK(SameShape(grad_out, cached_input_));
+  DODUO_CHECK(input_ != nullptr) << "Backward before Forward";
+  DODUO_CHECK(SameShape(grad_out, *input_));
   grad_input_.ResizeUninitialized(grad_out.shape());
   const float* dy = grad_out.data();
-  const float* in = cached_input_.data();
+  const float* in = input_->data();
   float* dx = grad_input_.data();
   for (int64_t i = 0; i < grad_out.size(); ++i)
     dx[i] = in[i] > 0.0f ? dy[i] : 0.0f;

@@ -30,33 +30,35 @@ void BiasGeluForward(Tensor* pre_act, const Tensor& bias, Tensor* act);
 
 /// grad_pre = grad_act ⊙ gelu'(pre_act), the backward of BiasGeluForward
 /// with respect to its (biased) pre-activation. Identical math to
-/// Gelu::Backward, minus the cached input copy.
+/// Gelu::Backward.
 ///
 /// All GELU and tanh layers here are bit-identical to their elementwise
 /// GeluScalar / GeluGradScalar / Tanh loops, SIMD or not.
 void GeluBackward(const Tensor& pre_act, const Tensor& grad_act,
                   Tensor* grad_pre);
 
-/// Elementwise GELU layer with cached input for backward.
+/// Elementwise GELU layer. Backward reads the forward input through a kept
+/// pointer, so `x` must stay alive and unchanged until Backward.
 class Gelu {
  public:
   const Tensor& Forward(const Tensor& x);
   const Tensor& Backward(const Tensor& grad_out);
 
  private:
-  Tensor cached_input_;
+  const Tensor* input_ = nullptr;
   Tensor output_;
   Tensor grad_input_;
 };
 
-/// Elementwise ReLU layer with cached input for backward.
+/// Elementwise ReLU layer. Backward reads the forward input through a kept
+/// pointer, so `x` must stay alive and unchanged until Backward.
 class Relu {
  public:
   const Tensor& Forward(const Tensor& x);
   const Tensor& Backward(const Tensor& grad_out);
 
  private:
-  Tensor cached_input_;
+  const Tensor* input_ = nullptr;
   Tensor output_;
   Tensor grad_input_;
 };

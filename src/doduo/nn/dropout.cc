@@ -8,9 +8,8 @@ Dropout::Dropout(float rate, util::Rng* rng) : rate_(rate), rng_(rng) {
 
 const Tensor& Dropout::Forward(const Tensor& x) {
   if (!training_ || rate_ == 0.0f) {
-    output_ = x;
     identity_last_forward_ = true;
-    return output_;
+    return x;
   }
   identity_last_forward_ = false;
   DODUO_CHECK(rng_ != nullptr) << "dropout in training needs an rng";
@@ -29,10 +28,7 @@ const Tensor& Dropout::Forward(const Tensor& x) {
 }
 
 const Tensor& Dropout::Backward(const Tensor& grad_out) {
-  if (identity_last_forward_) {
-    grad_input_ = grad_out;
-    return grad_input_;
-  }
+  if (identity_last_forward_) return grad_out;
   DODUO_CHECK(SameShape(grad_out, mask_));
   grad_input_.ResizeUninitialized(grad_out.shape());
   const float* dy = grad_out.data();

@@ -9,6 +9,12 @@ namespace doduo::nn {
 /// Inverted dropout: during training, zeroes each activation with
 /// probability `rate` and scales survivors by 1/(1-rate); identity during
 /// evaluation.
+///
+/// In evaluation mode or at rate 0 the layer copies nothing: Forward
+/// returns `x` itself and the following Backward returns `grad_out` itself,
+/// so each argument must stay alive and unchanged while its result is read
+/// (for `x`, until Backward). When masking, the layer owns its output and
+/// input gradient.
 class Dropout {
  public:
   /// `rng` must outlive the layer; it may be nullptr for a layer that never

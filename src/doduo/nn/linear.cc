@@ -18,7 +18,7 @@ Linear::Linear(std::string name, int64_t in_features, int64_t out_features,
   }
 }
 
-bool Linear::QuantView(Int8WeightView* view) const {
+bool Linear::QuantView(Int8WeightView* view) {
   if (!QuantEnabled()) return false;
   if (w_.prequant != nullptr && w_.prequant_revision == w_.revision) {
     *view = View(*w_.prequant);
@@ -34,7 +34,7 @@ bool Linear::QuantView(Int8WeightView* view) const {
 }
 
 const Tensor& Linear::Forward(const Tensor& x) {
-  cached_input_ = x;
+  input_ = &x;
   Int8WeightView qw;
   if (QuantView(&qw)) {
     Int8Linear(x, qw, std::as_const(b_.value).data(), &output_);
@@ -46,7 +46,7 @@ const Tensor& Linear::Forward(const Tensor& x) {
 }
 
 Tensor& Linear::ForwardNoBias(const Tensor& x) {
-  cached_input_ = x;
+  input_ = &x;
   Int8WeightView qw;
   if (QuantView(&qw)) {
     Int8Linear(x, qw, /*bias=*/nullptr, &output_);
@@ -54,16 +54,6 @@ Tensor& Linear::ForwardNoBias(const Tensor& x) {
   }
   MatMul(x, w_.value, &output_);
   return output_;
-}
-
-void Linear::ForwardInto(const Tensor& x, Tensor* out) const {
-  Int8WeightView qw;
-  if (QuantView(&qw)) {
-    Int8Linear(x, qw, std::as_const(b_.value).data(), out);
-    return;
-  }
-  MatMul(x, w_.value, out);
-  AddRowBroadcast(out, b_.value);
 }
 
 const Tensor& Linear::Backward(const Tensor& grad_out) {
@@ -74,10 +64,10 @@ const Tensor& Linear::Backward(const Tensor& grad_out) {
 }
 
 void Linear::AccumulateParameterGradients(const Tensor& grad_out) {
-  DODUO_CHECK(!cached_input_.empty()) << "Backward before Forward";
-  DODUO_CHECK_EQ(grad_out.rows(), cached_input_.rows());
+  DODUO_CHECK(input_ != nullptr) << "Backward before Forward";
+  DODUO_CHECK_EQ(grad_out.rows(), input_->rows());
   DODUO_CHECK_EQ(grad_out.cols(), w_.value.cols());
-  MatMulTransposedAAccum(cached_input_, grad_out, &w_.grad);
+  MatMulTransposedAAccum(*input_, grad_out, &w_.grad);
   ColumnSumAccum(grad_out, &b_.grad);
 }
 

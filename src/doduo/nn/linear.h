@@ -13,7 +13,9 @@ namespace doduo::nn {
 
 /// Fully connected layer y = x·W + b with explicit backward.
 ///
-/// Layers cache the most recent forward input, so a given instance must be
+/// The layer keeps a pointer to its most recent forward input and owns only
+/// what it writes (the output and the input gradient): the input must stay
+/// alive and unchanged from Forward until Backward, and a given instance is
 /// used at most once per forward pass (the Transformer allocates one
 /// instance per call site). Gradients accumulate across Backward calls until
 /// the optimizer zeroes them, which implements mini-batching by gradient
@@ -30,14 +32,11 @@ class Linear {
   /// layer and valid until the next Forward call.
   const Tensor& Forward(const Tensor& x);
 
-  /// Forward without the bias term: returns x·W and caches x, leaving the
+  /// Forward without the bias term: returns x·W and keeps &x, leaving the
   /// bias to a fused epilogue (see BiasGeluForward). The returned tensor is
   /// mutable so the epilogue can add the bias in place; Backward is
   /// unchanged (db = column-sum of the output gradient either way).
   Tensor& ForwardNoBias(const Tensor& x);
-
-  /// Forward without caching, for inference-only paths.
-  void ForwardInto(const Tensor& x, Tensor* out) const;
 
   /// grad_out: [m, out] → returns d(loss)/d(x) [m, in]; accumulates the
   /// weight/bias gradients.
@@ -62,20 +61,18 @@ class Linear {
   /// precomputed table when one is attached and still current, else a lazy
   /// per-layer cache rebuilt whenever the weight revision moves (optimizer
   /// steps and checkpoint loads bump it, so training through a
-  /// quant-enabled layer stays correct, just slow). Mutable state touched
-  /// from const ForwardInto — safe under the one-thread-per-replica
-  /// serving contract (DESIGN §13).
-  bool QuantView(Int8WeightView* view) const;
+  /// quant-enabled layer stays correct, just slow).
+  bool QuantView(Int8WeightView* view);
 
   Parameter w_;  // [in, out]
   Parameter b_;  // [out]
-  Tensor cached_input_;
+  const Tensor* input_ = nullptr;  // borrowed; see the class comment
   Tensor output_;
   Tensor grad_input_;
 
-  mutable QuantizedWeight qcache_;
-  mutable uint64_t qcache_revision_ = 0;
-  mutable bool qcache_valid_ = false;
+  QuantizedWeight qcache_;
+  uint64_t qcache_revision_ = 0;
+  bool qcache_valid_ = false;
 };
 
 }  // namespace doduo::nn

@@ -53,13 +53,13 @@ const nn::Tensor& TransformerBlock::Backward(const nn::Tensor& grad_out) {
   DODUO_CHECK(ffn_pre_ != nullptr) << "Backward before Forward";
   nn::Tensor& d_ffn_pre = ws_.Get(kFfnGradPre, d_ffn_activated.shape());
   nn::GeluBackward(*ffn_pre_, d_ffn_activated, &d_ffn_pre);
-  grad_hidden_ = ffn_in_.Backward(d_ffn_pre);
-  nn::AddInPlace(&grad_hidden_, d_residual2);  // skip path
+  // FFN branch + skip path.
+  nn::Add(ffn_in_.Backward(d_ffn_pre), d_residual2, &grad_hidden_);
 
   const nn::Tensor& d_residual1 = attention_norm_.Backward(grad_hidden_);
   const nn::Tensor& d_attn_dropped = attention_dropout_.Backward(d_residual1);
-  grad_input_ = attention_.Backward(d_attn_dropped);
-  nn::AddInPlace(&grad_input_, d_residual1);  // skip path
+  // Attention branch + skip path.
+  nn::Add(attention_.Backward(d_attn_dropped), d_residual1, &grad_input_);
   return grad_input_;
 }
 

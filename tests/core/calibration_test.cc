@@ -102,5 +102,37 @@ TEST(CalibratedConfidenceTest, MultiLabelIsSigmoidOfMaxLogit) {
               1.0 / (1.0 + std::exp(-1.0)), 1e-9);
 }
 
+TEST(DecodeClassesTest, LogitExactlyAtTheCutIsNotPicked) {
+  // t = 0.5 puts the cut at logit 0; for t = 0.7 it is computed the way
+  // the decoder computes it, so the second logit sits exactly on it.
+  const float at_half[] = {0.0f, 0.5f, -0.5f};
+  EXPECT_EQ(DecodeClasses(at_half, 3, /*multi_label=*/true, 0.5f),
+            std::vector<int>({1}));
+  const float cut = std::log(0.7f) - std::log(1.0f - 0.7f);
+  const float at_cut[] = {cut + 1.0f, cut, std::nextafter(cut, 10.0f)};
+  EXPECT_EQ(DecodeClasses(at_cut, 3, /*multi_label=*/true, 0.7f),
+            std::vector<int>({0, 2}));
+}
+
+TEST(DecodeClassesTest, EmptyPickFallsBackToTheArgmax) {
+  const float logits[] = {-3.0f, -1.0f, -2.0f};
+  EXPECT_EQ(DecodeClasses(logits, 3, /*multi_label=*/true, 0.5f),
+            std::vector<int>({1}));
+  EXPECT_EQ(DecodeClasses(logits, 3, /*multi_label=*/false, 0.5f),
+            std::vector<int>({1}));
+}
+
+TEST(DecodeClassesTest, ArgmaxTiesTakeTheLowestIndex) {
+  const float logits[] = {-2.0f, -1.0f, -1.0f, -1.0f};
+  EXPECT_EQ(DecodeClasses(logits, 4, /*multi_label=*/false, 0.5f),
+            std::vector<int>({1}));
+  EXPECT_EQ(DecodeClasses(logits, 4, /*multi_label=*/true, 0.5f),
+            std::vector<int>({1}));
+  // Single-label decoding ignores the threshold.
+  const float positive[] = {2.0f, 3.0f, 3.0f};
+  EXPECT_EQ(DecodeClasses(positive, 3, /*multi_label=*/false, 0.5f),
+            std::vector<int>({1}));
+}
+
 }  // namespace
 }  // namespace doduo::core

@@ -85,19 +85,6 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwards) {
   EXPECT_FLOAT_EQ(layer.weight().grad.at(0, 0), 2.0f * first);
 }
 
-TEST(LinearTest, ForwardIntoMatchesForward) {
-  util::Rng rng(5);
-  Linear layer("l", 3, 4, &rng);
-  Tensor x({2, 3});
-  x.FillNormal(&rng, 1.0f);
-  Tensor out;
-  layer.ForwardInto(x, &out);
-  const Tensor& cached = layer.Forward(x);
-  for (int64_t i = 0; i < out.size(); ++i) {
-    EXPECT_FLOAT_EQ(out.data()[i], cached.data()[i]);
-  }
-}
-
 TEST(EmbeddingTest, LookupReturnsRows) {
   util::Rng rng(6);
   Embedding emb("e", 10, 4, &rng);
@@ -228,13 +215,15 @@ TEST(TanhLayerTest, GradientCheck) {
   testing::ExpectInputGradientsClose(&x, loss, dx);
 }
 
+// Identity dropout copies nothing: both directions return their argument.
 TEST(DropoutTest, EvalModeIsIdentity) {
   util::Rng rng(13);
   Dropout dropout(0.5f, &rng);
   dropout.set_training(false);
   Tensor x = Tensor::FromVector({1, 4}, {1, 2, 3, 4});
-  const Tensor& y = dropout.Forward(x);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
+  EXPECT_EQ(&dropout.Forward(x), &x);
+  Tensor dy = Tensor::FromVector({1, 4}, {5, 6, 7, 8});
+  EXPECT_EQ(&dropout.Backward(dy), &dy);
 }
 
 TEST(DropoutTest, TrainingDropsAndRescales) {
@@ -268,9 +257,11 @@ TEST(DropoutTest, BackwardUsesSameMask) {
 TEST(DropoutTest, ZeroRateIsIdentityInTraining) {
   util::Rng rng(16);
   Dropout dropout(0.0f, &rng);
+  ASSERT_TRUE(dropout.training());
   Tensor x = Tensor::FromVector({1, 3}, {1, 2, 3});
-  const Tensor& y = dropout.Forward(x);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(y.data()[i], x.data()[i]);
+  EXPECT_EQ(&dropout.Forward(x), &x);
+  Tensor dy = Tensor::FromVector({1, 3}, {4, 5, 6});
+  EXPECT_EQ(&dropout.Backward(dy), &dy);
 }
 
 }  // namespace

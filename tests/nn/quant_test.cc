@@ -356,14 +356,12 @@ TEST_F(QuantTest, LinearQuantCacheFollowsWeightRevision) {
   x.Fill(1.0f);
 
   SetQuantEnabled(true);
-  Tensor before;
-  layer.ForwardInto(x, &before);
+  const Tensor before = layer.Forward(x);
   // Mutate the weight the way every writer does: new values + revision
   // bump. A stale int8 cache would keep producing the old output.
   layer.weight().value.Fill(0.25f);
   layer.weight().BumpRevision();
-  Tensor after;
-  layer.ForwardInto(x, &after);
+  const Tensor& after = layer.Forward(x);
   for (int64_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(after.at(0, j), 8 * 0.25f, 0.05f);
     EXPECT_NE(after.at(0, j), before.at(0, j));
@@ -392,8 +390,7 @@ TEST_F(QuantTest, PrequantizedViewWinsOverLazyCache) {
   layer.weight().AttachPrequant(pre);
 
   SetQuantEnabled(true);
-  Tensor got;
-  layer.ForwardInto(x, &got);
+  const Tensor& got = layer.Forward(x);
   for (int64_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(got.at(0, j), 8 * 0.5f, 0.05f);
   }
@@ -401,8 +398,7 @@ TEST_F(QuantTest, PrequantizedViewWinsOverLazyCache) {
   // A revision bump invalidates the attached table; the layer must fall
   // back to quantizing its own (random) weight, not keep serving 0.5s.
   layer.weight().BumpRevision();
-  Tensor after;
-  layer.ForwardInto(x, &after);
+  const Tensor& after = layer.Forward(x);
   bool differs = false;
   for (int64_t j = 0; j < 4; ++j) {
     if (std::fabs(after.at(0, j) - 8 * 0.5f) > 0.05f) differs = true;

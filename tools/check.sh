@@ -15,16 +15,19 @@
 #
 # ASan covers the strided-view kernels and workspace arena reuse (out-of-
 # bounds writes through MutMatView would corrupt neighbouring column bands
-# silently) plus serve (protocol frame decoding touches raw byte buffers);
+# silently), the layers' borrowed forward inputs in nn, transformer, core
+# and baselines (an input that dies before Backward would otherwise give
+# wrong gradients silently), plus serve (protocol frame decoding touches
+# raw byte buffers);
 # TSan covers the thread-pool sharded kernels. UBSan covers the
 # parsing/validation paths (env parsing, CSV, checkpoint decoding, tokenizer
 # bounds) where integer overflow or bad shifts would otherwise pass
 # silently. The ASan/TSan runs restrict themselves to the suites where the
-# kernel, threading, and serving code lives: nn, transformer, and serve
-# (the dynamic batcher and server are the most concurrency-dense code in
-# the tree — DESIGN §12 requires the loopback stress suite to be clean
-# under both). UBSan runs the tier-1 suite; the Release tier-1 runs
-# everything.
+# kernel, layer, threading, and serving code lives: nn, transformer, and
+# serve under both, core and baselines under ASan (the dynamic batcher and
+# server are the most concurrency-dense code in the tree — DESIGN §12
+# requires the loopback stress suite to be clean under both). UBSan runs
+# the tier-1 suite; the Release tier-1 runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -132,10 +135,12 @@ fi
 echo "=== AddressSanitizer ==="
 cmake -B build-asan -S . -DDODUO_ASAN=ON >/dev/null
 cmake --build build-asan -j "${jobs}" --target nn_test transformer_test \
-  serve_test
+  core_test baselines_test serve_test
 (cd build-asan/tests &&
  ./nn_test --gtest_brief=1 &&
  ./transformer_test --gtest_brief=1 &&
+ ./core_test --gtest_brief=1 &&
+ ./baselines_test --gtest_brief=1 &&
  ./serve_test --gtest_brief=1)
 
 echo "=== ThreadSanitizer ==="
@@ -162,4 +167,4 @@ ctest --test-dir build-ubsan --output-on-failure -j "${jobs}" \
   -R 'DirtyFixtures|ColumnSanitizer|NullMarker|SkipReason|CalibratedConfidence|FitTemperature|AnnotatorRobust'
 ctest --test-dir build-ubsan --output-on-failure -j "${jobs}"
 
-echo "=== all checks passed (lint + quant gate + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan; tier-1 under UBSan) ==="
+echo "=== all checks passed (lint + quant gate + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan, core_test|baselines_test under ASan; tier-1 under UBSan) ==="
