@@ -27,6 +27,7 @@
 #include "doduo/core/replica_pool.h"
 #include "doduo/nn/activations.h"
 #include "doduo/nn/expf.h"
+#include "doduo/nn/layer_norm.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/quant.h"
 #include "doduo/table/sanitizer.h"
@@ -90,16 +91,23 @@ void BM_MatMulTransposedB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposedB)->ArgPair(256, 1)->ArgPair(256, 4);
 
-// The fp32 GEMM kernel named `name` (Fp32GemmKernels), or nullptr when
-// this CPU cannot run it. The list ignores DODUO_SIMD, so the scalar and
-// axpy baselines are reachable on any host.
-const doduo::nn::Fp32GemmKernel* FindFp32Kernel(const char* name) {
-  static const std::vector<doduo::nn::Fp32GemmKernel> kernels =
-      doduo::nn::Fp32GemmKernels();
-  for (const doduo::nn::Fp32GemmKernel& kernel : kernels) {
+// The member of a kernel family (Fp32GemmKernels, TanhKernels, ...) named
+// `name`, or nullptr when this CPU cannot run it. The lists ignore
+// DODUO_SIMD, so the scalar and AVX2 baselines are reachable on any host
+// that has the ISA.
+template <typename Kernel>
+const Kernel* FindKernel(const std::vector<Kernel>& kernels,
+                         const char* name) {
+  for (const Kernel& kernel : kernels) {
     if (std::strcmp(kernel.name, name) == 0) return &kernel;
   }
   return nullptr;
+}
+
+const doduo::nn::Fp32GemmKernel* FindFp32Kernel(const char* name) {
+  static const std::vector<doduo::nn::Fp32GemmKernel> kernels =
+      doduo::nn::Fp32GemmKernels();
+  return FindKernel(kernels, name);
 }
 
 void BM_MatMulScalarRef(benchmark::State& state) {
@@ -374,7 +382,9 @@ struct AttentionHeadsFixture {
     doduo::util::Rng rng(13);
     qkv.FillNormal(&rng, 1.0f);
   }
-  void Run(bool dispatched) {
+  // Every head through `head` (AttentionHeadForward or one member of
+  // nn::AttentionKernels), or through the scalar head above when null.
+  void Run(decltype(doduo::nn::AttentionKernel::head) head) {
     const int64_t d = kAttnHeads * kAttnHeadDim;
     const float scale = 1.0f / std::sqrt(static_cast<float>(kAttnHeadDim));
     for (int64_t h = 0; h < kAttnHeads; ++h) {
@@ -383,9 +393,8 @@ struct AttentionHeadsFixture {
       const auto k = doduo::nn::ColumnsView(qkv, d + off, kAttnHeadDim);
       const auto v = doduo::nn::ColumnsView(qkv, 2 * d + off, kAttnHeadDim);
       const auto c = doduo::nn::MutColumnsView(&ctx, off, kAttnHeadDim);
-      if (dispatched) {
-        doduo::nn::AttentionHeadForward(q, k, v, scale, nullptr, &kt, &probs,
-                                        c);
+      if (head != nullptr) {
+        head(q, k, v, scale, nullptr, &kt, &probs, c);
       } else {
         AttentionHeadScalar(q, k, v, scale, &probs, c);
       }
@@ -400,7 +409,7 @@ void BM_AttentionHeads(benchmark::State& state) {
   doduo::util::SetComputeThreads(1);
   AttentionHeadsFixture fixture(seq);
   for (auto _ : state) {
-    fixture.Run(dispatched);
+    fixture.Run(dispatched ? &doduo::nn::AttentionHeadForward : nullptr);
     benchmark::DoNotOptimize(fixture.ctx.data());
     benchmark::ClobberMemory();
   }
@@ -735,7 +744,9 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // fp32, the ratio the acceptance gate checks); the FFN GELU epilogue,
 // dispatched vs the scalar tanh port (the second gated ratio); the
 // attention core, dispatched vs the scalar head (the third); the four
-// Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); lake ingest MB/s
+// Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); the AVX-512 twins
+// of GELU and attention vs their AVX2 twins (the fifth and sixth), with
+// exp and LayerNorm reported beside them; lake ingest MB/s
 // (CSV parse and sanitize, ungated); batched annotation
 // tables/sec with the quant path off and on; and the per-worker RSS delta
 // of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
@@ -838,8 +849,9 @@ void EmitQuantBenchJson() {
     AttentionHeadsFixture fixture(attn_seqs[i]);
     const int iters = attn_seqs[i] < 100 ? 400 : 80;
     const auto [scalar_s_seq, simd_s_seq] =
-        BestOfInterleaved(iters, [&] { fixture.Run(false); },
-                          [&] { fixture.Run(true); });
+        BestOfInterleaved(
+            iters, [&] { fixture.Run(nullptr); },
+            [&] { fixture.Run(&doduo::nn::AttentionHeadForward); });
     attn_scalar_us[i] = scalar_s_seq * 1e6;
     attn_simd_us[i] = simd_s_seq * 1e6;
     const double ratio = attn_scalar_us[i] / attn_simd_us[i];
@@ -864,6 +876,93 @@ void EmitQuantBenchJson() {
     }
   }
   const double tile_speedup = tile_us > 0.0 ? tile_avx_us / tile_us : 0.0;
+
+  // The AVX-512 twins of the non-GEMM kernels against the AVX2 twins they
+  // sit beside, single thread, each through its family's kernel list so
+  // both run on this host: GELU at the BM_BiasGelu shapes (times summed),
+  // the attention core at the BM_AttentionHeads shapes (the smaller ratio
+  // is the gated one), exp over the BM_Expf inputs, and LayerNorm at
+  // [76, 64] and [190, 64]. LayerNorm has no AVX2 twin, so its baseline
+  // is the scalar reference, which is what AVX2 hosts run. Hosts without
+  // AVX-512F have no twins to compare and skip these gates.
+  const std::vector<doduo::nn::TanhKernel> tanh_kernels =
+      doduo::nn::TanhKernels();
+  const std::vector<doduo::nn::AttentionKernel> attn_kernels =
+      doduo::nn::AttentionKernels();
+  const std::vector<doduo::nn::ExpfKernel> expf_kernels =
+      doduo::nn::ExpfKernels();
+  const std::vector<doduo::nn::LayerNormKernel> norm_kernels =
+      doduo::nn::LayerNormKernels();
+  const auto* gelu_avx2 = FindKernel(tanh_kernels, "avx2");
+  const auto* gelu_512 = FindKernel(tanh_kernels, "avx512");
+  const auto* attn_avx2 = FindKernel(attn_kernels, "avx2");
+  const auto* attn_512 = FindKernel(attn_kernels, "avx512");
+  const auto* expf_avx2 = FindKernel(expf_kernels, "avx2");
+  const auto* expf_512 = FindKernel(expf_kernels, "avx512");
+  const auto* norm_ref = FindKernel(norm_kernels, "scalar");
+  const auto* norm_512 = FindKernel(norm_kernels, "avx512");
+  const bool twins = gelu_avx2 != nullptr && gelu_512 != nullptr &&
+                     attn_avx2 != nullptr && attn_512 != nullptr &&
+                     expf_avx2 != nullptr && expf_512 != nullptr &&
+                     norm_512 != nullptr;
+  double twin_gelu_us[2] = {0.0, 0.0};  // {avx2, avx512}
+  double twin_attn_us[2][2] = {};       // [seq][{avx2, avx512}]
+  double twin_expf_us[2] = {0.0, 0.0};
+  double twin_norm_us[2] = {0.0, 0.0};  // {scalar reference, avx512}
+  double twin_attn_speedup = 0.0;
+  if (twins) {
+    for (const int64_t rows : {int64_t{76}, int64_t{190}}) {
+      Tensor pre({rows, kFfnWidth});
+      pre.FillNormal(&rng, 1.0f);
+      Tensor act({rows, kFfnWidth});
+      const auto gelu_rows = [&](const doduo::nn::TanhKernel& kernel) {
+        for (int64_t i = 0; i < rows; ++i) {
+          kernel.gelu_row(pre.row(i), act.row(i), kFfnWidth);
+        }
+      };
+      const auto [avx2_s, avx512_s] =
+          BestOfInterleaved(200, [&] { gelu_rows(*gelu_avx2); },
+                            [&] { gelu_rows(*gelu_512); });
+      twin_gelu_us[0] += avx2_s * 1e6;
+      twin_gelu_us[1] += avx512_s * 1e6;
+
+      Tensor hidden({rows, 64});
+      hidden.FillNormal(&rng, 1.0f);
+      const Tensor gamma = Tensor::Full({64}, 1.0f);
+      const Tensor beta({64});
+      Tensor normalized({rows, 64}), rstd({rows}), normed({rows, 64});
+      const auto norm = [&](const doduo::nn::LayerNormKernel& kernel) {
+        kernel.forward(hidden.data(), gamma.data(), beta.data(), 1e-5f, rows,
+                       64, normalized.data(), rstd.data(), normed.data());
+      };
+      const auto [ref_s, norm_s] = BestOfInterleaved(
+          2000, [&] { norm(*norm_ref); }, [&] { norm(*norm_512); });
+      twin_norm_us[0] += ref_s * 1e6;
+      twin_norm_us[1] += norm_s * 1e6;
+    }
+    for (int i = 0; i < 2; ++i) {
+      AttentionHeadsFixture fixture(attn_seqs[i]);
+      const int iters = attn_seqs[i] < 100 ? 400 : 80;
+      const auto [avx2_s, avx512_s] =
+          BestOfInterleaved(iters, [&] { fixture.Run(attn_avx2->head); },
+                            [&] { fixture.Run(attn_512->head); });
+      twin_attn_us[i][0] = avx2_s * 1e6;
+      twin_attn_us[i][1] = avx512_s * 1e6;
+      const double ratio = avx2_s / avx512_s;
+      twin_attn_speedup = i == 0 ? ratio : std::min(twin_attn_speedup, ratio);
+    }
+    std::vector<float> logits(4096);
+    for (float& v : logits) v = rng.UniformFloat(-30.0f, 0.0f);
+    std::vector<float> e(logits.size());
+    const auto exp_row = [&](const doduo::nn::ExpfKernel& kernel) {
+      kernel.row(logits.data(), 0.0f, e.data(),
+                 static_cast<int64_t>(logits.size()));
+    };
+    const auto [avx2_s, avx512_s] = BestOfInterleaved(
+        2000, [&] { exp_row(*expf_avx2); }, [&] { exp_row(*expf_512); });
+    twin_expf_us[0] = avx2_s * 1e6;
+    twin_expf_us[1] = avx512_s * 1e6;
+  }
 
   // Lake ingest, single thread: CSV text to rows, and the sanitizer over
   // the parsed table, in MB/s of CSV text (best of kGateReps).
@@ -987,6 +1086,35 @@ void EmitQuantBenchJson() {
                  "  \"gemm_tile\": {\"tile_vs_avx\": null, "
                  "\"skipped\": \"cpu has no avx512f\"},\n");
   }
+  if (twins) {
+    std::fprintf(
+        out,
+        "  \"avx512_twins\": {\n"
+        "    \"gelu\": {\"rows\": [76, 190], \"n\": %lld, "
+        "\"avx2_us\": %.2f, \"avx512_us\": %.2f,\n"
+        "      \"gelu_512_vs_avx2\": %.3f},\n"
+        "    \"attention\": {\"seq\": [76, 190], "
+        "\"avx2_us\": [%.2f, %.2f], \"avx512_us\": [%.2f, %.2f],\n"
+        "      \"attn_512_vs_avx2\": [%.3f, %.3f]},\n"
+        "    \"expf\": {\"n\": 4096, \"avx2_us\": %.3f, "
+        "\"avx512_us\": %.3f,\n"
+        "      \"expf_512_vs_avx2\": %.3f},\n"
+        "    \"layernorm\": {\"rows\": [76, 190], \"n\": 64, "
+        "\"avx2_side\": \"scalar reference\",\n"
+        "      \"avx2_us\": %.3f, \"avx512_us\": %.3f, "
+        "\"layernorm_512_vs_avx2\": %.3f}},\n",
+        static_cast<long long>(kFfnWidth), twin_gelu_us[0], twin_gelu_us[1],
+        twin_gelu_us[0] / twin_gelu_us[1], twin_attn_us[0][0],
+        twin_attn_us[1][0], twin_attn_us[0][1], twin_attn_us[1][1],
+        twin_attn_us[0][0] / twin_attn_us[0][1],
+        twin_attn_us[1][0] / twin_attn_us[1][1], twin_expf_us[0],
+        twin_expf_us[1], twin_expf_us[0] / twin_expf_us[1], twin_norm_us[0],
+        twin_norm_us[1], twin_norm_us[0] / twin_norm_us[1]);
+  } else {
+    std::fprintf(out,
+                 "  \"avx512_twins\": {\"skipped\": "
+                 "\"cpu has no avx512f\"},\n");
+  }
   std::fprintf(out,
                "  \"ingest\": {\"csv_mb\": %.3f,\n"
                "    \"parse_csv_mb_per_s\": %.1f,"
@@ -1029,6 +1157,25 @@ void EmitQuantBenchJson() {
   } else {
     std::fprintf(stderr,
                  "quant_bench: gemm tile/avx skipped: cpu has no avx512f\n");
+  }
+  // The fifth and sixth gated lines: the AVX-512 GELU and attention twins
+  // against their AVX2 twins (the attention ratio is the smaller of seq 76
+  // and 190); exp and LayerNorm are reported, not gated. Hosts without
+  // AVX-512F print a skip.
+  if (twins) {
+    std::fprintf(stderr, "quant_bench: gelu 512/avx2 speedup = %.2f\n",
+                 twin_gelu_us[0] / twin_gelu_us[1]);
+    std::fprintf(stderr, "quant_bench: attn 512/avx2 speedup = %.2f\n",
+                 twin_attn_speedup);
+    std::fprintf(stderr, "quant_bench: expf 512/avx2 speedup = %.2f\n",
+                 twin_expf_us[0] / twin_expf_us[1]);
+    std::fprintf(stderr,
+                 "quant_bench: layernorm 512/avx2 speedup = %.2f "
+                 "(avx2 side: scalar reference)\n",
+                 twin_norm_us[0] / twin_norm_us[1]);
+  } else {
+    std::fprintf(stderr,
+                 "quant_bench: 512/avx2 twins skipped: cpu has no avx512f\n");
   }
   std::fprintf(stderr, "quant_bench: wrote %s\n", path.c_str());
 }

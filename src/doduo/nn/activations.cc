@@ -180,8 +180,8 @@ constexpr float kGeluCubic3 = 3.0f * kGeluCubic;
 // blends; a vector with any lane outside the blended domain (|x| >= 22,
 // inf, NaN) runs the scalar port for all eight lanes. Only
 // target("avx2") is enabled — not FMA — so no mul+add is contracted.
-// Selected once per process (UseAvx2); DODUO_SIMD=0 forces the scalar
-// loops.
+// Selected once per process (UseAvx512, then UseAvx2); DODUO_SIMD=0
+// forces the scalar loops.
 
 #if defined(DODUO_X86_SIMD)
 
@@ -364,16 +364,181 @@ __attribute__((target("avx2"))) void GeluGradRowAvx2(const float* x,
   for (; i < n; ++i) dx[i] = dy[i] * GeluGradScalar(x[i]);
 }
 
+// --- AVX-512 twins ----------------------------------------------------------
+//
+// Tanh16Avx512 is Tanh8Avx2 on sixteen lanes: the same intrinsics in the
+// same order, with mask compares and mask blends in place of the vector
+// compares and blendv, and integer and/xor/andnot on the bit patterns
+// (AVX-512F alone has no float and/xor). A vector with any special lane
+// runs the port for all sixteen. The rows run their tails as one masked
+// vector whose padding lanes are 0, which takes no special path.
+
+__attribute__((target("avx512f"))) inline __m512i AsInts(__m512 v) {
+  return _mm512_castps_si512(v);
+}
+__attribute__((target("avx512f"))) inline __m512 AsFloats(__m512i v) {
+  return _mm512_castsi512_ps(v);
+}
+
+__attribute__((target("avx512f"))) inline __m512 Tanh16Avx512(__m512 x) {
+  const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  const __m512i ix = _mm512_andnot_si512(sign, AsInts(x));  // |x| bits
+  const __mmask16 special =
+      _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x41afffff));  // >= 22
+  if (special != 0) {
+    alignas(64) float lanes[16];
+    _mm512_store_ps(lanes, x);
+    for (float& v : lanes) v = Tanh(v);
+    return _mm512_load_ps(lanes);
+  }
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+
+  // tanh: u = expm1f argument, 2|x| when |x| >= 1, else -2|x|.
+  const __mmask16 big =
+      _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x3f7fffff));
+  const __m512i neg = _mm512_maskz_mov_epi32(_mm512_knot(big), sign);
+  const __m512 au = _mm512_mul_ps(two, AsFloats(ix));  // |u|
+  const __m512 u = AsFloats(_mm512_xor_si512(AsInts(au), neg));
+
+  // expm1f argument reduction, as in Tanh8Avx2.
+  const __m512i hu = AsInts(au);
+  const __mmask16 tiny =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x33000000), hu);
+  const __mmask16 reduce =
+      _mm512_cmpgt_epi32_mask(hu, _mm512_set1_epi32(0x3eb17218));
+  const __mmask16 near =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3f851592), hu);
+  const __m512 k_round = _mm512_cvtepi32_ps(_mm512_cvttps_epi32(
+      _mm512_add_ps(_mm512_mul_ps(_mm512_set1_ps(kInvLn2), u),
+                    AsFloats(_mm512_xor_si512(AsInts(half), neg)))));
+  const __m512 k_near = AsFloats(_mm512_xor_si512(AsInts(one), neg));
+  const __m512 kf =
+      _mm512_maskz_mov_ps(reduce, _mm512_mask_blend_ps(near, k_round, k_near));
+  const __m512i k = _mm512_cvttps_epi32(kf);
+  const __m512 hi =
+      _mm512_sub_ps(u, _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Hi)));
+  const __m512 lo = _mm512_mul_ps(kf, _mm512_set1_ps(kLn2Lo));
+  const __m512 r = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, r), lo);
+
+  // Primary range.
+  const __m512 hfx = _mm512_mul_ps(half, r);
+  const __m512 hxs = _mm512_mul_ps(r, hfx);
+  __m512 p = _mm512_add_ps(_mm512_set1_ps(kQ4),
+                           _mm512_mul_ps(hxs, _mm512_set1_ps(kQ5)));
+  p = _mm512_add_ps(_mm512_set1_ps(kQ3), _mm512_mul_ps(hxs, p));
+  p = _mm512_add_ps(_mm512_set1_ps(kQ2), _mm512_mul_ps(hxs, p));
+  p = _mm512_add_ps(_mm512_set1_ps(kQ1), _mm512_mul_ps(hxs, p));
+  const __m512 r1 = _mm512_add_ps(one, _mm512_mul_ps(hxs, p));
+  const __m512 t = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+  const __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
+                         _mm512_sub_ps(_mm512_set1_ps(6.0f),
+                                       _mm512_mul_ps(r, t))));
+  // k == 0.
+  const __m512 res_k0 =
+      _mm512_sub_ps(r, _mm512_sub_ps(_mm512_mul_ps(r, e), hxs));
+  // k != 0.
+  const __m512 ek = _mm512_sub_ps(
+      _mm512_sub_ps(_mm512_mul_ps(r, _mm512_sub_ps(e, c)), c), hxs);
+  const __m512 res_km1 =
+      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(r, ek)), half);
+  const __m512i scale = _mm512_slli_epi32(k, 23);
+  const __m512 e_minus_r = _mm512_sub_ps(ek, r);
+  // k <= -2 or k > 56.
+  const __m512 y_far = _mm512_sub_ps(one, e_minus_r);
+  const __m512 res_far =
+      _mm512_sub_ps(AsFloats(_mm512_add_epi32(AsInts(y_far), scale)), one);
+  // 2 <= k < 23: y = (1-2^-k) - (e-r).
+  const __m512 t_mid = AsFloats(
+      _mm512_sub_epi32(_mm512_set1_epi32(0x3f800000),
+                       _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
+  const __m512 y_mid = _mm512_sub_ps(t_mid, e_minus_r);
+  const __m512 res_mid = AsFloats(_mm512_add_epi32(AsInts(y_mid), scale));
+  // 23 <= k <= 56: y = (r - (e+2^-k)) + 1.
+  const __m512 t_high = AsFloats(
+      _mm512_slli_epi32(_mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
+  const __m512 y_high =
+      _mm512_add_ps(_mm512_sub_ps(r, _mm512_add_ps(ek, t_high)), one);
+  const __m512 res_high = AsFloats(_mm512_add_epi32(AsInts(y_high), scale));
+
+  // Select expm1f(u) by branch: k > 56 or k <= -2 is the default.
+  const __mmask16 k_ge2 = _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(1));
+  const __mmask16 k_lt23 =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(23), k);
+  const __mmask16 k_le56 =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(57), k);
+  __m512 em1 = res_far;
+  em1 = _mm512_mask_blend_ps(_mm512_kand(k_ge2, k_lt23), em1, res_mid);
+  em1 = _mm512_mask_blend_ps(_mm512_kandn(k_lt23, k_le56), em1, res_high);
+  em1 = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), em1, res_km1);
+  em1 = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), em1, res_k0);
+  em1 = _mm512_mask_blend_ps(tiny, em1, u);
+
+  // tanh: 1 - 2/(t+2) for |x| >= 1, else -t/(t+2); then the sign of x.
+  const __m512 q = _mm512_div_ps(
+      _mm512_mask_blend_ps(big, AsFloats(_mm512_xor_si512(AsInts(em1), sign)),
+                           two),
+      _mm512_add_ps(em1, two));
+  const __m512 z = _mm512_mask_blend_ps(big, q, _mm512_sub_ps(one, q));
+  return AsFloats(
+      _mm512_xor_si512(AsInts(z), _mm512_and_si512(AsInts(x), sign)));
+}
+
+__attribute__((target("avx512f"))) void TanhRowAvx512(const float* x,
+                                                     float* y, int64_t n) {
+  for (int64_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes = LaneMask16(n - i);
+    _mm512_mask_storeu_ps(y + i, lanes,
+                          Tanh16Avx512(_mm512_maskz_loadu_ps(lanes, x + i)));
+  }
+}
+
+// GeluRowAvx2 on sixteen lanes.
+__attribute__((target("avx512f"))) void GeluRowAvx512(const float* x,
+                                                     float* out, int64_t n) {
+  const __m512 s = _mm512_set1_ps(kSqrt2OverPi);
+  const __m512 cubic = _mm512_set1_ps(kGeluCubic);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (int64_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes = LaneMask16(n - i);
+    const __m512 v = _mm512_maskz_loadu_ps(lanes, x + i);
+    const __m512 cube =
+        _mm512_mul_ps(_mm512_mul_ps(_mm512_mul_ps(cubic, v), v), v);
+    const __m512 t = Tanh16Avx512(_mm512_mul_ps(s, _mm512_add_ps(v, cube)));
+    _mm512_mask_storeu_ps(
+        out + i, lanes,
+        _mm512_mul_ps(_mm512_mul_ps(half, v), _mm512_add_ps(one, t)));
+  }
+}
+
 #endif  // DODUO_X86_SIMD
+
+void TanhRowScalar(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = Tanh(x[i]);
+}
+
+void GeluRowScalar(const float* x, float* out, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = GeluScalar(x[i]);
+}
 
 void GeluRow(const float* x, float* out, int64_t n) {
 #if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) {
+    GeluRowAvx512(x, out, n);
+    return;
+  }
   if (UseAvx2()) {
     GeluRowAvx2(x, out, n);
     return;
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) out[i] = GeluScalar(x[i]);
+  GeluRowScalar(x, out, n);
 }
 
 void GeluGradRow(const float* x, const float* dy, float* dx, int64_t n) {
@@ -390,12 +555,29 @@ void GeluGradRow(const float* x, const float* dy, float* dx, int64_t n) {
 
 void TanhRow(const float* x, float* y, int64_t n) {
 #if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) {
+    TanhRowAvx512(x, y, n);
+    return;
+  }
   if (UseAvx2()) {
     TanhRowAvx2(x, y, n);
     return;
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) y[i] = Tanh(x[i]);
+  TanhRowScalar(x, y, n);
+}
+
+std::vector<TanhKernel> TanhKernels() {
+  std::vector<TanhKernel> kernels{{"scalar", &TanhRowScalar, &GeluRowScalar}};
+#if defined(DODUO_X86_SIMD)
+  if (__builtin_cpu_supports("avx2") != 0) {
+    kernels.push_back({"avx2", &TanhRowAvx2, &GeluRowAvx2});
+  }
+  if (__builtin_cpu_supports("avx512f") != 0) {
+    kernels.push_back({"avx512", &TanhRowAvx512, &GeluRowAvx512});
+  }
+#endif
+  return kernels;
 }
 
 float GeluScalar(float x) {

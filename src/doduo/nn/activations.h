@@ -2,6 +2,7 @@
 #define DODUO_NN_ACTIVATIONS_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "doduo/nn/tensor.h"
 
@@ -13,10 +14,27 @@ namespace doduo::nn {
 /// host's libm. The scalar reference for TanhRow.
 float Tanh(float x);
 
-/// y[i] = Tanh(x[i]) for i in [0, n); `y` may alias `x`. On CPUs with AVX2
-/// an 8-lane kernel that is bit-identical to Tanh runs instead (DODUO_SIMD=0
-/// forces the scalar loop; DESIGN.md §9).
+/// y[i] = Tanh(x[i]) for i in [0, n); `y` may alias `x`. On CPUs with
+/// AVX-512F a 16-lane kernel, else with AVX2 an 8-lane one, runs instead;
+/// both are bit-identical to Tanh (DODUO_SIMD=0 forces the scalar loop;
+/// DESIGN.md §9).
 void TanhRow(const float* x, float* y, int64_t n);
+
+/// One member of the tanh family behind TanhRow and the GELU layers. Every
+/// member computes the same bits, so they are interchangeable.
+struct TanhKernel {
+  const char* name;
+  /// y[i] = Tanh(x[i]); `y` may alias `x`.
+  void (*tanh_row)(const float* x, float* y, int64_t n);
+  /// y[i] = GeluScalar(x[i]); `y` may alias `x`.
+  void (*gelu_row)(const float* x, float* y, int64_t n);
+};
+
+/// Every tanh/GELU row kernel this binary can run on this CPU: "scalar"
+/// (the port) always, then "avx2" and "avx512" where the CPU has them — for
+/// the cross-kernel bit-equality tests and the per-kernel benches. Unlike
+/// TanhRow, the list ignores DODUO_SIMD.
+std::vector<TanhKernel> TanhKernels();
 
 /// Scalar GELU (tanh approximation, as in BERT) and its derivative.
 float GeluScalar(float x);

@@ -37,7 +37,7 @@ constexpr uint64_t kTableSize = uint64_t{1} << kTableBits;
 
 // kTable[i] = bits(2^(i/32)) - (i << 47), so that adding k << 47 to
 // kTable[k % 32] builds the double 2^(k/32) for any |k| < 150 * 32.
-alignas(32) constexpr uint64_t kTable[kTableSize] = {
+alignas(64) constexpr uint64_t kTable[kTableSize] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
     0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
     0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
@@ -108,26 +108,21 @@ DODUO_EXPF_CLONES float Expf(float x) {
 
 namespace {
 
-// --- SIMD twin ------------------------------------------------------------
+// --- SIMD twins -----------------------------------------------------------
 //
 // ExpfRowAvx2Fma evaluates Expf's main path on four doubles per register:
 // each std::fma above is one _mm256_fmadd_pd, each other op one intrinsic,
-// and the table is read by gather. This is the one function in the tree
-// compiled with FMA enabled, and it holds no other mul+add pair the
-// compiler could contract; it is noinline so it cannot be merged into a
-// caller whose mul+add would then be contracted (DESIGN.md §9). Lanes
-// below kUnderflow (-inf included) are 0, as in the port; any other lane
-// with |x| >= 88 or inf/NaN runs the port. Selected once per process;
+// and the table is read by gather. ExpfRowAvx512 does the same on eight
+// doubles per register (_mm512_fmadd_pd), reading the table from registers.
+// They are the functions in the tree compiled with FMA enabled besides
+// Expf, and they hold no other mul+add pair the compiler could contract;
+// they are noinline so they cannot be merged into a caller whose mul+add
+// would then be contracted (DESIGN.md §9). Lanes below kUnderflow (-inf
+// included) are 0, as in the port; any other lane with |x| >= 88 or inf/NaN
+// runs the port. Selected once per process (UseAvx512, then UseAvx2Fma);
 // DODUO_SIMD=0 forces the scalar loop.
 
 #if defined(DODUO_X86_SIMD)
-
-bool UseAvx2Fma() {
-  static const bool avx2_fma = __builtin_cpu_supports("avx2") != 0 &&
-                               __builtin_cpu_supports("fma") != 0 &&
-                               SimdEnabled();
-  return avx2_fma;
-}
 
 __attribute__((target("avx2,fma"))) inline __m128 Exp4Avx2Fma(__m128 x) {
   const __m256d xd = _mm256_cvtps_pd(x);
@@ -179,6 +174,81 @@ __attribute__((target("avx2,fma"))) inline void Exp8Avx2Fma(const float* x,
   }
 }
 
+// The AVX-512 twin: Exp4Avx2Fma on eight doubles, the same intrinsics in
+// the same order. The 32-entry table sits in four registers; two
+// permutex2var read entries 0-15 and 16-31 by index bits 0-3, and a blend
+// on bit 4 picks between them, with no gather.
+__attribute__((target("avx512f"))) inline __m256 Exp8Avx512(
+    __m256 x, const __m512d table[4]) {
+  const __m512d xd = _mm512_cvtps_pd(x);
+  const __m512d inv_ln2n = _mm512_set1_pd(kInvLn2N);
+  const __m512d shift = _mm512_set1_pd(kShift);
+  const __m512d kd_shifted = _mm512_fmadd_pd(inv_ln2n, xd, shift);
+  const __m512i ki = _mm512_castpd_si512(kd_shifted);
+  const __m512d kd = _mm512_sub_pd(kd_shifted, shift);
+  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
+  const __m512d low = _mm512_permutex2var_pd(table[0], ki, table[1]);
+  const __m512d high = _mm512_permutex2var_pd(table[2], ki, table[3]);
+  const __mmask8 upper =
+      _mm512_test_epi64_mask(ki, _mm512_set1_epi64(kTableSize / 2));
+  const __m512i t = _mm512_add_epi64(
+      _mm512_castpd_si512(_mm512_mask_blend_pd(upper, low, high)),
+      _mm512_slli_epi64(ki, 52 - kTableBits));
+  const __m512d s = _mm512_castsi512_pd(t);
+  const __m512d z =
+      _mm512_fmadd_pd(_mm512_set1_pd(kC0), r, _mm512_set1_pd(kC1));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kC2), r, _mm512_set1_pd(1.0));
+  y = _mm512_fmadd_pd(z, r2, y);
+  y = _mm512_mul_pd(y, s);
+  return _mm512_cvtpd_ps(y);
+}
+
+// y[l] = Expf(x[l] - shift) for the lanes l in `lanes`; y may alias x.
+// Lanes outside `lanes` are neither read nor written: they hold `shift`,
+// so they compute exp(0) and take no special path.
+__attribute__((target("avx512f"))) inline void Exp16Avx512(
+    const float* x, __m512 shift, float* y, __mmask16 lanes,
+    const __m512d table[4]) {
+  const __m512 v = _mm512_sub_ps(_mm512_mask_loadu_ps(shift, lanes, x), shift);
+  const __mmask16 zero_lanes =
+      _mm512_cmp_ps_mask(v, _mm512_set1_ps(kUnderflow), _CMP_LT_OQ);
+  const __m512i abs_bits = _mm512_and_si512(_mm512_castps_si512(v),
+                                            _mm512_set1_epi32(0x7fffffff));
+  const __mmask16 big =  // |v| >= 88, inf or NaN
+      _mm512_cmpgt_epi32_mask(abs_bits, _mm512_set1_epi32(0x42afffff));
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m256 e_low = Exp8Avx512(_mm512_castps512_ps256(v), table);
+  const __m256 e_high =
+      Exp8Avx512(_mm256_castpd_ps(_mm512_extractf64x4_pd(vd, 1)), table);
+  const __m512 e = _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castpd256_pd512(_mm256_castps_pd(e_low)),
+      _mm256_castps_pd(e_high), 1));
+  _mm512_mask_storeu_ps(y, lanes,
+                        _mm512_maskz_mov_ps(_mm512_knot(zero_lanes), e));
+  unsigned special = _mm512_kandn(zero_lanes, _mm512_kand(big, lanes));
+  if (special != 0) {
+    alignas(64) float values[16];
+    _mm512_store_ps(values, v);
+    for (; special != 0; special &= special - 1) {
+      const int lane = __builtin_ctz(special);
+      y[lane] = Expf(values[lane]);
+    }
+  }
+}
+
+#endif  // DODUO_X86_SIMD
+
+void ExpfRowScalar(const float* x, float shift, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = Expf(x[i] - shift);
+}
+
+}  // namespace
+
+#if defined(DODUO_X86_SIMD)
+
+namespace internal {
+
 // A row tail shorter than eight runs as one padded vector (padding lanes
 // hold `shift`, so they compute exp(0)), not through the scalar port.
 __attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
@@ -195,18 +265,48 @@ __attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
   }
 }
 
-#endif  // DODUO_X86_SIMD
+// The row tail runs as one masked vector.
+__attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
+    const float* x, float shift, float* y, int64_t n) {
+  const __m512d table[4] = {
+      _mm512_loadu_pd(kTable), _mm512_loadu_pd(kTable + 8),
+      _mm512_loadu_pd(kTable + 16), _mm512_loadu_pd(kTable + 24)};
+  const __m512 vshift = _mm512_set1_ps(shift);
+  for (int64_t i = 0; i < n; i += 16) {
+    Exp16Avx512(x + i, vshift, y + i, LaneMask16(n - i), table);
+  }
+}
 
-}  // namespace
+}  // namespace internal
+
+#endif  // DODUO_X86_SIMD
 
 void ExpfRow(const float* x, float shift, float* y, int64_t n) {
 #if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) {
+    internal::ExpfRowAvx512(x, shift, y, n);
+    return;
+  }
   if (UseAvx2Fma()) {
-    ExpfRowAvx2Fma(x, shift, y, n);
+    internal::ExpfRowAvx2Fma(x, shift, y, n);
     return;
   }
 #endif
-  for (int64_t i = 0; i < n; ++i) y[i] = Expf(x[i] - shift);
+  ExpfRowScalar(x, shift, y, n);
+}
+
+std::vector<ExpfKernel> ExpfKernels() {
+  std::vector<ExpfKernel> kernels{{"scalar", &ExpfRowScalar}};
+#if defined(DODUO_X86_SIMD)
+  if (__builtin_cpu_supports("avx2") != 0 &&
+      __builtin_cpu_supports("fma") != 0) {
+    kernels.push_back({"avx2", &internal::ExpfRowAvx2Fma});
+  }
+  if (__builtin_cpu_supports("avx512f") != 0) {
+    kernels.push_back({"avx512", &internal::ExpfRowAvx512});
+  }
+#endif
+  return kernels;
 }
 
 }  // namespace doduo::nn

@@ -217,12 +217,6 @@ __attribute__((target("avx"))) void MatMulRowsAvx(
 constexpr int64_t kTileRows = 12;
 constexpr int64_t kTileCols = 32;
 
-bool UseAvx512() {
-  static const bool avx512 =
-      __builtin_cpu_supports("avx512f") != 0 && SimdEnabled();
-  return avx512;
-}
-
 // True when no element of b[0, count) is inf or NaN, i.e. no exponent
 // field is all ones.
 __attribute__((target("avx512f"))) bool AllFiniteAvx512(const float* b,
@@ -241,12 +235,6 @@ __attribute__((target("avx512f"))) bool AllFiniteAvx512(const float* b,
                                exponent));
   }
   return _mm512_cmpeq_epi32_mask(high, exponent) == 0;
-}
-
-// Lanes [0, cols) of one 16-float register, for cols of any sign.
-inline __mmask16 LaneMask(int64_t cols) {
-  if (cols >= 16) return 0xffff;
-  return cols <= 0 ? 0 : static_cast<__mmask16>((1u << cols) - 1);
 }
 
 // C[0, R) x [0, 32) = A[0, R) x [0, k) · B[0, k) x [0, 32), with row
@@ -288,8 +276,8 @@ __attribute__((target("avx512f"))) void MatMulRowsAvx512(
   for (int64_t i = row_begin; i < row_end; i += kTileRows) {
     const float* a = pa + i * k;
     for (int64_t j = 0; j < n; j += kTileCols) {
-      const __mmask16 m0 = LaneMask(n - j);
-      const __mmask16 m1 = LaneMask(n - j - 16);
+      const __mmask16 m0 = LaneMask16(n - j);
+      const __mmask16 m1 = LaneMask16(n - j - 16);
       const float* b = pb + j;
       float* c = pc + i * n + j;
       switch (std::min(kTileRows, row_end - i)) {
@@ -713,26 +701,32 @@ void Add(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out->data();
-  for (int64_t i = 0; i < a.size(); ++i) po[i] = pa[i] + pb[i];
+  // The size lives in a local: re-read through `a` in the condition, it
+  // may alias the stores, and the loop would not vectorize.
+  const int64_t n = a.size();
+  for (int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
 }
 
 void AddInPlace(Tensor* a, const Tensor& b) {
   DODUO_CHECK(SameShape(*a, b));
   float* pa = a->data();
   const float* pb = b.data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] += pb[i];
+  const int64_t n = a->size();  // hoisted, as in Add
+  for (int64_t i = 0; i < n; ++i) pa[i] += pb[i];
 }
 
 void AddScaled(Tensor* a, const Tensor& b, float scale) {
   DODUO_CHECK(SameShape(*a, b));
   float* pa = a->data();
   const float* pb = b.data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] += scale * pb[i];
+  const int64_t n = a->size();  // hoisted, as in Add
+  for (int64_t i = 0; i < n; ++i) pa[i] += scale * pb[i];
 }
 
 void Scale(Tensor* a, float scale) {
   float* pa = a->data();
-  for (int64_t i = 0; i < a->size(); ++i) pa[i] *= scale;
+  const int64_t n = a->size();  // hoisted, as in Add
+  for (int64_t i = 0; i < n; ++i) pa[i] *= scale;
 }
 
 void AddRowBroadcast(Tensor* a, const Tensor& bias) {

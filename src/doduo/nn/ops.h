@@ -135,13 +135,34 @@ void ScaleMaskSoftmaxRows(const Tensor& logits, float scale,
 /// additive mask, probs resized to [s, s] and ctx [s, hd] overwritten.
 /// Bit-identical to MatMulTransposedBView → ScaleMaskSoftmaxRows →
 /// MatMulView (the scalar reference it runs under DODUO_SIMD=0 and for hd
-/// not a multiple of 8) at any thread count. With AVX2 it runs per block of
-/// four query rows: register-blocked q·kᵀ over a packed kᵀ (`kt`, resized
-/// to [hd, s rounded up to 8]), the softmax twin, then P·V in registers
+/// not a multiple of 8) at any thread count. With AVX-512F it runs per
+/// block of eight query rows, with AVX2 and FMA per block of four:
+/// register-blocked q·kᵀ over a packed kᵀ (`kt`, resized to [hd, s rounded
+/// up to the register's lanes]), the softmax twin, then P·V in registers
 /// (DESIGN.md §9).
 void AttentionHeadForward(ConstMatView q, ConstMatView k, ConstMatView v,
                           float scale, const Tensor* mask, Tensor* kt,
                           Tensor* probs, MutMatView ctx);
+
+/// One member of the softmax/attention family behind ScaleMaskSoftmaxRows
+/// and AttentionHeadForward, one ISA end to end (its exp included). Every
+/// member computes the same bits at any thread count.
+struct AttentionKernel {
+  const char* name;
+  /// ScaleMaskSoftmaxRows through this member.
+  void (*softmax)(const Tensor& logits, float scale, const Tensor* mask,
+                  Tensor* probs);
+  /// AttentionHeadForward through this member.
+  void (*head)(ConstMatView q, ConstMatView k, ConstMatView v, float scale,
+               const Tensor* mask, Tensor* kt, Tensor* probs, MutMatView ctx);
+};
+
+/// Every softmax/attention member this binary can run on this CPU:
+/// "scalar" (the reference) always, then "avx2" (AVX2 + FMA) and "avx512"
+/// where the CPU has them — for the cross-kernel bit-equality tests and
+/// the per-kernel benches. Unlike the entry points, the list ignores
+/// DODUO_SIMD.
+std::vector<AttentionKernel> AttentionKernels();
 
 /// Backward of row-wise softmax: given probs p and upstream grad dy,
 /// dx_i = p_i * (dy_i - sum_j dy_j p_j), computed per row.

@@ -104,10 +104,24 @@ void Tensor::Reshape(std::vector<int64_t> shape) {
   shape_ = std::move(shape);
 }
 
-void Tensor::ResizeUninitialized(std::vector<int64_t> shape) {
+void Tensor::ResizeUninitialized(std::initializer_list<int64_t> shape) {
+  ResizeTo(shape.begin(), shape.size());
+}
+
+void Tensor::ResizeUninitialized(const std::vector<int64_t>& shape) {
+  ResizeTo(shape.data(), shape.size());
+}
+
+// Copies the extents into shape_ in place (assign reuses its capacity), so
+// no shape vector is built per call.
+void Tensor::ResizeTo(const int64_t* dims, size_t rank) {
   DODUO_CHECK(!borrowed()) << "ResizeUninitialized on a borrowed tensor";
-  const int64_t volume = ShapeVolume(shape);
-  shape_ = std::move(shape);
+  int64_t volume = 1;
+  for (size_t i = 0; i < rank; ++i) {
+    DODUO_CHECK_GT(dims[i], 0) << "tensor extents must be positive";
+    volume *= dims[i];
+  }
+  if (dims != shape_.data()) shape_.assign(dims, dims + rank);
   data_.resize(static_cast<size_t>(volume));
 }
 

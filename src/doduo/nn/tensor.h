@@ -2,6 +2,7 @@
 #define DODUO_NN_TENSOR_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,9 +207,12 @@ class Tensor {
   /// Reinterprets the buffer with a new shape of the same volume.
   void Reshape(std::vector<int64_t> shape);
 
-  /// Resizes to `shape`, reallocating if the volume changes; contents are
-  /// unspecified afterwards (call Zero() if needed).
-  void ResizeUninitialized(std::vector<int64_t> shape);
+  /// Resizes to `shape`, reallocating only when the volume grows past the
+  /// buffer or the rank past the shape's capacity; contents are unspecified
+  /// afterwards (call Zero() if needed). A steady-state resize to a shape
+  /// of the same rank never touches the heap.
+  void ResizeUninitialized(std::initializer_list<int64_t> shape);
+  void ResizeUninitialized(const std::vector<int64_t>& shape);
 
   /// Returns a copy of row range [begin, end) of a 2-D tensor.
   Tensor SliceRows(int64_t begin, int64_t end) const;
@@ -223,6 +227,8 @@ class Tensor {
   std::string ShapeString() const;
 
  private:
+  void ResizeTo(const int64_t* dims, size_t rank);
+
   std::vector<int64_t> shape_;
   FloatBuffer data_;  // owned storage; empty when borrowing
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <vector>
 
 #include "doduo/nn/tensor.h"
@@ -28,10 +29,15 @@ class Workspace {
   Workspace& operator=(const Workspace&) = delete;
 
   /// Scratch tensor for `slot`, resized (uninitialized) to `shape`. Slot ids
-  /// should be small consecutive integers (an enum per layer).
+  /// should be small consecutive integers (an enum per layer). The braced
+  /// form (`Get(slot, {s, d})`) builds no shape vector.
+  Tensor& Get(size_t slot, std::initializer_list<int64_t> shape) {
+    Tensor& t = Slot(slot);
+    t.ResizeUninitialized(shape);
+    return t;
+  }
   Tensor& Get(size_t slot, const std::vector<int64_t>& shape) {
-    while (slots_.size() <= slot) slots_.emplace_back();
-    Tensor& t = slots_[slot];
+    Tensor& t = Slot(slot);
     t.ResizeUninitialized(shape);
     return t;
   }
@@ -45,6 +51,11 @@ class Workspace {
   }
 
  private:
+  Tensor& Slot(size_t slot) {
+    while (slots_.size() <= slot) slots_.emplace_back();
+    return slots_[slot];
+  }
+
   std::deque<Tensor> slots_;
 };
 

@@ -1,12 +1,15 @@
-// nn::Expf (the glibc 2.36 __expf_fma port) and its AVX2+FMA row twin
-// ExpfRow: the twin must equal the port bit for bit, and the port must
-// equal glibc's expf, pinned here as bit patterns so the check does not
-// depend on the host's libm.
+// nn::Expf (the glibc 2.36 __expf_fma port) and every member of its row
+// family (nn::ExpfKernels: scalar, AVX2+FMA, AVX-512, whichever this CPU
+// runs) and the dispatched ExpfRow: the twins must equal the port bit for
+// bit, and the port must equal glibc's expf, pinned here as bit patterns
+// so the check does not depend on the host's libm.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "doduo/nn/expf.h"
@@ -21,26 +24,44 @@ float FromBits(uint32_t b) { return std::bit_cast<float>(b); }
 // Every y[i] equals Expf(x[i] - shift) bit for bit; returns the mismatch
 // count and reports the first few.
 int ExpectRowMatchesPort(const std::vector<float>& x, float shift,
-                         const std::vector<float>& y) {
+                         const std::vector<float>& y,
+                         const char* what = "ExpfRow") {
   int mismatches = 0;
   for (size_t i = 0; i < x.size(); ++i) {
     const uint32_t want = Bits(Expf(x[i] - shift));
     if (Bits(y[i]) != want && ++mismatches <= 5) {
       ADD_FAILURE() << std::hex << "x=0x" << Bits(x[i]) << " shift=0x"
-                    << Bits(shift) << " ExpfRow=0x" << Bits(y[i])
+                    << Bits(shift) << " " << what << "=0x" << Bits(y[i])
                     << " Expf=0x" << want;
     }
   }
   return mismatches;
 }
 
-// ExpfRow on a row of 8 copies of v, so every lane of the vector kernel
-// (not only the scalar tail) sees v.
+// Each twin on a row of 8 and of 16 copies of v, so every lane of an 8- or
+// 16-lane kernel (not only a tail) sees v.
 void ExpectBroadcastRowMatchesPort(float v) {
-  std::vector<float> x(8, v);
-  std::vector<float> y(8);
-  ExpfRow(x.data(), 0.0f, y.data(), 8);
-  ExpectRowMatchesPort(x, 0.0f, y);
+  for (const ExpfKernel& kernel : ExpfKernels()) {
+    for (const size_t width : {size_t{8}, size_t{16}}) {
+      std::vector<float> x(width, v);
+      std::vector<float> y(width);
+      kernel.row(x.data(), 0.0f, y.data(), static_cast<int64_t>(width));
+      ExpectRowMatchesPort(x, 0.0f, y, kernel.name);
+    }
+  }
+}
+
+// Widths around the 8- and 16-lane vectors and their tails.
+constexpr int64_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 255, 256, 257};
+
+TEST(ExpfTest, KernelListNamesTheReferenceFirst) {
+  const std::vector<ExpfKernel> kernels = ExpfKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string(kernels[0].name), "scalar");
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool has_avx512 = __builtin_cpu_supports("avx512f") != 0;
+  EXPECT_EQ(std::string(kernels.back().name) == "avx512", has_avx512);
+#endif
 }
 
 // ~1M inputs spread over the whole 32-bit space (odd stride, so every
@@ -128,14 +149,23 @@ TEST(ExpfTest, PinnedOutputsOfGlibcExpf) {
     x.push_back(FromBits(pin.x));
   }
   std::vector<float> y(x.size());
+  for (const ExpfKernel& kernel : ExpfKernels()) {
+    kernel.row(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(Bits(y[i]), pins[i].y)
+          << kernel.name << " " << std::hex << pins[i].x;
+    }
+    for (const Pin& pin : pins) {
+      std::vector<float> row(16, FromBits(pin.x));
+      kernel.row(row.data(), 0.0f, row.data(), 16);
+      for (const float v : row) {
+        EXPECT_EQ(Bits(v), pin.y) << kernel.name << " " << std::hex << pin.x;
+      }
+    }
+  }
   ExpfRow(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_EQ(Bits(y[i]), pins[i].y) << std::hex << pins[i].x;
-  }
-  for (const Pin& pin : pins) {
-    std::vector<float> row(8, FromBits(pin.x));
-    ExpfRow(row.data(), 0.0f, row.data(), 8);
-    EXPECT_EQ(Bits(row[0]), pin.y) << std::hex << pin.x;
   }
 }
 
@@ -161,8 +191,10 @@ TEST(ExpfTest, BranchEdgesMatchPort) {
     }
   }
   std::vector<float> y(x.size());
-  ExpfRow(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
-  EXPECT_EQ(ExpectRowMatchesPort(x, 0.0f, y), 0);
+  for (const ExpfKernel& kernel : ExpfKernels()) {
+    kernel.row(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
+    EXPECT_EQ(ExpectRowMatchesPort(x, 0.0f, y, kernel.name), 0);
+  }
   for (float v : x) ExpectBroadcastRowMatchesPort(v);
 
   EXPECT_EQ(Bits(Expf(0.0f)), 0x3f800000u);
@@ -177,27 +209,35 @@ TEST(ExpfTest, BranchEdgesMatchPort) {
 }
 
 TEST(ExpfTest, SpecialLanesAndShiftMatchPort) {
-  // A special value in each lane of a full vector and in the scalar tail,
-  // next to ordinary lanes, with the softmax-style shift subtracted first.
+  // A special value in every position of every width — full vectors and
+  // tails alike — next to ordinary lanes, with the softmax-style shift
+  // subtracted first, for every twin.
   const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(),
                             FromBits(0x7fc12345u), 100.0f, -95.0f, -1e9f,
                             0.0f};
-  for (const float shift : {0.0f, 3.25f, -2.0f}) {
-    for (const float special : specials) {
-      for (int lane = 0; lane < 9; ++lane) {
-        std::vector<float> x(9);
-        for (int i = 0; i < 9; ++i) {
-          x[static_cast<size_t>(i)] = 0.37f * static_cast<float>(i - 4);
-        }
-        x[static_cast<size_t>(lane)] = special;
-        std::vector<float> y(9);
-        ExpfRow(x.data(), shift, y.data(), 9);
-        EXPECT_EQ(ExpectRowMatchesPort(x, shift, y), 0);
-        // In place, as the softmax kernels call it.
-        ExpfRow(x.data(), shift, x.data(), 9);
-        for (size_t i = 0; i < x.size(); ++i) {
-          EXPECT_EQ(Bits(x[i]), Bits(y[i])) << i;
+  for (const ExpfKernel& kernel : ExpfKernels()) {
+    for (const float shift : {0.0f, 3.25f, -2.0f}) {
+      for (const int64_t width : kWidths) {
+        const size_t w = static_cast<size_t>(width);
+        for (const float special : specials) {
+          int mismatches = 0;
+          for (size_t lane = 0; lane < w; ++lane) {
+            std::vector<float> x(w);
+            for (size_t i = 0; i < w; ++i) {
+              x[i] = 0.37f * static_cast<float>(static_cast<int>(i % 9) - 4);
+            }
+            x[lane] = special;
+            std::vector<float> y(w);
+            kernel.row(x.data(), shift, y.data(), width);
+            mismatches += ExpectRowMatchesPort(x, shift, y, kernel.name);
+            // In place, as the softmax kernels call it.
+            kernel.row(x.data(), shift, x.data(), width);
+            for (size_t i = 0; i < w; ++i) {
+              mismatches += Bits(x[i]) != Bits(y[i]);
+            }
+          }
+          ASSERT_EQ(mismatches, 0) << kernel.name << " width " << width;
         }
       }
     }
@@ -213,12 +253,16 @@ TEST(ExpfTest, StridedSweepMatchesPortAndGlibcDigest) {
   for (size_t i = 0; i < x.size(); ++i) port[i] = Expf(x[i]);
   EXPECT_EQ(Digest(port), kGlibcDigest);
   std::vector<float> y(x.size());
+  for (const ExpfKernel& kernel : ExpfKernels()) {
+    kernel.row(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
+    EXPECT_EQ(ExpectRowMatchesPort(x, 0.0f, y, kernel.name), 0);
+    EXPECT_EQ(Digest(y), kGlibcDigest) << kernel.name;
+  }
   ExpfRow(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
-  EXPECT_EQ(ExpectRowMatchesPort(x, 0.0f, y), 0);
   EXPECT_EQ(Digest(y), kGlibcDigest);
 }
 
-// All 2^32 inputs: ExpfRow against the port, and the port against the
+// All 2^32 inputs: every twin against the port, and the port against the
 // host's expf when that is glibc 2.36's (other versions may pick another
 // variant or round differently). About a minute; run with
 // --gtest_also_run_disabled_tests.
@@ -228,24 +272,37 @@ TEST(ExpfTest, DISABLED_ExhaustiveMatchesPortAndGlibc) {
 #else
   const bool check_libm = false;
 #endif
+  const std::vector<ExpfKernel> kernels = ExpfKernels();
+  std::printf("[ twins    ] expf:");
+  for (const ExpfKernel& kernel : kernels) std::printf(" %s", kernel.name);
+  std::printf("\n");
+  std::fflush(stdout);
   constexpr int kChunk = 1 << 16;
   std::vector<float> x(kChunk);
+  std::vector<uint32_t> port(kChunk);
   std::vector<float> y(kChunk);
-  uint64_t row_mismatches = 0;
+  std::vector<uint64_t> row_mismatches(kernels.size(), 0);
   uint64_t libm_mismatches = 0;
   for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kChunk) {
     for (int i = 0; i < kChunk; ++i) {
-      x[static_cast<size_t>(i)] = FromBits(static_cast<uint32_t>(base + i));
+      const float v = FromBits(static_cast<uint32_t>(base + i));
+      x[static_cast<size_t>(i)] = v;
+      port[static_cast<size_t>(i)] = Bits(Expf(v));
+      if (check_libm) {
+        libm_mismatches += Bits(std::exp(v)) != port[static_cast<size_t>(i)];
+      }
     }
-    ExpfRow(x.data(), 0.0f, y.data(), kChunk);
-    for (int i = 0; i < kChunk; ++i) {
-      const float v = x[static_cast<size_t>(i)];
-      const uint32_t port = Bits(Expf(v));
-      row_mismatches += Bits(y[static_cast<size_t>(i)]) != port;
-      if (check_libm) libm_mismatches += Bits(std::exp(v)) != port;
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      kernels[k].row(x.data(), 0.0f, y.data(), kChunk);
+      for (int i = 0; i < kChunk; ++i) {
+        row_mismatches[k] += Bits(y[static_cast<size_t>(i)]) !=
+                             port[static_cast<size_t>(i)];
+      }
     }
   }
-  EXPECT_EQ(row_mismatches, 0u);
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    EXPECT_EQ(row_mismatches[k], 0u) << kernels[k].name;
+  }
   EXPECT_EQ(libm_mismatches, 0u);
 }
 

@@ -142,14 +142,21 @@ TEST_P(SoftmaxThreadsTest, PermutingLogitsPermutesProbabilities) {
   }
 }
 
+// Row widths around the 8- and 16-lane vectors and their tails.
+constexpr int64_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 255, 256, 257};
+
 TEST_P(SoftmaxThreadsTest, KernelsMatchScalarOracleBitForBit) {
-  // ScaleMaskSoftmaxRows (scale and mask fused) and SoftmaxRows against
-  // the scalar oracle on materialized logits, at row widths around the
-  // 8-lane and 4-row blocks, with non-finite rows planted.
+  // ScaleMaskSoftmaxRows (scale and mask fused), every member of its
+  // family (nn::AttentionKernels) and SoftmaxRows against the scalar
+  // oracle on materialized logits, at row counts around the 4- and 8-row
+  // blocks and row widths around the 8- and 16-lane vectors, with
+  // non-finite rows planted.
+  const std::vector<AttentionKernel> kernels = AttentionKernels();
   util::Rng rng(23);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int64_t m = rng.UniformInt(1, 13);
-    const int64_t n = rng.UniformInt(1, 70);
+  for (int trial = 0; trial < 80; ++trial) {
+    const int64_t m = rng.UniformInt(1, trial < 60 ? 13 : 19);
+    const int64_t n =
+        trial < 60 ? rng.UniformInt(1, 70) : kWidths[trial % 10];
     const float scale = trial % 3 == 0 ? 1.0f : rng.UniformFloat(0.05f, 2.0f);
     const Tensor logits = RandomLogits(&rng, m, n);
     Tensor mask({m, n});
@@ -181,6 +188,42 @@ TEST_P(SoftmaxThreadsTest, KernelsMatchScalarOracleBitForBit) {
     Tensor plain;
     SoftmaxRows(t, &plain);
     EXPECT_EQ(ExpectBitsEqual(want, plain, "SoftmaxRows"), 0);
+    for (const AttentionKernel& kernel : kernels) {
+      Tensor member;
+      kernel.softmax(logits, scale, with_mask ? &mask : nullptr, &member);
+      EXPECT_EQ(ExpectBitsEqual(want, member, kernel.name), 0)
+          << "m " << m << " n " << n;
+      Tensor aliased = logits;
+      kernel.softmax(aliased, scale, with_mask ? &mask : nullptr, &aliased);
+      EXPECT_EQ(ExpectBitsEqual(want, aliased, kernel.name), 0)
+          << "aliased, m " << m << " n " << n;
+    }
+  }
+}
+
+TEST_P(SoftmaxThreadsTest, NonFiniteLogitInEveryPositionMatchesOracle) {
+  // One inf, -inf or NaN logit at every position of rows of every width,
+  // in every member: the row takes the scalar fallback, its neighbours in
+  // the same block do not.
+  const float specials[] = {kInf, -kInf, kNaN};
+  const std::vector<AttentionKernel> kernels = AttentionKernels();
+  util::Rng rng(29);
+  for (const int64_t n : kWidths) {
+    for (const float special : specials) {
+      for (int64_t pos = 0; pos < n; ++pos) {
+        Tensor logits({3, n});
+        logits.FillUniform(&rng, 8.0f);
+        logits.at(1, pos) = special;
+        Tensor want;
+        OracleSoftmaxRows(logits, &want);
+        for (const AttentionKernel& kernel : kernels) {
+          Tensor got;
+          kernel.softmax(logits, 1.0f, nullptr, &got);
+          ASSERT_EQ(ExpectBitsEqual(want, got, kernel.name), 0)
+              << "n " << n << " pos " << pos << " special " << special;
+        }
+      }
+    }
   }
 }
 

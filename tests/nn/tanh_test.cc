@@ -1,13 +1,17 @@
-// nn::Tanh (the fdlibm tanhf port) and every layer that runs it through
-// the dispatched row kernels: the SIMD paths must equal the scalar port bit
-// for bit, and the port must equal glibc's fdlibm tanhf, pinned here as
-// bit patterns so the check does not depend on the host's libm.
+// nn::Tanh (the fdlibm tanhf port), every member of its row-kernel family
+// (nn::TanhKernels: scalar, AVX2, AVX-512, whichever this CPU runs) and
+// every layer that runs it through the dispatched rows: the SIMD twins must
+// equal the scalar port bit for bit, and the port must equal glibc's
+// fdlibm tanhf, pinned here as bit patterns so the check does not depend
+// on the host's libm.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "doduo/nn/activations.h"
@@ -23,25 +27,44 @@ float FromBits(uint32_t b) { return std::bit_cast<float>(b); }
 // Every y[i] equals Tanh(x[i]) bit for bit; returns the mismatch count and
 // reports the first few.
 int ExpectRowMatchesPort(const std::vector<float>& x,
-                         const std::vector<float>& y) {
+                         const std::vector<float>& y,
+                         const char* what = "TanhRow") {
   int mismatches = 0;
   for (size_t i = 0; i < x.size(); ++i) {
     const uint32_t want = Bits(Tanh(x[i]));
     if (Bits(y[i]) != want && ++mismatches <= 5) {
-      ADD_FAILURE() << std::hex << "x=0x" << Bits(x[i]) << " TanhRow=0x"
-                    << Bits(y[i]) << " Tanh=0x" << want;
+      ADD_FAILURE() << std::hex << "x=0x" << Bits(x[i]) << " " << what
+                    << "=0x" << Bits(y[i]) << " Tanh=0x" << want;
     }
   }
   return mismatches;
 }
 
-// TanhRow on a row of 8 copies of v, so the vector kernel (not the
-// whole-vector scalar fallback a special neighbour would trigger) sees v.
+// Each twin on a row of 8 and of 16 copies of v, so every lane of an 8- or
+// 16-lane kernel (not the whole-vector scalar fallback a special neighbour
+// would trigger) sees v.
 void ExpectBroadcastRowMatchesPort(float v) {
-  std::vector<float> x(8, v);
-  std::vector<float> y(8);
-  TanhRow(x.data(), y.data(), 8);
-  ExpectRowMatchesPort(x, y);
+  for (const TanhKernel& kernel : TanhKernels()) {
+    for (const size_t width : {size_t{8}, size_t{16}}) {
+      std::vector<float> x(width, v);
+      std::vector<float> y(width);
+      kernel.tanh_row(x.data(), y.data(), static_cast<int64_t>(width));
+      ExpectRowMatchesPort(x, y, kernel.name);
+    }
+  }
+}
+
+// Widths around the 8- and 16-lane vectors and their masked tails.
+constexpr int64_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 255, 256, 257};
+
+TEST(TanhTest, KernelListNamesTheReferenceFirst) {
+  const std::vector<TanhKernel> kernels = TanhKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string(kernels[0].name), "scalar");
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  const bool has_avx512 = __builtin_cpu_supports("avx512f") != 0;
+  EXPECT_EQ(std::string(kernels.back().name) == "avx512", has_avx512);
+#endif
 }
 
 // ~1M inputs spread over the whole 32-bit space (odd stride, so every
@@ -72,14 +95,19 @@ uint64_t Digest(const std::vector<float>& y) {
 TEST(TanhTest, StridedSweepOfAllBitPatternsMatchesPort) {
   const std::vector<float> x = StridedSweep();
   std::vector<float> y(x.size());
+  for (const TanhKernel& kernel : TanhKernels()) {
+    kernel.tanh_row(x.data(), y.data(), static_cast<int64_t>(x.size()));
+    EXPECT_EQ(ExpectRowMatchesPort(x, y, kernel.name), 0);
+    // In place, as BiasGeluForward-style callers use it.
+    std::vector<float> inplace = x;
+    kernel.tanh_row(inplace.data(), inplace.data(),
+                    static_cast<int64_t>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(Bits(inplace[i]), Bits(y[i])) << kernel.name << " " << i;
+    }
+  }
   TanhRow(x.data(), y.data(), static_cast<int64_t>(x.size()));
   EXPECT_EQ(ExpectRowMatchesPort(x, y), 0);
-  // In place, as BiasGeluForward-style callers use it.
-  std::vector<float> inplace = x;
-  TanhRow(inplace.data(), inplace.data(), static_cast<int64_t>(x.size()));
-  for (size_t i = 0; i < x.size(); ++i) {
-    ASSERT_EQ(Bits(inplace[i]), Bits(y[i])) << i;
-  }
 }
 
 TEST(TanhTest, BranchEdgesMatchPort) {
@@ -116,8 +144,10 @@ TEST(TanhTest, BranchEdgesMatchPort) {
     }
   }
   std::vector<float> y(x.size());
-  TanhRow(x.data(), y.data(), static_cast<int64_t>(x.size()));
-  EXPECT_EQ(ExpectRowMatchesPort(x, y), 0);
+  for (const TanhKernel& kernel : TanhKernels()) {
+    kernel.tanh_row(x.data(), y.data(), static_cast<int64_t>(x.size()));
+    EXPECT_EQ(ExpectRowMatchesPort(x, y, kernel.name), 0);
+  }
   for (float v : x) ExpectBroadcastRowMatchesPort(v);
 }
 
@@ -130,15 +160,25 @@ TEST(TanhTest, SpecialValuesMatchPortInEveryLane) {
       FromBits(0x7f800001u),  // signaling NaN
       FromBits(0x7fc12345u),  // NaN with a payload
   };
-  for (float s : specials) {
-    // The special in each lane of a full vector and in the scalar tail.
-    for (int lane = 0; lane < 9; ++lane) {
-      std::vector<float> x(9);
-      for (int i = 0; i < 9; ++i) x[static_cast<size_t>(i)] = 0.1f * (i + 1);
-      x[static_cast<size_t>(lane)] = s;
-      std::vector<float> y(9);
-      TanhRow(x.data(), y.data(), 9);
-      ExpectRowMatchesPort(x, y);
+  // Each special in every position of every width: full vectors, scalar
+  // and masked tails alike, for every twin.
+  for (const TanhKernel& kernel : TanhKernels()) {
+    for (const int64_t width : kWidths) {
+      const size_t w = static_cast<size_t>(width);
+      for (float s : specials) {
+        int mismatches = 0;
+        for (size_t lane = 0; lane < w; ++lane) {
+          std::vector<float> x(w);
+          for (size_t i = 0; i < w; ++i) {
+            x[i] = 0.1f * static_cast<float>(i % 40 + 1);
+          }
+          x[lane] = s;
+          std::vector<float> y(w);
+          kernel.tanh_row(x.data(), y.data(), width);
+          mismatches += ExpectRowMatchesPort(x, y, kernel.name);
+        }
+        ASSERT_EQ(mismatches, 0) << kernel.name << " width " << width;
+      }
     }
   }
   EXPECT_EQ(Bits(Tanh(0.0f)), 0x00000000u);
@@ -207,14 +247,19 @@ TEST(TanhTest, PinnedOutputsOfGlibcTanhf) {
     x.push_back(FromBits(pin.x));
   }
   std::vector<float> y(x.size());
-  TanhRow(x.data(), y.data(), static_cast<int64_t>(x.size()));
-  for (size_t i = 0; i < x.size(); ++i) {
-    EXPECT_EQ(Bits(y[i]), pins[i].y) << std::hex << pins[i].x;
-  }
-  for (const Pin& pin : pins) {
-    std::vector<float> row(8, FromBits(pin.x));
-    TanhRow(row.data(), row.data(), 8);
-    EXPECT_EQ(Bits(row[0]), pin.y) << std::hex << pin.x;
+  for (const TanhKernel& kernel : TanhKernels()) {
+    kernel.tanh_row(x.data(), y.data(), static_cast<int64_t>(x.size()));
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(Bits(y[i]), pins[i].y)
+          << kernel.name << " " << std::hex << pins[i].x;
+    }
+    for (const Pin& pin : pins) {
+      std::vector<float> row(16, FromBits(pin.x));
+      kernel.tanh_row(row.data(), row.data(), 16);
+      for (const float v : row) {
+        EXPECT_EQ(Bits(v), pin.y) << kernel.name << " " << std::hex << pin.x;
+      }
+    }
   }
 }
 
@@ -226,6 +271,10 @@ TEST(TanhTest, StridedSweepDigestMatchesGlibcTanhf) {
   std::vector<float> y(x.size());
   for (size_t i = 0; i < x.size(); ++i) y[i] = Tanh(x[i]);
   EXPECT_EQ(Digest(y), kGlibcDigest);
+  for (const TanhKernel& kernel : TanhKernels()) {
+    kernel.tanh_row(x.data(), y.data(), static_cast<int64_t>(x.size()));
+    EXPECT_EQ(Digest(y), kGlibcDigest) << kernel.name;
+  }
   TanhRow(x.data(), y.data(), static_cast<int64_t>(x.size()));
   EXPECT_EQ(Digest(y), kGlibcDigest);
 }
@@ -260,8 +309,6 @@ void ExpectBitsEqual(const Tensor& got, const std::vector<float>& want,
     }
   }
 }
-
-constexpr int64_t kWidths[] = {1, 7, 8, 9, 255, 256, 257};
 
 TEST(TanhLayerParityTest, BiasGeluForwardMatchesScalarPort) {
   for (int64_t w : kWidths) {
@@ -301,6 +348,24 @@ TEST(TanhLayerParityTest, GeluForwardAndBackwardMatchScalarPort) {
   }
 }
 
+TEST(TanhLayerParityTest, EveryGeluTwinMatchesScalarPort) {
+  for (const TanhKernel& kernel : TanhKernels()) {
+    for (int64_t w : kWidths) {
+      const Tensor x = MixedInput({3, w}, 600 + static_cast<uint64_t>(w));
+      std::vector<float> want(static_cast<size_t>(x.size()));
+      for (int64_t i = 0; i < x.size(); ++i) {
+        want[static_cast<size_t>(i)] = GeluScalar(x.data()[i]);
+      }
+      Tensor y(x.shape());
+      kernel.gelu_row(x.data(), y.data(), x.size());
+      ExpectBitsEqual(y, want, kernel.name, w);
+      Tensor inplace = x;
+      kernel.gelu_row(inplace.data(), inplace.data(), x.size());
+      ExpectBitsEqual(inplace, want, kernel.name, w);
+    }
+  }
+}
+
 TEST(TanhLayerParityTest, TanhLayerMatchesScalarPort) {
   for (int64_t w : kWidths) {
     const Tensor x = MixedInput({3, w}, 500 + static_cast<uint64_t>(w));
@@ -310,10 +375,15 @@ TEST(TanhLayerParityTest, TanhLayerMatchesScalarPort) {
     }
     TanhLayer layer;
     ExpectBitsEqual(layer.Forward(x), want, "TanhLayer", w);
+    for (const TanhKernel& kernel : TanhKernels()) {
+      Tensor y(x.shape());
+      kernel.tanh_row(x.data(), y.data(), x.size());
+      ExpectBitsEqual(y, want, kernel.name, w);
+    }
   }
 }
 
-// All 2^32 inputs: TanhRow against the port, and the port against the
+// All 2^32 inputs: every twin against the port, and the port against the
 // host's tanhf when that is glibc's fdlibm one (glibc <= 2.40). About a
 // minute; run with --gtest_also_run_disabled_tests.
 TEST(TanhTest, DISABLED_ExhaustiveMatchesPortAndGlibc) {
@@ -322,24 +392,37 @@ TEST(TanhTest, DISABLED_ExhaustiveMatchesPortAndGlibc) {
 #else
   const bool check_libm = false;
 #endif
+  const std::vector<TanhKernel> kernels = TanhKernels();
+  std::printf("[ twins    ] tanh:");
+  for (const TanhKernel& kernel : kernels) std::printf(" %s", kernel.name);
+  std::printf("\n");
+  std::fflush(stdout);
   constexpr int kChunk = 1 << 16;
   std::vector<float> x(kChunk);
+  std::vector<uint32_t> port(kChunk);
   std::vector<float> y(kChunk);
-  uint64_t row_mismatches = 0;
+  std::vector<uint64_t> row_mismatches(kernels.size(), 0);
   uint64_t libm_mismatches = 0;
   for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kChunk) {
     for (int i = 0; i < kChunk; ++i) {
-      x[static_cast<size_t>(i)] = FromBits(static_cast<uint32_t>(base + i));
+      const float v = FromBits(static_cast<uint32_t>(base + i));
+      x[static_cast<size_t>(i)] = v;
+      port[static_cast<size_t>(i)] = Bits(Tanh(v));
+      if (check_libm) {
+        libm_mismatches += Bits(std::tanh(v)) != port[static_cast<size_t>(i)];
+      }
     }
-    TanhRow(x.data(), y.data(), kChunk);
-    for (int i = 0; i < kChunk; ++i) {
-      const float v = x[static_cast<size_t>(i)];
-      const uint32_t port = Bits(Tanh(v));
-      row_mismatches += Bits(y[static_cast<size_t>(i)]) != port;
-      if (check_libm) libm_mismatches += Bits(std::tanh(v)) != port;
+    for (size_t k = 0; k < kernels.size(); ++k) {
+      kernels[k].tanh_row(x.data(), y.data(), kChunk);
+      for (int i = 0; i < kChunk; ++i) {
+        row_mismatches[k] += Bits(y[static_cast<size_t>(i)]) !=
+                             port[static_cast<size_t>(i)];
+      }
     }
   }
-  EXPECT_EQ(row_mismatches, 0u);
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    EXPECT_EQ(row_mismatches[k], 0u) << kernels[k].name;
+  }
   EXPECT_EQ(libm_mismatches, 0u);
 }
 

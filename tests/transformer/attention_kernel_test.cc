@@ -1,10 +1,12 @@
 // Parity of the per-head attention kernel (nn::AttentionHeadForward and
-// its AVX2 twin) with the copy-based test oracle, bit for bit: across
-// sequence lengths around the 4-row, 8-key and 16-key blocks, head widths
-// on and off the blocked path, 1/2/8 threads, every mask kind, underflowing
-// probabilities, and inf/NaN planted in Q, K and V to drive every
-// fallback. A pinned digest of encoder outputs and attention probabilities
-// ties the kernel to the implementation it replaced.
+// every member of nn::AttentionKernels: scalar, AVX2, AVX-512, whichever
+// this CPU runs) with the copy-based test oracle, bit for bit: across
+// sequence lengths around the 4- and 8-row blocks and the 8-, 16- and
+// 32-key blocks, head widths on and off the blocked path, 1/2/8 threads,
+// every mask kind, underflowing probabilities, and inf/NaN planted in Q, K
+// and V to drive every fallback. A pinned digest of encoder outputs and
+// attention probabilities ties the kernel to the implementation it
+// replaced.
 
 #include <bit>
 #include <cmath>
@@ -12,6 +14,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "doduo/nn/ops.h"
 #include "doduo/transformer/encoder.h"
@@ -31,9 +34,9 @@ const bool g_force_parallel = [] {
 }();
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-constexpr int64_t kSeqLens[] = {1,  2,  3,  4,  5,  6,  7,   8,
-                                9,  15, 16, 17, 76, 77, 190, 192};
-constexpr int64_t kHeadDims[] = {8, 12, 16};
+constexpr int64_t kSeqLens[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,   15,
+                                16, 17, 31, 32, 33, 76, 77, 190, 192};
+constexpr int64_t kHeadDims[] = {8, 12, 16, 24};
 
 uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
 
@@ -149,9 +152,9 @@ nn::Tensor Band(const nn::Tensor& src, int64_t col, int64_t width) {
   return dst;
 }
 
-// AttentionHeadForward on the q/k/v bands of a packed buffer against the
-// oracle's contiguous ops; ctx is a band of a wider buffer whose other
-// columns must stay untouched.
+// AttentionHeadForward and every member of its family on the q/k/v bands
+// of a packed buffer against the oracle's contiguous ops; ctx is a band of
+// a wider buffer whose other columns must stay untouched.
 int CheckHead(const nn::Tensor& packed, int64_t hd, float scale,
               const AttentionMask* mask, const std::string& what) {
   const int64_t s = packed.rows();
@@ -167,19 +170,25 @@ int CheckHead(const nn::Tensor& packed, int64_t hd, float scale,
   nn::Tensor want_ctx;
   nn::MatMul(want_probs, v, &want_ctx);
 
-  nn::Tensor ctx_buffer({s, hd + 3});
-  ctx_buffer.Fill(7.0f);
-  nn::Tensor kt, probs;
-  nn::AttentionHeadForward(nn::ColumnsView(packed, 0, hd),
-                           nn::ColumnsView(packed, hd, hd),
-                           nn::ColumnsView(packed, 2 * hd, hd), scale, mask,
-                           &kt, &probs, nn::MutColumnsView(&ctx_buffer, 1, hd));
-  int bad = CountMismatches(want_probs, probs, what + " probs");
-  bad += CountMismatches(want_ctx, Band(ctx_buffer, 1, hd), what + " ctx");
-  for (int64_t i = 0; i < s; ++i) {
-    for (const int64_t c : {int64_t{0}, hd + 1, hd + 2}) {
-      if (ctx_buffer.at(i, c) != 7.0f && ++bad <= 3) {
-        ADD_FAILURE() << what << " wrote outside ctx at " << i << "," << c;
+  std::vector<nn::AttentionKernel> members = nn::AttentionKernels();
+  members.push_back({"dispatched", nullptr, &nn::AttentionHeadForward});
+  int bad = 0;
+  for (const nn::AttentionKernel& member : members) {
+    const std::string name = what + " [" + member.name + "]";
+    nn::Tensor ctx_buffer({s, hd + 3});
+    ctx_buffer.Fill(7.0f);
+    nn::Tensor kt, probs;
+    member.head(nn::ColumnsView(packed, 0, hd),
+                nn::ColumnsView(packed, hd, hd),
+                nn::ColumnsView(packed, 2 * hd, hd), scale, mask, &kt, &probs,
+                nn::MutColumnsView(&ctx_buffer, 1, hd));
+    bad += CountMismatches(want_probs, probs, name + " probs");
+    bad += CountMismatches(want_ctx, Band(ctx_buffer, 1, hd), name + " ctx");
+    for (int64_t i = 0; i < s; ++i) {
+      for (const int64_t c : {int64_t{0}, hd + 1, hd + 2}) {
+        if (ctx_buffer.at(i, c) != 7.0f && ++bad <= 3) {
+          ADD_FAILURE() << name << " wrote outside ctx at " << i << "," << c;
+        }
       }
     }
   }

@@ -67,8 +67,9 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # 256³, the SIMD GELU epilogue must beat the scalar tanh port by >= 3x, the
 # attention kernel must beat the scalar head by >= 2x, and on AVX-512F
 # hosts the fp32 GEMM tile must beat the AVX axpy by >= 1.3x over the four
-# Linear shapes. Each side of each ratio is the best of 5 interleaved
-# repetitions.
+# Linear shapes and the AVX-512 GELU and attention twins must beat their
+# AVX2 twins by >= 1.3x and >= 1.1x. Each side of each ratio is the best of
+# 5 interleaved repetitions.
 # (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
 # ${sanitizer_filter}.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
@@ -117,6 +118,29 @@ else
     exit 1
   }
   echo "GEMM tile speedup ${tile}x over the AVX axpy (gate: >= 1.3x)"
+fi
+# Same run, fifth and sixth ratios: the AVX-512 twins of the GELU epilogue
+# and of the attention core against the AVX2 twins they sit beside, gates
+# >= 1.3x and >= 1.1x (the attention ratio is the smaller of seq 76 and
+# 190); hosts without AVX-512F print the skip reason instead.
+if grep -q '512/avx2 twins skipped' build/quant_bench.log; then
+  echo "AVX-512 twin gates skipped: $(sed -n \
+    's/.*512\/avx2 twins skipped: //p' build/quant_bench.log)"
+else
+  gelu512="$(awk -F'= ' '/gelu 512\/avx2 speedup/ {print $2}' \
+    build/quant_bench.log)"
+  awk -v s="${gelu512:-0}" 'BEGIN { exit (s + 0 >= 1.3) ? 0 : 1 }' || {
+    echo "FAIL: GELU AVX-512 speedup ${gelu512:-unknown}x < 1.3x over AVX2"
+    exit 1
+  }
+  echo "GELU AVX-512 speedup ${gelu512}x over the AVX2 twin (gate: >= 1.3x)"
+  attn512="$(awk -F'= ' '/attn 512\/avx2 speedup/ {print $2}' \
+    build/quant_bench.log)"
+  awk -v s="${attn512:-0}" 'BEGIN { exit (s + 0 >= 1.1) ? 0 : 1 }' || {
+    echo "FAIL: attention AVX-512 speedup ${attn512:-unknown}x < 1.1x over AVX2"
+    exit 1
+  }
+  echo "attention AVX-512 speedup ${attn512}x over the AVX2 twin (gate: >= 1.1x)"
 fi
 
 echo "=== warning wall (-Werror, Release) ==="
