@@ -1,6 +1,7 @@
 #include "doduo/core/model.h"
 
 #include <algorithm>
+#include <span>
 
 #include "doduo/nn/ops.h"
 #include "doduo/util/metrics.h"
@@ -56,31 +57,36 @@ DoduoModel::DoduoModel(const DoduoConfig& config, util::Rng* rng)
   }
 }
 
-const nn::Tensor& DoduoModel::Encode(const table::SerializedTable& input) {
+const nn::Tensor& DoduoModel::EncodeColumns(
+    const table::SerializedTable& input) {
   DODUO_CHECK(!input.cls_positions.empty());
   cls_positions_ = input.cls_positions;
   sequence_length_ = static_cast<int64_t>(input.token_ids.size());
+  // The heads read only the [CLS] rows: out of training, the last block
+  // computes just those (a kept-rows forward). Training keeps every row,
+  // because Backward needs them.
+  const bool training = encoder_.training();
+  const std::span<const int64_t> kept_rows =
+      training ? std::span<const int64_t>() : cls_positions_;
   util::ScopedTimer timer(Metrics().encoder_forward_us,
                           "model.encoder_forward");
+  const nn::Tensor* hidden = nullptr;
   if (mask_builder_) {
     const transformer::AttentionMask mask = mask_builder_(input);
-    return encoder_.Forward(input.token_ids, &mask);
+    hidden = &encoder_.Forward(input.token_ids, &mask, kept_rows);
+  } else {
+    hidden = &encoder_.Forward(input.token_ids, nullptr, kept_rows);
   }
-  return encoder_.Forward(input.token_ids, nullptr);
+  if (!training) return *hidden;
+  nn::GatherRows(nn::FullView(*hidden), cls_positions_, &cls_embeddings_);
+  return cls_embeddings_;
 }
 
 const nn::Tensor& DoduoModel::ForwardTypes(
     const table::SerializedTable& input) {
-  const nn::Tensor& hidden = Encode(input);
-  const int64_t n = static_cast<int64_t>(cls_positions_.size());
-  const int64_t d = hidden.cols();
-  cls_embeddings_.ResizeUninitialized({n, d});
-  for (int64_t i = 0; i < n; ++i) {
-    const float* src = hidden.row(cls_positions_[static_cast<size_t>(i)]);
-    std::copy(src, src + d, cls_embeddings_.row(i));
-  }
+  const nn::Tensor& cls = EncodeColumns(input);
   util::ScopedTimer timer(Metrics().heads_us, "model.type_head");
-  return type_head_.Forward(cls_embeddings_);
+  return type_head_.Forward(cls);
 }
 
 const nn::Tensor& DoduoModel::ForwardRelations(
@@ -88,18 +94,18 @@ const nn::Tensor& DoduoModel::ForwardRelations(
     const std::vector<std::pair<int, int>>& pairs) {
   DODUO_CHECK(relation_head_ != nullptr) << "model has no relation head";
   DODUO_CHECK(!pairs.empty());
-  const nn::Tensor& hidden = Encode(input);
+  const nn::Tensor& cls = EncodeColumns(input);
   pairs_ = pairs;
-  const int64_t d = hidden.cols();
+  const int64_t d = cls.cols();
   pair_embeddings_.ResizeUninitialized(
       {static_cast<int64_t>(pairs.size()), 2 * d});
   for (size_t p = 0; p < pairs.size(); ++p) {
     const auto [a, b] = pairs[p];
-    DODUO_CHECK(a >= 0 && a < static_cast<int>(cls_positions_.size()));
-    DODUO_CHECK(b >= 0 && b < static_cast<int>(cls_positions_.size()));
+    DODUO_CHECK(a >= 0 && a < cls.rows());
+    DODUO_CHECK(b >= 0 && b < cls.rows());
     float* dst = pair_embeddings_.row(static_cast<int64_t>(p));
-    const float* src_a = hidden.row(cls_positions_[static_cast<size_t>(a)]);
-    const float* src_b = hidden.row(cls_positions_[static_cast<size_t>(b)]);
+    const float* src_a = cls.row(a);
+    const float* src_b = cls.row(b);
     std::copy(src_a, src_a + d, dst);
     std::copy(src_b, src_b + d, dst + d);
   }
@@ -142,19 +148,17 @@ void DoduoModel::BackwardRelations(const nn::Tensor& grad_logits) {
 }
 
 nn::Tensor DoduoModel::ColumnEmbeddings(const table::SerializedTable& input) {
-  const nn::Tensor& hidden = Encode(input);
-  const int64_t n = static_cast<int64_t>(cls_positions_.size());
-  const int64_t d = hidden.cols();
-  nn::Tensor embeddings({n, d});
-  for (int64_t i = 0; i < n; ++i) {
-    const float* src = hidden.row(cls_positions_[static_cast<size_t>(i)]);
-    std::copy(src, src + d, embeddings.row(i));
-  }
-  return embeddings;
+  DODUO_CHECK(!encoder_.training())
+      << "ColumnEmbeddings runs in eval mode only (set_training(false))";
+  return EncodeColumns(input);
 }
 
 nn::Tensor DoduoModel::ColumnAttention(const table::SerializedTable& input) {
-  Encode(input);
+  DODUO_CHECK(!encoder_.training())
+      << "ColumnAttention runs in eval mode only (set_training(false))";
+  EncodeColumns(input);
+  // The kept-rows forward leaves the last layer's probs as [n, seq]: row i
+  // is column i's [CLS] query.
   const int last_layer = encoder_.num_layers() - 1;
   const std::vector<nn::Tensor>& head_probs =
       encoder_.attention_probs(last_layer);
@@ -165,8 +169,7 @@ nn::Tensor DoduoModel::ColumnAttention(const table::SerializedTable& input) {
     for (int64_t i = 0; i < n; ++i) {
       for (int64_t j = 0; j < n; ++j) {
         attention.at(i, j) +=
-            probs.at(cls_positions_[static_cast<size_t>(i)],
-                     cls_positions_[static_cast<size_t>(j)]);
+            probs.at(i, cls_positions_[static_cast<size_t>(j)]);
       }
     }
   }

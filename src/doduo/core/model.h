@@ -41,6 +41,12 @@ using AttentionMaskBuilder =
 /// The DODUO model: a shared Transformer encoder with a column-type head
 /// over each column's [CLS] embedding and a column-relation head over
 /// concatenated pairs of [CLS] embeddings (Figure 1 of the paper).
+///
+/// The heads read only the final-layer [CLS] rows, so in eval mode
+/// (set_training(false)) the encoder runs a kept-rows forward: its last
+/// block computes those rows alone, bit-identical to the full forward's
+/// rows (DESIGN.md §9). Training mode runs the full forward that Backward
+/// differentiates; a Backward after an eval-mode forward CHECK-fails.
 class DoduoModel {
  public:
   /// `rng` draws the initial weights. nullptr skips the draws: every weight
@@ -73,12 +79,12 @@ class DoduoModel {
   // -- Inference helpers ----------------------------------------------------
 
   /// Contextualized column embeddings [num_columns, hidden] of a serialized
-  /// table (the case-study representation). Eval mode only.
+  /// table (the case-study representation). Eval mode only (checked).
   nn::Tensor ColumnEmbeddings(const table::SerializedTable& input);
 
   /// [CLS]→[CLS] attention of the last encoder layer, averaged over heads:
-  /// [num_columns, num_columns]. Call after a forward pass on `input`
-  /// (used by the Figure 6 analysis). Eval mode only.
+  /// [num_columns, num_columns]. Runs its own forward pass on `input`
+  /// (used by the Figure 6 analysis). Eval mode only (checked).
   nn::Tensor ColumnAttention(const table::SerializedTable& input);
 
   // -- Plumbing -------------------------------------------------------------
@@ -116,7 +122,8 @@ class DoduoModel {
   void AdoptWeights(std::shared_ptr<const std::vector<nn::Tensor>> snapshot);
 
  private:
-  const nn::Tensor& Encode(const table::SerializedTable& input);
+  /// Encodes `input` and returns its columns' final [CLS] rows [n, d].
+  const nn::Tensor& EncodeColumns(const table::SerializedTable& input);
 
   DoduoConfig config_;
   transformer::BertModel encoder_;
@@ -128,7 +135,7 @@ class DoduoModel {
   std::vector<int64_t> cls_positions_;
   std::vector<std::pair<int, int>> pairs_;
   int64_t sequence_length_ = 0;
-  nn::Tensor cls_embeddings_;   // [n, d] gathered rows
+  nn::Tensor cls_embeddings_;   // [n, d] rows gathered in training mode
   nn::Tensor pair_embeddings_;  // [p, 2d]
   nn::Tensor grad_hidden_;      // scatter buffer [s, d]
 };

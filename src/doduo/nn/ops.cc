@@ -695,6 +695,19 @@ void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out) {
   }
 }
 
+void GatherRows(ConstMatView src, std::span<const int64_t> rows,
+                Tensor* out) {
+  CheckView(src, "src");
+  const int64_t n = static_cast<int64_t>(rows.size());
+  out->ResizeUninitialized({n, src.cols});
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t i = rows[static_cast<size_t>(r)];
+    DODUO_CHECK(i >= 0 && i < src.rows) << "gathered row out of range";
+    const float* from = src.data + i * src.stride;
+    std::copy(from, from + src.cols, out->row(r));
+  }
+}
+
 void Add(const Tensor& a, const Tensor& b, Tensor* out) {
   DODUO_CHECK(SameShape(a, b));
   out->ResizeUninitialized(a.shape());

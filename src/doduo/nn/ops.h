@@ -1,6 +1,7 @@
 #ifndef DODUO_NN_OPS_H_
 #define DODUO_NN_OPS_H_
 
+#include <span>
 #include <vector>
 
 #include "doduo/nn/tensor.h"
@@ -111,6 +112,10 @@ void MatMulTransposedBView(ConstMatView a, ConstMatView b, Tensor* out);
 /// Same accumulation order (and bit pattern) as MatMulTransposedA.
 void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out);
 
+/// out row r = src row rows[r]: out resized to [rows.size(), src.cols]
+/// (contiguous) and overwritten. Rows may come in any order.
+void GatherRows(ConstMatView src, std::span<const int64_t> rows, Tensor* out);
+
 // --------------------------------------------------------------------------
 
 /// Row-wise softmax of a 2-D tensor, numerically stabilized, with
@@ -131,15 +136,18 @@ void ScaleMaskSoftmaxRows(const Tensor& logits, float scale,
                           const Tensor* mask, Tensor* probs);
 
 /// One attention head at inference: probs = softmax(scale · q·kᵀ + mask)
-/// and ctx = probs · v, for q, k, v [s, hd] views, an optional [s, s]
-/// additive mask, probs resized to [s, s] and ctx [s, hd] overwritten.
-/// Bit-identical to MatMulTransposedBView → ScaleMaskSoftmaxRows →
-/// MatMulView (the scalar reference it runs under DODUO_SIMD=0 and for hd
-/// not a multiple of 8) at any thread count. With AVX-512F it runs per
-/// block of eight query rows, with AVX2 and FMA per block of four:
-/// register-blocked q·kᵀ over a packed kᵀ (`kt`, resized to [hd, s rounded
-/// up to the register's lanes]), the softmax twin, then P·V in registers
-/// (DESIGN.md §9).
+/// and ctx = probs · v, for m query rows q [m, hd] over s keys k, v
+/// [s, hd] (views), an optional [m, s] additive mask, probs resized to
+/// [m, s] and ctx [m, hd] overwritten. Bit-identical to
+/// MatMulTransposedBView → ScaleMaskSoftmaxRows → MatMulView (the scalar
+/// reference it runs under DODUO_SIMD=0 and for hd not a multiple of 8) at
+/// any thread count. Every query row is computed from that row, k and v
+/// alone, so a subset of the queries (m < s: the kept rows of a last
+/// encoder block) gets the same bits as the same rows of the m = s call.
+/// With AVX-512F it runs per block of eight query rows, with AVX2 and FMA
+/// per block of four: register-blocked q·kᵀ over a packed kᵀ (`kt`,
+/// resized to [hd, s rounded up to the register's lanes]), the softmax
+/// twin, then P·V in registers (DESIGN.md §9).
 void AttentionHeadForward(ConstMatView q, ConstMatView k, ConstMatView v,
                           float scale, const Tensor* mask, Tensor* kt,
                           Tensor* probs, MutMatView ctx);

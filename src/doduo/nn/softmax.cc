@@ -528,19 +528,21 @@ void ScaleMaskSoftmaxWith(const Tensor& logits, float scale,
 #if defined(DODUO_X86_SIMD)
 
 // The blocked head: kᵀ packed once, then per block of query rows q·kᵀ, the
-// softmax twin and P·V, all in the registers of one ISA. hd is a multiple
-// of 8.
+// softmax twin and P·V, all in the registers of one ISA. Each query row's
+// bits depend on that row and on k and v alone, so m query rows over s
+// keys give the rows of the m = s pass. hd is a multiple of 8.
 template <Isa I>
 void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
                           float scale, const Tensor* mask, Tensor* kt,
                           Tensor* probs, MutMatView ctx) {
   constexpr int kRows = I == Isa::kAvx512 ? 8 : 4;
   constexpr int64_t kLanes = I == Isa::kAvx512 ? 16 : 8;
-  const int64_t s = q.rows;
+  const int64_t m = q.rows;
+  const int64_t s = k.rows;
   const int64_t hd = q.cols;
   if (mask != nullptr) {
-    DODUO_CHECK(mask->ndim() == 2 && mask->rows() == s && mask->cols() == s)
-        << "attention mask must be [seq, seq]";
+    DODUO_CHECK(mask->ndim() == 2 && mask->rows() == m && mask->cols() == s)
+        << "attention mask must be [queries, keys]";
   }
   const int64_t ld = (s + kLanes - 1) / kLanes * kLanes;
   kt->ResizeUninitialized({hd, ld});
@@ -550,7 +552,7 @@ void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
     for (int64_t j = 0; j < s; ++j) kt_row[j] = k.data[j * k.stride + c];
     std::fill(kt_row + s, kt_row + ld, 0.0f);
   }
-  probs->ResizeUninitialized({s, s});
+  probs->ResizeUninitialized({m, s});
   float* pp = probs->data();
   const float* pmask = mask != nullptr ? mask->data() : nullptr;
   const bool v_finite = AllFinite(v);
@@ -581,10 +583,10 @@ void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
       }
     }
   };
-  if (ShouldParallelize(s, hd, s)) {
-    util::ComputePool()->ParallelFor(0, s, /*grain=*/1, rows);
+  if (ShouldParallelize(m, hd, s)) {
+    util::ComputePool()->ParallelFor(0, m, /*grain=*/1, rows);
   } else {
-    rows(0, s);
+    rows(0, m);
   }
   if (!v_finite) MatMulView(FullView(*probs), v, ctx);
 }
@@ -595,10 +597,9 @@ template <Isa I>
 void AttentionHeadWith(ConstMatView q, ConstMatView k, ConstMatView v,
                        float scale, const Tensor* mask, Tensor* kt,
                        Tensor* probs, MutMatView ctx) {
-  const int64_t s = q.rows;
   const int64_t hd = q.cols;
-  DODUO_CHECK(k.rows == s && v.rows == s && k.cols == hd && v.cols == hd &&
-              ctx.rows == s && ctx.cols == hd)
+  DODUO_CHECK(v.rows == k.rows && k.cols == hd && v.cols == hd &&
+              ctx.rows == q.rows && ctx.cols == hd)
       << "attention head shapes differ";
 #if defined(DODUO_X86_SIMD)
   if constexpr (I != Isa::kScalar) {

@@ -35,6 +35,8 @@ nn::Linear MakePackedQkvProjection(const std::string& name, int64_t d,
 // Forward's leftovers never alias a Backward buffer mid-iteration.
 enum WsSlot : size_t {
   kKeysT = 0,      // forward: packed Kᵀ of one head, sized by the kernel
+  kKeptQueries,    // forward, kept rows: their Q band [n, d]
+  kKeptMask,       // forward, kept rows: their mask rows [n, s]
   kGradProbs,      // backward [s, s]
   kGradScores,     // backward [s, s]
   kGradInputPart,  // backward [s, d]
@@ -51,8 +53,9 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(
   probs_.resize(static_cast<size_t>(num_heads_));
 }
 
-const nn::Tensor& MultiHeadSelfAttention::Forward(const nn::Tensor& x,
-                                                  const AttentionMask* mask) {
+const nn::Tensor& MultiHeadSelfAttention::Forward(
+    const nn::Tensor& x, const AttentionMask* mask,
+    std::span<const int64_t> kept_rows) {
   DODUO_CHECK_EQ(x.ndim(), 2);
   const int64_t s = x.rows();
   if (mask != nullptr) {
@@ -64,14 +67,31 @@ const nn::Tensor& MultiHeadSelfAttention::Forward(const nn::Tensor& x,
   const nn::Tensor& qkv = wqkv_.Forward(x);
   qkv_ = &qkv;
   const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;
-  context_.ResizeUninitialized({s, d});
+  // Kept rows query with their own Q rows and mask rows, gathered; the
+  // gathered Q keeps head h in columns [h·hd, (h+1)·hd).
+  kept_rows_forward_ = !kept_rows.empty();
+  const nn::Tensor* queries = &qkv;
+  const AttentionMask* query_mask = mask;
+  if (kept_rows_forward_) {
+    const int64_t n = static_cast<int64_t>(kept_rows.size());
+    nn::Tensor& kept_queries = ws_.Get(kKeptQueries, {n, d});
+    nn::GatherRows(nn::ColumnsView(qkv, 0, d), kept_rows, &kept_queries);
+    queries = &kept_queries;
+    if (mask != nullptr) {
+      nn::Tensor& kept_mask = ws_.Get(kKeptMask, {n, s});
+      nn::GatherRows(nn::FullView(*mask), kept_rows, &kept_mask);
+      query_mask = &kept_mask;
+    }
+  }
+  context_.ResizeUninitialized({queries->rows(), d});
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   for (int h = 0; h < num_heads_; ++h) {
     const int64_t off = static_cast<int64_t>(h) * head_dim_;
-    nn::AttentionHeadForward(nn::ColumnsView(qkv, off, head_dim_),
+    nn::AttentionHeadForward(nn::ColumnsView(*queries, off, head_dim_),
                              nn::ColumnsView(qkv, d + off, head_dim_),
                              nn::ColumnsView(qkv, 2 * d + off, head_dim_),
-                             scale, mask, &ws_.Get(kKeysT, {head_dim_, s}),
+                             scale, query_mask,
+                             &ws_.Get(kKeysT, {head_dim_, s}),
                              &probs_[static_cast<size_t>(h)],
                              nn::MutColumnsView(&context_, off, head_dim_));
   }
@@ -83,6 +103,9 @@ const nn::Tensor& MultiHeadSelfAttention::Backward(
     const nn::Tensor& grad_out) {
   DODUO_CHECK(output_ != nullptr && qkv_ != nullptr)
       << "Backward before Forward";
+  DODUO_CHECK(!kept_rows_forward_)
+      << "Backward after a kept-rows forward: only the kept rows were "
+         "computed, so there is nothing to differentiate";
   const nn::Tensor& grad_context = wo_.Backward(grad_out);
   const int64_t s = grad_context.rows();
   const int64_t d = static_cast<int64_t>(num_heads_) * head_dim_;

@@ -1,6 +1,7 @@
 #ifndef DODUO_TRANSFORMER_ATTENTION_H_
 #define DODUO_TRANSFORMER_ATTENTION_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,14 @@ class MultiHeadSelfAttention {
 
   /// x: [seq, d] → [seq, d]. `mask` is nullptr for full attention, or a
   /// [seq, seq] additive mask.
-  const nn::Tensor& Forward(const nn::Tensor& x, const AttentionMask* mask);
+  ///
+  /// Non-empty `kept_rows` (row indices into x) is the kept-rows forward:
+  /// K and V still come from every row, but only the kept rows are queried,
+  /// so the result is [kept_rows.size(), d], row r bit-identical to row
+  /// kept_rows[r] of the full forward (DESIGN.md §9). Backward is refused
+  /// after it.
+  const nn::Tensor& Forward(const nn::Tensor& x, const AttentionMask* mask,
+                            std::span<const int64_t> kept_rows = {});
 
   /// grad_out: [seq, d] → d(loss)/dx [seq, d]; accumulates projection
   /// gradients.
@@ -48,8 +56,9 @@ class MultiHeadSelfAttention {
 
   nn::ParameterList Parameters();
 
-  /// Post-softmax attention probabilities of the last Forward, one [seq,
-  /// seq] tensor per head (used by the Figure 6 attention analysis).
+  /// Post-softmax attention probabilities of the last Forward, one tensor
+  /// per head (used by the Figure 6 attention analysis): [seq, seq], or
+  /// [kept rows, seq] after a kept-rows forward.
   const std::vector<nn::Tensor>& attention_probs() const { return probs_; }
 
  private:
@@ -60,10 +69,11 @@ class MultiHeadSelfAttention {
 
   // Forward caches. The packed QKV activations live in wqkv_'s output until
   // the next Forward, so only the derived buffers are owned here.
-  std::vector<nn::Tensor> probs_;  // per head [seq, seq]
-  nn::Tensor context_;             // concatenated head outputs [seq, d]
+  std::vector<nn::Tensor> probs_;  // per head [queries, seq]
+  nn::Tensor context_;             // concatenated head outputs [queries, d]
   const nn::Tensor* qkv_ = nullptr;
   const nn::Tensor* output_ = nullptr;
+  bool kept_rows_forward_ = false;
 
   // Backward accumulator for the packed d(loss)/d(QKV) [seq, 3d]. The
   // input gradient is summed per column band (dQ·Wqᵀ + dK·Wkᵀ + dV·Wvᵀ) to
@@ -71,8 +81,9 @@ class MultiHeadSelfAttention {
   nn::Tensor grad_qkv_;
   nn::Tensor grad_input_;
 
-  // Per-layer scratch arena (packed Kᵀ per head, softmax gradient
-  // buffers); see Workspace for the zero-allocation contract.
+  // Per-layer scratch arena (packed Kᵀ per head, the kept rows' queries
+  // and mask, softmax gradient buffers); see Workspace for the
+  // zero-allocation contract.
   nn::Workspace ws_;
 };
 

@@ -22,7 +22,8 @@ BertModel::BertModel(const std::string& name,
 }
 
 const nn::Tensor& BertModel::Forward(const std::vector<int>& ids,
-                                     const AttentionMask* mask) {
+                                     const AttentionMask* mask,
+                                     std::span<const int64_t> kept_rows) {
   DODUO_CHECK(!ids.empty());
   DODUO_CHECK_LE(static_cast<int>(ids.size()), config_.max_positions)
       << "sequence longer than max_positions";
@@ -32,7 +33,7 @@ const nn::Tensor& BertModel::Forward(const std::vector<int>& ids,
   nn::Add(tokens, positions, &embedded_);
   const nn::Tensor& normalized = embedding_norm_.Forward(embedded_);
   const nn::Tensor& dropped = embedding_dropout_.Forward(normalized);
-  return encoder_.Forward(dropped, mask);
+  return encoder_.Forward(dropped, mask, kept_rows);
 }
 
 void BertModel::Backward(const nn::Tensor& grad_hidden) {

@@ -1,6 +1,7 @@
 #ifndef DODUO_TRANSFORMER_BERT_H_
 #define DODUO_TRANSFORMER_BERT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,9 +25,12 @@ class BertModel {
             util::Rng* rng);
 
   /// ids: token ids (size ≤ config.max_positions) → hidden states
-  /// [ids.size(), hidden_dim].
+  /// [ids.size(), hidden_dim]. Non-empty `kept_rows` runs a kept-rows
+  /// forward (Encoder::Forward): hidden states of those positions only,
+  /// [kept_rows.size(), hidden_dim], and no Backward after it.
   const nn::Tensor& Forward(const std::vector<int>& ids,
-                            const AttentionMask* mask = nullptr);
+                            const AttentionMask* mask = nullptr,
+                            std::span<const int64_t> kept_rows = {});
 
   /// grad_hidden: [seq, hidden_dim]; propagates into all parameters.
   void Backward(const nn::Tensor& grad_hidden);
@@ -34,6 +38,7 @@ class BertModel {
   nn::ParameterList Parameters();
 
   void set_training(bool training);
+  bool training() const { return embedding_dropout_.training(); }
 
   const TransformerConfig& config() const { return config_; }
 
@@ -43,7 +48,9 @@ class BertModel {
     return token_embedding_.Row(token_id);
   }
 
-  /// Attention probabilities per head for `layer` from the last Forward.
+  /// Attention probabilities per head for `layer` from the last Forward:
+  /// [seq, seq], except the last layer's after a kept-rows forward,
+  /// [kept rows, seq].
   const std::vector<nn::Tensor>& attention_probs(int layer) const {
     return encoder_.attention_probs(layer);
   }

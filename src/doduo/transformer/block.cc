@@ -6,10 +6,11 @@ namespace doduo::transformer {
 
 namespace {
 
-// Workspace slots for the FFN.
+// Workspace slots.
 enum WsSlot : size_t {
-  kFfnAct = 0,   // gelu(W1·h + b1) [seq, ffn_dim]
-  kFfnGradPre,   // d(loss)/d(W1·h + b1) [seq, ffn_dim]
+  kKeptInput = 0,  // kept rows of x, the first residual's skip input [n, d]
+  kFfnAct,         // gelu(W1·h + b1) [rows, ffn_dim]
+  kFfnGradPre,     // d(loss)/d(W1·h + b1) [seq, ffn_dim]
 };
 
 }  // namespace
@@ -25,11 +26,22 @@ TransformerBlock::TransformerBlock(const std::string& name,
       ffn_dropout_(config.dropout, rng),
       ffn_norm_(name + ".ffn_norm", config.hidden_dim) {}
 
-const nn::Tensor& TransformerBlock::Forward(const nn::Tensor& x,
-                                            const AttentionMask* mask) {
-  const nn::Tensor& attn = attention_.Forward(x, mask);
+const nn::Tensor& TransformerBlock::Forward(
+    const nn::Tensor& x, const AttentionMask* mask,
+    std::span<const int64_t> kept_rows) {
+  const nn::Tensor& attn = attention_.Forward(x, mask, kept_rows);
   const nn::Tensor& attn_dropped = attention_dropout_.Forward(attn);
-  nn::Add(x, attn_dropped, &residual1_);
+  // From here on every op computes a row from that row alone, so the kept
+  // rows run on their own: the skip input is gathered to match.
+  kept_rows_forward_ = !kept_rows.empty();
+  const nn::Tensor* skip = &x;
+  if (kept_rows_forward_) {
+    nn::Tensor& kept_input = ws_.Get(
+        kKeptInput, {static_cast<int64_t>(kept_rows.size()), x.cols()});
+    nn::GatherRows(nn::FullView(x), kept_rows, &kept_input);
+    skip = &kept_input;
+  }
+  nn::Add(*skip, attn_dropped, &residual1_);
   const nn::Tensor& hidden = attention_norm_.Forward(residual1_);
 
   // W1·h, then bias add + GELU in one epilogue pass; the biased
@@ -45,6 +57,9 @@ const nn::Tensor& TransformerBlock::Forward(const nn::Tensor& x,
 }
 
 const nn::Tensor& TransformerBlock::Backward(const nn::Tensor& grad_out) {
+  DODUO_CHECK(!kept_rows_forward_)
+      << "Backward after a kept-rows forward: only the kept rows were "
+         "computed, so there is nothing to differentiate";
   // Through the second LayerNorm; the residual splits the gradient into the
   // FFN branch and the skip connection.
   const nn::Tensor& d_residual2 = ffn_norm_.Backward(grad_out);

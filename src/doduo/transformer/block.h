@@ -1,6 +1,7 @@
 #ifndef DODUO_TRANSFORMER_BLOCK_H_
 #define DODUO_TRANSFORMER_BLOCK_H_
 
+#include <span>
 #include <string>
 
 #include "doduo/nn/activations.h"
@@ -25,8 +26,14 @@ class TransformerBlock {
   TransformerBlock(const std::string& name, const TransformerConfig& config,
                    util::Rng* rng);
 
-  /// x: [seq, d] → [seq, d].
-  const nn::Tensor& Forward(const nn::Tensor& x, const AttentionMask* mask);
+  /// x: [seq, d] → [seq, d]. With non-empty `kept_rows` (the kept-rows
+  /// forward) → [kept_rows.size(), d]: the packed QKV GEMM still runs over
+  /// every row, since keys and values need them all, but attention, the
+  /// out-projection, both LayerNorms and the FFN run on the kept rows
+  /// only, and row r is bit-identical to row kept_rows[r] of the full
+  /// forward. Backward is refused after it.
+  const nn::Tensor& Forward(const nn::Tensor& x, const AttentionMask* mask,
+                            std::span<const int64_t> kept_rows = {});
 
   /// grad_out: [seq, d] → d(loss)/dx [seq, d].
   const nn::Tensor& Backward(const nn::Tensor& grad_out);
@@ -35,7 +42,8 @@ class TransformerBlock {
 
   void set_training(bool training);
 
-  /// Attention probabilities of the last Forward (per head).
+  /// Attention probabilities of the last Forward (per head): [seq, seq],
+  /// or [kept rows, seq] after a kept-rows forward.
   const std::vector<nn::Tensor>& attention_probs() const {
     return attention_.attention_probs();
   }
@@ -50,12 +58,13 @@ class TransformerBlock {
   nn::LayerNorm ffn_norm_;
 
   const nn::Tensor* ffn_pre_ = nullptr;  // biased pre-activation
+  bool kept_rows_forward_ = false;
 
   nn::Tensor residual1_;  // x + dropout(attn(x))
   nn::Tensor residual2_;  // h + dropout(ffn(h))
   nn::Tensor grad_hidden_;
   nn::Tensor grad_input_;
-  nn::Workspace ws_;  // FFN activation + gradient scratch
+  nn::Workspace ws_;  // kept input rows, FFN activation + gradient scratch
 };
 
 }  // namespace doduo::transformer

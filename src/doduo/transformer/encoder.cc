@@ -12,12 +12,15 @@ Encoder::Encoder(const std::string& name, const TransformerConfig& config,
 }
 
 const nn::Tensor& Encoder::Forward(const nn::Tensor& x,
-                                   const AttentionMask* mask) {
+                                   const AttentionMask* mask,
+                                   std::span<const int64_t> kept_rows) {
+  // Every block but the last feeds keys and values forward, so it needs
+  // every row.
   const nn::Tensor* hidden = &x;
-  for (auto& block : blocks_) {
-    hidden = &block->Forward(*hidden, mask);
+  for (size_t b = 0; b + 1 < blocks_.size(); ++b) {
+    hidden = &blocks_[b]->Forward(*hidden, mask);
   }
-  return *hidden;
+  return blocks_.back()->Forward(*hidden, mask, kept_rows);
 }
 
 const nn::Tensor& Encoder::Backward(const nn::Tensor& grad_out) {

@@ -1,7 +1,16 @@
 #include "doduo/core/model.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "doduo/baselines/turl.h"
 #include "doduo/nn/losses.h"
+#include "doduo/nn/ops.h"
 #include "doduo/nn/optimizer.h"
+#include "doduo/nn/quant.h"
 #include "gtest/gtest.h"
 
 namespace doduo::core {
@@ -26,6 +35,7 @@ table::SerializedTable MakeInput() {
   table::SerializedTable input;
   input.token_ids = {2, 10, 11, 2, 12, 13, 2, 14, 15, 3};
   input.cls_positions = {0, 3, 6};
+  input.row_ids = {-1, 0, 1, -1, 0, 1, -1, 0, 1, -1};
   return input;
 }
 
@@ -80,7 +90,8 @@ TEST(DoduoModelTest, TypeTrainingStepReducesLoss) {
   config.multi_label = false;
   util::Rng rng(4);
   DoduoModel model(config, &rng);
-  model.set_training(false);
+  // Training mode (dropout is 0): Backward needs the full forward.
+  model.set_training(true);
   nn::AdamOptions adam_options;
   adam_options.learning_rate = 1e-2;
   nn::Adam adam(model.Parameters(), adam_options);
@@ -105,7 +116,8 @@ TEST(DoduoModelTest, RelationTrainingStepReducesLoss) {
   config.multi_label = false;
   util::Rng rng(5);
   DoduoModel model(config, &rng);
-  model.set_training(false);
+  // Training mode (dropout is 0): Backward needs the full forward.
+  model.set_training(true);
   nn::AdamOptions adam_options;
   adam_options.learning_rate = 1e-2;
   nn::Adam adam(model.Parameters(), adam_options);
@@ -211,6 +223,108 @@ TEST(DoduoModelTest, SnapshotRestoreRoundTrip) {
   for (int64_t i = 0; i < restored.size(); ++i) {
     EXPECT_FLOAT_EQ(restored.data()[i], before.data()[i]);
   }
+}
+
+uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
+
+void ExpectSameBits(const nn::Tensor& want, const nn::Tensor& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(Bits(want.data()[i]), Bits(got.data()[i]))
+        << what << " element " << i << ": want " << want.data()[i]
+        << " got " << got.data()[i];
+  }
+}
+
+// Eval mode runs the kept-rows forward; training mode of a dropout-0 model
+// runs the full forward. Every eval-mode output must equal the full
+// forward's, bit for bit: fp32 and int8 (first parameter), full attention
+// and the TURL visibility mask (second).
+class KeptRowsModelTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
+ protected:
+  void SetUp() override { nn::SetQuantEnabled(std::get<0>(GetParam())); }
+  void TearDown() override { nn::SetQuantEnabled(quant_was_); }
+  const bool quant_was_ = nn::QuantEnabled();
+};
+
+TEST_P(KeptRowsModelTest, EvalOutputsMatchFullForwardBitForBit) {
+  DoduoConfig config = SmallConfig();
+  config.encoder.num_layers = 2;
+  util::Rng rng(12);
+  DoduoModel model(config, &rng);
+  if (std::get<1>(GetParam())) {
+    model.set_mask_builder(baselines::MakeTurlVisibilityMaskBuilder());
+  }
+  const table::SerializedTable input = MakeInput();
+  const std::vector<std::pair<int, int>> pairs = {{0, 1}, {0, 2}, {2, 1}};
+
+  model.set_training(true);
+  const nn::Tensor want_types = model.ForwardTypes(input);
+  const nn::Tensor want_relations = model.ForwardRelations(input, pairs);
+  // ColumnEmbeddings and ColumnAttention as they read the full forward:
+  // the [CLS] rows of the hidden states and of the last layer's probs.
+  transformer::AttentionMask mask;
+  if (model.mask_builder()) mask = model.mask_builder()(input);
+  const nn::Tensor& hidden = model.encoder()->Forward(
+      input.token_ids, model.mask_builder() ? &mask : nullptr);
+  const int64_t n = static_cast<int64_t>(input.cls_positions.size());
+  nn::Tensor want_embeddings({n, hidden.cols()});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t c = 0; c < hidden.cols(); ++c) {
+      want_embeddings.at(i, c) = hidden.at(input.cls_positions[i], c);
+    }
+  }
+  const int last = model.encoder()->num_layers() - 1;
+  const std::vector<nn::Tensor>& head_probs =
+      model.encoder()->attention_probs(last);
+  nn::Tensor want_attention({n, n});
+  for (const nn::Tensor& probs : head_probs) {
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        want_attention.at(i, j) +=
+            probs.at(input.cls_positions[i], input.cls_positions[j]);
+      }
+    }
+  }
+  nn::Scale(&want_attention, 1.0f / static_cast<float>(head_probs.size()));
+
+  model.set_training(false);
+  ExpectSameBits(want_types, model.ForwardTypes(input), "ForwardTypes");
+  ExpectSameBits(want_relations, model.ForwardRelations(input, pairs),
+                 "ForwardRelations");
+  ExpectSameBits(want_embeddings, model.ColumnEmbeddings(input),
+                 "ColumnEmbeddings");
+  ExpectSameBits(want_attention, model.ColumnAttention(input),
+                 "ColumnAttention");
+  // The eval forward was the kept-rows one: one probs row per column.
+  EXPECT_EQ(model.encoder()->attention_probs(last)[0].rows(), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QuantAndMask, KeptRowsModelTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& param_info) {
+      return std::string(std::get<0>(param_info.param) ? "Int8" : "Fp32") +
+             (std::get<1>(param_info.param) ? "Turl" : "Full");
+    });
+
+TEST(KeptRowsModelDeathTest, BackwardAfterEvalForwardDies) {
+  util::Rng rng(13);
+  DoduoModel model(SmallConfig(), &rng);
+  model.set_training(false);
+  const nn::Tensor& logits = model.ForwardTypes(MakeInput());
+  const nn::Tensor grad(logits.shape());
+  EXPECT_DEATH(model.BackwardTypes(grad), "kept-rows forward");
+}
+
+TEST(KeptRowsModelDeathTest, ColumnReadersRefuseTrainingMode) {
+  util::Rng rng(14);
+  DoduoModel model(SmallConfig(), &rng);
+  model.set_training(true);
+  EXPECT_DEATH((void)model.ColumnEmbeddings(MakeInput()), "eval mode only");
+  EXPECT_DEATH((void)model.ColumnAttention(MakeInput()), "eval mode only");
 }
 
 }  // namespace

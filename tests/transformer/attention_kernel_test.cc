@@ -4,19 +4,22 @@
 // sequence lengths around the 4- and 8-row blocks and the 8-, 16- and
 // 32-key blocks, head widths on and off the blocked path, 1/2/8 threads,
 // every mask kind, underflowing probabilities, and inf/NaN planted in Q, K
-// and V to drive every fallback. A pinned digest of encoder outputs and
-// attention probabilities ties the kernel to the implementation it
-// replaced.
+// and V to drive every fallback, with as many queries as keys and with
+// fewer. A pinned digest of encoder outputs and attention probabilities
+// ties the kernel to the implementation it replaced; the kept-rows
+// encoder forward must give the full forward's rows.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "doduo/nn/ops.h"
+#include "doduo/nn/quant.h"
 #include "doduo/transformer/encoder.h"
 #include "doduo/util/thread_pool.h"
 #include "gtest/gtest.h"
@@ -152,42 +155,75 @@ nn::Tensor Band(const nn::Tensor& src, int64_t col, int64_t width) {
   return dst;
 }
 
+// The rows `rows` of src, in that order.
+nn::Tensor PickRows(const nn::Tensor& src, const std::vector<int64_t>& rows) {
+  nn::Tensor dst({static_cast<int64_t>(rows.size()), src.cols()});
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (int64_t c = 0; c < src.cols(); ++c) {
+      dst.at(static_cast<int64_t>(r), c) = src.at(rows[r], c);
+    }
+  }
+  return dst;
+}
+
+// Query counts CheckHead runs at sequence length s: every row, and at
+// three lengths also m < s queries over the s keys (the kept rows of a
+// last encoder block).
+std::vector<int64_t> QueryCounts(int64_t s) {
+  if (s != 31 && s != 76 && s != 190) return {s};
+  return {s, 1, 5, 8, 9, s - 1};
+}
+
 // AttentionHeadForward and every member of its family on the q/k/v bands
 // of a packed buffer against the oracle's contiguous ops; ctx is a band of
-// a wider buffer whose other columns must stay untouched.
+// a wider buffer whose other columns must stay untouched. The last m rows
+// of the q band query all s keys, for every m in QueryCounts(s).
 int CheckHead(const nn::Tensor& packed, int64_t hd, float scale,
               const AttentionMask* mask, const std::string& what) {
   const int64_t s = packed.rows();
-  const nn::Tensor q = Band(packed, 0, hd);
   const nn::Tensor k = Band(packed, hd, hd);
   const nn::Tensor v = Band(packed, 2 * hd, hd);
-  nn::Tensor t;
-  nn::MatMulTransposedB(q, k, &t);
-  nn::Scale(&t, scale);
-  if (mask != nullptr) nn::AddInPlace(&t, *mask);
-  nn::Tensor want_probs;
-  nn::OracleSoftmaxRows(t, &want_probs);
-  nn::Tensor want_ctx;
-  nn::MatMul(want_probs, v, &want_ctx);
-
-  std::vector<nn::AttentionKernel> members = nn::AttentionKernels();
-  members.push_back({"dispatched", nullptr, &nn::AttentionHeadForward});
   int bad = 0;
-  for (const nn::AttentionKernel& member : members) {
-    const std::string name = what + " [" + member.name + "]";
-    nn::Tensor ctx_buffer({s, hd + 3});
-    ctx_buffer.Fill(7.0f);
-    nn::Tensor kt, probs;
-    member.head(nn::ColumnsView(packed, 0, hd),
-                nn::ColumnsView(packed, hd, hd),
-                nn::ColumnsView(packed, 2 * hd, hd), scale, mask, &kt, &probs,
-                nn::MutColumnsView(&ctx_buffer, 1, hd));
-    bad += CountMismatches(want_probs, probs, name + " probs");
-    bad += CountMismatches(want_ctx, Band(ctx_buffer, 1, hd), name + " ctx");
-    for (int64_t i = 0; i < s; ++i) {
-      for (const int64_t c : {int64_t{0}, hd + 1, hd + 2}) {
-        if (ctx_buffer.at(i, c) != 7.0f && ++bad <= 3) {
-          ADD_FAILURE() << name << " wrote outside ctx at " << i << "," << c;
+  for (const int64_t m : QueryCounts(s)) {
+    const int64_t first = s - m;
+    std::vector<int64_t> rows(static_cast<size_t>(m));
+    std::iota(rows.begin(), rows.end(), first);
+    const nn::Tensor q = PickRows(Band(packed, 0, hd), rows);
+    nn::Tensor query_mask;
+    if (mask != nullptr) query_mask = PickRows(*mask, rows);
+    const AttentionMask* qmask = mask != nullptr ? &query_mask : nullptr;
+    nn::Tensor t;
+    nn::MatMulTransposedB(q, k, &t);
+    nn::Scale(&t, scale);
+    if (qmask != nullptr) nn::AddInPlace(&t, *qmask);
+    nn::Tensor want_probs;
+    nn::OracleSoftmaxRows(t, &want_probs);
+    nn::Tensor want_ctx;
+    nn::MatMul(want_probs, v, &want_ctx);
+
+    nn::ConstMatView q_view = nn::ColumnsView(packed, 0, hd);
+    q_view.data += first * q_view.stride;
+    q_view.rows = m;
+    std::vector<nn::AttentionKernel> members = nn::AttentionKernels();
+    members.push_back({"dispatched", nullptr, &nn::AttentionHeadForward});
+    for (const nn::AttentionKernel& member : members) {
+      const std::string name =
+          what + (m < s ? " m " + std::to_string(m) : std::string()) + " [" +
+          member.name + "]";
+      nn::Tensor ctx_buffer({m, hd + 3});
+      ctx_buffer.Fill(7.0f);
+      nn::Tensor kt, probs;
+      member.head(q_view, nn::ColumnsView(packed, hd, hd),
+                  nn::ColumnsView(packed, 2 * hd, hd), scale, qmask, &kt,
+                  &probs, nn::MutColumnsView(&ctx_buffer, 1, hd));
+      bad += CountMismatches(want_probs, probs, name + " probs");
+      bad += CountMismatches(want_ctx, Band(ctx_buffer, 1, hd), name + " ctx");
+      for (int64_t i = 0; i < m; ++i) {
+        for (const int64_t c : {int64_t{0}, hd + 1, hd + 2}) {
+          if (ctx_buffer.at(i, c) != 7.0f && ++bad <= 3) {
+            ADD_FAILURE() << name << " wrote outside ctx at " << i << ","
+                          << c;
+          }
         }
       }
     }
@@ -313,6 +349,85 @@ TEST(AttentionDigestTest, EncoderOutputsAndProbsMatchPinnedDigest) {
   }
   EXPECT_EQ(h, kPinnedDigest) << std::hex << "got 0x" << h;
 }
+
+// The kept-row sets of a kept-rows forward at sequence length s: the
+// first row, the last, every ninth, and all of them.
+std::vector<std::vector<int64_t>> KeptRowSets(int64_t s) {
+  std::vector<int64_t> every_ninth;
+  std::vector<int64_t> all;
+  for (int64_t i = 0; i < s; ++i) {
+    if (i % 9 == 0) every_ninth.push_back(i);
+    all.push_back(i);
+  }
+  return {{0}, {s - 1}, every_ninth, all};
+}
+
+class KeptRowsTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override { util::SetComputeThreads(GetParam()); }
+  ~KeptRowsTest() override {
+    util::SetComputeThreads(1);
+    nn::SetQuantEnabled(quant_was_);
+  }
+  const bool quant_was_ = nn::QuantEnabled();
+};
+
+TEST_P(KeptRowsTest, LastBlockKeptRowsMatchFullForwardBitForBit) {
+  // The AttentionDigestTest grid, fp32 and int8: every kept-rows forward's
+  // output rows and last-layer probability rows are the full forward's,
+  // bit for bit.
+  for (const bool quant : {false, true}) {
+    nn::SetQuantEnabled(quant);
+    for (const int64_t hd : {16, 12}) {
+      TransformerConfig config;
+      config.hidden_dim = 4 * hd;
+      config.num_heads = 4;
+      config.ffn_dim = 16 * hd;
+      config.num_layers = 2;
+      config.max_positions = 192;
+      config.dropout = 0.0f;
+      util::Rng rng(1000 + static_cast<uint64_t>(hd));
+      Encoder encoder("enc", config, &rng);
+      encoder.set_training(false);
+      const int last = encoder.num_layers() - 1;
+      for (const int64_t s : {1, 3, 7, 8, 9, 16, 17, 33, 76, 77, 190, 192}) {
+        for (const bool masked : {false, true}) {
+          nn::Tensor x({s, config.hidden_dim});
+          x.FillUniform(&rng, 2.0f);
+          const AttentionMask mask = MakeMask(MaskKind::kRandomLarge, s, &rng);
+          const AttentionMask* m = masked ? &mask : nullptr;
+          const nn::Tensor full = encoder.Forward(x, m);
+          const std::vector<nn::Tensor> full_probs =
+              encoder.attention_probs(last);
+          for (const std::vector<int64_t>& rows : KeptRowSets(s)) {
+            const std::string what =
+                std::string(quant ? "int8" : "fp32") + " hd " +
+                std::to_string(hd) + " s " + std::to_string(s) +
+                (masked ? " masked" : "") + " kept " +
+                std::to_string(rows.size()) + " from row " +
+                std::to_string(rows.back());
+            int bad = CountMismatches(PickRows(full, rows),
+                                      encoder.Forward(x, m, rows),
+                                      what + " output");
+            for (size_t h = 0; h < full_probs.size(); ++h) {
+              bad += CountMismatches(PickRows(full_probs[h], rows),
+                                     encoder.attention_probs(last)[h],
+                                     what + " probs head " +
+                                         std::to_string(h));
+            }
+            ASSERT_EQ(bad, 0) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, KeptRowsTest, ::testing::Values(1, 2, 8),
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           return std::to_string(param_info.param) +
+                                  "threads";
+                         });
 
 }  // namespace
 }  // namespace doduo::transformer

@@ -4,7 +4,9 @@
 // replaces the global operator new with a counting one
 // (testing/counting_new.cc), so the replacement cannot leak into other
 // tests. The model has the benchmark's shape: 2 layers, hidden 64, 4
-// heads, FFN 256, 76 tokens.
+// heads, FFN 256, 76 tokens, and the kept-rows forward keeps 5 of them.
+
+#include <vector>
 
 #include "doduo/transformer/encoder.h"
 #include "doduo/util/thread_pool.h"
@@ -52,6 +54,29 @@ TEST_F(ZeroAllocTest, OneThreadEncoderForwardCallsNoOperatorNew) {
     encoder.Forward(x, m);
     const size_t before = doduo::testing::OperatorNewCalls();
     encoder.Forward(x, m);
+    EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u)
+        << (m != nullptr ? "masked" : "unmasked");
+  }
+}
+
+TEST_F(ZeroAllocTest, OneThreadKeptRowsForwardCallsNoOperatorNew) {
+  // The eval-mode model's forward: the last block computes five [CLS]
+  // rows, gathered into its workspaces.
+  util::Rng rng(6);
+  const TransformerConfig config = BenchConfig();
+  Encoder encoder("enc", config, &rng);
+  encoder.set_training(false);
+  nn::Tensor x({kSeq, config.hidden_dim});
+  x.FillNormal(&rng, 1.0f);
+  AttentionMask mask({kSeq, kSeq});
+  mask.at(0, 5) = kAttentionMaskValue;
+  const std::vector<int64_t> kept = {0, 14, 30, 47, 61};
+
+  for (const AttentionMask* m : {static_cast<const AttentionMask*>(nullptr),
+                                 static_cast<const AttentionMask*>(&mask)}) {
+    encoder.Forward(x, m, kept);
+    const size_t before = doduo::testing::OperatorNewCalls();
+    encoder.Forward(x, m, kept);
     EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u)
         << (m != nullptr ? "masked" : "unmasked");
   }

@@ -73,7 +73,7 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
 # ${sanitizer_filter}.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
-  -R 'Quant|SerializeV2|ReplicaSharing'
+  -R 'Quant|SerializeV2|ReplicaSharing|KeptRows'
 cmake --build build -j "${jobs}" --target bench_kernels
 DODUO_BENCH_QUANT=1 DODUO_BENCH_QUANT_JSON=build/BENCH_quant.json \
   ./build/bench/bench_kernels --benchmark_filter='BM_Int8Gemm/64/1$' \
@@ -170,13 +170,16 @@ cmake --build build-asan -j "${jobs}" --target nn_test transformer_test \
 echo "=== ThreadSanitizer ==="
 cmake -B build-tsan -S . -DDODUO_TSAN=ON >/dev/null
 cmake --build build-tsan -j "${jobs}" --target nn_test transformer_test \
-  serve_test
+  serve_test core_test
 (cd build-tsan/tests &&
  DODUO_NUM_THREADS=8 DODUO_PARALLEL_THRESHOLD=1 ./nn_test --gtest_brief=1 &&
  DODUO_NUM_THREADS=8 DODUO_PARALLEL_THRESHOLD=1 ./transformer_test \
    --gtest_brief=1 &&
  DODUO_NUM_THREADS=8 DODUO_PARALLEL_THRESHOLD=1 ./serve_test \
-   --gtest_brief=1)
+   --gtest_brief=1 &&
+ DODUO_NUM_THREADS=8 DODUO_PARALLEL_THRESHOLD=1 ./core_test \
+   --gtest_brief=1 \
+   --gtest_filter='ReplicaReuseTest.*:DeterminismTest.*:*KeptRowsModelTest.*')
 
 echo "=== UndefinedBehaviorSanitizer ==="
 cmake -B build-ubsan -S . -DDODUO_UBSAN=ON >/dev/null
