@@ -40,6 +40,7 @@
 #include "doduo/util/metrics.h"
 #include "doduo/util/rng.h"
 #include "doduo/util/thread_pool.h"
+#include "testing/counting_new.h"
 
 namespace {
 
@@ -110,6 +111,14 @@ const doduo::nn::Fp32GemmKernel* FindFp32Kernel(const char* name) {
   return FindKernel(kernels, name);
 }
 
+// out = a · b through one member of the fp32 GEMM family.
+void MatMulWith(const doduo::nn::Fp32GemmKernel& kernel, const Tensor& a,
+                const Tensor& b, Tensor* out) {
+  out->ResizeUninitialized({a.rows(), b.cols()});
+  kernel.matmul(doduo::nn::FullView(a), doduo::nn::FullView(b),
+                doduo::nn::MutFullView(out));
+}
+
 void BM_MatMulScalarRef(benchmark::State& state) {
   const int64_t n = state.range(0);
   doduo::util::SetComputeThreads(1);
@@ -121,7 +130,7 @@ void BM_MatMulScalarRef(benchmark::State& state) {
   Tensor c;
   const doduo::nn::Fp32GemmKernel& scalar = *FindFp32Kernel("scalar");
   for (auto _ : state) {
-    scalar.matmul(a, b, &c);
+    MatMulWith(scalar, a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -148,7 +157,7 @@ struct LinearShapesFixture {
   }
   void Run(const doduo::nn::Fp32GemmKernel& kernel) {
     for (size_t i = 0; i < xs.size(); ++i) {
-      kernel.matmul(xs[i], ws[i], &outs[i]);
+      MatMulWith(kernel, xs[i], ws[i], &outs[i]);
     }
   }
   std::vector<Tensor> xs, ws, outs;
@@ -305,8 +314,9 @@ void BM_SoftmaxRows(benchmark::State& state) {
 BENCHMARK(BM_SoftmaxRows);
 
 // Attention forward at seq (packed QKV GEMM, per-head kernel, output
-// projection). Reports allocs_per_iter — Tensor heap allocations per
-// forward — which must be 0 at steady state in DODUO_COUNT_ALLOCS builds.
+// projection). Reports allocs_per_iter — global operator new calls per
+// forward (testing/counting_new.cc is linked in) — which is 0 at steady
+// state on one thread.
 void BM_AttentionForward(benchmark::State& state) {
   const int seq = static_cast<int>(state.range(0));
   doduo::util::Rng rng(11);
@@ -321,13 +331,14 @@ void BM_AttentionForward(benchmark::State& state) {
   Tensor x({seq, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
   attn.Forward(x, nullptr);  // warm up buffers
-  doduo::nn::ResetTensorAllocCount();
+  const size_t allocs_before = doduo::testing::OperatorNewCalls();
   for (auto _ : state) {
     const Tensor& y = attn.Forward(x, nullptr);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(doduo::nn::TensorAllocCount()),
+      static_cast<double>(doduo::testing::OperatorNewCalls() -
+                          allocs_before),
       benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * seq);
 }
@@ -470,13 +481,14 @@ void BM_EncoderForward(benchmark::State& state) {
   Tensor x({seq, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
   encoder.Forward(x, nullptr);  // warm up buffers
-  doduo::nn::ResetTensorAllocCount();
+  const size_t allocs_before = doduo::testing::OperatorNewCalls();
   for (auto _ : state) {
     const Tensor& y = encoder.Forward(x, nullptr);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["allocs_per_iter"] = benchmark::Counter(
-      static_cast<double>(doduo::nn::TensorAllocCount()),
+      static_cast<double>(doduo::testing::OperatorNewCalls() -
+                          allocs_before),
       benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() * seq);
 }
@@ -812,7 +824,8 @@ void EmitQuantBenchJson() {
       20, [&] { doduo::nn::MatMul(x, w, &y); },
       [&] { doduo::nn::Int8Linear(x, doduo::nn::View(qw), nullptr, &y); });
   const doduo::nn::Fp32GemmKernel& scalar = *FindFp32Kernel("scalar");
-  const double scalar_s = SecondsPerCall(5, [&] { scalar.matmul(x, w, &y); });
+  const double scalar_s =
+      SecondsPerCall(5, [&] { MatMulWith(scalar, x, w, &y); });
   const double fp32_gflops = flops / fp32_s / 1e9;
   const double scalar_gflops = flops / scalar_s / 1e9;
   const double int8_gflops = flops / int8_s / 1e9;

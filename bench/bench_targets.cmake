@@ -23,3 +23,8 @@ doduo_bench(exp_fig5_per_class)
 doduo_bench(exp_fig6_attention)
 doduo_bench(exp_ablation_attention)
 doduo_bench(bench_kernels)
+# allocs_per_iter counts every call of the global operator new, which
+# tests/testing/counting_new.cc replaces for the whole binary.
+target_sources(bench_kernels PRIVATE
+               ${CMAKE_SOURCE_DIR}/tests/testing/counting_new.cc)
+target_include_directories(bench_kernels PRIVATE ${CMAKE_SOURCE_DIR}/tests)

@@ -23,9 +23,6 @@ DoduoRun RunDoduoOn(Env* env,
   if (variant.epochs > 0) config.epochs = variant.epochs;
   config.seed += variant.seed_offset;
   if (config.tasks == core::TaskSet::kTypesOnly) config.num_relations = 0;
-  if (util::GetEnvInt("DODUO_FORCE_BCE", 0) != 0) config.multi_label = true;
-  config.encoder.dropout = static_cast<float>(util::GetEnvDouble(
-      "DODUO_FT_DROPOUT", config.encoder.dropout));
 
   table::DatasetSplits effective_splits = splits;
   if (variant.train_fraction < 1.0) {

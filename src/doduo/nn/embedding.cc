@@ -11,36 +11,31 @@ Embedding::Embedding(std::string name, int64_t vocab_size, int64_t dim,
   if (rng != nullptr) table_.value.FillNormal(rng, 0.02f);
 }
 
-const Tensor& Embedding::Forward(const std::vector<int>& ids) {
+const Tensor& Embedding::Forward(std::span<const int> ids) {
   DODUO_CHECK(!ids.empty());
-  return Forward(ids.data(), static_cast<int64_t>(ids.size()));
-}
-
-const Tensor& Embedding::Forward(const int* ids, int64_t count) {
-  DODUO_CHECK(ids != nullptr && count > 0);
-  // Id cache for Backward. Capacity is reused after warm-up, so the
-  // steady-state forward performs no allocation.
-  cached_ids_.assign(ids, ids + count);  // NOLINT(hot-path-alloc)
+  ids_ = ids;
+  const int64_t count = static_cast<int64_t>(ids.size());
   const int64_t d = dim();
   output_.ResizeUninitialized({count, d});
   for (int64_t i = 0; i < count; ++i) {
-    DODUO_DCHECK(ids[i] >= 0 && ids[i] < vocab_size());
-    const float* src = std::as_const(table_.value).row(ids[i]);
+    const int id = ids[static_cast<size_t>(i)];
+    DODUO_DCHECK(id >= 0 && id < vocab_size());
+    const float* src = std::as_const(table_.value).row(id);
     std::copy(src, src + d, output_.row(i));
   }
   return output_;
 }
 
 void Embedding::Backward(const Tensor& grad_out) {
-  DODUO_CHECK(!cached_ids_.empty()) << "Backward before Forward";
-  DODUO_CHECK_EQ(grad_out.rows(), static_cast<int64_t>(cached_ids_.size()));
+  DODUO_CHECK(!ids_.empty()) << "Backward before Forward";
+  DODUO_CHECK_EQ(grad_out.rows(), static_cast<int64_t>(ids_.size()));
   DODUO_CHECK_EQ(grad_out.cols(), dim());
   DODUO_CHECK(SameShape(table_.grad, table_.value))
       << "no gradient storage (an inference-only replica cannot train)";
   const int64_t d = dim();
-  for (size_t i = 0; i < cached_ids_.size(); ++i) {
+  for (size_t i = 0; i < ids_.size(); ++i) {
     const float* src = grad_out.row(static_cast<int64_t>(i));
-    float* dst = table_.grad.row(cached_ids_[i]);
+    float* dst = table_.grad.row(ids_[i]);
     for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
   }
 }

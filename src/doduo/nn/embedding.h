@@ -1,8 +1,8 @@
 #ifndef DODUO_NN_EMBEDDING_H_
 #define DODUO_NN_EMBEDDING_H_
 
+#include <span>
 #include <string>
-#include <vector>
 
 #include "doduo/nn/parameter.h"
 #include "doduo/nn/tensor.h"
@@ -19,16 +19,12 @@ class Embedding {
   Embedding(std::string name, int64_t vocab_size, int64_t dim,
             util::Rng* rng);
 
-  /// ids (each in [0, vocab)) → [ids.size(), dim].
-  const Tensor& Forward(const std::vector<int>& ids);
+  /// ids (each in [0, vocab), non-empty) → [ids.size(), dim]. The layer
+  /// keeps the span for Backward, so the ids must outlive it.
+  const Tensor& Forward(std::span<const int> ids);
 
-  /// Pointer form for callers that keep a precomputed id buffer (e.g. the
-  /// position ids 0..max_positions-1 a BertModel fills once): embeds the
-  /// first `count` ids without touching the caller's container.
-  const Tensor& Forward(const int* ids, int64_t count);
-
-  /// Accumulates grad_out [len, dim] into the rows selected by the cached
-  /// ids of the last Forward call.
+  /// Accumulates grad_out [len, dim] into the rows selected by the ids of
+  /// the last Forward call.
   void Backward(const Tensor& grad_out);
 
   /// Read-only row view for id, without caching (inference helpers).
@@ -43,7 +39,7 @@ class Embedding {
 
  private:
   Parameter table_;  // [vocab, dim]
-  std::vector<int> cached_ids_;
+  std::span<const int> ids_;  // the last Forward's ids, borrowed
   Tensor output_;
 };
 

@@ -146,11 +146,10 @@ inline void Dot4Sse(const float* a, const float* b0, const float* b1,
 
 #endif  // DODUO_X86_SIMD
 
-// C[i,:] (+)= A[i,:] · B for i in [row_begin, row_end). Processes B in
+// C[i,:] += A[i,:] · B for i in [row_begin, row_end). Processes B in
 // kBlockK-row panels shared by all rows of the shard; for each element the
-// k-loop still runs 0..k-1 ascending. Row strides are passed explicitly so
-// the same kernel (and therefore the same per-element FP order) serves both
-// contiguous tensors and strided column-band views.
+// k-loop still runs 0..k-1 ascending. Every row kernel takes explicit row
+// strides, so contiguous tensors and strided column-band views share it.
 void MatMulRowsScalar(const float* pa, const float* pb, float* pc, int64_t k,
                       int64_t n, int64_t row_begin, int64_t row_end,
                       int64_t a_stride, int64_t b_stride, int64_t c_stride) {
@@ -200,50 +199,52 @@ __attribute__((target("avx"))) void MatMulRowsAvx(
 
 // --- AVX-512 tile ---------------------------------------------------------
 //
-// MatMul's kernel where the CPU has AVX-512F: a register-blocked tile keeps
-// kTileRows x kTileCols elements of C in 24 zmm accumulators while l runs
-// over the whole k, so each element of C is stored once instead of being
-// loaded and stored every four k-steps as in the axpy. Per element the
-// arithmetic is the reference's: c = +0, then c = c + a[i,l]·b[l,j] for l
-// ascending, a rounded mul and a rounded add per step. The one difference
-// is that the tile also adds the products of a = ±0, which the axpy skips.
-// With b finite such a product is ±0 and c + (±0) = c, because c starts at
-// +0 and never becomes −0 (x + (−x) rounds to +0), so the bits match;
-// MatMulTile checks B first and runs the axpy when any entry is inf or NaN
-// (DESIGN.md §9). 512-bit registers are what make the tile pay: without
-// FMA, mul and add each take an FP-port slot, and an AVX2 tile measured no
-// faster than the axpy.
+// MatMulView's kernel where the CPU has AVX-512F: a register-blocked tile
+// keeps kTileRows x kTileCols elements of C in 24 zmm accumulators while l
+// runs over the whole k, so each element of C is stored once instead of
+// being loaded and stored every four k-steps as in the axpy. Per element
+// the arithmetic is the reference's: c = +0, then c = c + a[i,l]·b[l,j] for
+// l ascending, a rounded mul and a rounded add per step. The one
+// difference is that the tile also adds the products of a = ±0, which the
+// axpy skips. With b finite such a product is ±0 and c + (±0) = c, because
+// c starts at +0 and never becomes −0 (x + (−x) rounds to +0), so the bits
+// match; the AVX-512 member checks B first and runs the axpy when any entry
+// is inf or NaN (DESIGN.md §9). 512-bit registers are what make the tile
+// pay: without FMA, mul and add each take an FP-port slot, and an AVX2
+// tile measured no faster than the axpy.
 
 constexpr int64_t kTileRows = 12;
 constexpr int64_t kTileCols = 32;
 
-// True when no element of b[0, count) is inf or NaN, i.e. no exponent
-// field is all ones.
-__attribute__((target("avx512f"))) bool AllFiniteAvx512(const float* b,
-                                                        int64_t count) {
+// True when no element of the view is inf or NaN, i.e. no exponent field
+// is all ones. Walks the view row by row.
+__attribute__((target("avx512f"))) bool AllFiniteAvx512(ConstMatView b) {
   const __m512i exponent = _mm512_set1_epi32(0x7f800000);
   __m512i high = _mm512_setzero_si512();
-  int64_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    high = _mm512_max_epu32(
-        high, _mm512_and_si512(_mm512_loadu_si512(b + i), exponent));
-  }
-  if (i < count) {
-    const auto tail = static_cast<__mmask16>((1u << (count - i)) - 1);
-    high = _mm512_max_epu32(
-        high, _mm512_and_si512(_mm512_maskz_loadu_epi32(tail, b + i),
-                               exponent));
+  for (int64_t l = 0; l < b.rows; ++l) {
+    const float* row = b.data + l * b.stride;
+    int64_t i = 0;
+    for (; i + 16 <= b.cols; i += 16) {
+      high = _mm512_max_epu32(
+          high, _mm512_and_si512(_mm512_loadu_si512(row + i), exponent));
+    }
+    if (i < b.cols) {
+      high = _mm512_max_epu32(
+          high, _mm512_and_si512(
+                    _mm512_maskz_loadu_epi32(LaneMask16(b.cols - i), row + i),
+                    exponent));
+    }
   }
   return _mm512_cmpeq_epi32_mask(high, exponent) == 0;
 }
 
 // C[0, R) x [0, 32) = A[0, R) x [0, k) · B[0, k) x [0, 32), with row
-// strides k (A) and n (B, C); lanes outside m0 | m1 << 16 are neither read
-// nor written.
+// strides sa, sb and sc; lanes outside m0 | m1 << 16 are neither read nor
+// written.
 template <int R>
 __attribute__((target("avx512f"))) inline void GemmTileAvx512(
-    const float* pa, const float* pb, float* pc, int64_t k, int64_t n,
-    __mmask16 m0, __mmask16 m1) {
+    const float* pa, const float* pb, float* pc, int64_t k, int64_t sa,
+    int64_t sb, int64_t sc, __mmask16 m0, __mmask16 m1) {
   __m512 c0[R];
   __m512 c1[R];
 #pragma GCC unroll 12
@@ -252,67 +253,53 @@ __attribute__((target("avx512f"))) inline void GemmTileAvx512(
     c1[r] = _mm512_setzero_ps();
   }
   for (int64_t l = 0; l < k; ++l) {
-    const __m512 b0 = _mm512_maskz_loadu_ps(m0, pb + l * n);
-    const __m512 b1 = _mm512_maskz_loadu_ps(m1, pb + l * n + 16);
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0, pb + l * sb);
+    const __m512 b1 = _mm512_maskz_loadu_ps(m1, pb + l * sb + 16);
 #pragma GCC unroll 12
     for (int r = 0; r < R; ++r) {
-      const __m512 a = _mm512_set1_ps(pa[r * k + l]);
+      const __m512 a = _mm512_set1_ps(pa[r * sa + l]);
       c0[r] = _mm512_add_ps(c0[r], _mm512_mul_ps(a, b0));
       c1[r] = _mm512_add_ps(c1[r], _mm512_mul_ps(a, b1));
     }
   }
 #pragma GCC unroll 12
   for (int r = 0; r < R; ++r) {
-    _mm512_mask_storeu_ps(pc + r * n, m0, c0[r]);
-    _mm512_mask_storeu_ps(pc + r * n + 16, m1, c1[r]);
+    _mm512_mask_storeu_ps(pc + r * sc, m0, c0[r]);
+    _mm512_mask_storeu_ps(pc + r * sc + 16, m1, c1[r]);
   }
 }
 
-// C rows [row_begin, row_end) = A · B for contiguous A [m,k], B [k,n] and
-// C [m,n], overwriting C; B must be finite (see above).
+// C rows [row_begin, row_end) = A · B, overwriting C; B must be finite
+// (see above).
 __attribute__((target("avx512f"))) void MatMulRowsAvx512(
     const float* pa, const float* pb, float* pc, int64_t k, int64_t n,
-    int64_t row_begin, int64_t row_end) {
+    int64_t row_begin, int64_t row_end, int64_t sa, int64_t sb, int64_t sc) {
   for (int64_t i = row_begin; i < row_end; i += kTileRows) {
-    const float* a = pa + i * k;
+    const float* a = pa + i * sa;
     for (int64_t j = 0; j < n; j += kTileCols) {
       const __mmask16 m0 = LaneMask16(n - j);
       const __mmask16 m1 = LaneMask16(n - j - 16);
       const float* b = pb + j;
-      float* c = pc + i * n + j;
+      float* c = pc + i * sc + j;
       switch (std::min(kTileRows, row_end - i)) {
-        case 12: GemmTileAvx512<12>(a, b, c, k, n, m0, m1); break;
-        case 11: GemmTileAvx512<11>(a, b, c, k, n, m0, m1); break;
-        case 10: GemmTileAvx512<10>(a, b, c, k, n, m0, m1); break;
-        case 9: GemmTileAvx512<9>(a, b, c, k, n, m0, m1); break;
-        case 8: GemmTileAvx512<8>(a, b, c, k, n, m0, m1); break;
-        case 7: GemmTileAvx512<7>(a, b, c, k, n, m0, m1); break;
-        case 6: GemmTileAvx512<6>(a, b, c, k, n, m0, m1); break;
-        case 5: GemmTileAvx512<5>(a, b, c, k, n, m0, m1); break;
-        case 4: GemmTileAvx512<4>(a, b, c, k, n, m0, m1); break;
-        case 3: GemmTileAvx512<3>(a, b, c, k, n, m0, m1); break;
-        case 2: GemmTileAvx512<2>(a, b, c, k, n, m0, m1); break;
-        default: GemmTileAvx512<1>(a, b, c, k, n, m0, m1); break;
+        case 12: GemmTileAvx512<12>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 11: GemmTileAvx512<11>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 10: GemmTileAvx512<10>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 9: GemmTileAvx512<9>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 8: GemmTileAvx512<8>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 7: GemmTileAvx512<7>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 6: GemmTileAvx512<6>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 5: GemmTileAvx512<5>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 4: GemmTileAvx512<4>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 3: GemmTileAvx512<3>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        case 2: GemmTileAvx512<2>(a, b, c, k, sa, sb, sc, m0, m1); break;
+        default: GemmTileAvx512<1>(a, b, c, k, sa, sb, sc, m0, m1); break;
       }
     }
   }
 }
 
 #endif  // DODUO_X86_SIMD
-
-void MatMulRows(const float* pa, const float* pb, float* pc, int64_t k,
-                int64_t n, int64_t row_begin, int64_t row_end,
-                int64_t a_stride, int64_t b_stride, int64_t c_stride) {
-#if defined(DODUO_X86_SIMD)
-  if (UseAvx()) {
-    MatMulRowsAvx(pa, pb, pc, k, n, row_begin, row_end, a_stride, b_stride,
-                  c_stride);
-    return;
-  }
-#endif
-  MatMulRowsScalar(pa, pb, pc, k, n, row_begin, row_end, a_stride, b_stride,
-                   c_stride);
-}
 
 struct GemmDims {
   int64_t m, k, n;
@@ -338,134 +325,166 @@ void ForRowShards(const GemmDims& d, const Rows& rows) {
   }
 }
 
-// C[m,n] (+)= A[m,k] · B[k,n] through the axpy rows kernel `Rows`: C is
-// zeroed first unless accumulating.
-template <auto Rows>
-void MatMulAxpy(const Tensor& a, const Tensor& b, Tensor* out,
-                bool accumulate) {
-  const GemmDims d = CheckGemm(a, b);
-  if (accumulate) {
-    DODUO_CHECK(out->ndim() == 2 && out->rows() == d.m && out->cols() == d.n);
-  } else {
-    out->ResizeUninitialized({d.m, d.n});
-    out->Zero();
-  }
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  ForRowShards(d, [&](int64_t row_begin, int64_t row_end) {
-    Rows(pa, pb, pc, d.k, d.n, row_begin, row_end, d.k, d.n, d.n);
-  });
-}
-
-void MatMulScalar(const Tensor& a, const Tensor& b, Tensor* out) {
-  MatMulAxpy<&MatMulRowsScalar>(a, b, out, /*accumulate=*/false);
-}
-
-#if defined(DODUO_X86_SIMD)
-
-void MatMulAvx(const Tensor& a, const Tensor& b, Tensor* out) {
-  MatMulAxpy<&MatMulRowsAvx>(a, b, out, /*accumulate=*/false);
-}
-
-// The AVX-512 member: the tile when B is finite, else the AVX axpy.
-void MatMulTile(const Tensor& a, const Tensor& b, Tensor* out) {
-  const GemmDims d = CheckGemm(a, b);
-  if (!AllFiniteAvx512(b.data(), b.size())) {
-    MatMulAvx(a, b, out);
-    return;
-  }
-  out->ResizeUninitialized({d.m, d.n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  ForRowShards(d, [&](int64_t row_begin, int64_t row_end) {
-    MatMulRowsAvx512(pa, pb, pc, d.k, d.n, row_begin, row_end);
-  });
-}
-
-#endif  // DODUO_X86_SIMD
-
 void CheckView(const ConstMatView& v, const char* name) {
   DODUO_CHECK(v.data != nullptr && v.rows > 0 && v.cols > 0 &&
               v.stride >= v.cols)
       << "invalid view " << name;
 }
 
-}  // namespace
+ConstMatView AsConst(const MutMatView& v) {
+  return {v.data, v.rows, v.cols, v.stride};
+}
 
-void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
+// Overwrites the [rows, cols] region addressed by the view with zeros (rows
+// may be interleaved with live data of the enclosing buffer).
+void ZeroView(const MutMatView& v) {
+  for (int64_t i = 0; i < v.rows; ++i) {
+    std::fill(v.data + i * v.stride, v.data + i * v.stride + v.cols, 0.0f);
+  }
+}
+
+// Output rows of out (+)= a · b through the row kernel `Rows`.
+template <auto Rows>
+void ShardMatMulRows(ConstMatView a, ConstMatView b, MutMatView out) {
+  ForRowShards({a.rows, a.cols, b.cols}, [&](int64_t row_begin,
+                                             int64_t row_end) {
+    Rows(a.data, b.data, out.data, a.cols, b.cols, row_begin, row_end,
+         a.stride, b.stride, out.stride);
+  });
+}
+
+enum class GemmIsa { kScalar, kAvx, kAvx512 };
+
+// The NN body: out = a · b, overwritten, through the member `isa` — the
+// AVX-512 tile when B is finite, else the axpy (AVX or scalar) over a
+// zeroed out.
+template <GemmIsa isa>
+void MatMulViewOn(ConstMatView a, ConstMatView b, MutMatView out) {
+  CheckView(a, "a");
+  CheckView(b, "b");
+  CheckView(AsConst(out), "out");
+  DODUO_CHECK_EQ(a.cols, b.rows) << "inner dimensions differ";
+  DODUO_CHECK(out.rows == a.rows && out.cols == b.cols);
 #if defined(DODUO_X86_SIMD)
-  if (UseAvx512()) {
-    MatMulTile(a, b, out);
+  if constexpr (isa == GemmIsa::kAvx512) {
+    if (AllFiniteAvx512(b)) {
+      ShardMatMulRows<&MatMulRowsAvx512>(a, b, out);
+      return;
+    }
+  }
+#endif
+  ZeroView(out);
+#if defined(DODUO_X86_SIMD)
+  if constexpr (isa != GemmIsa::kScalar) {
+    ShardMatMulRows<&MatMulRowsAvx>(a, b, out);
     return;
   }
 #endif
-  MatMulAxpy<&MatMulRows>(a, b, out, /*accumulate=*/false);
+  ShardMatMulRows<&MatMulRowsScalar>(a, b, out);
 }
 
-void MatMulAccum(const Tensor& a, const Tensor& b, Tensor* out) {
-  MatMulAxpy<&MatMulRows>(a, b, out, /*accumulate=*/true);
+}  // namespace
+
+ConstMatView FullView(const Tensor& t) {
+  DODUO_CHECK_EQ(t.ndim(), 2);
+  return {t.data(), t.rows(), t.cols(), t.cols()};
+}
+
+MutMatView MutFullView(Tensor* t) {
+  DODUO_CHECK_EQ(t->ndim(), 2);
+  return {t->data(), t->rows(), t->cols(), t->cols()};
+}
+
+ConstMatView ColumnsView(const Tensor& t, int64_t col_begin, int64_t cols) {
+  DODUO_CHECK_EQ(t.ndim(), 2);
+  DODUO_CHECK(col_begin >= 0 && cols > 0 && col_begin + cols <= t.cols());
+  return {t.data() + col_begin, t.rows(), cols, t.cols()};
+}
+
+MutMatView MutColumnsView(Tensor* t, int64_t col_begin, int64_t cols) {
+  DODUO_CHECK_EQ(t->ndim(), 2);
+  DODUO_CHECK(col_begin >= 0 && cols > 0 && col_begin + cols <= t->cols());
+  return {t->data() + col_begin, t->rows(), cols, t->cols()};
+}
+
+void MatMulView(ConstMatView a, ConstMatView b, MutMatView out) {
+#if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) {
+    MatMulViewOn<GemmIsa::kAvx512>(a, b, out);
+    return;
+  }
+  if (UseAvx()) {
+    MatMulViewOn<GemmIsa::kAvx>(a, b, out);
+    return;
+  }
+#endif
+  MatMulViewOn<GemmIsa::kScalar>(a, b, out);
+}
+
+void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
+  const GemmDims d = CheckGemm(a, b);
+  out->ResizeUninitialized({d.m, d.n});
+  MatMulView(FullView(a), FullView(b), MutFullView(out));
 }
 
 std::vector<Fp32GemmKernel> Fp32GemmKernels() {
-  std::vector<Fp32GemmKernel> kernels{{"scalar", &MatMulScalar}};
+  std::vector<Fp32GemmKernel> kernels{
+      {"scalar", &MatMulViewOn<GemmIsa::kScalar>}};
 #if defined(DODUO_X86_SIMD)
   if (__builtin_cpu_supports("avx") != 0) {
-    kernels.push_back({"avx", &MatMulAvx});
+    kernels.push_back({"avx", &MatMulViewOn<GemmIsa::kAvx>});
   }
   if (__builtin_cpu_supports("avx512f") != 0) {
-    kernels.push_back({"avx512", &MatMulTile});
+    kernels.push_back({"avx512", &MatMulViewOn<GemmIsa::kAvx512>});
   }
 #endif
   return kernels;
 }
 
-void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckMatrix(a, "a");
-  CheckMatrix(b, "b");
-  const int64_t m = a.rows();
-  const int64_t k = a.cols();
-  const int64_t n = b.rows();
-  DODUO_CHECK_EQ(k, b.cols()) << "inner dimensions differ: "
-                              << a.ShapeString() << " vs " << b.ShapeString();
+void MatMulTransposedBView(ConstMatView a, ConstMatView b, Tensor* out) {
+  CheckView(a, "a");
+  CheckView(b, "b");
+  const int64_t m = a.rows;
+  const int64_t k = a.cols;
+  const int64_t n = b.rows;
+  DODUO_CHECK_EQ(k, b.cols) << "inner dimensions differ";
   out->ResizeUninitialized({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
   float* pc = out->data();
   [[maybe_unused]] const bool simd = SimdEnabled();
-  auto rows = [&](int64_t row_begin, int64_t row_end) {
+  ForRowShards({m, k, n}, [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = pa + i * k;
+      const float* arow = a.data + i * a.stride;
       int64_t j = 0;
 #if defined(DODUO_X86_SIMD)
       // Four dots per step share arow and run four independent accumulator
       // chains; each dot's bit pattern matches Dot() exactly.
       for (; simd && j + 4 <= n; j += 4) {
-        const float* brow = pb + j * k;
-        Dot4Sse(arow, brow, brow + k, brow + 2 * k, brow + 3 * k, k,
-                pc + i * n + j);
+        const float* brow = b.data + j * b.stride;
+        Dot4Sse(arow, brow, brow + b.stride, brow + 2 * b.stride,
+                brow + 3 * b.stride, k, pc + i * n + j);
       }
 #endif
       for (; j < n; ++j) {
-        pc[i * n + j] = Dot(arow, pb + j * k, k);
+        pc[i * n + j] = Dot(arow, b.data + j * b.stride, k);
       }
     }
-  };
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(0, m, /*grain=*/1, rows);
-  } else {
-    rows(0, m);
-  }
+  });
+}
+
+void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckMatrix(a, "a");
+  CheckMatrix(b, "b");
+  DODUO_CHECK_EQ(a.cols(), b.cols())
+      << "inner dimensions differ: " << a.ShapeString() << " vs "
+      << b.ShapeString();
+  MatMulTransposedBView(FullView(a), FullView(b), out);
 }
 
 namespace {
 
 // C[:, i..] shard for i in [col_begin, col_end), where C[i,j] accumulates
-// sum_l a[l,i]·b[l,j] with l ascending — the same per-element order the
-// serial rank-1 loop below produces, so serial and parallel paths match
-// bit-for-bit. B is walked in kBlockK-row panels for reuse across the
-// shard's output rows. Strided like MatMulRows so views share the kernel.
+// sum_l a[l,i]·b[l,j] with l ascending at any shard boundary. B is walked
+// in kBlockK-row panels for reuse across the shard's output rows.
 void MatMulTransposedARowsScalar(const float* pa, const float* pb, float* pc,
                                  int64_t k, int64_t n, int64_t col_begin,
                                  int64_t col_end, int64_t a_stride,
@@ -515,163 +534,10 @@ __attribute__((target("avx"))) void MatMulTransposedARowsAvx(
 
 #endif  // DODUO_X86_SIMD
 
-void MatMulTransposedARows(const float* pa, const float* pb, float* pc,
-                           int64_t k, int64_t n, int64_t col_begin,
-                           int64_t col_end, int64_t a_stride, int64_t b_stride,
-                           int64_t c_stride) {
-#if defined(DODUO_X86_SIMD)
-  if (UseAvx()) {
-    MatMulTransposedARowsAvx(pa, pb, pc, k, n, col_begin, col_end, a_stride,
-                             b_stride, c_stride);
-    return;
-  }
-#endif
-  MatMulTransposedARowsScalar(pa, pb, pc, k, n, col_begin, col_end, a_stride,
-                              b_stride, c_stride);
-}
-
-}  // namespace
-
-void MatMulTransposedAAccum(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckMatrix(a, "a");
-  CheckMatrix(b, "b");
-  const int64_t k = a.rows();
-  const int64_t m = a.cols();
-  const int64_t n = b.cols();
-  DODUO_CHECK_EQ(k, b.rows()) << "leading dimensions differ: "
-                              << a.ShapeString() << " vs " << b.ShapeString();
-  DODUO_CHECK(out->ndim() == 2 && out->rows() == m && out->cols() == n)
-      << "accumulator must be preallocated to [" << m << ", " << n << "]";
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out->data();
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(
-        0, m, /*grain=*/1, [&](int64_t col_begin, int64_t col_end) {
-          MatMulTransposedARows(pa, pb, pc, k, n, col_begin, col_end, m, n, n);
-        });
-    return;
-  }
-#if defined(DODUO_X86_SIMD)
-  // The panel kernel produces the same bits as the rank-1 loop below (per
-  // element, ascending-l accumulation); its AVX form is faster serially too.
-  if (UseAvx()) {
-    MatMulTransposedARows(pa, pb, pc, k, n, 0, m, m, n, n);
-    return;
-  }
-#endif
-  // Serial path: rank-1 update per row l of a/b; all three operands are
-  // streamed. Per element (i,j) the updates still land in ascending-l
-  // order, matching the sharded path above.
-  for (int64_t l = 0; l < k; ++l) {
-    const float* arow = pa + l * m;
-    const float* brow = pb + l * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = pc + i * n;
-      for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-void MatMulTransposedA(const Tensor& a, const Tensor& b, Tensor* out) {
-  CheckMatrix(a, "a");
-  CheckMatrix(b, "b");
-  out->ResizeUninitialized({a.cols(), b.cols()});
-  out->Zero();
-  MatMulTransposedAAccum(a, b, out);
-}
-
-ConstMatView FullView(const Tensor& t) {
-  DODUO_CHECK_EQ(t.ndim(), 2);
-  return {t.data(), t.rows(), t.cols(), t.cols()};
-}
-
-ConstMatView ColumnsView(const Tensor& t, int64_t col_begin, int64_t cols) {
-  DODUO_CHECK_EQ(t.ndim(), 2);
-  DODUO_CHECK(col_begin >= 0 && cols > 0 && col_begin + cols <= t.cols());
-  return {t.data() + col_begin, t.rows(), cols, t.cols()};
-}
-
-MutMatView MutColumnsView(Tensor* t, int64_t col_begin, int64_t cols) {
-  DODUO_CHECK_EQ(t->ndim(), 2);
-  DODUO_CHECK(col_begin >= 0 && cols > 0 && col_begin + cols <= t->cols());
-  return {t->data() + col_begin, t->rows(), cols, t->cols()};
-}
-
-namespace {
-
-ConstMatView AsConst(const MutMatView& v) {
-  return {v.data, v.rows, v.cols, v.stride};
-}
-
-// Overwrites the [rows, cols] region addressed by the view with zeros (rows
-// may be interleaved with live data of the enclosing buffer).
-void ZeroView(const MutMatView& v) {
-  for (int64_t i = 0; i < v.rows; ++i) {
-    std::fill(v.data + i * v.stride, v.data + i * v.stride + v.cols, 0.0f);
-  }
-}
-
-}  // namespace
-
-void MatMulView(ConstMatView a, ConstMatView b, MutMatView out) {
-  CheckView(a, "a");
-  CheckView(b, "b");
-  CheckView(AsConst(out), "out");
-  const int64_t m = a.rows;
-  const int64_t k = a.cols;
-  const int64_t n = b.cols;
-  DODUO_CHECK_EQ(k, b.rows) << "inner dimensions differ";
-  DODUO_CHECK(out.rows == m && out.cols == n);
-  ZeroView(out);
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(
-        0, m, /*grain=*/1, [&](int64_t row_begin, int64_t row_end) {
-          MatMulRows(a.data, b.data, out.data, k, n, row_begin, row_end,
-                     a.stride, b.stride, out.stride);
-        });
-  } else {
-    MatMulRows(a.data, b.data, out.data, k, n, 0, m, a.stride, b.stride,
-               out.stride);
-  }
-}
-
-void MatMulTransposedBView(ConstMatView a, ConstMatView b, Tensor* out) {
-  CheckView(a, "a");
-  CheckView(b, "b");
-  const int64_t m = a.rows;
-  const int64_t k = a.cols;
-  const int64_t n = b.rows;
-  DODUO_CHECK_EQ(k, b.cols) << "inner dimensions differ";
-  out->ResizeUninitialized({m, n});
-  float* pc = out->data();
-  [[maybe_unused]] const bool simd = SimdEnabled();
-  auto rows = [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a.data + i * a.stride;
-      int64_t j = 0;
-#if defined(DODUO_X86_SIMD)
-      for (; simd && j + 4 <= n; j += 4) {
-        const float* brow = b.data + j * b.stride;
-        Dot4Sse(arow, brow, brow + b.stride, brow + 2 * b.stride,
-                brow + 3 * b.stride, k, pc + i * n + j);
-      }
-#endif
-      for (; j < n; ++j) {
-        pc[i * n + j] = Dot(arow, b.data + j * b.stride, k);
-      }
-    }
-  };
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(0, m, /*grain=*/1, rows);
-  } else {
-    rows(0, m);
-  }
-}
-
-void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out) {
+// The TN body: out += aᵀ · b for a[k,m], b[k,n], the panel kernel over
+// sharded output rows.
+void MatMulTransposedAAccumView(ConstMatView a, ConstMatView b,
+                                MutMatView out) {
   CheckView(a, "a");
   CheckView(b, "b");
   CheckView(AsConst(out), "out");
@@ -680,19 +546,38 @@ void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out) {
   const int64_t n = b.cols;
   DODUO_CHECK_EQ(k, b.rows) << "leading dimensions differ";
   DODUO_CHECK(out.rows == m && out.cols == n);
-  ZeroView(out);
-  // Panel kernel on both paths: per element (i,j) the l-loop is ascending,
-  // matching the contiguous MatMulTransposedA bit-for-bit.
-  if (ShouldParallelize(m, k, n)) {
-    util::ComputePool()->ParallelFor(
-        0, m, /*grain=*/1, [&](int64_t col_begin, int64_t col_end) {
-          MatMulTransposedARows(a.data, b.data, out.data, k, n, col_begin,
+  ForRowShards({m, k, n}, [&](int64_t col_begin, int64_t col_end) {
+#if defined(DODUO_X86_SIMD)
+    if (UseAvx()) {
+      MatMulTransposedARowsAvx(a.data, b.data, out.data, k, n, col_begin,
+                               col_end, a.stride, b.stride, out.stride);
+      return;
+    }
+#endif
+    MatMulTransposedARowsScalar(a.data, b.data, out.data, k, n, col_begin,
                                 col_end, a.stride, b.stride, out.stride);
-        });
-  } else {
-    MatMulTransposedARows(a.data, b.data, out.data, k, n, 0, m, a.stride,
-                          b.stride, out.stride);
-  }
+  });
+}
+
+}  // namespace
+
+void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out) {
+  CheckView(AsConst(out), "out");
+  ZeroView(out);
+  MatMulTransposedAAccumView(a, b, out);
+}
+
+void MatMulTransposedAAccum(const Tensor& a, const Tensor& b, Tensor* out) {
+  CheckMatrix(a, "a");
+  CheckMatrix(b, "b");
+  DODUO_CHECK_EQ(a.rows(), b.rows())
+      << "leading dimensions differ: " << a.ShapeString() << " vs "
+      << b.ShapeString();
+  DODUO_CHECK(out->ndim() == 2 && out->rows() == a.cols() &&
+              out->cols() == b.cols())
+      << "accumulator must be preallocated to [" << a.cols() << ", "
+      << b.cols() << "]";
+  MatMulTransposedAAccumView(FullView(a), FullView(b), MutFullView(out));
 }
 
 void GatherRows(ConstMatView src, std::span<const int64_t> rows,
@@ -726,14 +611,6 @@ void AddInPlace(Tensor* a, const Tensor& b) {
   const float* pb = b.data();
   const int64_t n = a->size();  // hoisted, as in Add
   for (int64_t i = 0; i < n; ++i) pa[i] += pb[i];
-}
-
-void AddScaled(Tensor* a, const Tensor& b, float scale) {
-  DODUO_CHECK(SameShape(*a, b));
-  float* pa = a->data();
-  const float* pb = b.data();
-  const int64_t n = a->size();  // hoisted, as in Add
-  for (int64_t i = 0; i < n; ++i) pa[i] += scale * pb[i];
 }
 
 void Scale(Tensor* a, float scale) {
@@ -811,14 +688,6 @@ float Dot(const float* a, const float* b, int64_t n) {
   }
   for (; i < n; ++i) acc0 += a[i] * b[i];
   return acc0 + acc1 + acc2 + acc3;
-}
-
-float CosineSimilarity(const float* a, const float* b, int64_t n) {
-  const float dot = Dot(a, b, n);
-  const float na = Dot(a, a, n);
-  const float nb = Dot(b, b, n);
-  if (na <= 0.0f || nb <= 0.0f) return 0.0f;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
 }
 
 }  // namespace doduo::nn

@@ -10,74 +10,23 @@ namespace doduo::nn {
 
 // Dense linear-algebra kernels used by the layers. All functions write into
 // caller-provided outputs (resized as needed) and die on shape mismatches.
-// Accumulating variants add into the output instead of overwriting, which
-// the backward passes use to sum gradients.
 //
-// The MatMul family is cache-blocked and, above a volume threshold, shards
-// output rows across util::ComputePool(). Per-element FP operation order is
-// fixed regardless of thread count, so results are bit-identical whether
-// DODUO_NUM_THREADS is 1 or N (see DESIGN.md §7).
-
-/// out = a · b for a[m,k], b[k,n]; out resized to [m,n] and overwritten.
-/// Dispatches to the AVX-512 tile where the CPU has it (DODUO_SIMD=0 turns
-/// it off), else to the AVX or scalar axpy; all give the same bits.
-void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// One member of the fp32 GEMM family behind MatMul. Every member computes
-/// the same bits at any thread count, so they are interchangeable.
-struct Fp32GemmKernel {
-  const char* name;
-  /// MatMul through this kernel.
-  void (*matmul)(const Tensor& a, const Tensor& b, Tensor* out);
-};
-
-/// Every fp32 GEMM kernel this binary can run on this CPU: "scalar" (the
-/// reference, zero-skipping axpy) always, then "avx" (the axpy in 256-bit
-/// registers) and "avx512" (the register-blocked tile, or the avx axpy when
-/// B holds inf/NaN) when the CPU has them — for the cross-kernel
-/// bit-equality tests and the per-kernel benches. Unlike MatMul, the list
-/// ignores DODUO_SIMD.
-std::vector<Fp32GemmKernel> Fp32GemmKernels();
-
-/// out += a · b.
-void MatMulAccum(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out = a · bᵀ for a[m,k], b[n,k]; out resized to [m,n].
-void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out += aᵀ · b for a[k,m], b[k,n]; out must already be [m,n].
-void MatMulTransposedAAccum(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out = aᵀ · b for a[k,m], b[k,n]; out resized to [m,n].
-void MatMulTransposedA(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out = a + b, elementwise; shapes must match.
-void Add(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// a += b, elementwise.
-void AddInPlace(Tensor* a, const Tensor& b);
-
-/// a += scale * b, elementwise.
-void AddScaled(Tensor* a, const Tensor& b, float scale);
-
-/// a *= scale.
-void Scale(Tensor* a, float scale);
-
-/// Adds the 1-D `bias` (length n) to every row of the 2-D `a` [m,n].
-void AddRowBroadcast(Tensor* a, const Tensor& bias);
-
-/// out[j] += sum over rows i of a[i,j], for a[m,n] and 1-D out[n].
-void ColumnSumAccum(const Tensor& a, Tensor* out);
-
 // --- Strided matrix views -------------------------------------------------
 //
 // A view describes an [rows, cols] matrix embedded in a larger row-major
 // buffer: rows are contiguous runs of `cols` floats, `stride` floats apart.
-// The attention hot path uses them to address per-head column bands of the
-// packed QKV buffer directly, replacing the ExtractHead/InsertHead copies.
-// The view kernels replicate the per-element FP operation order of their
-// contiguous counterparts exactly, so a fused (view-based) attention pass is
-// bit-identical to the copy-based reference path and across thread counts.
+// The attention path uses them to address per-head column bands of the
+// packed QKV buffer directly; a whole tensor is the view with stride ==
+// cols.
+//
+// The GEMMs have one body per shape, written over views: NN (MatMulView,
+// x·W), NT (MatMulTransposedBView, dy·Wᵀ) and TN (the panel kernel behind
+// MatMulTransposedAView, xᵀ·dy). The tensor entry points are full-view
+// calls into the same bodies. Each body is cache-blocked and, above a
+// volume threshold, shards output rows across util::ComputePool(). Per-
+// element FP operation order is fixed regardless of thread count, so
+// results are bit-identical whether DODUO_NUM_THREADS is 1 or N (see
+// DESIGN.md §7, §9).
 
 struct ConstMatView {
   const float* data;
@@ -95,28 +44,71 @@ struct MutMatView {
 
 /// View of the whole 2-D tensor (stride == cols).
 ConstMatView FullView(const Tensor& t);
+MutMatView MutFullView(Tensor* t);
 
 /// View of the column band [col_begin, col_begin + cols) of a 2-D tensor.
 ConstMatView ColumnsView(const Tensor& t, int64_t col_begin, int64_t cols);
 MutMatView MutColumnsView(Tensor* t, int64_t col_begin, int64_t cols);
 
 /// out = a · b for a[m,k], b[k,n]; the out view region is overwritten.
-/// Same blocked kernel (and bit pattern) as MatMul.
+/// Dispatches to the AVX-512 tile where the CPU has it (DODUO_SIMD=0 turns
+/// it off) and b is finite, else to the AVX or scalar axpy; all give the
+/// same bits.
 void MatMulView(ConstMatView a, ConstMatView b, MutMatView out);
 
+/// out = a · b for a[m,k], b[k,n]; out resized to [m,n] and overwritten.
+/// MatMulView over the whole tensors.
+void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// One member of the fp32 NN family behind MatMulView. Every member
+/// computes the same bits at any thread count, so they are interchangeable.
+struct Fp32GemmKernel {
+  const char* name;
+  /// MatMulView through this kernel.
+  void (*matmul)(ConstMatView a, ConstMatView b, MutMatView out);
+};
+
+/// Every fp32 GEMM kernel this binary can run on this CPU: "scalar" (the
+/// reference, zero-skipping axpy) always, then "avx" (the axpy in 256-bit
+/// registers) and "avx512" (the register-blocked tile, or the avx axpy when
+/// B holds inf/NaN) when the CPU has them — for the cross-kernel
+/// bit-equality tests and the per-kernel benches. Unlike MatMulView, the
+/// list ignores DODUO_SIMD.
+std::vector<Fp32GemmKernel> Fp32GemmKernels();
+
 /// out = a · bᵀ for a[m,k], b[n,k]; out resized to [m,n] (contiguous).
-/// Same dot-product kernel (and bit pattern) as MatMulTransposedB.
+/// The 4-accumulator dot of Dot() per element.
 void MatMulTransposedBView(ConstMatView a, ConstMatView b, Tensor* out);
 
+/// out = a · bᵀ for a[m,k], b[n,k]; out resized to [m,n].
+/// MatMulTransposedBView over the whole tensors.
+void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor* out);
+
 /// out = aᵀ · b for a[k,m], b[k,n]; the out view region is overwritten.
-/// Same accumulation order (and bit pattern) as MatMulTransposedA.
 void MatMulTransposedAView(ConstMatView a, ConstMatView b, MutMatView out);
+
+/// out += aᵀ · b for a[k,m], b[k,n]; out must already be [m,n]. The same
+/// panel kernel as MatMulTransposedAView, accumulating into out.
+void MatMulTransposedAAccum(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// out = a + b, elementwise; shapes must match.
+void Add(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// a += b, elementwise.
+void AddInPlace(Tensor* a, const Tensor& b);
+
+/// a *= scale.
+void Scale(Tensor* a, float scale);
+
+/// Adds the 1-D `bias` (length n) to every row of the 2-D `a` [m,n].
+void AddRowBroadcast(Tensor* a, const Tensor& bias);
+
+/// out[j] += sum over rows i of a[i,j], for a[m,n] and 1-D out[n].
+void ColumnSumAccum(const Tensor& a, Tensor* out);
 
 /// out row r = src row rows[r]: out resized to [rows.size(), src.cols]
 /// (contiguous) and overwritten. Rows may come in any order.
 void GatherRows(ConstMatView src, std::span<const int64_t> rows, Tensor* out);
-
-// --------------------------------------------------------------------------
 
 /// Row-wise softmax of a 2-D tensor, numerically stabilized, with
 /// nn::Expf as its exp. Non-finite rows depend only on their values: any
@@ -182,9 +174,6 @@ void LogSoftmaxRows(const Tensor& logits, Tensor* log_probs);
 
 /// Dot product of two equal-length 1-D float spans.
 float Dot(const float* a, const float* b, int64_t n);
-
-/// Cosine similarity between 1-D vectors of length n (0 when either is 0).
-float CosineSimilarity(const float* a, const float* b, int64_t n);
 
 }  // namespace doduo::nn
 

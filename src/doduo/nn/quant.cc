@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -304,8 +305,8 @@ void GemmBlockAvx2(const Int8Block& b) {
 // because replicas call Int8Linear concurrently; the pool workers of one
 // sharded call write disjoint rows of the calling thread's buffers.
 struct Int8Scratch {
-  CountedVector<int16_t> qx;
-  CountedVector<float> sx;
+  std::vector<int16_t> qx;
+  std::vector<float> sx;
 };
 
 Int8Scratch& ThreadScratch() {
@@ -314,10 +315,9 @@ Int8Scratch& ThreadScratch() {
 }
 
 template <typename T>
-T* GrowTo(CountedVector<T>* buffer, int64_t size) {
+T* GrowTo(std::vector<T>* buffer, int64_t size) {
   // Grows only past the thread's high-water mark, so a warmed-up forward
-  // never reaches this resize; CountedVector counts it if one does
-  // (ZeroAllocQuantTest).
+  // never reaches this resize (ZeroAllocQuantTest counts operator new).
   if (static_cast<int64_t>(buffer->size()) < size) {
     buffer->resize(static_cast<size_t>(size));  // NOLINT(hot-path-alloc)
   }

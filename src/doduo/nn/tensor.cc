@@ -1,30 +1,9 @@
 #include "doduo/nn/tensor.h"
 
-#include <atomic>
 #include <cmath>
 #include <sstream>
 
 namespace doduo::nn {
-
-namespace {
-std::atomic<uint64_t> g_tensor_allocs{0};
-}  // namespace
-
-uint64_t TensorAllocCount() {
-  return g_tensor_allocs.load(std::memory_order_relaxed);
-}
-
-void ResetTensorAllocCount() {
-  g_tensor_allocs.store(0, std::memory_order_relaxed);
-}
-
-#ifdef DODUO_COUNT_ALLOCS
-namespace internal {
-void CountOneTensorAlloc() {
-  g_tensor_allocs.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace internal
-#endif
 
 int64_t ShapeVolume(const std::vector<int64_t>& shape) {
   int64_t volume = 1;
@@ -58,11 +37,7 @@ Tensor Tensor::FromVector(std::vector<int64_t> shape,
   Tensor t;
   DODUO_CHECK_EQ(ShapeVolume(shape), static_cast<int64_t>(data.size()));
   t.shape_ = std::move(shape);
-#ifdef DODUO_COUNT_ALLOCS
-  t.data_.assign(data.begin(), data.end());
-#else
   t.data_ = std::move(data);
-#endif
   return t;
 }
 

@@ -12,49 +12,6 @@
 
 namespace doduo::nn {
 
-/// Number of heap buffer allocations performed by Tensor storage (and by
-/// CountedVector scratch, below) since the last ResetTensorAllocCount().
-/// Always 0 when the library is compiled without DODUO_COUNT_ALLOCS (a
-/// CMake option, on by default); with it, the zero-allocation tests assert
-/// that steady-state encoder Forward/Backward never touches the heap (see
-/// DESIGN.md §9).
-uint64_t TensorAllocCount();
-void ResetTensorAllocCount();
-
-#ifdef DODUO_COUNT_ALLOCS
-namespace internal {
-/// std::allocator shim that bumps the global Tensor-allocation counter on
-/// every allocate(). Stateless, so all instances compare equal and vector
-/// moves still steal buffers without counting.
-template <typename T>
-struct CountingAllocator {
-  using value_type = T;
-  CountingAllocator() = default;
-  template <typename U>
-  CountingAllocator(const CountingAllocator<U>&) {}
-  T* allocate(size_t n);
-  void deallocate(T* p, size_t n) { std::allocator<T>().deallocate(p, n); }
-  friend bool operator==(const CountingAllocator&, const CountingAllocator&) {
-    return true;
-  }
-};
-void CountOneTensorAlloc();
-template <typename T>
-T* CountingAllocator<T>::allocate(size_t n) {
-  CountOneTensorAlloc();
-  return std::allocator<T>().allocate(n);
-}
-}  // namespace internal
-/// A vector whose buffer allocations the Tensor counter sees — for scratch
-/// that belongs to the zero-alloc contract but is not made of floats.
-template <typename T>
-using CountedVector = std::vector<T, internal::CountingAllocator<T>>;
-#else
-template <typename T>
-using CountedVector = std::vector<T>;
-#endif
-using FloatBuffer = CountedVector<float>;
-
 /// Dense row-major float32 tensor. This is the only numeric container used
 /// by the neural-network stack; it supports 1-D through 3-D shapes, which is
 /// all the Transformer needs (sequences are processed one at a time, so no
@@ -230,7 +187,7 @@ class Tensor {
   void ResizeTo(const int64_t* dims, size_t rank);
 
   std::vector<int64_t> shape_;
-  FloatBuffer data_;  // owned storage; empty when borrowing
+  std::vector<float> data_;  // owned storage; empty when borrowing
 
   // Borrowed storage: `view_` aliases `view_size_` floats owned elsewhere,
   // pinned by `owner_`. Copying a Tensor copies these three members, so

@@ -13,7 +13,7 @@ namespace doduo::nn {
 /// Per-layer scratch-tensor arena. A layer asks for scratch by stable slot
 /// id; each slot's buffer grows to its high-water mark on first use and is
 /// reused verbatim afterwards, so steady-state Forward/Backward performs
-/// zero heap allocations (asserted by the DODUO_COUNT_ALLOCS tests; see
+/// zero heap allocations (asserted by the counting-operator-new tests; see
 /// DESIGN.md §9). Slots live in a deque, so references stay valid while new
 /// slots are added.
 ///

@@ -29,7 +29,7 @@ const nn::Tensor& BertModel::Forward(const std::vector<int>& ids,
       << "sequence longer than max_positions";
   const nn::Tensor& tokens = token_embedding_.Forward(ids);
   const nn::Tensor& positions = position_embedding_.Forward(
-      position_ids_.data(), static_cast<int64_t>(ids.size()));
+      std::span<const int>(position_ids_).first(ids.size()));
   nn::Add(tokens, positions, &embedded_);
   const nn::Tensor& normalized = embedding_norm_.Forward(embedded_);
   const nn::Tensor& dropped = embedding_dropout_.Forward(normalized);

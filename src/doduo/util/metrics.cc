@@ -4,19 +4,12 @@
 #include <memory>
 #include <sstream>
 
-#include "doduo/util/env.h"
 #include "doduo/util/mutex.h"
 #include "doduo/util/thread_annotations.h"
 
 namespace doduo::util {
 
 namespace {
-
-// Function-local so the flag works from any static-initialization context.
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> enabled{GetEnvInt("DODUO_METRICS", 1) != 0};
-  return enabled;
-}
 
 // Registered metrics live behind unique_ptr so the pointers handed out by
 // GetCounter/GetHistogram survive map rehashing and process teardown order.
@@ -63,12 +56,10 @@ void AppendJsonString(std::ostringstream* out, const std::string& text) {
 }  // namespace
 
 void Counter::Increment(uint64_t delta) {
-  if (!EnabledFlag().load(std::memory_order_relaxed)) return;
   value_.fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Histogram::Record(uint64_t micros) {
-  if (!EnabledFlag().load(std::memory_order_relaxed)) return;
   int bucket = 0;
   while (bucket < kNumBuckets - 1 && BucketUpperMicros(bucket) < micros) {
     ++bucket;
@@ -82,12 +73,6 @@ void Histogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-}
-
-bool MetricsEnabled() { return EnabledFlag().load(std::memory_order_relaxed); }
-
-void SetMetricsEnabled(bool enabled) {
-  EnabledFlag().store(enabled, std::memory_order_relaxed);
 }
 
 Counter* GetCounter(std::string_view name) {
@@ -183,13 +168,9 @@ void SetTraceHook(TraceHook hook) {
 ScopedTimer::ScopedTimer(Histogram* histogram, const char* span)
     : histogram_(histogram),
       span_(span),
-      active_(MetricsEnabled() ||
-              g_has_trace_hook.load(std::memory_order_relaxed)) {
-  if (active_) start_ = std::chrono::steady_clock::now();
-}
+      start_(std::chrono::steady_clock::now()) {}
 
 ScopedTimer::~ScopedTimer() {
-  if (!active_) return;
   const auto elapsed = std::chrono::steady_clock::now() - start_;
   const uint64_t micros = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());

@@ -18,14 +18,12 @@ namespace doduo::util {
 // heap allocations; registration (GetCounter/GetHistogram) allocates once
 // per name and returns a pointer that stays valid for the process lifetime,
 // so instrumented call sites resolve their metrics once and then only pay
-// an atomic add per event. Recording can be switched off globally
-// (SetMetricsEnabled / DODUO_METRICS=0), reducing each event to one relaxed
-// load.
+// an atomic add per event. Recording is always on.
 
 /// Monotonic event counter.
 class Counter {
  public:
-  /// Adds `delta` (no-op while metrics are disabled).
+  /// Adds `delta`.
   void Increment(uint64_t delta = 1);
 
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -42,7 +40,7 @@ class Histogram {
  public:
   static constexpr int kNumBuckets = 28;
 
-  /// Records one sample (no-op while metrics are disabled).
+  /// Records one sample.
   void Record(uint64_t micros);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -61,11 +59,6 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
 };
-
-/// True when metric recording is on. Initialized from DODUO_METRICS
-/// (default on; set DODUO_METRICS=0 to disable).
-bool MetricsEnabled();
-void SetMetricsEnabled(bool enabled);
 
 /// Returns the registered counter/histogram for `name`, creating it on the
 /// first call. The returned pointer never moves or expires.
@@ -110,8 +103,7 @@ void ResetMetrics();
 using TraceHook = std::function<void(std::string_view span, uint64_t micros)>;
 void SetTraceHook(TraceHook hook);
 
-/// Times a scope into `histogram` and reports it to the trace hook. Skips
-/// the clock entirely when metrics are disabled and no hook is installed.
+/// Times a scope into `histogram` and reports it to the trace hook.
 class ScopedTimer {
  public:
   /// `span` must outlive the timer (string literals in practice).
@@ -123,7 +115,6 @@ class ScopedTimer {
  private:
   Histogram* histogram_;
   const char* span_;
-  bool active_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -1,10 +1,11 @@
 // Bit-for-bit parity of the fp32 GEMM family (nn::Fp32GemmKernels and the
-// dispatched nn::MatMul) with a test-local scalar oracle: every shape of a
-// grid around the AVX-512 tile's 12-row and 16/32-column edges, A with ±0,
-// subnormals and inf/NaN, B with inf/NaN planted where A is 0 (the tile's
-// fallback), 1/2/8 threads, and an output that held NaN before the call.
-// A pinned digest of MatMul outputs ties the family to the axpy kernels the
-// tile replaced.
+// dispatched nn::MatMul and nn::MatMulView) with a test-local scalar
+// oracle: every shape of a grid around the AVX-512 tile's 12-row and
+// 16/32-column edges, A with ±0, subnormals and inf/NaN, B with inf/NaN
+// planted where A is 0 (the tile's fallback), 1/2/8 threads, an output
+// that held NaN before the call, and column bands of wider buffers with
+// odd row strides. A pinned digest of MatMul outputs ties the family to
+// the axpy kernels the tile replaced.
 
 #include <bit>
 #include <cmath>
@@ -119,7 +120,7 @@ int CheckAllKernels(const Tensor& a, const Tensor& b,
   Tensor out({a.rows(), b.cols()});
   for (const Fp32GemmKernel& kernel : Fp32GemmKernels()) {
     out.Fill(kNaN);
-    kernel.matmul(a, b, &out);
+    kernel.matmul(FullView(a), FullView(b), MutFullView(&out));
     bad += CountMismatches(want, out, what + " " + kernel.name);
   }
   out.Fill(kNaN);
@@ -218,12 +219,93 @@ TEST_P(GemmKernelTest, OutputIsOverwrittenNotAccumulated) {
       Tensor b({64, 33});
       FillSpecials(&a, &rng, /*non_finite=*/false);
       FillSpecials(&b, &rng, /*non_finite=*/false);
-      kernel.matmul(a, b, &out);
+      out.ResizeUninitialized({m, 33});
+      kernel.matmul(FullView(a), FullView(b), MutFullView(&out));
       EXPECT_EQ(CountMismatches(OracleMatMul(a, b), out,
                                 std::string(kernel.name) + " reused " +
                                     ShapeName(m, 64, 33)),
                 0);
       out.Fill(kNaN);
+    }
+  }
+}
+
+// Copy of the columns [col, col + cols) of a 2-D tensor.
+Tensor CopyColumns(const Tensor& t, int64_t col, int64_t cols) {
+  Tensor out({t.rows(), cols});
+  for (int64_t i = 0; i < t.rows(); ++i) {
+    for (int64_t j = 0; j < cols; ++j) out.at(i, j) = t.at(i, col + j);
+  }
+  return out;
+}
+
+// Sets every element outside the columns [col, col + cols) to inf or NaN,
+// which no kernel may read.
+void PoisonOutsideBand(Tensor* t, int64_t col, int64_t cols) {
+  for (int64_t i = 0; i < t->rows(); ++i) {
+    for (int64_t j = 0; j < t->cols(); ++j) {
+      if (j < col || j >= col + cols) t->at(i, j) = (i + j) % 2 ? kInf : kNaN;
+    }
+  }
+}
+
+TEST_P(GemmKernelTest, ColumnBandViewsMatchOracle) {
+  // A, B and C are column bands at columns 3, 5 and 1 of buffers
+  // 2·k + 7, 2·n + 7 and 2·n + 9 wide: every row stride is odd, so band
+  // rows start off any lane boundary, B's and C's strides differ, and the
+  // tile's row and column tails end mid-row. The columns around the A and
+  // B bands hold inf/NaN; those around the C band hold NaN and must keep
+  // their bits. With `non_finite_b` the B band carries inf and NaN in a
+  // row A's band zeroes, so the AVX-512 member takes its axpy fallback.
+  constexpr int64_t kACol = 3;
+  constexpr int64_t kBCol = 5;
+  constexpr int64_t kCCol = 1;
+  util::Rng rng(7000 + static_cast<uint64_t>(GetParam()));
+  std::vector<Fp32GemmKernel> kernels = Fp32GemmKernels();
+  kernels.push_back({"MatMulView", &MatMulView});
+  int bad = 0;
+  for (const int64_t m : {1, 2, 5, 12, 13, 25, 77}) {
+    for (const int64_t k : {1, 16, 77}) {
+      for (const int64_t n : {1, 15, 16, 17, 31, 33, 64}) {
+        for (const bool non_finite_b : {false, true}) {
+          Tensor a_buf({m, 2 * k + 7});
+          Tensor b_buf({k, 2 * n + 7});
+          FillSpecials(&a_buf, &rng, /*non_finite=*/non_finite_b);
+          FillSpecials(&b_buf, &rng, /*non_finite=*/false);
+          if (non_finite_b) {
+            const int64_t l = rng.UniformInt(0, k - 1);
+            b_buf.at(l, kBCol + rng.UniformInt(0, n - 1)) = kInf;
+            b_buf.at(l, kBCol + rng.UniformInt(0, n - 1)) = kNaN;
+            for (int64_t i = 0; i < m; ++i) a_buf.at(i, kACol + l) = -0.0f;
+          }
+          PoisonOutsideBand(&a_buf, kACol, k);
+          PoisonOutsideBand(&b_buf, kBCol, n);
+          const Tensor want = OracleMatMul(CopyColumns(a_buf, kACol, k),
+                                           CopyColumns(b_buf, kBCol, n));
+          const std::string what =
+              ShapeName(m, k, n) + (non_finite_b ? " inf/NaN b band" : "");
+          for (const Fp32GemmKernel& kernel : kernels) {
+            const std::string name = kernel.name;
+            Tensor c_buf({m, 2 * n + 9});
+            c_buf.Fill(kNaN);
+            kernel.matmul(ColumnsView(a_buf, kACol, k),
+                          ColumnsView(b_buf, kBCol, n),
+                          MutColumnsView(&c_buf, kCCol, n));
+            bad += CountMismatches(want, CopyColumns(c_buf, kCCol, n),
+                                   what + " " + name);
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t j = 0; j < c_buf.cols(); ++j) {
+                if (j >= kCCol && j < kCCol + n) continue;
+                if (Bits(c_buf.at(i, j)) != Bits(kNaN) && ++bad <= 3) {
+                  ADD_FAILURE() << what << " " << name << " wrote (" << i
+                                << ", " << j << ") outside the C band";
+                }
+              }
+            }
+          }
+          ASSERT_EQ(bad, 0) << what;
+        }
+      }
     }
   }
 }

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include "doduo/nn/activations.h"
 #include "doduo/nn/dropout.h"
@@ -88,7 +89,8 @@ TEST(LinearTest, GradientsAccumulateAcrossBackwards) {
 TEST(EmbeddingTest, LookupReturnsRows) {
   util::Rng rng(6);
   Embedding emb("e", 10, 4, &rng);
-  const Tensor& out = emb.Forward({3, 3, 7});
+  const std::vector<int> ids = {3, 3, 7};
+  const Tensor& out = emb.Forward(ids);
   EXPECT_EQ(out.rows(), 3);
   EXPECT_EQ(out.cols(), 4);
   for (int64_t j = 0; j < 4; ++j) {
@@ -101,7 +103,8 @@ TEST(EmbeddingTest, BackwardAccumulatesPerId) {
   util::Rng rng(7);
   Embedding emb("e", 5, 2, &rng);
   ZeroAllGrads(emb.Parameters());
-  emb.Forward({1, 1, 2});
+  const std::vector<int> ids = {1, 1, 2};  // read again by Backward
+  emb.Forward(ids);
   Tensor dy = Tensor::FromVector({3, 2}, {1, 0, 1, 0, 0, 5});
   emb.Backward(dy);
   EXPECT_FLOAT_EQ(emb.table().grad.at(1, 0), 2.0f);  // two hits on id 1

@@ -43,6 +43,13 @@ Tensor CopyColumns(const Tensor& src, int64_t col_begin, int64_t ncols) {
   return dst;
 }
 
+// out = aᵀ · b through the accumulating entry point, from zero.
+Tensor TransposedAProduct(const Tensor& a, const Tensor& b) {
+  Tensor out({a.cols(), b.cols()});
+  MatMulTransposedAAccum(a, b, &out);
+  return out;
+}
+
 class OpsFusedTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override { util::SetComputeThreads(GetParam()); }
@@ -160,8 +167,7 @@ TEST_P(OpsFusedTest, ViewKernelsMatchCopyBasedReferenceBitForBit) {
     ExpectBitIdentical(ctx_ref, CopyColumns(ctx_out, off, hd), "MatMulView");
 
     // grad = Pᵀ · A into a column band vs contiguous.
-    Tensor grad_ref;
-    MatMulTransposedA(probs, a, &grad_ref);
+    const Tensor grad_ref = TransposedAProduct(probs, a);
     Tensor grad_out({s, bands * hd});
     grad_out.FillNormal(&rng, 1.0f);
     MatMulTransposedAView(FullView(probs), ColumnsView(packed, off, hd),
@@ -230,7 +236,7 @@ TEST_P(OpsFusedTest, KernelsMatchScalarOpOrderBitForBit) {
     MatMulTransposedB(a, bt, &mtb);
     ExpectBitIdentical(mtb_ref, mtb, "MatMulTransposedB vs scalar op order");
 
-    // MatMulTransposedA: same panel structure over aᵀ.
+    // MatMulTransposedAAccum: same panel structure over aᵀ.
     Tensor b2({m, n});
     b2.FillNormal(&rng, 1.0f);
     Tensor mta_ref2({k, n});
@@ -247,9 +253,9 @@ TEST_P(OpsFusedTest, KernelsMatchScalarOpOrderBitForBit) {
         }
       }
     }
-    Tensor mta;
-    MatMulTransposedA(a, b2, &mta);
-    ExpectBitIdentical(mta_ref2, mta, "MatMulTransposedA vs scalar op order");
+    const Tensor mta = TransposedAProduct(a, b2);
+    ExpectBitIdentical(mta_ref2, mta,
+                       "MatMulTransposedAAccum vs scalar op order");
     if (HasFatalFailure()) return;
   }
 }

@@ -59,13 +59,13 @@ TEST_P(MatMulPropertyTest, TransposedVariantsAgree) {
                                   std::fabs(reference.data()[i]))));
   }
 
-  // a · b == (aᵀ)ᵀ · b via MatMulTransposedA.
+  // a · b == (aᵀ)ᵀ · b via MatMulTransposedAAccum from zero.
   Tensor a_transposed({k, m});
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < k; ++j) a_transposed.at(j, i) = a.at(i, j);
   }
-  Tensor via_at;
-  MatMulTransposedA(a_transposed, b, &via_at);
+  Tensor via_at({m, n});
+  MatMulTransposedAAccum(a_transposed, b, &via_at);
   for (int64_t i = 0; i < reference.size(); ++i) {
     ASSERT_NEAR(via_at.data()[i], reference.data()[i],
                 1e-3 * (1.0 + static_cast<double>(

@@ -17,6 +17,7 @@
 #include "doduo/nn/parameter.h"
 #include "doduo/util/rng.h"
 #include "gtest/gtest.h"
+#include "testing/counting_new.h"
 
 namespace doduo::nn {
 namespace {
@@ -83,6 +84,14 @@ std::string ValidV2CheckpointBytes(const char* name) {
   return ReadFileBytes(path);
 }
 
+// Loose per-load allocation caps for the over-allocation tests. A load of
+// the small fuzz model makes under 30 operator new calls, none over 8 KiB
+// (the DODUO_MMAP=0 read buffer); a size field that sized an allocation
+// before validation would show as one huge request, which the call count
+// alone cannot see.
+constexpr size_t kMaxAllocsPerLoad = 64;
+constexpr size_t kMaxRequestBytes = 64 << 10;
+
 class SerializeFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SerializeFuzzTest, RandomByteMutationsNeverCrash) {
@@ -144,11 +153,10 @@ TEST_P(SerializeFuzzTest, MutatedTruncationsNeverCrash) {
   }
 }
 
-#ifdef DODUO_COUNT_ALLOCS
 // A mutated size field must not translate into a giant allocation: the
 // loader's plausibility caps reject implausible counts BEFORE any buffer is
-// sized (DESIGN §10). Allocation growth across a whole fuzzing sweep stays
-// within what the small valid model itself needs.
+// sized (DESIGN §10). Each load's operator new calls stay within what the
+// small valid model itself needs.
 TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
   const std::string valid = ValidCheckpointBytes("fuzz_alloc.bin");
   const std::string path = TempPath("fuzz_alloc_victim.bin");
@@ -160,16 +168,20 @@ TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
     bytes[rng.NextUint64(window)] = static_cast<char>(rng.NextUint64(256));
     WriteFileBytes(path, bytes);
     std::vector<Parameter> params = MakeParams();
-    const uint64_t before = TensorAllocCount();
+    doduo::testing::ResetLargestOperatorNew();
+    const size_t before = doduo::testing::OperatorNewCalls();
     const util::Status status = LoadParameters(path, AsList(params));
-    const uint64_t grown = TensorAllocCount() - before;
+    const size_t grown = doduo::testing::OperatorNewCalls() - before;
     // A runaway (implausible-count) allocation would be orders of
-    // magnitude more than this loose per-trial cap.
-    ASSERT_LE(grown, 64u) << "trial " << trial << ": "
-                          << (status.ok() ? "ok" : status.ToString());
+    // magnitude more than these loose per-trial caps.
+    ASSERT_LE(grown, kMaxAllocsPerLoad)
+        << "trial " << trial << ": "
+        << (status.ok() ? "ok" : status.ToString());
+    ASSERT_LE(doduo::testing::LargestOperatorNew(), kMaxRequestBytes)
+        << "trial " << trial << ": "
+        << (status.ok() ? "ok" : status.ToString());
   }
 }
-#endif  // DODUO_COUNT_ALLOCS
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzzTest,
                          ::testing::Values(1u, 42u, 777u, 31337u));
@@ -246,7 +258,6 @@ TEST_P(SerializeV2FuzzTest, RandomTruncationsAlwaysFailCleanly) {
   }
 }
 
-#ifdef DODUO_COUNT_ALLOCS
 TEST_P(SerializeV2FuzzTest, StructuralMutationsNeverOverAllocate) {
   // A corrupt dim or byte count must be rejected by the overflow-safe
   // extent checks BEFORE the dequant buffer (the only sized allocation on
@@ -260,14 +271,18 @@ TEST_P(SerializeV2FuzzTest, StructuralMutationsNeverOverAllocate) {
     bytes[rng.NextUint64(toc_end)] = static_cast<char>(rng.NextUint64(256));
     WriteFileBytes(path, bytes);
     std::vector<Parameter> params = MakeParams();
-    const uint64_t before = TensorAllocCount();
+    doduo::testing::ResetLargestOperatorNew();
+    const size_t before = doduo::testing::OperatorNewCalls();
     const util::Status status = LoadParameters(path, AsList(params));
-    const uint64_t grown = TensorAllocCount() - before;
-    ASSERT_LE(grown, 64u) << "trial " << trial << ": "
-                          << (status.ok() ? "ok" : status.ToString());
+    const size_t grown = doduo::testing::OperatorNewCalls() - before;
+    ASSERT_LE(grown, kMaxAllocsPerLoad)
+        << "trial " << trial << ": "
+        << (status.ok() ? "ok" : status.ToString());
+    ASSERT_LE(doduo::testing::LargestOperatorNew(), kMaxRequestBytes)
+        << "trial " << trial << ": "
+        << (status.ok() ? "ok" : status.ToString());
   }
 }
-#endif  // DODUO_COUNT_ALLOCS
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeV2FuzzTest,
                          ::testing::Values(1u, 42u, 777u, 31337u));

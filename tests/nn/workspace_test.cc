@@ -1,6 +1,11 @@
+// Workspace slots and the allocation behaviour of Tensor storage. This
+// binary replaces the global operator new with a counting one
+// (testing/counting_new.cc), which sees every heap allocation.
+
 #include "doduo/nn/workspace.h"
 
 #include "gtest/gtest.h"
+#include "testing/counting_new.h"
 
 namespace doduo::nn {
 namespace {
@@ -26,15 +31,10 @@ TEST(WorkspaceTest, BuffersGrowToHighWaterMarkThenStopAllocating) {
   Workspace ws;
   ws.Get(0, {2, 2});
   ws.Get(0, {8, 8});  // grow
-#ifdef DODUO_COUNT_ALLOCS
-  ResetTensorAllocCount();
+  const size_t before = doduo::testing::OperatorNewCalls();
   ws.Get(0, {4, 4});  // shrink within capacity
   ws.Get(0, {8, 8});  // back to high-water mark
-  EXPECT_EQ(TensorAllocCount(), 0u);
-#else
-  ws.Get(0, {4, 4});
-  ws.Get(0, {8, 8});
-#endif
+  EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u);
   EXPECT_EQ(ws.Get(0, {8, 8}).size(), 64);
 }
 
@@ -45,28 +45,26 @@ TEST(WorkspaceTest, TotalFloatsSumsSlots) {
   EXPECT_EQ(ws.TotalFloats(), 4 * 8 + 16);
 }
 
-#ifdef DODUO_COUNT_ALLOCS
 TEST(AllocCountTest, CountsTensorBufferAllocations) {
-  ResetTensorAllocCount();
+  size_t before = doduo::testing::OperatorNewCalls();
   Tensor t({8, 8});
-  EXPECT_GE(TensorAllocCount(), 1u);
+  EXPECT_GE(doduo::testing::OperatorNewCalls() - before, 1u);
 
   // Reuse within capacity is free.
-  ResetTensorAllocCount();
+  before = doduo::testing::OperatorNewCalls();
   t.ResizeUninitialized({4, 4});
   t.ResizeUninitialized({8, 8});
-  EXPECT_EQ(TensorAllocCount(), 0u);
+  EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u);
 
   // Copy-assign into a large-enough buffer is free; growth is counted.
-  Tensor small({2, 2});
-  ResetTensorAllocCount();
+  const Tensor small({2, 2});
+  const Tensor big({32, 32});
+  before = doduo::testing::OperatorNewCalls();
   t = small;
-  EXPECT_EQ(TensorAllocCount(), 0u);
-  Tensor big({32, 32});
+  EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u);
   t = big;
-  EXPECT_GE(TensorAllocCount(), 1u);
+  EXPECT_GE(doduo::testing::OperatorNewCalls() - before, 1u);
 }
-#endif
 
 }  // namespace
 }  // namespace doduo::nn

@@ -12,6 +12,11 @@ namespace doduo::testing {
 /// Calls of the global operator new (and new[]) so far in this process.
 size_t OperatorNewCalls();
 
+/// The largest single operator new (or new[]) request, in bytes, since the
+/// last ResetLargestOperatorNew() (or the start of the process).
+size_t LargestOperatorNew();
+void ResetLargestOperatorNew();
+
 }  // namespace doduo::testing
 
 #endif  // DODUO_TESTS_TESTING_COUNTING_NEW_H_

@@ -76,14 +76,14 @@ class AttentionOracle {
       // ctx_h = P · V:  dP = dctx · Vᵀ, dV = Pᵀ · dctx.
       nn::Tensor grad_probs, grad_v;
       nn::MatMulTransposedB(grad_head_ctx, v, &grad_probs);
-      nn::MatMulTransposedA(probs_[hi], grad_head_ctx, &grad_v);
+      TransposedAProduct(probs_[hi], grad_head_ctx, &grad_v);
       // Through softmax, then scores = scale · Q Kᵀ.
       nn::Tensor grad_scores;
       nn::SoftmaxRowsBackward(probs_[hi], grad_probs, &grad_scores);
       nn::Scale(&grad_scores, scale);
       nn::Tensor grad_q, grad_k;
       nn::MatMul(grad_scores, Band(*qkv_, d + off), &grad_q);
-      nn::MatMulTransposedA(grad_scores, Band(*qkv_, off), &grad_k);
+      TransposedAProduct(grad_scores, Band(*qkv_, off), &grad_k);
       InsertBand(grad_q, off, &grad_qkv_);
       InsertBand(grad_k, d + off, &grad_qkv_);
       InsertBand(grad_v, 2 * d + off, &grad_qkv_);
@@ -124,6 +124,13 @@ class AttentionOracle {
       std::copy(src.row(i) + col, src.row(i) + col + width, dst.row(i));
     }
     return dst;
+  }
+
+  // out = aᵀ · b through the accumulating entry point, from zero.
+  static void TransposedAProduct(const nn::Tensor& a, const nn::Tensor& b,
+                                 nn::Tensor* out) {
+    *out = nn::Tensor({a.cols(), b.cols()});
+    nn::MatMulTransposedAAccum(a, b, out);
   }
 
   static void InsertBand(const nn::Tensor& src, int64_t col,

@@ -1,7 +1,6 @@
 // The zero-allocation contract as DESIGN §9 states it: a steady-state
-// encoder forward on one thread makes no heap allocation at all, not only
-// no Tensor buffer allocation (which TensorAllocCount sees). This binary
-// replaces the global operator new with a counting one
+// encoder forward on one thread makes no heap allocation at all. This
+// binary replaces the global operator new with a counting one
 // (testing/counting_new.cc), so the replacement cannot leak into other
 // tests. The model has the benchmark's shape: 2 layers, hidden 64, 4
 // heads, FFN 256, 76 tokens, and the kept-rows forward keeps 5 of them.

@@ -1,15 +1,15 @@
 // Steady-state allocation contract (DESIGN.md §9): after one warm-up
-// iteration, encoder Forward — and Forward + Backward — must perform zero
-// Tensor heap allocations, both where attention runs its blocked per-head
+// iteration, a one-thread encoder Forward — and Forward + Backward — calls
+// operator new zero times, both where attention runs its blocked per-head
 // kernel (head_dim a multiple of 8) and where it runs the view GEMMs, and
-// encoder Forward on the int8 path.
-// Requires the DODUO_COUNT_ALLOCS build (the default); without it these
-// tests compile to skips.
+// so does encoder Forward on the int8 path. Built into encoder_alloc_test,
+// which replaces the global operator new (testing/counting_new.cc).
 
-#include "doduo/nn/ops.h"
 #include "doduo/nn/quant.h"
 #include "doduo/transformer/encoder.h"
+#include "doduo/util/thread_pool.h"
 #include "gtest/gtest.h"
+#include "testing/counting_new.h"
 
 namespace doduo::transformer {
 namespace {
@@ -26,15 +26,19 @@ TransformerConfig SmallConfig(int head_dim = 8) {
   return config;
 }
 
-#ifndef DODUO_COUNT_ALLOCS
-
-TEST(ZeroAllocTest, RequiresCountAllocsBuild) {
-  GTEST_SKIP() << "built without DODUO_COUNT_ALLOCS";
+// Steady-state operator new calls of `run`, after one warm-up call.
+template <typename Run>
+size_t SteadyStateAllocs(const Run& run) {
+  run();
+  const size_t before = doduo::testing::OperatorNewCalls();
+  run();
+  return doduo::testing::OperatorNewCalls() - before;
 }
 
-#else
-
-class ZeroAllocTest : public ::testing::TestWithParam<bool> {};
+class ZeroAllocTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override { util::SetComputeThreads(1); }
+};
 
 TEST_P(ZeroAllocTest, EncoderForwardIsAllocationFreeAtSteadyState) {
   util::Rng rng(1);
@@ -44,10 +48,7 @@ TEST_P(ZeroAllocTest, EncoderForwardIsAllocationFreeAtSteadyState) {
   nn::Tensor x({12, config.hidden_dim});
   x.FillNormal(&rng, 1.0f);
 
-  encoder.Forward(x, nullptr);  // warm-up sizes every buffer
-  nn::ResetTensorAllocCount();
-  encoder.Forward(x, nullptr);
-  EXPECT_EQ(nn::TensorAllocCount(), 0u);
+  EXPECT_EQ(SteadyStateAllocs([&] { encoder.Forward(x, nullptr); }), 0u);
 }
 
 TEST_P(ZeroAllocTest, EncoderForwardBackwardIsAllocationFreeAtSteadyState) {
@@ -60,12 +61,11 @@ TEST_P(ZeroAllocTest, EncoderForwardBackwardIsAllocationFreeAtSteadyState) {
   nn::Tensor dy({12, config.hidden_dim});
   dy.FillNormal(&rng, 1.0f);
 
-  encoder.Forward(x, nullptr);
-  encoder.Backward(dy);
-  nn::ResetTensorAllocCount();
-  encoder.Forward(x, nullptr);
-  encoder.Backward(dy);
-  EXPECT_EQ(nn::TensorAllocCount(), 0u);
+  EXPECT_EQ(SteadyStateAllocs([&] {
+              encoder.Forward(x, nullptr);
+              encoder.Backward(dy);
+            }),
+            0u);
 }
 
 TEST_P(ZeroAllocTest, MaskedForwardIsAllocationFreeAtSteadyState) {
@@ -78,10 +78,7 @@ TEST_P(ZeroAllocTest, MaskedForwardIsAllocationFreeAtSteadyState) {
   AttentionMask mask({8, 8});
   mask.at(0, 5) = kAttentionMaskValue;
 
-  encoder.Forward(x, &mask);
-  nn::ResetTensorAllocCount();
-  encoder.Forward(x, &mask);
-  EXPECT_EQ(nn::TensorAllocCount(), 0u);
+  EXPECT_EQ(SteadyStateAllocs([&] { encoder.Forward(x, &mask); }), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, ZeroAllocTest, ::testing::Values(true, false),
@@ -91,8 +88,8 @@ INSTANTIATE_TEST_SUITE_P(Paths, ZeroAllocTest, ::testing::Values(true, false),
 
 TEST(ZeroAllocQuantTest, Int8EncoderForwardIsAllocationFreeAtSteadyState) {
   // The int8 path is part of the contract too: the lazy weight panels and
-  // the per-thread activation scratch are built by the warm-up, and the
-  // scratch is counted like Tensor storage, so a per-call buffer shows up.
+  // the per-thread activation scratch are built by the warm-up.
+  util::SetComputeThreads(1);
   util::Rng rng(4);
   Encoder encoder("enc", SmallConfig(), &rng);
   encoder.set_training(false);
@@ -100,15 +97,11 @@ TEST(ZeroAllocQuantTest, Int8EncoderForwardIsAllocationFreeAtSteadyState) {
   x.FillNormal(&rng, 1.0f);
 
   nn::SetQuantEnabled(true);
-  encoder.Forward(x, nullptr);
-  nn::ResetTensorAllocCount();
-  encoder.Forward(x, nullptr);
-  const uint64_t allocs = nn::TensorAllocCount();
+  const size_t allocs =
+      SteadyStateAllocs([&] { encoder.Forward(x, nullptr); });
   nn::SetQuantEnabled(false);
   EXPECT_EQ(allocs, 0u);
 }
-
-#endif  // DODUO_COUNT_ALLOCS
 
 }  // namespace
 }  // namespace doduo::transformer

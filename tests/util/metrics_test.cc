@@ -54,25 +54,6 @@ TEST(MetricsTest, HistogramBucketsByPowerOfTwoMicros) {
   EXPECT_EQ(Histogram::BucketUpperMicros(10), 1024u);
 }
 
-TEST(MetricsTest, DisablingStopsRecording) {
-  Counter* counter = GetCounter("test.disable_counter");
-  Histogram* histogram = GetHistogram("test.disable_histogram");
-  counter->Reset();
-  histogram->Reset();
-  SetMetricsEnabled(false);
-  EXPECT_FALSE(MetricsEnabled());
-  counter->Increment();
-  histogram->Record(10);
-  EXPECT_EQ(counter->value(), 0u);
-  EXPECT_EQ(histogram->count(), 0u);
-  SetMetricsEnabled(true);
-  EXPECT_TRUE(MetricsEnabled());
-  counter->Increment();
-  histogram->Record(10);
-  EXPECT_EQ(counter->value(), 1u);
-  EXPECT_EQ(histogram->count(), 1u);
-}
-
 TEST(MetricsTest, SnapshotContainsRegisteredMetrics) {
   Counter* counter = GetCounter("test.snapshot_counter");
   Histogram* histogram = GetHistogram("test.snapshot_histogram");

@@ -70,8 +70,8 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # Linear shapes and the AVX-512 GELU and attention twins must beat their
 # AVX2 twins by >= 1.3x and >= 1.1x. Each side of each ratio is the best of
 # 5 interleaved repetitions.
-# (The v2 fuzz suites also run under ASan/UBSan below via nn_test in
-# ${sanitizer_filter}.)
+# (The v2 fuzz suites also run under ASan below via nn_alloc_test and
+# under UBSan in the tier-1 run.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
   -R 'Quant|SerializeV2|ReplicaSharing|KeptRows'
 cmake --build build -j "${jobs}" --target bench_kernels
@@ -159,9 +159,11 @@ fi
 echo "=== AddressSanitizer ==="
 cmake -B build-asan -S . -DDODUO_ASAN=ON >/dev/null
 cmake --build build-asan -j "${jobs}" --target nn_test transformer_test \
-  core_test baselines_test serve_test
+  core_test baselines_test serve_test nn_alloc_test encoder_alloc_test
 (cd build-asan/tests &&
  ./nn_test --gtest_brief=1 &&
+ ./nn_alloc_test --gtest_brief=1 &&
+ ./encoder_alloc_test --gtest_brief=1 &&
  ./transformer_test --gtest_brief=1 &&
  ./core_test --gtest_brief=1 &&
  ./baselines_test --gtest_brief=1 &&

@@ -710,8 +710,8 @@ class GraphLinter {
 
     // Audit every reachable body for allocation and growing-container
     // calls. nn::Tensor / nn::Workspace are exempt: they ARE the audited
-    // allocation choke points (ResizeUninitialized reuses capacity;
-    // DODUO_COUNT_ALLOCS counts the rest at runtime).
+    // allocation choke points (ResizeUninitialized reuses capacity; the
+    // counting-operator-new tests count the rest at runtime).
     static constexpr std::string_view kAllocCalls[] = {
         "make_unique", "make_shared", "malloc", "calloc", "realloc"};
     static constexpr std::string_view kGrowthCalls[] = {
