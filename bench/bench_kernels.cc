@@ -164,6 +164,38 @@ struct LinearShapesFixture {
   double flops = 0.0;
 };
 
+// The same four Linears through one int8 kernel (each packs its own
+// weights): dynamic activation quantization, the int8 GEMM and the
+// dequant epilogue, as Int8Linear runs them.
+struct Int8LinearShapesFixture {
+  Int8LinearShapesFixture(int64_t rows, const doduo::nn::Int8Kernel& k)
+      : kernel(k), packed(4), outs(4) {
+    doduo::util::Rng rng(15);
+    for (size_t i = 0; i < packed.size(); ++i) {
+      const auto [in, out] = kLinearShapes[i];
+      xs.emplace_back(std::vector<int64_t>{rows, in});
+      xs.back().FillNormal(&rng, 1.0f);
+      Tensor w({in, out});
+      w.FillNormal(&rng, 1.0f);
+      doduo::nn::QuantizedWeight qw;
+      doduo::nn::QuantizeWeight(w, &qw);
+      kernel.pack(qw.q.data(), out, in, &packed[i]);
+      scales.push_back(std::move(qw.scale));
+    }
+  }
+  void Run() {
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const auto [in, out] = kLinearShapes[i];
+      kernel.linear(xs[i], {&packed[i], scales[i].data(), out, in}, nullptr,
+                    &outs[i]);
+    }
+  }
+  const doduo::nn::Int8Kernel& kernel;
+  std::vector<doduo::nn::PackedInt8> packed;
+  std::vector<std::vector<float>> scales;
+  std::vector<Tensor> xs, outs;
+};
+
 // Args (rows, kernel): rows 76 and 190 are the web tables' mean and p99
 // sequence lengths; kernel 0 = scalar, 1 = avx, 2 = avx512 (skipped where
 // the CPU lacks it). Single thread; items_per_second is FLOP/s.
@@ -225,8 +257,9 @@ BENCHMARK(BM_Int8Gemm)
     ->ArgPair(256, 4);
 
 // Int8 GEMM per available kernel (Arg = index into Int8Kernels(): 0 scalar,
-// then AVX2 when the CPU has it) at 256³, single thread. items_per_second
-// is directly comparable to BM_MatMul/256/1.
+// then avx2 and amx where the CPU has them) at 256³, single thread, each
+// on weights packed by its own pack. items_per_second is directly
+// comparable to BM_MatMul/256/1.
 void BM_Int8GemmPerIsa(benchmark::State& state) {
   const auto kernels = doduo::nn::Int8Kernels();
   const auto which = static_cast<size_t>(state.range(0));
@@ -243,15 +276,18 @@ void BM_Int8GemmPerIsa(benchmark::State& state) {
   w.FillNormal(&rng, 1.0f);
   doduo::nn::QuantizedWeight qw;
   doduo::nn::QuantizeWeight(w, &qw);
+  doduo::nn::PackedInt8 packed;
+  kernels[which].pack(qw.q.data(), n, n, &packed);
+  const doduo::nn::Int8WeightView view{&packed, qw.scale.data(), n, n};
   Tensor y;
   for (auto _ : state) {
-    kernels[which].linear(x, doduo::nn::View(qw), nullptr, &y);
+    kernels[which].linear(x, view, nullptr, &y);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetLabel(kernels[which].name);
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Int8GemmPerIsa)->Arg(0)->Arg(1);
+BENCHMARK(BM_Int8GemmPerIsa)->Arg(0)->Arg(1)->Arg(2);
 
 // Bench-local scalar FFN epilogue: bias add + GeluScalar per element, the
 // loop BiasGeluForward runs under DODUO_SIMD=0 (the dispatcher caches its
@@ -890,6 +926,23 @@ void EmitQuantBenchJson() {
   }
   const double tile_speedup = tile_us > 0.0 ? tile_avx_us / tile_us : 0.0;
 
+  // The four Linears at 76 rows through the int8 kernels, AMX against the
+  // AVX2 kernel it replaces where the host has both, single thread.
+  const std::vector<doduo::nn::Int8Kernel> int8_kernels =
+      doduo::nn::Int8Kernels();
+  const auto* int8_avx2 = FindKernel(int8_kernels, "avx2");
+  const auto* int8_amx = FindKernel(int8_kernels, "amx");
+  double int8_avx2_us = 0.0;
+  double int8_amx_us = 0.0;
+  if (int8_avx2 != nullptr && int8_amx != nullptr) {
+    Int8LinearShapesFixture avx2_shapes(76, *int8_avx2);
+    Int8LinearShapesFixture amx_shapes(76, *int8_amx);
+    const auto [avx2_s, amx_s] = BestOfInterleaved(
+        400, [&] { avx2_shapes.Run(); }, [&] { amx_shapes.Run(); });
+    int8_avx2_us = avx2_s * 1e6;
+    int8_amx_us = amx_s * 1e6;
+  }
+
   // The AVX-512 twins of the non-GEMM kernels against the AVX2 twins they
   // sit beside, single thread, each through its family's kernel list so
   // both run on this host: GELU at the BM_BiasGelu shapes (times summed),
@@ -1099,6 +1152,18 @@ void EmitQuantBenchJson() {
                  "  \"gemm_tile\": {\"tile_vs_avx\": null, "
                  "\"skipped\": \"cpu has no avx512f\"},\n");
   }
+  if (int8_amx_us > 0.0) {
+    std::fprintf(out,
+                 "  \"int8_isa\": {\"rows\": 76, "
+                 "\"shapes\": \"64x192 64x64 64x256 256x64\",\n"
+                 "    \"avx2_us\": %.2f, \"amx_us\": %.2f,\n"
+                 "    \"int8_amx_vs_avx2\": %.3f},\n",
+                 int8_avx2_us, int8_amx_us, int8_avx2_us / int8_amx_us);
+  } else {
+    std::fprintf(out,
+                 "  \"int8_isa\": {\"int8_amx_vs_avx2\": null, "
+                 "\"skipped\": \"no amx int8 kernel\"},\n");
+  }
   if (twins) {
     std::fprintf(
         out,
@@ -1170,6 +1235,15 @@ void EmitQuantBenchJson() {
   } else {
     std::fprintf(stderr,
                  "quant_bench: gemm tile/avx skipped: cpu has no avx512f\n");
+  }
+  // The seventh gated line: the int8 AMX kernel against the AVX2 one over
+  // the four Linear shapes at 76 rows; hosts without AMX print a skip.
+  if (int8_amx_us > 0.0) {
+    std::fprintf(stderr, "quant_bench: int8 amx/avx2 speedup = %.2f\n",
+                 int8_avx2_us / int8_amx_us);
+  } else {
+    std::fprintf(stderr,
+                 "quant_bench: int8 amx/avx2 skipped: no amx int8 kernel\n");
   }
   // The fifth and sixth gated lines: the AVX-512 GELU and attention twins
   // against their AVX2 twins (the attention ratio is the smaller of seq 76

@@ -11,18 +11,33 @@
 
 namespace doduo::nn {
 
+/// 64 bytes of a packed int8 GEMM weight. A std::vector of lines starts on
+/// a cache line, so every AMX tile row loads from one line.
+struct alignas(64) Int8Line {
+  int8_t bytes[64];
+};
+
+/// An int8 weight packed for one int8 kernel's GEMM (nn::Int8Kernel::pack).
+/// The byte layout is private to nn/quant; `layout` names it (a static
+/// string, compared by address), and each kernel refuses a weight packed
+/// for another layout.
+struct PackedInt8 {
+  std::vector<Int8Line> lines;
+  const char* layout = nullptr;
+};
+
 /// An int8 rendering of a 2-D [in, out] weight, precomputed at
 /// checkpoint-convert or load time (DESIGN §14): one fp32 scale per output
 /// channel (symmetric quantization: w[:, j] ≈ scale[j] · q[j, :]) and the
-/// int8 GEMM's weight panels, packed once at load from the checkpoint's
-/// transposed [out, in] table by nn::PackInt8Panels (the layout is private
-/// to nn/quant). `scale` may alias an mmap-ed checkpoint section;
-/// `keepalive` pins whatever owns it. Instances are immutable once built
-/// and shared across replicas via shared_ptr, so every replica reads one
-/// set of panels.
+/// dispatched int8 kernel's packed weight (int16 panels for scalar and
+/// avx2, int8 tile blocks for amx), packed once at load from the
+/// checkpoint's transposed [out, in] table by nn::PackInt8Weight. `scale`
+/// may alias an mmap-ed checkpoint section; `keepalive` pins whatever owns
+/// it. Instances are immutable once built and shared across replicas via
+/// shared_ptr, so every replica reads one packed weight.
 struct PrequantizedWeight {
   const float* scale = nullptr;  // [out]
-  std::vector<int16_t> panels;   // PackInt8Panels(q, out, in)
+  PackedInt8 packed;             // PackInt8Weight(q, out, in)
   int64_t out = 0;
   int64_t in = 0;
   std::shared_ptr<const void> keepalive;

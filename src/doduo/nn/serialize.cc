@@ -393,9 +393,9 @@ util::Status LoadParameters(const std::string& path,
       p->BumpRevision();
     } else {
       // Int8: dequantize an owned fp32 value (SnapshotWeights and the fp32
-      // fallback path read it), and attach the mapped scales plus GEMM
-      // panels packed once here for the DODUO_QUANT fast path; replicas
-      // share this one PrequantizedWeight.
+      // fallback path read it), and attach the mapped scales plus the
+      // dispatched int8 kernel's packed weight, built once here for the
+      // DODUO_QUANT fast path; replicas share this one PrequantizedWeight.
       const int64_t in = parsed.shape[0];
       const int64_t out_channels = parsed.shape[1];
       const int8_t* q =
@@ -414,7 +414,7 @@ util::Status LoadParameters(const std::string& path,
       p->BumpRevision();
       auto prequant = std::make_shared<PrequantizedWeight>();
       prequant->scale = scale;
-      PackInt8Panels(q, out_channels, in, &prequant->panels);
+      PackInt8Weight(q, out_channels, in, &prequant->packed);
       prequant->out = out_channels;
       prequant->in = in;
       prequant->keepalive = file;

@@ -43,8 +43,9 @@ struct SaveOptions {
 /// a heap read) and fp32 tensors *borrow* the mapping — every byte extent
 /// is validated against the file size before any allocation or
 /// dereference. Int8 entries are dequantized into owned fp32 values and
-/// additionally attach their zero-copy scale table and the int8 GEMM panels
-/// packed from their payload as Parameter::prequant.
+/// additionally attach their zero-copy scale table and the dispatched int8
+/// kernel's packed weight, built from their payload, as
+/// Parameter::prequant.
 ///
 /// A loaded model is read-only: its borrowed weights CHECK-fail on mutable
 /// access. To train it, give each parameter an owned copy first

@@ -17,6 +17,8 @@ namespace doduo::util::metric_names {
 // — the registry is the source of truth the linter checks them against,
 // so a near-duplicate like "annotate.abstaned" can never ship silently.
 //
+// Info labels passed to SetInfo are registered here the same way.
+//
 // Naming: "<subsystem>.<event>[_total|_us]". The "annotate.*" family
 // (per-column robustness outcomes) is intentionally distinct from
 // "annotator.*" (batch pipeline throughput) — see DESIGN §15.
@@ -53,8 +55,12 @@ inline constexpr std::string_view kLoadBytesMapped = "load.bytes_mapped";
 inline constexpr std::string_view kLoadBytesCopied = "load.bytes_copied";
 inline constexpr std::string_view kLoadCheckpointUs = "load.checkpoint_us";
 
-// -- nn/quant: int8 weight panels built (load or lazy cache, DESIGN §14) ----
+// -- nn/quant: int8 weights packed (load or lazy cache, DESIGN §14) --------
 inline constexpr std::string_view kQuantPanelsPacked = "quant.panels_packed";
+// Info labels (util::SetInfo): "on"/"off", and the dispatched kernel name
+// ("scalar", "avx2" or "amx") once the int8 path first runs.
+inline constexpr std::string_view kQuantEnabled = "quant.enabled";
+inline constexpr std::string_view kQuantInt8Kernel = "quant.int8_kernel";
 
 // -- table/sanitizer: dirty-input repair outcomes ---------------------------
 inline constexpr std::string_view kSanitizerCellsRepaired =

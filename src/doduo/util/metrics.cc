@@ -19,6 +19,8 @@ struct Registry {
       DODUO_GUARDED_BY(mutex);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms
       DODUO_GUARDED_BY(mutex);
+  std::map<std::string, std::string, std::less<>> info
+      DODUO_GUARDED_BY(mutex);
 };
 
 Registry& GetRegistry() {
@@ -99,6 +101,17 @@ Histogram* GetHistogram(std::string_view name) {
   return it->second.get();
 }
 
+void SetInfo(std::string_view name, std::string_view value) {
+  Registry& registry = GetRegistry();
+  MutexLock lock(&registry.mutex);
+  auto it = registry.info.find(name);
+  if (it == registry.info.end()) {
+    registry.info.emplace(std::string(name), std::string(value));
+  } else {
+    it->second.assign(value);
+  }
+}
+
 MetricsSnapshot SnapshotMetrics() {
   Registry& registry = GetRegistry();
   MutexLock lock(&registry.mutex);
@@ -120,6 +133,9 @@ MetricsSnapshot SnapshotMetrics() {
       }
     }
     snapshot.histograms.push_back(std::move(h));
+  }
+  for (const auto& [name, value] : registry.info) {
+    snapshot.info.push_back({name, value});
   }
   return snapshot;
 }
@@ -145,6 +161,13 @@ std::string MetricsToJson() {
       out << "[" << h.buckets[b].first << ',' << h.buckets[b].second << "]";
     }
     out << "]}";
+  }
+  out << "},\"info\":{";
+  for (size_t i = 0; i < snapshot.info.size(); ++i) {
+    if (i > 0) out << ',';
+    AppendJsonString(&out, snapshot.info[i].name);
+    out << ':';
+    AppendJsonString(&out, snapshot.info[i].value);
   }
   out << "}}";
   return out.str();

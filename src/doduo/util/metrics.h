@@ -65,6 +65,11 @@ class Histogram {
 Counter* GetCounter(std::string_view name);
 Histogram* GetHistogram(std::string_view name);
 
+/// Sets the info label `name` to `value`: a fact about how this process
+/// runs (the int8 path's state and kernel, DESIGN §14), exported beside the
+/// metrics. Takes the registry lock; not for hot paths.
+void SetInfo(std::string_view name, std::string_view value);
+
 // -- Snapshots & export -----------------------------------------------------
 
 struct CounterSnapshot {
@@ -80,19 +85,26 @@ struct HistogramSnapshot {
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
 };
 
+struct InfoSnapshot {
+  std::string name;
+  std::string value;
+};
+
 struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<HistogramSnapshot> histograms;
+  std::vector<InfoSnapshot> info;
 };
 
 /// Consistent-enough copy of every registered metric, sorted by name.
 MetricsSnapshot SnapshotMetrics();
 
-/// JSON object {"counters": {...}, "histograms": {...}} of the snapshot
-/// (doduo_cli --stats and the bench binaries' DODUO_BENCH_METRICS dump).
+/// JSON object {"counters": {...}, "histograms": {...}, "info": {...}} of
+/// the snapshot (the STATS frame, doduo_cli --stats and the bench binaries'
+/// DODUO_BENCH_METRICS dump).
 std::string MetricsToJson();
 
-/// Zeroes every registered metric (tests and benches).
+/// Zeroes every registered metric (tests and benches); info labels stay.
 void ResetMetrics();
 
 // -- Tracing ----------------------------------------------------------------

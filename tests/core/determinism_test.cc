@@ -7,6 +7,7 @@
 
 #include "doduo/core/annotator.h"
 #include "doduo/core/trainer.h"
+#include "doduo/nn/quant.h"
 #include "doduo/synth/table_generator.h"
 #include "doduo/text/wordpiece_trainer.h"
 #include "doduo/util/thread_pool.h"
@@ -22,7 +23,8 @@ struct PipelineResult {
   std::vector<std::vector<std::string>> annotations;
 };
 
-PipelineResult RunPipeline(uint64_t seed) {
+// `int8` annotates through the quantized path (training stays fp32).
+PipelineResult RunPipeline(uint64_t seed, bool int8 = false) {
   synth::KnowledgeBase kb = synth::KnowledgeBase::BuildWikiTableKb(seed);
   synth::TableGeneratorOptions generator_options;
   generator_options.num_tables = 80;
@@ -70,8 +72,10 @@ PipelineResult RunPipeline(uint64_t seed) {
                               weights.data() + weights.size());
   const Annotator annotator(&model, &serializer, &dataset.type_vocab,
                             &dataset.relation_vocab);
+  nn::SetQuantEnabled(int8);
   result.annotations =
       annotator.AnnotateTypes(dataset.tables[splits.test[0]].table).value();
+  nn::SetQuantEnabled(false);
   return result;
 }
 
@@ -105,6 +109,17 @@ TEST(DeterminismTest, ThreadCountDoesNotChangeResults) {
   const PipelineResult serial = RunPipeline(101);
   util::SetComputeThreads(4);
   const PipelineResult parallel = RunPipeline(101);
+  util::SetComputeThreads(1);
+  ExpectIdenticalResults(serial, parallel);
+}
+
+TEST(DeterminismTest, ThreadCountDoesNotChangeInt8Results) {
+  // The same on the int8 path, whichever kernel this host dispatches.
+  setenv("DODUO_PARALLEL_THRESHOLD", "1", 1);
+  util::SetComputeThreads(1);
+  const PipelineResult serial = RunPipeline(101, /*int8=*/true);
+  util::SetComputeThreads(4);
+  const PipelineResult parallel = RunPipeline(101, /*int8=*/true);
   util::SetComputeThreads(1);
   ExpectIdenticalResults(serial, parallel);
 }

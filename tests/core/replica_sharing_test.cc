@@ -129,7 +129,7 @@ TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
   }
   ASSERT_GT(with_prequant, 0) << "int8 checkpoint attached no tables";
 
-  // The load packed every int8 table's GEMM panels once; building replicas
+  // The load packed every int8 table's GEMM weight once; building replicas
   // (Annotator::FanOut does it on every batch call) and annotating through
   // them must pack nothing more.
   const uint64_t packed_at_load = packed->value();
@@ -147,15 +147,15 @@ TEST(ReplicaSharingTest, PrequantTablesAreSharedAcrossReplicas) {
       EXPECT_EQ(dst.prequant.get(), src.prequant.get()) << src.name;
       if (src.prequant == nullptr) continue;
       // Current, so the replica's Linear serves it (Linear::QuantView), and
-      // what it serves is the primary's one copy of the panels.
+      // what it serves is the primary's one copy of the packed weight.
       EXPECT_EQ(dst.prequant_revision, dst.revision) << src.name;
-      EXPECT_FALSE(src.prequant->panels.empty()) << src.name;
-      EXPECT_EQ(nn::View(*dst.prequant).panels,
-                nn::View(*src.prequant).panels)
+      EXPECT_FALSE(src.prequant->packed.lines.empty()) << src.name;
+      EXPECT_EQ(nn::View(*dst.prequant).packed,
+                nn::View(*src.prequant).packed)
           << src.name;
     }
   }
-  EXPECT_EQ(packed->value(), packed_at_load) << "ReplicaPool packed panels";
+  EXPECT_EQ(packed->value(), packed_at_load) << "ReplicaPool packed weights";
 
   // And the quantized path over shared tables still matches the primary.
   nn::SetQuantEnabled(true);

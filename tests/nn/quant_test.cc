@@ -4,14 +4,19 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "doduo/nn/linear.h"
 #include "doduo/nn/ops.h"
 #include "doduo/nn/tensor.h"
+#include "doduo/util/env.h"
+#include "doduo/util/metrics.h"
 #include "doduo/util/rng.h"
 #include "doduo/util/thread_pool.h"
 #include "gtest/gtest.h"
@@ -69,6 +74,36 @@ Tensor Int8Oracle(const Tensor& x, const QuantizedWeight& w,
   return y;
 }
 
+// `qw` packed for `kernel` (each member reads only its own layout). The
+// view points into the object, so it stays where it was built.
+struct KernelWeight {
+  KernelWeight(const Int8Kernel& kernel, const QuantizedWeight& qw)
+      : view{&packed, qw.scale.data(), qw.out, qw.in} {
+    kernel.pack(qw.q.data(), qw.out, qw.in, &packed);
+  }
+  KernelWeight(const KernelWeight&) = delete;
+  KernelWeight& operator=(const KernelWeight&) = delete;
+
+  PackedInt8 packed;
+  Int8WeightView view;
+};
+
+const Int8Kernel* FindKernel(const std::vector<Int8Kernel>& kernels,
+                             const char* name) {
+  for (const Int8Kernel& kernel : kernels) {
+    if (std::string(kernel.name) == name) return &kernel;
+  }
+  return nullptr;
+}
+
+// The AMX cases run only where the CPU has AMX and the process was granted
+// the tile state; elsewhere they say so in the log.
+bool HasAmxOrLogSkip(const std::vector<Int8Kernel>& kernels) {
+  if (FindKernel(kernels, "amx") != nullptr) return true;
+  std::printf("[  SKIPPED ] amx cases: no amx int8 kernel on this host\n");
+  return false;
+}
+
 // Bitwise comparison (EXPECT_EQ on floats would let -0.0 == 0.0 through).
 void ExpectBitIdentical(const Tensor& got, const Tensor& want,
                         const std::string& what) {
@@ -84,6 +119,42 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
   }
 }
 
+// Every kernel, packed its own way, against the oracle at 1, 2 and 8
+// threads, with and without bias.
+void ExpectKernelsMatchOracle(const std::vector<Int8Kernel>& kernels,
+                              int64_t m, int64_t n, int64_t k,
+                              util::Rng* rng) {
+  Tensor x({m, k}), w({k, n});
+  x.FillNormal(rng, 1.0f);
+  w.FillNormal(rng, 0.5f);
+  std::vector<float> bias(static_cast<size_t>(n));
+  for (auto& b : bias) b = rng->UniformFloat(-0.5f, 0.5f);
+  QuantizedWeight qw;
+  QuantizeWeight(w, &qw);
+  std::vector<std::unique_ptr<KernelWeight>> packed;
+  for (const Int8Kernel& kernel : kernels) {
+    packed.push_back(std::make_unique<KernelWeight>(kernel, qw));
+  }
+  for (const float* b : {static_cast<const float*>(nullptr),
+                         static_cast<const float*>(bias.data())}) {
+    const Tensor want = Int8Oracle(x, qw, b);
+    for (const int threads : {1, 2, 8}) {
+      util::SetComputeThreads(threads);
+      for (size_t i = 0; i < kernels.size(); ++i) {
+        Tensor got;
+        kernels[i].linear(x, packed[i]->view, b, &got);
+        ExpectBitIdentical(
+            got, want,
+            std::string(kernels[i].name) + " m=" + std::to_string(m) +
+                " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                " threads=" + std::to_string(threads) +
+                (b != nullptr ? " bias" : " no bias"));
+      }
+    }
+  }
+  util::SetComputeThreads(1);
+}
+
 TEST_F(QuantTest, KernelsAreBitIdenticalAcrossIsas) {
   // The int32 sums are exact and the epilogue order is fixed, so every
   // kernel at every thread count must reproduce the oracle bit for bit —
@@ -94,37 +165,24 @@ TEST_F(QuantTest, KernelsAreBitIdenticalAcrossIsas) {
   ASSERT_GE(kernels.size(), 1u);
   EXPECT_STREQ(kernels[0].name, "scalar");
   util::Rng rng(7);
-  for (const int threads : {1, 2, 8}) {
-    util::SetComputeThreads(threads);
-    for (const int64_t m : {1, 3, 4, 5, 77}) {
-      for (const int64_t n : {1, 15, 16, 17, 24, 192}) {
-        for (const int64_t k : {1, 2, 3, 63, 64, 256}) {
-          Tensor x({m, k}), w({k, n});
-          x.FillNormal(&rng, 1.0f);
-          w.FillNormal(&rng, 0.5f);
-          std::vector<float> bias(static_cast<size_t>(n));
-          for (auto& b : bias) b = rng.UniformFloat(-0.5f, 0.5f);
-          QuantizedWeight qw;
-          QuantizeWeight(w, &qw);
-          for (const float* b : {static_cast<const float*>(nullptr),
-                                 static_cast<const float*>(bias.data())}) {
-            const Tensor want = Int8Oracle(x, qw, b);
-            for (const Int8Kernel& kernel : kernels) {
-              Tensor got;
-              kernel.linear(x, View(qw), b, &got);
-              ExpectBitIdentical(
-                  got, want,
-                  std::string(kernel.name) + " m=" + std::to_string(m) +
-                      " n=" + std::to_string(n) + " k=" + std::to_string(k) +
-                      " threads=" + std::to_string(threads) +
-                      (b != nullptr ? " bias" : " no bias"));
-            }
-          }
-        }
+  for (const int64_t m : {1, 3, 4, 5, 77}) {
+    for (const int64_t n : {1, 15, 16, 17, 24, 192}) {
+      for (const int64_t k : {1, 2, 3, 63, 64, 256}) {
+        ExpectKernelsMatchOracle(kernels, m, n, k, &rng);
       }
     }
   }
-  util::SetComputeThreads(1);
+  // AMX tile edges: 16-row A tiles (one short, whole, one and two past),
+  // 64-deep k steps (padded, whole, one past) and 16-channel weight blocks
+  // taken two at a time (an odd block count, and a partial last block).
+  if (!HasAmxOrLogSkip(kernels)) return;
+  for (const int64_t m : {15, 16, 17, 33}) {
+    for (const int64_t k : {65, 127, 128, 257}) {
+      for (const int64_t n : {31, 33}) {
+        ExpectKernelsMatchOracle(kernels, m, n, k, &rng);
+      }
+    }
+  }
 }
 
 TEST_F(QuantTest, KernelsSaturateTheWorstCase) {
@@ -134,16 +192,21 @@ TEST_F(QuantTest, KernelsSaturateTheWorstCase) {
   const int64_t k = kMaxInt8DotK;
   ASSERT_LE(k * 127 * 127, int64_t{INT32_MAX});
   ASSERT_GT((k + 1) * 127 * 127, int64_t{INT32_MAX});
-  const int64_t m = 5, n = 17;
+  // 17 rows and 17 channels cross the AMX kernel's 16-row and 16-channel
+  // tiles as well as the panel kernels' 4-row and 8-channel ones.
+  const int64_t m = 17, n = 17;
   Tensor x({m, k}), w({k, n});
   x.Fill(-127.0f);
   w.Fill(127.0f);
   QuantizedWeight qw;
   QuantizeWeight(w, &qw);
   const float want = static_cast<float>(static_cast<int32_t>(k * -127 * 127));
-  for (const Int8Kernel& kernel : Int8Kernels()) {
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  HasAmxOrLogSkip(kernels);
+  for (const Int8Kernel& kernel : kernels) {
+    const KernelWeight packed(kernel, qw);
     Tensor y;
-    kernel.linear(x, View(qw), nullptr, &y);
+    kernel.linear(x, packed.view, nullptr, &y);
     for (int64_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(std::bit_cast<uint32_t>(y.data()[i]),
                 std::bit_cast<uint32_t>(want))
@@ -157,13 +220,33 @@ TEST(QuantDeathTest, Int8LinearRejectsKPastTheBound) {
   // overflow; Int8Linear must refuse the shape.
   const int64_t k = 133145;
   const std::vector<int8_t> q(static_cast<size_t>(k));
-  std::vector<int16_t> panels;
-  PackInt8Panels(q.data(), /*out=*/1, /*in=*/k, &panels);
+  PackedInt8 packed;
+  PackInt8Weight(q.data(), /*out=*/1, /*in=*/k, &packed);
   const std::vector<float> scale(1, 1.0f);
-  const Int8WeightView w{panels.data(), scale.data(), /*out=*/1, /*in=*/k};
+  const Int8WeightView w{&packed, scale.data(), /*out=*/1, /*in=*/k};
   const Tensor x({1, k});
   Tensor y;
   EXPECT_DEATH(Int8Linear(x, w, nullptr, &y), "overflow");
+}
+
+TEST(QuantDeathTest, KernelsRefuseAnotherKernelsLayout) {
+  // Each member reads only the layout its own pack wrote; a weight packed
+  // for another layout would run to wrong numbers, so it must not run.
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  const std::vector<int8_t> q(4 * 8, 1);
+  const std::vector<float> scale(4, 1.0f);
+  const Tensor x({2, 8});
+  for (const Int8Kernel& packer : kernels) {
+    PackedInt8 packed;
+    packer.pack(q.data(), /*out=*/4, /*in=*/8, &packed);
+    const Int8WeightView w{&packed, scale.data(), /*out=*/4, /*in=*/8};
+    for (const Int8Kernel& runner : kernels) {
+      if (runner.pack == packer.pack) continue;
+      Tensor y;
+      EXPECT_DEATH(runner.linear(x, w, nullptr, &y), "packed as")
+          << packer.name << " -> " << runner.name;
+    }
+  }
 }
 
 TEST_F(QuantTest, QuantizeRowIsIdenticalAcrossKernels) {
@@ -190,24 +273,32 @@ TEST_F(QuantTest, QuantizeRowIsIdenticalAcrossKernels) {
       {nan, inf, -inf, 0.0f, -0.0f, sub, 1.0f, -1.0f, 100.0f, -nan},
   };
   util::Rng rng(31);
-  for (const int64_t k : {1, 7, 8, 9, 33, 64, 256}) {
+  for (const int64_t k : {1, 7, 8, 9, 15, 16, 17, 33, 64, 65, 256}) {
     std::vector<float> row(static_cast<size_t>(k));
     for (auto& v : row) v = rng.UniformFloat(-3.0f, 3.0f);
     rows.push_back(row);
   }
+  // Each kernel's quantizer (int16 for the panel kernels, int8 for amx),
+  // widened to int32 by Int8Kernel::quantize_row.
+  const auto quantize = [](const Int8Kernel& kernel,
+                           const std::vector<float>& row,
+                           std::vector<int32_t>* q) {
+    q->resize(row.size());
+    return kernel.quantize_row(row.data(), static_cast<int64_t>(row.size()),
+                               q->data());
+  };
   const std::vector<Int8Kernel> kernels = Int8Kernels();
+  HasAmxOrLogSkip(kernels);
   for (size_t r = 0; r < rows.size(); ++r) {
-    const auto k = static_cast<int64_t>(rows[r].size());
-    std::vector<int16_t> want(rows[r].size());
-    const float want_scale =
-        kernels[0].quantize_row(rows[r].data(), k, want.data());
-    for (const int16_t q : want) {
+    std::vector<int32_t> want;
+    const float want_scale = quantize(kernels[0], rows[r], &want);
+    for (const int32_t q : want) {
       EXPECT_GE(q, -127);
       EXPECT_LE(q, 127);
     }
     for (const Int8Kernel& kernel : kernels) {
-      std::vector<int16_t> got(rows[r].size());
-      const float scale = kernel.quantize_row(rows[r].data(), k, got.data());
+      std::vector<int32_t> got;
+      const float scale = quantize(kernel, rows[r], &got);
       EXPECT_EQ(std::bit_cast<uint32_t>(scale),
                 std::bit_cast<uint32_t>(want_scale))
           << kernel.name << " row " << r;
@@ -220,9 +311,11 @@ TEST_F(QuantTest, PanelsPadToWholePanelsWithZeros) {
   // 3 channels × 3 inputs: one panel of 8 channels, two k-pairs; every slot
   // that is not a real weight must be zero so padded products vanish.
   const std::vector<int8_t> q = {1, 2, 3, 4, 5, 6, 7, 8, 9};  // [out=3, in=3]
-  std::vector<int16_t> panels;
-  PackInt8Panels(q.data(), /*out=*/3, /*in=*/3, &panels);
-  ASSERT_EQ(panels.size(), 1u * 2 * 8 * 2);
+  PackedInt8 packed;
+  Int8Kernels()[0].pack(q.data(), /*out=*/3, /*in=*/3, &packed);
+  ASSERT_EQ(packed.lines.size(), 1u);  // 1 · 2 · 8 · 2 int16s, one line
+  std::vector<int16_t> panels(32);
+  std::memcpy(panels.data(), packed.lines.data(), 64);
   // panel[(kk · 8 + c) · 2 + t] = q[c][2kk + t]
   EXPECT_EQ(panels[0], 1);
   EXPECT_EQ(panels[1], 2);
@@ -237,6 +330,63 @@ TEST_F(QuantTest, PanelsPadToWholePanelsWithZeros) {
   int64_t nonzero = 0;
   for (const int16_t v : panels) nonzero += v != 0 ? 1 : 0;
   EXPECT_EQ(nonzero, 9);
+}
+
+TEST_F(QuantTest, AmxBlocksPadToWholeTilesWithZeros) {
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  if (!HasAmxOrLogSkip(kernels)) GTEST_SKIP() << "no amx int8 kernel";
+  // 17 channels × 5 inputs: two 16-channel blocks, k padded to 64 (16
+  // quads, one 64-byte line each), so 2 · 16 lines, half the bytes of the
+  // int16 panels for these 17 × 64.
+  std::vector<int8_t> q(17 * 5);
+  for (size_t i = 0; i < q.size(); ++i) q[i] = static_cast<int8_t>(i + 1);
+  PackedInt8 packed;
+  FindKernel(kernels, "amx")->pack(q.data(), /*out=*/17, /*in=*/5, &packed);
+  ASSERT_EQ(packed.lines.size(), 32u);
+  // line[16p + kq].bytes[c · 4 + t] = q[16p + c][4kq + t]
+  const auto at = [&](int64_t p, int64_t kq, int64_t c, int64_t t) {
+    return packed.lines[static_cast<size_t>(16 * p + kq)]
+        .bytes[static_cast<size_t>(c * 4 + t)];
+  };
+  EXPECT_EQ(at(0, 0, 0, 0), 1);
+  EXPECT_EQ(at(0, 0, 0, 3), 4);
+  EXPECT_EQ(at(0, 1, 0, 0), 5);
+  EXPECT_EQ(at(0, 1, 0, 1), 0);
+  EXPECT_EQ(at(0, 0, 1, 0), 6);
+  EXPECT_EQ(at(0, 1, 15, 0), 80);
+  EXPECT_EQ(at(1, 0, 0, 0), 81);
+  EXPECT_EQ(at(1, 1, 0, 0), 85);
+  EXPECT_EQ(at(1, 0, 1, 0), 0);
+  int64_t nonzero = 0;
+  for (const Int8Line& line : packed.lines) {
+    for (const int8_t v : line.bytes) nonzero += v != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(nonzero, 17 * 5);
+}
+
+TEST_F(QuantTest, DispatchFollowsTheSimdSwitch) {
+  // Int8Linear runs the last member Int8Kernels() lists (the widest ISA
+  // this process may use), or the scalar reference under DODUO_SIMD=0 —
+  // ctest QuantDispatchScalar reruns this test with it set.
+  const std::vector<Int8Kernel> kernels = Int8Kernels();
+  if (util::GetEnvInt("DODUO_SIMD", 1) == 0) {
+    EXPECT_STREQ(Int8KernelName(), "scalar");
+  } else {
+    EXPECT_STREQ(Int8KernelName(), kernels.back().name);
+  }
+  // STATS and doduo_cli --stats carry the same facts as info labels.
+  SetQuantEnabled(true);
+  const util::MetricsSnapshot snapshot = util::SnapshotMetrics();
+  std::string kernel, enabled;
+  for (const util::InfoSnapshot& info : snapshot.info) {
+    if (info.name == "quant.int8_kernel") kernel = info.value;
+    if (info.name == "quant.enabled") enabled = info.value;
+  }
+  EXPECT_EQ(kernel, Int8KernelName());
+  EXPECT_EQ(enabled, "on");
+  SetQuantEnabled(false);
+  EXPECT_NE(util::MetricsToJson().find("\"quant.enabled\":\"off\""),
+            std::string::npos);
 }
 
 TEST_F(QuantTest, QuantizeWeightRoundTripWithinHalfStep) {
@@ -383,7 +533,7 @@ TEST_F(QuantTest, PrequantizedViewWinsOverLazyCache) {
   w_alt.Fill(0.5f);
   QuantizeWeight(w_alt, storage.get());
   pre->scale = storage->scale.data();
-  pre->panels = storage->panels;
+  pre->packed = storage->packed;
   pre->out = storage->out;
   pre->in = storage->in;
   pre->keepalive = storage;

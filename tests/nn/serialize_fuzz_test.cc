@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -185,6 +186,28 @@ TEST_P(SerializeFuzzTest, MutationsNeverOverAllocate) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeFuzzTest,
                          ::testing::Values(1u, 42u, 777u, 31337u));
+
+// The parameter-count cap on its own. A count 2⁶¹ past the real one keeps
+// toc_size == param_count · sizeof(TocEntry) modulo 2⁶⁴ (136 · 2⁶¹ =
+// 17 · 2⁶⁴), so every other header check passes and only the cap stands
+// between the header and a TOC walk of 2⁶¹ entries.
+TEST(SerializeHeaderTest, ParameterCountPastTheCapIsImplausible) {
+  std::string bytes = ValidCheckpointBytes("count_cap.bin");
+  constexpr size_t kCountOffset = 8;  // after magic and version
+  uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + kCountOffset, sizeof(count));
+  ASSERT_EQ(count, MakeParams().size());
+  count += uint64_t{1} << 61;
+  std::memcpy(bytes.data() + kCountOffset, &count, sizeof(count));
+  const std::string path = TempPath("count_cap_victim.bin");
+  WriteFileBytes(path, bytes);
+  std::vector<Parameter> params = MakeParams();
+  const util::Status status = LoadParameters(path, AsList(params));
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("implausible parameter count"),
+            std::string::npos)
+      << status.ToString();
+}
 
 // --- int8 checkpoints -------------------------------------------------------
 //

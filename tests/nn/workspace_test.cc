@@ -4,6 +4,10 @@
 
 #include "doduo/nn/workspace.h"
 
+#include <cstdint>
+#include <vector>
+
+#include "doduo/nn/parameter.h"
 #include "gtest/gtest.h"
 #include "testing/counting_new.h"
 
@@ -64,6 +68,19 @@ TEST(AllocCountTest, CountsTensorBufferAllocations) {
   EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 0u);
   t = big;
   EXPECT_GE(doduo::testing::OperatorNewCalls() - before, 1u);
+}
+
+TEST(AllocCountTest, CountsOverAlignedAllocations) {
+  // Packed int8 weights are vectors of alignas(64) lines, which allocate
+  // through operator new(size_t, align_val_t); the counter must see them,
+  // or the loader's allocation bounds would miss the packed weight.
+  doduo::testing::ResetLargestOperatorNew();
+  const size_t before = doduo::testing::OperatorNewCalls();
+  std::vector<Int8Line> lines(1024);
+  EXPECT_EQ(doduo::testing::OperatorNewCalls() - before, 1u);
+  EXPECT_EQ(doduo::testing::LargestOperatorNew(), 1024 * sizeof(Int8Line));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(lines.data()) % alignof(Int8Line),
+            0u);
 }
 
 }  // namespace

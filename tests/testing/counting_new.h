@@ -9,7 +9,8 @@
 
 namespace doduo::testing {
 
-/// Calls of the global operator new (and new[]) so far in this process.
+/// Calls of the global operator new (and new[], the nothrow and the
+/// std::align_val_t forms) so far in this process.
 size_t OperatorNewCalls();
 
 /// The largest single operator new (or new[]) request, in bytes, since the

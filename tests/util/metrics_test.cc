@@ -95,6 +95,25 @@ TEST(MetricsTest, JsonExportContainsValues) {
   EXPECT_NE(json.find("\"test.json_counter\":5"), std::string::npos);
 }
 
+TEST(MetricsTest, InfoLabelsExportLastValueAsJsonStrings) {
+  SetInfo("test.info_label", "first");
+  SetInfo("test.info_label", "say \"hi\"");
+  ResetMetrics();  // labels are state, not counts: a reset keeps them
+  std::string value;
+  for (const InfoSnapshot& info : SnapshotMetrics().info) {
+    if (info.name == "test.info_label") value = info.value;
+  }
+  EXPECT_EQ(value, "say \"hi\"");
+  // The info object comes after the histograms, so readers of the two
+  // metric sections see the same text as before.
+  const std::string json = MetricsToJson();
+  const size_t info_at = json.find("\"info\":{");
+  ASSERT_NE(info_at, std::string::npos);
+  EXPECT_GT(info_at, json.find("\"histograms\":{"));
+  const std::string escaped = "\"test.info_label\":\"say \\\"hi\\\"\"";
+  EXPECT_NE(json.find(escaped), std::string::npos) << json;
+}
+
 TEST(MetricsTest, ScopedTimerRecordsIntoHistogram) {
   Histogram* histogram = GetHistogram("test.scoped_timer");
   histogram->Reset();

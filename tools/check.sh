@@ -65,11 +65,12 @@ echo "=== quantized path (int8 GEMM + v2 checkpoints, DESIGN §14) ==="
 # and the Table 3/4 F1 parity locks — then the throughput gates: int8 GEMM
 # must beat the fp32 path users run (dispatched SIMD MatMul) by >= 1.25x at
 # 256³, the SIMD GELU epilogue must beat the scalar tanh port by >= 3x, the
-# attention kernel must beat the scalar head by >= 2x, and on AVX-512F
-# hosts the fp32 GEMM tile must beat the AVX axpy by >= 1.3x over the four
+# attention kernel must beat the scalar head by >= 2x, on AVX-512F hosts
+# the fp32 GEMM tile must beat the AVX axpy by >= 1.3x over the four
 # Linear shapes and the AVX-512 GELU and attention twins must beat their
-# AVX2 twins by >= 1.3x and >= 1.1x. Each side of each ratio is the best of
-# 5 interleaved repetitions.
+# AVX2 twins by >= 1.3x and >= 1.1x, and on AMX hosts the int8 AMX kernel
+# must beat the AVX2 one by >= 2x over the four Linear shapes at 76 rows.
+# Each side of each ratio is the best of 5 interleaved repetitions.
 # (The v2 fuzz suites also run under ASan below via nn_alloc_test and
 # under UBSan in the tier-1 run.)
 ctest --test-dir build --output-on-failure -j "${jobs}" \
@@ -141,6 +142,21 @@ else
     exit 1
   }
   echo "attention AVX-512 speedup ${attn512}x over the AVX2 twin (gate: >= 1.1x)"
+fi
+# Same run, seventh ratio: the int8 AMX kernel against the AVX2 one over
+# the four Linear shapes at 76 rows, gate >= 2x; hosts without AMX (or
+# whose kernel refused the tile state) print the skip reason instead.
+if grep -q 'int8 amx/avx2 skipped' build/quant_bench.log; then
+  echo "int8 AMX gate skipped: $(sed -n \
+    's/.*int8 amx\/avx2 skipped: //p' build/quant_bench.log)"
+else
+  amx="$(awk -F'= ' '/int8 amx\/avx2 speedup/ {print $2}' \
+    build/quant_bench.log)"
+  awk -v s="${amx:-0}" 'BEGIN { exit (s + 0 >= 2) ? 0 : 1 }' || {
+    echo "FAIL: int8 AMX speedup ${amx:-unknown}x < 2x over the AVX2 kernel"
+    exit 1
+  }
+  echo "int8 AMX speedup ${amx}x over the AVX2 kernel (gate: >= 2x)"
 fi
 
 echo "=== warning wall (-Werror, Release) ==="

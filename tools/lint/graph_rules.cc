@@ -496,7 +496,8 @@ class GraphLinter {
       for (int i = 0; i + 1 < n; ++i) {
         const Token& t = f.tokens[i];
         if (t.kind != TokenKind::kIdent ||
-            (t.text != "GetCounter" && t.text != "GetHistogram")) {
+            (t.text != "GetCounter" && t.text != "GetHistogram" &&
+             t.text != "SetInfo")) {
           continue;
         }
         if (f.tokens[i + 1].text != "(") continue;
@@ -555,8 +556,8 @@ class GraphLinter {
       if (used_names.count(name) == 0) {
         Report(reg, line, kRuleMetricsRegistry,
                "registered metric \"" + name +
-                   "\" has no GetCounter/GetHistogram call site; remove it "
-                   "or wire it up");
+                   "\" has no GetCounter/GetHistogram/SetInfo call site; "
+                   "remove it or wire it up");
       }
     }
   }

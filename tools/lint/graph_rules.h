@@ -16,7 +16,7 @@
 //                    by tests, and its payload codecs come in
 //                    Encode/Decode pairs with fuzz coverage
 //   metrics-registry every metric name literal passed to
-//                    GetCounter/GetHistogram exists in the central
+//                    GetCounter/GetHistogram/SetInfo exists in the central
 //                    util/metric_names.h registry (and every registered
 //                    name is used somewhere)
 //   hot-path-alloc   no allocation or growing-container call in any
