@@ -289,6 +289,40 @@ void BM_Int8GemmPerIsa(benchmark::State& state) {
 }
 BENCHMARK(BM_Int8GemmPerIsa)->Arg(0)->Arg(1)->Arg(2);
 
+// The four Linears through the dispatched Int8Linear on a pool of
+// `threads` (args: rows, threads). Int8Linear shards only at or above its
+// own volume (kInt8ShardVolume, nn/quant.cc); with DODUO_PARALLEL_THRESHOLD=1
+// every call shards, which is how the 1- and 2-thread sides measure the
+// hand-off that constant avoids. Wall time, as the hand-off shows there.
+void BM_Int8LinearShards(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  doduo::util::SetComputeThreads(static_cast<int>(state.range(1)));
+  doduo::util::Rng rng(15);
+  std::vector<Tensor> xs;
+  std::vector<doduo::nn::QuantizedWeight> weights(4);
+  std::vector<Tensor> outs(4);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const auto [in, out] = kLinearShapes[i];
+    xs.emplace_back(std::vector<int64_t>{rows, in});
+    xs.back().FillNormal(&rng, 1.0f);
+    Tensor w({in, out});
+    w.FillNormal(&rng, 1.0f);
+    doduo::nn::QuantizeWeight(w, &weights[i]);
+  }
+  for (auto _ : state) {
+    for (size_t i = 0; i < xs.size(); ++i) {
+      doduo::nn::Int8Linear(xs[i], doduo::nn::View(weights[i]), nullptr,
+                            &outs[i]);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(doduo::nn::Int8KernelName());
+  doduo::util::SetComputeThreads(1);
+}
+BENCHMARK(BM_Int8LinearShards)
+    ->ArgsProduct({{76, 190, 512, 1024, 2048}, {1, 2}})
+    ->UseRealTime();
+
 // Bench-local scalar FFN epilogue: bias add + GeluScalar per element, the
 // loop BiasGeluForward runs under DODUO_SIMD=0 (the dispatcher caches its
 // choice per process, so the scalar baseline lives here, as for GEMM).

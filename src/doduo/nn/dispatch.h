@@ -17,15 +17,25 @@
 
 namespace doduo::nn {
 
-/// Kernels shard output rows across util::ComputePool() only above this
-/// m·k·n volume; below it the fork/join cost dominates and the serial path
-/// wins. DODUO_PARALLEL_THRESHOLD overrides the default (the parity and
-/// determinism tests set it to 1 so even miniature models exercise the
-/// sharded path).
-inline bool ShouldParallelize(int64_t m, int64_t k, int64_t n) {
-  static const int64_t threshold =
-      util::GetEnvInt("DODUO_PARALLEL_THRESHOLD", 64 * 64 * 64);
-  return m > 1 && m * k * n >= threshold && util::ComputeThreads() > 1;
+/// The m·k·n volume at and above which the fp32 kernels shard; below it
+/// the fork/join cost dominates and the serial path wins.
+inline constexpr int64_t kShardVolume = 64 * 64 * 64;
+
+/// Kernels shard output rows across util::ComputePool() only at or above
+/// `volume` (kShardVolume, or a kernel's own measured constant).
+/// DODUO_PARALLEL_THRESHOLD, when set, replaces every kernel's volume (the
+/// parity and determinism tests set it to 1 so even miniature models
+/// exercise the sharded path). Never on a thread whose ParallelFor runs
+/// inline (a pool worker, a replica thread): it checks that first, so such
+/// a thread takes neither the compute pool's mutex nor the sharding
+/// closure.
+inline bool ShouldParallelize(int64_t m, int64_t k, int64_t n,
+                              int64_t volume = kShardVolume) {
+  static const int64_t override_volume =
+      util::GetEnvInt("DODUO_PARALLEL_THRESHOLD", -1);
+  const int64_t threshold = override_volume >= 0 ? override_volume : volume;
+  return m > 1 && m * k * n >= threshold &&
+         !util::ThreadPool::RunsInline() && util::ComputeThreads() > 1;
 }
 
 /// False under DODUO_SIMD=0, which puts every kernel on its scalar

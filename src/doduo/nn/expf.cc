@@ -114,13 +114,14 @@ namespace {
 // each std::fma above is one _mm256_fmadd_pd, each other op one intrinsic,
 // and the table is read by gather. ExpfRowAvx512 does the same on eight
 // doubles per register (_mm512_fmadd_pd), reading the table from registers.
-// They are the functions in the tree compiled with FMA enabled besides
-// Expf, and they hold no other mul+add pair the compiler could contract;
-// they are noinline so they cannot be merged into a caller whose mul+add
-// would then be contracted (DESIGN.md §9). Lanes below kUnderflow (-inf
-// included) are 0, as in the port; any other lane with |x| >= 88 or inf/NaN
-// runs the port. Selected once per process (UseAvx512, then UseAvx2Fma);
-// DODUO_SIMD=0 forces the scalar loop.
+// They and their several-row forms (internal::ExpfRows*, one call per
+// softmax block) are the functions in the tree compiled with FMA enabled
+// besides Expf, and they hold no other mul+add pair the compiler could
+// contract; they are noinline so they cannot be merged into a caller whose
+// mul+add would then be contracted (DESIGN.md §9). Lanes below kUnderflow
+// (-inf included) are 0, as in the port; any other lane with |x| >= 88 or
+// inf/NaN runs the port. Selected once per process (UseAvx512, then
+// UseAvx2Fma); DODUO_SIMD=0 forces the scalar loop.
 
 #if defined(DODUO_X86_SIMD)
 
@@ -219,8 +220,10 @@ __attribute__((target("avx512f"))) inline void Exp16Avx512(
       _mm512_cmpgt_epi32_mask(abs_bits, _mm512_set1_epi32(0x42afffff));
   const __m512d vd = _mm512_castps_pd(v);
   const __m256 e_low = Exp8Avx512(_mm512_castps512_ps256(v), table);
-  const __m256 e_high =
-      Exp8Avx512(_mm256_castpd_ps(_mm512_extractf64x4_pd(vd, 1)), table);
+  // The zero-masked extract: GCC 12 warns on the plain one's undefined
+  // passthrough once this is inlined into a row loop.
+  const __m256 e_high = Exp8Avx512(
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, vd, 1)), table);
   const __m512 e = _mm512_castpd_ps(_mm512_insertf64x4(
       _mm512_castpd256_pd512(_mm256_castps_pd(e_low)),
       _mm256_castps_pd(e_high), 1));
@@ -247,12 +250,15 @@ void ExpfRowScalar(const float* x, float shift, float* y, int64_t n) {
 
 #if defined(DODUO_X86_SIMD)
 
-namespace internal {
+namespace {
 
-// A row tail shorter than eight runs as one padded vector (padding lanes
-// hold `shift`, so they compute exp(0)), not through the scalar port.
-__attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
-    const float* x, float shift, float* y, int64_t n) {
+// One row of ExpfRowAvx2Fma. A row tail shorter than eight runs as one
+// padded vector (padding lanes hold `shift`, so they compute exp(0)), not
+// through the scalar port.
+__attribute__((target("avx2,fma"))) inline void ExpRowAvx2Fma(const float* x,
+                                                              float shift,
+                                                              float* y,
+                                                              int64_t n) {
   const __m256 vshift = _mm256_set1_ps(shift);
   int64_t i = 0;
   for (; i + 8 <= n; i += 8) Exp8Avx2Fma(x + i, vshift, y + i);
@@ -265,15 +271,48 @@ __attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
   }
 }
 
-// The row tail runs as one masked vector.
-__attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
-    const float* x, float shift, float* y, int64_t n) {
-  const __m512d table[4] = {
-      _mm512_loadu_pd(kTable), _mm512_loadu_pd(kTable + 8),
-      _mm512_loadu_pd(kTable + 16), _mm512_loadu_pd(kTable + 24)};
+// One row of ExpfRowAvx512; the row tail runs as one masked vector.
+__attribute__((target("avx512f"))) inline void ExpRowAvx512(
+    const float* x, float shift, float* y, int64_t n,
+    const __m512d table[4]) {
   const __m512 vshift = _mm512_set1_ps(shift);
   for (int64_t i = 0; i < n; i += 16) {
     Exp16Avx512(x + i, vshift, y + i, LaneMask16(n - i), table);
+  }
+}
+
+__attribute__((target("avx512f"))) inline void LoadTableAvx512(
+    __m512d table[4]) {
+  for (int q = 0; q < 4; ++q) table[q] = _mm512_loadu_pd(kTable + 8 * q);
+}
+
+__attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
+    const float* x, float shift, float* y, int64_t n) {
+  ExpRowAvx2Fma(x, shift, y, n);
+}
+
+__attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
+    const float* x, float shift, float* y, int64_t n) {
+  __m512d table[4];
+  LoadTableAvx512(table);
+  ExpRowAvx512(x, shift, y, n, table);
+}
+
+}  // namespace
+
+namespace internal {
+
+__attribute__((target("avx2,fma"), noinline)) void ExpfRowsAvx2Fma(
+    float* const* rows, const float* shift, int count, int64_t n) {
+  for (int r = 0; r < count; ++r) ExpRowAvx2Fma(rows[r], shift[r], rows[r], n);
+}
+
+__attribute__((target("avx512f"), noinline)) void ExpfRowsAvx512(
+    float* const* rows, const float* shift, int count, int64_t n) {
+  __m512d table[4];
+  LoadTableAvx512(table);
+  for (int r = 0; r < count; ++r) {
+    ExpRowAvx512(rows[r], shift[r], rows[r], n, table);
   }
 }
 
@@ -284,11 +323,11 @@ __attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
 void ExpfRow(const float* x, float shift, float* y, int64_t n) {
 #if defined(DODUO_X86_SIMD)
   if (UseAvx512()) {
-    internal::ExpfRowAvx512(x, shift, y, n);
+    ExpfRowAvx512(x, shift, y, n);
     return;
   }
   if (UseAvx2Fma()) {
-    internal::ExpfRowAvx2Fma(x, shift, y, n);
+    ExpfRowAvx2Fma(x, shift, y, n);
     return;
   }
 #endif
@@ -300,10 +339,10 @@ std::vector<ExpfKernel> ExpfKernels() {
 #if defined(DODUO_X86_SIMD)
   if (__builtin_cpu_supports("avx2") != 0 &&
       __builtin_cpu_supports("fma") != 0) {
-    kernels.push_back({"avx2", &internal::ExpfRowAvx2Fma});
+    kernels.push_back({"avx2", &ExpfRowAvx2Fma});
   }
   if (__builtin_cpu_supports("avx512f") != 0) {
-    kernels.push_back({"avx512", &internal::ExpfRowAvx512});
+    kernels.push_back({"avx512", &ExpfRowAvx512});
   }
 #endif
   return kernels;

@@ -35,13 +35,16 @@ std::vector<ExpfKernel> ExpfKernels();
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 namespace internal {
-/// ExpfRow's SIMD twins, called by name from the softmax twins so that each
-/// of those runs one ISA end to end. The caller checks the CPU first
-/// (UseAvx2Fma or UseAvx512, nn/dispatch.h).
-__attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
-    const float* x, float shift, float* y, int64_t n);
-__attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
-    const float* x, float shift, float* y, int64_t n);
+/// ExpfRow's SIMD twins over several rows, in place: rows[r][j] =
+/// Expf(rows[r][j] - shift[r]) for r in [0, count), j in [0, n). The
+/// softmax twins call them by name, one call per block of rows, so that
+/// each of those runs one ISA end to end; the AVX-512 one loads its table
+/// registers once per call. The caller checks the CPU first (UseAvx2Fma or
+/// UseAvx512, nn/dispatch.h).
+__attribute__((target("avx2,fma"), noinline)) void ExpfRowsAvx2Fma(
+    float* const* rows, const float* shift, int count, int64_t n);
+__attribute__((target("avx512f"), noinline)) void ExpfRowsAvx512(
+    float* const* rows, const float* shift, int count, int64_t n);
 }  // namespace internal
 #endif
 

@@ -422,19 +422,39 @@ bool AmxUsable() {
   return usable;
 }
 
+// The running max step max(a, m), m kept on NaN, as a full-mask merge:
+// the plain intrinsic's undefined passthrough draws a false
+// -Wuninitialized from GCC 12 in QuantizeRowAvx512.
+__attribute__((target("avx512f"))) inline __m512 RunningMax512(__m512 a,
+                                                              __m512 m) {
+  return _mm512_mask_max_ps(m, 0xffff, a, m);
+}
+
+// q must have room for k rounded up to 16 (an AMX row's stride is a
+// multiple of 64): the last vector is stored whole, its lanes past k as 0.
 __attribute__((target("avx512f"))) float QuantizeRowAvx512(const float* x,
                                                            int64_t k,
                                                            int8_t* q) {
-  // Masked tails load zeros, which never raise the max; maxps keeps its
-  // second operand on NaN, as in the AVX2 twin.
-  __m512 vmax = _mm512_setzero_ps();
-  for (int64_t i = 0; i < k; i += 16) {
+  // Two running maxima over alternate vectors halve the dependent max
+  // chain. Masked tails load zeros, which never raise the max; maxps keeps
+  // its second operand on NaN, as in the AVX2 twin, so neither running max
+  // holds a NaN, and as every lane is >= +0 the two combine to the same
+  // max in any order.
+  __m512 vmax0 = _mm512_setzero_ps();
+  __m512 vmax1 = _mm512_setzero_ps();
+  int64_t i = 0;
+  for (; i + 32 <= k; i += 32) {
+    vmax0 = RunningMax512(_mm512_abs_ps(_mm512_loadu_ps(x + i)), vmax0);
+    vmax1 = RunningMax512(_mm512_abs_ps(_mm512_loadu_ps(x + i + 16)), vmax1);
+  }
+  vmax0 = RunningMax512(vmax1, vmax0);
+  for (; i < k; i += 16) {
     const __m512 a =
         _mm512_abs_ps(_mm512_maskz_loadu_ps(LaneMask16(k - i), x + i));
-    vmax = _mm512_max_ps(a, vmax);
+    vmax0 = RunningMax512(a, vmax0);
   }
   alignas(64) float lanes[16];
-  _mm512_store_ps(lanes, vmax);
+  _mm512_store_ps(lanes, vmax0);
   float max_abs = 0.0f;
   for (const float a : lanes) {
     if (a > max_abs) max_abs = a;
@@ -443,13 +463,13 @@ __attribute__((target("avx512f"))) float QuantizeRowAvx512(const float* x,
   const __m512 vinv = _mm512_set1_ps(1.0f / scale);
   const __m512i lo = _mm512_set1_epi32(-127);
   const __m512i hi = _mm512_set1_epi32(127);
-  for (int64_t i = 0; i < k; i += 16) {
+  for (i = 0; i < k; i += 16) {
     // Rounding, NaN and range behave as in the AVX2 twin's cvtps.
-    const __mmask16 mask = LaneMask16(k - i);
-    __m512i r = _mm512_cvtps_epi32(
-        _mm512_mul_ps(_mm512_maskz_loadu_ps(mask, x + i), vinv));
+    __m512i r = _mm512_cvtps_epi32(_mm512_mul_ps(
+        _mm512_maskz_loadu_ps(LaneMask16(k - i), x + i), vinv));
     r = _mm512_max_epi32(_mm512_min_epi32(r, hi), lo);
-    _mm512_mask_cvtepi32_storeu_epi8(q + i, mask, r);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i),
+                     _mm512_cvtepi32_epi8(r));
   }
   return scale;
 }
@@ -533,6 +553,15 @@ void PackAmxBlocks(const int8_t* q, int64_t out, int64_t in,
 }
 
 #endif  // DODUO_X86_SIMD
+
+// Int8Linear shards at or above this m·k·n volume, not the fp32 kernels'
+// 64³: an int8 call is several times cheaper than the fp32 one, so the
+// hand-off to a second thread costs more than the work until far larger
+// calls. Measured by BM_Int8LinearShards (the encoder's four Linears,
+// every call sharded, 1- against 2-thread pool, AMX kernel): two threads
+// took 89 against 36 µs at 76 rows and broke even near 320 rows, where
+// the 64×256 Linears reach about 2²².
+constexpr int64_t kInt8ShardVolume = int64_t{1} << 22;
 
 // Per-thread activation scratch: quantized rows and their scales. Grows to
 // its high-water mark once and is reused verbatim afterwards, so a
@@ -637,7 +666,7 @@ void Int8LinearWith(const Tensor& x, const Int8WeightView& w,
     }
     K::Leave();
   };
-  if (ShouldParallelize(m, k, n)) {
+  if (ShouldParallelize(m, k, n, kInt8ShardVolume)) {
     util::ComputePool()->ParallelFor(0, num_blocks, /*grain=*/1, blocks);
   } else {
     blocks(0, num_blocks);
@@ -648,9 +677,11 @@ void Int8LinearWith(const Tensor& x, const Int8WeightView& w,
 // widened to int32, so every member has one signature for the tests.
 template <typename K>
 float QuantizeRowWidened(const float* x, int64_t k, int32_t* q) {
-  std::vector<typename K::Act> narrow(static_cast<size_t>(k));  // NOLINT(hot-path-alloc)
+  // A whole row stride, as Int8Linear gives the quantizer.
+  const auto stride = static_cast<size_t>(K::Stride(k));
+  std::vector<typename K::Act> narrow(stride);  // NOLINT(hot-path-alloc)
   const float scale = K::QuantizeRow(x, k, narrow.data());
-  std::copy(narrow.begin(), narrow.end(), q);
+  std::copy(narrow.begin(), narrow.begin() + k, q);
   return scale;
 }
 

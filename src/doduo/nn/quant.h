@@ -77,10 +77,11 @@ void QuantizeWeight(const Tensor& w, QuantizedWeight* out);
 /// Quantized linear layer: x [m, in] fp32 → y [m, out] fp32 through the
 /// int8 GEMM and its dequant(+bias) epilogue, on the dispatched kernel.
 /// `bias` ([out]) may be nullptr (the fused bias/GELU epilogue adds it
-/// later). Shards output rows across the compute pool above the same volume
-/// threshold as the fp32 kernels (64³, measured for fp32 and not re-measured
-/// for the amx kernel, whose shards can cost more to hand off than to run). Requires in ≤ kMaxInt8DotK and a weight
-/// packed by the dispatched kernel.
+/// later). Shards blocks of output rows across the compute pool only at or
+/// above its own m·k·n volume, 2²² (the fp32 kernels shard from 64³): below
+/// it the hand-off to a second thread costs more than the int8 work, which
+/// covers every Linear of a web-table encoder (BM_Int8LinearShards).
+/// Requires in ≤ kMaxInt8DotK and a weight packed by the dispatched kernel.
 void Int8Linear(const Tensor& x, const Int8WeightView& w, const float* bias,
                 Tensor* y);
 

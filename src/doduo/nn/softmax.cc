@@ -74,11 +74,15 @@ void ScaleMaskSoftmaxRow(const float* in, const float* mask_row, float scale,
 //
 // The twins below work on blocks of rows: four rows for AVX2, eight for
 // AVX-512. Per row they compute exactly what ScaleMaskSoftmaxRow computes:
-//  * scale and mask run as separate mul and add intrinsics; the max is
-//    order-free once every logit is finite (only the sign of a zero max
-//    could differ, and t - (±0) feeds Expf the same value either way);
-//    a row with any non-finite logit runs the scalar row instead;
-//  * exp is the ExpfRow twin of the same ISA, which equals Expf;
+//  * scale and mask run as separate mul and add intrinsics in the logit
+//    epilogue, which stores t and folds it into the row's running max and
+//    finiteness; the attention head runs it on the q·kᵀ registers, plain
+//    softmax on the loaded logits. The max is order-free once every logit
+//    is finite (only the sign of a zero max could differ, and t - (±0)
+//    feeds Expf the same value either way); a row with any non-finite
+//    logit runs the scalar row instead;
+//  * exp is the ExpfRows twin of the same ISA, which equals Expf, one call
+//    per block;
 //  * the block's double sums run side by side, one row per lane, each
 //    still ascending in j;
 //  * the normalizing multiply is per element.
@@ -115,43 +119,87 @@ RowBlock<R> MakeRowBlock(const float* in, const float* mask, float* out,
   return block;
 }
 
-// out_j = in_j * scale (+ mask_j); returns max_j out_j and sets *finite
-// when every out_j is finite.
-__attribute__((target("avx2"))) float ScaleMaskMaxAvx2(
-    const float* in, const float* mask_row, float scale, int64_t n,
-    float* out, bool* finite) {
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 abs_mask =
-      _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  const __m256 largest = _mm256_set1_ps(std::numeric_limits<float>::max());
-  __m256 vmax = _mm256_set1_ps(-std::numeric_limits<float>::max());
-  __m256 all_finite = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 t = _mm256_mul_ps(_mm256_loadu_ps(in + j), vscale);
-    if (mask_row != nullptr) {
-      t = _mm256_add_ps(t, _mm256_loadu_ps(mask_row + j));
-    }
-    _mm256_storeu_ps(out + j, t);
-    all_finite = _mm256_and_ps(
-        all_finite,
-        _mm256_cmp_ps(_mm256_and_ps(t, abs_mask), largest, _CMP_LE_OQ));
-    vmax = _mm256_max_ps(vmax, t);
+// One row's logit statistics: max_j t_j, and whether every t_j is finite.
+struct RowStats {
+  float max_logit;
+  bool finite;
+};
+
+// The running state of one row's logit epilogue: the lane-wise max (from
+// -FLT_MAX) and finiteness (all-ones lanes while every t is finite).
+struct LogitsAvx2 {
+  __m256 max;
+  __m256 finite;
+};
+
+__attribute__((target("avx2"))) inline LogitsAvx2 StartLogitsAvx2() {
+  return {_mm256_set1_ps(-std::numeric_limits<float>::max()),
+          _mm256_castsi256_ps(_mm256_set1_epi32(-1))};
+}
+
+// The logit epilogue on eight lanes: t = dot * scale (+ mask_j) is stored
+// to out and folded into `state`. A tail vector (kFull false) reads, stores
+// and folds only the lanes in `real`.
+template <bool kFull>
+__attribute__((target("avx2"))) inline void StoreLogitsAvx2(
+    __m256 dot, __m256 scale, const float* mask, float* out, __m256i real,
+    LogitsAvx2* state) {
+  __m256 t = _mm256_mul_ps(dot, scale);
+  if (mask != nullptr) {
+    t = _mm256_add_ps(t, kFull ? _mm256_loadu_ps(mask)
+                               : _mm256_maskload_ps(mask, real));
   }
+  if constexpr (kFull) {
+    _mm256_storeu_ps(out, t);
+  } else {
+    _mm256_maskstore_ps(out, real, t);
+    t = _mm256_blendv_ps(_mm256_set1_ps(-std::numeric_limits<float>::max()),
+                         t, _mm256_castsi256_ps(real));
+  }
+  const __m256 abs_t =
+      _mm256_and_ps(t, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+  state->finite = _mm256_and_ps(
+      state->finite,
+      _mm256_cmp_ps(abs_t, _mm256_set1_ps(std::numeric_limits<float>::max()),
+                    _CMP_LE_OQ));
+  state->max = _mm256_max_ps(state->max, t);
+}
+
+__attribute__((target("avx2"))) inline RowStats FinishLogitsAvx2(
+    const LogitsAvx2& state) {
   alignas(32) float lanes[8];
-  _mm256_store_ps(lanes, vmax);
+  _mm256_store_ps(lanes, state.max);
   float max_logit = lanes[0];
   for (int l = 1; l < 8; ++l) max_logit = std::max(max_logit, lanes[l]);
-  bool ok = _mm256_movemask_ps(all_finite) == 0xff;
-  for (; j < n; ++j) {
-    float t = in[j] * scale;
-    if (mask_row != nullptr) t += mask_row[j];
-    out[j] = t;
-    ok = ok && std::isfinite(t);
-    max_logit = std::max(max_logit, t);
+  return {max_logit, _mm256_movemask_ps(state.finite) == 0xff};
+}
+
+// Lanes [0, count) of an eight-lane tail, as a maskload/maskstore mask.
+__attribute__((target("avx2"))) inline __m256i TailLanesAvx2(int64_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// out_j = in_j * scale (+ mask_j), and the row's stats.
+__attribute__((target("avx2"))) RowStats ScaleMaskMaxAvx2(
+    const float* in, const float* mask_row, float scale, int64_t n,
+    float* out) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256i all = _mm256_set1_epi32(-1);
+  LogitsAvx2 state = StartLogitsAvx2();
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    StoreLogitsAvx2<true>(_mm256_loadu_ps(in + j), vscale,
+                          mask_row != nullptr ? mask_row + j : nullptr,
+                          out + j, all, &state);
   }
-  *finite = ok;
-  return max_logit;
+  if (j < n) {
+    const __m256i real = TailLanesAvx2(n - j);
+    StoreLogitsAvx2<false>(_mm256_maskload_ps(in + j, real), vscale,
+                           mask_row != nullptr ? mask_row + j : nullptr,
+                           out + j, real, &state);
+  }
+  return FinishLogitsAvx2(state);
 }
 
 // totals[r] = sum over ascending j of double(rows[r][j]), four rows side
@@ -188,42 +236,53 @@ __attribute__((target("avx2"))) void ScaleRowAvx2(float* row, float factor,
   for (; j < n; ++j) row[j] *= factor;
 }
 
-// Softmax of one block of rows (see RowBlock); in and out may alias.
-__attribute__((target("avx2"))) void SoftmaxBlockAvx2(
-    const RowBlock<4>& block, float scale, int64_t n) {
-  float max_logit[4];
-  bool finite[4];
+// The exp step of one block of rows (see RowBlock) whose logits t are
+// stored in block.out with their stats: one exp call for the finite rows;
+// each other row runs the whole scalar softmax row.
+template <int R>
+void ExpBlock(const RowBlock<R>& block, const RowStats stats[R], int64_t n,
+              void (*exp_rows)(float* const*, const float*, int, int64_t)) {
+  float* rows[R];
+  float shifts[R];
+  int live = 0;
   for (int r = 0; r < block.count; ++r) {
-    max_logit[r] = ScaleMaskMaxAvx2(block.in[r], block.mask[r], scale, n,
-                                    block.out[r], &finite[r]);
-    if (finite[r]) {
-      internal::ExpfRowAvx2Fma(block.out[r], max_logit[r], block.out[r], n);
+    if (stats[r].finite) {
+      rows[live] = block.out[r];
+      shifts[live++] = stats[r].max_logit;
     } else {
-      // The logits are stored, so the scalar row reruns on them unscaled
-      // (t·1 = t for every t, NaN and inf included).
+      // The scalar row reruns on the stored logits unscaled (t·1 = t for
+      // every t, NaN and inf included).
       ScaleMaskSoftmaxRow(block.out[r], nullptr, 1.0f, n, block.out[r]);
     }
   }
+  exp_rows(rows, shifts, live, n);
+}
+
+__attribute__((target("avx2"))) void SoftmaxBlockAvx2(
+    const RowBlock<4>& block, const RowStats stats[4], int64_t n) {
+  ExpBlock<4>(block, stats, n, &internal::ExpfRowsAvx2Fma);
   double totals[4];
   SumRows4Avx2(block.out, n, totals);
   for (int r = 0; r < block.count; ++r) {
-    if (finite[r]) {
+    if (stats[r].finite) {
       ScaleRowAvx2(block.out[r], static_cast<float>(1.0 / totals[r]), n);
     }
   }
 }
 
-// Attention logits of one query row against every key: out[j] =
-// Dot(q, k_j) for j in [0, s), with kᵀ packed as kt [hd, ld], ld = s
-// rounded up to 8 and zero-padded. Lanes are 8 keys; accumulator m sums
-// q[4i+m]·k_j[4i+m] over ascending i and the four reduce as
-// ((a0+a1)+a2)+a3, which is Dot's order. The last partial vector computes
-// the padding lanes too and stores only the real ones. hd is a multiple
-// of 8.
-__attribute__((target("avx2"))) void ScoreRowAvx2(const float* q,
-                                                  const float* kt, int64_t hd,
-                                                  int64_t s, int64_t ld,
-                                                  float* out) {
+// Attention logits of one query row against every key, with the logit
+// epilogue: out[j] = Dot(q, k_j) * scale (+ mask_row[j]) for j in [0, s),
+// and the row's stats. kᵀ is packed as kt [hd, ld], ld = s rounded up to
+// 8 and zero-padded. Lanes are 8 keys; accumulator m sums q[4i+m]·k_j[4i+m]
+// over ascending i and the four reduce as ((a0+a1)+a2)+a3, which is Dot's
+// order. The last partial vector computes the padding lanes too and stores
+// and folds only the real ones. hd is a multiple of 8.
+__attribute__((target("avx2"))) RowStats ScoreRowAvx2(
+    const float* q, const float* kt, int64_t hd, int64_t s, int64_t ld,
+    float scale, const float* mask_row, float* out) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  const __m256i all = _mm256_set1_epi32(-1);
+  LogitsAvx2 state = StartLogitsAvx2();
   int64_t j = 0;
   for (; j + 16 <= s; j += 16) {
     __m256 a[4][2];
@@ -241,7 +300,10 @@ __attribute__((target("avx2"))) void ScoreRowAvx2(const float* q,
     for (int h = 0; h < 2; ++h) {
       const __m256 dot = _mm256_add_ps(
           _mm256_add_ps(_mm256_add_ps(a[0][h], a[1][h]), a[2][h]), a[3][h]);
-      _mm256_storeu_ps(out + j + 8 * h, dot);
+      const int64_t jh = j + 8 * h;
+      StoreLogitsAvx2<true>(dot, vscale,
+                            mask_row != nullptr ? mask_row + jh : nullptr,
+                            out + jh, all, &state);
     }
   }
   for (; j < s; j += 8) {
@@ -256,11 +318,15 @@ __attribute__((target("avx2"))) void ScoreRowAvx2(const float* q,
     }
     const __m256 dot =
         _mm256_add_ps(_mm256_add_ps(_mm256_add_ps(a[0], a[1]), a[2]), a[3]);
-    const __m256i real = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(s - j)),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-    _mm256_maskstore_ps(out + j, real, dot);
+    const float* mask = mask_row != nullptr ? mask_row + j : nullptr;
+    if (j + 8 <= s) {
+      StoreLogitsAvx2<true>(dot, vscale, mask, out + j, all, &state);
+    } else {
+      StoreLogitsAvx2<false>(dot, vscale, mask, out + j,
+                             TailLanesAvx2(s - j), &state);
+    }
   }
+  return FinishLogitsAvx2(state);
 }
 
 // ctx rows of one block += P · V over ascending j, four query rows × 8
@@ -305,29 +371,83 @@ __attribute__((target("avx2"))) void ContextBlockAvx2(float* const p[4],
   }
 }
 
+// True when every element of v is finite; v.cols is a multiple of 8.
+__attribute__((target("avx2"))) bool AllFiniteAvx2(ConstMatView v) {
+  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 largest = _mm256_set1_ps(std::numeric_limits<float>::max());
+  __m256 finite = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+  for (int64_t i = 0; i < v.rows; ++i) {
+    const float* row = v.data + i * v.stride;
+    for (int64_t c = 0; c < v.cols; c += 8) {
+      const __m256 a = _mm256_and_ps(_mm256_loadu_ps(row + c), abs_mask);
+      finite = _mm256_and_ps(finite, _mm256_cmp_ps(a, largest, _CMP_LE_OQ));
+    }
+  }
+  return _mm256_movemask_ps(finite) == 0xff;
+}
+
 // --- AVX-512 ---
 
+// LogitsAvx2 on 16 lanes, with a mask of the non-finite lanes.
+struct Logits512 {
+  __m512 max;
+  __mmask16 non_finite;
+};
+
+__attribute__((target("avx512f"))) inline Logits512 StartLogits512() {
+  return {_mm512_set1_ps(-std::numeric_limits<float>::max()), 0};
+}
+
+// StoreLogitsAvx2 on 16 lanes: only the lanes in `lanes` are read, stored
+// and folded.
+__attribute__((target("avx512f"))) inline void StoreLogits512(
+    __m512 dot, __m512 scale, const float* mask, float* out, __mmask16 lanes,
+    Logits512* state) {
+  __m512 t = _mm512_mul_ps(dot, scale);
+  if (mask != nullptr) {
+    t = _mm512_add_ps(t, _mm512_maskz_loadu_ps(lanes, mask));
+  }
+  _mm512_mask_storeu_ps(out, lanes, t);
+  state->non_finite |= _mm512_kandn(
+      _mm512_cmp_ps_mask(_mm512_abs_ps(t),
+                         _mm512_set1_ps(std::numeric_limits<float>::max()),
+                         _CMP_LE_OQ),
+      lanes);
+  state->max = _mm512_mask_max_ps(state->max, lanes, state->max, t);
+}
+
+// The horizontal max as a halving tree, as _mm512_reduce_max_ps computes
+// it; spelled out with zero-masked extracts because GCC 12 warns on the
+// undefined passthrough of that intrinsic and of the plain extract and
+// cast once they are inlined here.
+__attribute__((target("avx512f"))) inline RowStats FinishLogits512(
+    const Logits512& state) {
+  const __m512d max = _mm512_castps_pd(state.max);
+  const __m256 low =
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, max, 0));
+  const __m256 high =
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, max, 1));
+  const __m256 m8 = _mm256_max_ps(low, high);
+  __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(m8),
+                         _mm256_extractf128_ps(m8, 1));
+  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
+  m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
+  return {_mm_cvtss_f32(m4), state.non_finite == 0};
+}
+
 // ScaleMaskMaxAvx2 on 16 lanes; the row tail is one masked vector.
-__attribute__((target("avx512f"))) float ScaleMaskMaxAvx512(
+__attribute__((target("avx512f"))) RowStats ScaleMaskMaxAvx512(
     const float* in, const float* mask_row, float scale, int64_t n,
-    float* out, bool* finite) {
+    float* out) {
   const __m512 vscale = _mm512_set1_ps(scale);
-  const __m512 largest = _mm512_set1_ps(std::numeric_limits<float>::max());
-  __m512 vmax = _mm512_set1_ps(-std::numeric_limits<float>::max());
-  __mmask16 non_finite = 0;
+  Logits512 state = StartLogits512();
   for (int64_t j = 0; j < n; j += 16) {
     const __mmask16 lanes = LaneMask16(n - j);
-    __m512 t = _mm512_mul_ps(_mm512_maskz_loadu_ps(lanes, in + j), vscale);
-    if (mask_row != nullptr) {
-      t = _mm512_add_ps(t, _mm512_maskz_loadu_ps(lanes, mask_row + j));
-    }
-    _mm512_mask_storeu_ps(out + j, lanes, t);
-    non_finite |= _mm512_kandn(
-        _mm512_cmp_ps_mask(_mm512_abs_ps(t), largest, _CMP_LE_OQ), lanes);
-    vmax = _mm512_mask_max_ps(vmax, lanes, vmax, t);
+    StoreLogits512(_mm512_maskz_loadu_ps(lanes, in + j), vscale,
+                   mask_row != nullptr ? mask_row + j : nullptr, out + j,
+                   lanes, &state);
   }
-  *finite = non_finite == 0;
-  return _mm512_reduce_max_ps(vmax);
+  return FinishLogits512(state);
 }
 
 // SumRows4Avx2 on eight rows: an 8×8 transpose puts column j of the eight
@@ -365,32 +485,23 @@ __attribute__((target("avx512f"))) void ScaleRowAvx512(float* row,
 
 // SoftmaxBlockAvx2 on a block of eight rows.
 __attribute__((target("avx512f"))) void SoftmaxBlockAvx512(
-    const RowBlock<8>& block, float scale, int64_t n) {
-  float max_logit[8];
-  bool finite[8];
-  for (int r = 0; r < block.count; ++r) {
-    max_logit[r] = ScaleMaskMaxAvx512(block.in[r], block.mask[r], scale, n,
-                                      block.out[r], &finite[r]);
-    if (finite[r]) {
-      internal::ExpfRowAvx512(block.out[r], max_logit[r], block.out[r], n);
-    } else {
-      ScaleMaskSoftmaxRow(block.out[r], nullptr, 1.0f, n, block.out[r]);
-    }
-  }
+    const RowBlock<8>& block, const RowStats stats[8], int64_t n) {
+  ExpBlock<8>(block, stats, n, &internal::ExpfRowsAvx512);
   double totals[8];
   SumRows8Avx512(block.out, n, totals);
   for (int r = 0; r < block.count; ++r) {
-    if (finite[r]) {
+    if (stats[r].finite) {
       ScaleRowAvx512(block.out[r], static_cast<float>(1.0 / totals[r]), n);
     }
   }
 }
 
 // ScoreRowAvx2 with 16 keys per register: kt's ld is s rounded up to 16.
-__attribute__((target("avx512f"))) void ScoreRowAvx512(const float* q,
-                                                      const float* kt,
-                                                      int64_t hd, int64_t s,
-                                                      int64_t ld, float* out) {
+__attribute__((target("avx512f"))) RowStats ScoreRowAvx512(
+    const float* q, const float* kt, int64_t hd, int64_t s, int64_t ld,
+    float scale, const float* mask_row, float* out) {
+  const __m512 vscale = _mm512_set1_ps(scale);
+  Logits512 state = StartLogits512();
   int64_t j = 0;
   for (; j + 32 <= s; j += 32) {
     __m512 a[4][2];
@@ -408,7 +519,10 @@ __attribute__((target("avx512f"))) void ScoreRowAvx512(const float* q,
     for (int h = 0; h < 2; ++h) {
       const __m512 dot = _mm512_add_ps(
           _mm512_add_ps(_mm512_add_ps(a[0][h], a[1][h]), a[2][h]), a[3][h]);
-      _mm512_storeu_ps(out + j + 16 * h, dot);
+      const int64_t jh = j + 16 * h;
+      StoreLogits512(dot, vscale,
+                     mask_row != nullptr ? mask_row + jh : nullptr, out + jh,
+                     0xffff, &state);
     }
   }
   for (; j < s; j += 16) {
@@ -423,8 +537,10 @@ __attribute__((target("avx512f"))) void ScoreRowAvx512(const float* q,
     }
     const __m512 dot =
         _mm512_add_ps(_mm512_add_ps(_mm512_add_ps(a[0], a[1]), a[2]), a[3]);
-    _mm512_mask_storeu_ps(out + j, LaneMask16(s - j), dot);
+    StoreLogits512(dot, vscale, mask_row != nullptr ? mask_row + j : nullptr,
+                   out + j, LaneMask16(s - j), &state);
   }
+  return FinishLogits512(state);
 }
 
 // ContextBlockAvx2 on eight query rows, with a 16-wide band of the head
@@ -450,14 +566,19 @@ __attribute__((target("avx512f"))) void ContextBlockAvx512(
   }
 }
 
-bool AllFinite(ConstMatView v) {
+// AllFiniteAvx2 on 16 lanes, the band tail masked (padding lanes load 0).
+__attribute__((target("avx512f"))) bool AllFiniteAvx512(ConstMatView v) {
+  const __m512 largest = _mm512_set1_ps(std::numeric_limits<float>::max());
+  __mmask16 finite = 0xffff;
   for (int64_t i = 0; i < v.rows; ++i) {
     const float* row = v.data + i * v.stride;
-    for (int64_t j = 0; j < v.cols; ++j) {
-      if (!std::isfinite(row[j])) return false;
+    for (int64_t c = 0; c < v.cols; c += 16) {
+      const __m512 a =
+          _mm512_abs_ps(_mm512_maskz_loadu_ps(LaneMask16(v.cols - c), row + c));
+      finite = _mm512_kand(finite, _mm512_cmp_ps_mask(a, largest, _CMP_LE_OQ));
     }
   }
-  return true;
+  return finite == 0xffff;
 }
 
 #endif  // DODUO_X86_SIMD
@@ -482,10 +603,20 @@ void SoftmaxRowRange(const float* pin, const float* pmask, float* pout,
           static_cast<int>(std::min<int64_t>(kRows, row_end - i));
       const RowBlock<kRows> block =
           MakeRowBlock<kRows>(pin, pmask, pout, n, i, count);
+      RowStats stats[kRows];
+      for (int r = 0; r < count; ++r) {
+        if constexpr (I == Isa::kAvx512) {
+          stats[r] = ScaleMaskMaxAvx512(block.in[r], block.mask[r], scale, n,
+                                        block.out[r]);
+        } else {
+          stats[r] = ScaleMaskMaxAvx2(block.in[r], block.mask[r], scale, n,
+                                      block.out[r]);
+        }
+      }
       if constexpr (I == Isa::kAvx512) {
-        SoftmaxBlockAvx512(block, scale, n);
+        SoftmaxBlockAvx512(block, stats, n);
       } else {
-        SoftmaxBlockAvx2(block, scale, n);
+        SoftmaxBlockAvx2(block, stats, n);
       }
     }
     return;
@@ -527,10 +658,12 @@ void ScaleMaskSoftmaxWith(const Tensor& logits, float scale,
 
 #if defined(DODUO_X86_SIMD)
 
-// The blocked head: kᵀ packed once, then per block of query rows q·kᵀ, the
-// softmax twin and P·V, all in the registers of one ISA. Each query row's
-// bits depend on that row and on k and v alone, so m query rows over s
-// keys give the rows of the m = s pass. hd is a multiple of 8.
+// The blocked head: kᵀ packed and v checked for non-finite values once,
+// then per block of query rows q·kᵀ with the logit epilogue on its
+// registers, one exp call, the sums and normalizers, and P·V, all in the
+// registers of one ISA. Each query row's bits depend on that row and on k
+// and v alone, so m query rows over s keys give the rows of the m = s
+// pass. hd is a multiple of 8.
 template <Isa I>
 void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
                           float scale, const Tensor* mask, Tensor* kt,
@@ -555,7 +688,12 @@ void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
   probs->ResizeUninitialized({m, s});
   float* pp = probs->data();
   const float* pmask = mask != nullptr ? mask->data() : nullptr;
-  const bool v_finite = AllFinite(v);
+  bool v_finite;
+  if constexpr (I == Isa::kAvx512) {
+    v_finite = AllFiniteAvx512(v);
+  } else {
+    v_finite = AllFiniteAvx2(v);
+  }
   auto rows = [&](int64_t row_begin, int64_t row_end) {
     for (int64_t i = row_begin; i < row_end; i += kRows) {
       const int count =
@@ -566,19 +704,22 @@ void AttentionHeadBlocked(ConstMatView q, ConstMatView k, ConstMatView v,
       for (int r = 0; r < kRows; ++r) {
         ctx_rows[r] = ctx.data + (i + (r < count ? r : 0)) * ctx.stride;
       }
+      RowStats stats[kRows];
       for (int r = 0; r < count; ++r) {
         const float* q_row = q.data + (i + r) * q.stride;
         if constexpr (I == Isa::kAvx512) {
-          ScoreRowAvx512(q_row, pkt, hd, s, ld, block.out[r]);
+          stats[r] = ScoreRowAvx512(q_row, pkt, hd, s, ld, scale,
+                                    block.mask[r], block.out[r]);
         } else {
-          ScoreRowAvx2(q_row, pkt, hd, s, ld, block.out[r]);
+          stats[r] = ScoreRowAvx2(q_row, pkt, hd, s, ld, scale, block.mask[r],
+                                  block.out[r]);
         }
       }
       if constexpr (I == Isa::kAvx512) {
-        SoftmaxBlockAvx512(block, scale, s);
+        SoftmaxBlockAvx512(block, stats, s);
         if (v_finite) ContextBlockAvx512(block.out, v, ctx_rows);
       } else {
-        SoftmaxBlockAvx2(block, scale, s);
+        SoftmaxBlockAvx2(block, stats, s);
         if (v_finite) ContextBlockAvx2(block.out, v, ctx_rows);
       }
     }

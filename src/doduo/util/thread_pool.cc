@@ -50,7 +50,19 @@ void ThreadPool::Submit(std::function<void()> fn) {
     // No shutdown check: tasks may legally submit follow-up work while the
     // destructor drains, and the submitting worker's own loop (still alive
     // by definition) picks it up before exiting.
-    queue_.push_back(std::move(fn));
+    if (queued_ == ring_.size()) {
+      // Full: double the ring, oldest task first. The only allocation of a
+      // warmed-up pool's queue.
+      std::vector<std::function<void()>> grown(
+          std::max<size_t>(16, 2 * ring_.size()));
+      for (size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+      }
+      ring_.swap(grown);
+      head_ = 0;
+    }
+    ring_[(head_ + queued_) % ring_.size()] = std::move(fn);
+    ++queued_;
   }
   work_available_.NotifyOne();
 }
@@ -61,19 +73,20 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(&mutex_);
-      while (!shutdown_ && queue_.empty()) work_available_.Wait(&mutex_);
+      while (!shutdown_ && queued_ == 0) work_available_.Wait(&mutex_);
       // Drain everything that was submitted before shutdown; exit only once
       // the queue is empty, so no accepted task is ever dropped.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      if (queued_ == 0) return;
+      task = std::move(ring_[head_]);
+      head_ = (head_ + 1) % ring_.size();
+      --queued_;
     }
     task();
   }
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                             const std::function<void(int64_t, int64_t)>& fn) {
+                             FunctionRef<void(int64_t, int64_t)> fn) {
   if (begin >= end) return;
   const int64_t range = end - begin;
   const int64_t min_chunk = std::max<int64_t>(1, grain);
@@ -86,59 +99,64 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
       num_threads(), (range + min_chunk - 1) / min_chunk);
   // Near-equal contiguous chunks: the first `remainder` chunks get one extra
   // iteration. Chunk boundaries depend only on (range, num_chunks), never on
-  // scheduling, and fn's internal iteration order is untouched.
-  const int64_t base = range / num_chunks;
-  const int64_t remainder = range % num_chunks;
+  // scheduling, and fn's internal iteration order is untouched. The call's
+  // completion count lives here and is guarded by the queue mutex, and the
+  // caller waits on the pool's chunk_done_, so a call constructs no
+  // condition variable (std::condition_variable_any allocates).
+  struct Chunks {
+    Chunks(ThreadPool* owner, FunctionRef<void(int64_t, int64_t)> body,
+           int64_t first, int64_t range, int64_t num_chunks)
+        : pool(owner),
+          fn(body),
+          begin(first),
+          base(range / num_chunks),
+          remainder(range % num_chunks),
+          pending(num_chunks - 1) {}
 
-  struct Sync {
-    Mutex mutex{"thread_pool.parallel_for"};
-    CondVar all_done;
-    int64_t pending DODUO_GUARDED_BY(mutex);
-    std::exception_ptr first_error DODUO_GUARDED_BY(mutex);
-  } sync;
-  {
-    MutexLock lock(&sync.mutex);
-    sync.pending = num_chunks - 1;
-  }
-
-  auto run_chunk = [&fn, &sync](int64_t chunk_begin, int64_t chunk_end) {
-    try {
-      fn(chunk_begin, chunk_end);
-    } catch (...) {
-      MutexLock lock(&sync.mutex);
-      if (!sync.first_error) sync.first_error = std::current_exception();
+    // Runs chunk c; false when it threw, with the exception in *error.
+    bool Run(int64_t c, std::exception_ptr* error) const {
+      const int64_t chunk_begin = begin + c * base + std::min(c, remainder);
+      const int64_t chunk_end = chunk_begin + base + (c < remainder ? 1 : 0);
+      try {
+        fn(chunk_begin, chunk_end);
+      } catch (...) {
+        *error = std::current_exception();
+        return false;
+      }
+      return true;
     }
-  };
 
-  int64_t cursor = begin;
-  int64_t caller_begin = 0;
-  int64_t caller_end = 0;
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const int64_t chunk = base + (c < remainder ? 1 : 0);
-    const int64_t chunk_begin = cursor;
-    const int64_t chunk_end = cursor + chunk;
-    cursor = chunk_end;
-    if (c == 0) {
-      // The caller works too instead of idling while it waits.
-      caller_begin = chunk_begin;
-      caller_end = chunk_end;
-      continue;
-    }
-    Submit([&sync, &run_chunk, chunk_begin, chunk_end] {
-      run_chunk(chunk_begin, chunk_end);
+    ThreadPool* const pool;
+    const FunctionRef<void(int64_t, int64_t)> fn;
+    const int64_t begin;
+    const int64_t base;
+    const int64_t remainder;
+    int64_t pending;                 // guarded by pool->mutex_
+    std::exception_ptr first_error;  // guarded by pool->mutex_
+  } chunks(this, fn, begin, range, num_chunks);
+
+  // Each queued task is one pointer and one index, small enough for
+  // std::function to hold without allocating.
+  for (int64_t c = 1; c < num_chunks; ++c) {
+    Submit([&chunks, c] {
+      std::exception_ptr error;
+      const bool ok = chunks.Run(c, &error);
       // Notify while holding the lock: the waiter cannot return (and
-      // destroy sync) until this thread releases it, so the condvar is
-      // alive for the whole NotifyOne call.
-      MutexLock lock(&sync.mutex);
-      if (--sync.pending == 0) sync.all_done.NotifyOne();
+      // destroy chunks) until this thread releases it.
+      ThreadPool* const pool = chunks.pool;
+      MutexLock lock(&pool->mutex_);
+      if (!ok && !chunks.first_error) chunks.first_error = error;
+      if (--chunks.pending == 0) pool->chunk_done_.NotifyAll();
     });
   }
-  DODUO_CHECK_EQ(cursor, end);
-  run_chunk(caller_begin, caller_end);
+  // The caller runs chunk 0 instead of idling while it waits.
+  std::exception_ptr error;
+  const bool ok = chunks.Run(0, &error);
 
-  MutexLock lock(&sync.mutex);
-  while (sync.pending != 0) sync.all_done.Wait(&sync.mutex);
-  if (sync.first_error) std::rethrow_exception(sync.first_error);
+  MutexLock lock(&mutex_);
+  if (!ok && !chunks.first_error) chunks.first_error = error;
+  while (chunks.pending != 0) chunk_done_.Wait(&mutex_);
+  if (chunks.first_error) std::rethrow_exception(chunks.first_error);
 }
 
 namespace {

@@ -2,11 +2,11 @@
 #define DODUO_UTIL_THREAD_POOL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
 
+#include "doduo/util/function_ref.h"
 #include "doduo/util/mutex.h"
 #include "doduo/util/thread_annotations.h"
 
@@ -42,14 +42,16 @@ class ThreadPool {
   /// least `grain` iterations and runs `fn(chunk_begin, chunk_end)` on the
   /// pool; the calling thread executes the first chunk itself and then
   /// waits. Rethrows the first exception thrown by any chunk (all chunks
-  /// still run to completion).
+  /// still run to completion). `fn` is borrowed, not copied, and a warmed-up
+  /// pool queues the chunks without allocating, so a sharded kernel makes
+  /// no heap allocation (DESIGN §9).
   ///
   /// Runs inline — sequentially on the calling thread — when the range is
   /// empty or fits one grain, when the pool has a single thread, and when
   /// RunsInline() (so nested ParallelFor calls are safe and can never
   /// deadlock).
   void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t, int64_t)>& fn);
+                   FunctionRef<void(int64_t, int64_t)> fn);
 
   /// True when ParallelFor on the calling thread runs inline: the thread is
   /// a pool worker, or it is inside a ScopedInline.
@@ -78,7 +80,15 @@ class ThreadPool {
 
   Mutex mutex_{"thread_pool.queue"};
   CondVar work_available_;
-  std::deque<std::function<void()>> queue_ DODUO_GUARDED_BY(mutex_);
+  // Signalled (to all waiters) when a ParallelFor call's last queued chunk
+  // finishes; each caller rechecks its own count under mutex_.
+  CondVar chunk_done_;
+  // FIFO ring over ring_: queued_ tasks from index head_, wrapping. It
+  // grows (doubling) only when full, so a warmed-up queue never allocates;
+  // a deque would allocate a node every few pushes.
+  std::vector<std::function<void()>> ring_ DODUO_GUARDED_BY(mutex_);
+  size_t head_ DODUO_GUARDED_BY(mutex_) = 0;
+  size_t queued_ DODUO_GUARDED_BY(mutex_) = 0;
   bool shutdown_ DODUO_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;  // written only by the constructor
 };

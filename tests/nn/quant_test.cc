@@ -273,9 +273,16 @@ TEST_F(QuantTest, QuantizeRowIsIdenticalAcrossKernels) {
       {nan, inf, -inf, 0.0f, -0.0f, sub, 1.0f, -1.0f, 100.0f, -nan},
   };
   util::Rng rng(31);
-  for (const int64_t k : {1, 7, 8, 9, 15, 16, 17, 33, 64, 65, 256}) {
+  // Lengths around the 16-lane vectors, the 32-wide two-accumulator max
+  // steps and the 64-deep AMX rows; each also with a NaN and the row's max
+  // planted at random positions, so the max lands in either accumulator.
+  for (const int64_t k :
+       {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256}) {
     std::vector<float> row(static_cast<size_t>(k));
     for (auto& v : row) v = rng.UniformFloat(-3.0f, 3.0f);
+    rows.push_back(row);
+    row[static_cast<size_t>(rng.UniformInt(0, k - 1))] = -5.0f;
+    row[static_cast<size_t>(rng.UniformInt(0, k - 1))] = nan;
     rows.push_back(row);
   }
   // Each kernel's quantizer (int16 for the panel kernels, int8 for amx),

@@ -383,6 +383,89 @@ TEST(TanhLayerParityTest, TanhLayerMatchesScalarPort) {
   }
 }
 
+// Every y[i] equals GeluScalar(x[i]) bit for bit; returns the mismatch
+// count and reports the first few.
+int ExpectGeluRowMatchesPort(const std::vector<float>& x,
+                             const std::vector<float>& y, const char* what) {
+  int mismatches = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const uint32_t want = Bits(GeluScalar(x[i]));
+    if (Bits(y[i]) != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hex << "x=0x" << Bits(x[i]) << " " << what
+                    << " gelu=0x" << Bits(y[i]) << " GeluScalar=0x" << want;
+    }
+  }
+  return mismatches;
+}
+
+TEST(TanhInterleavedTest, SpecialInEveryLaneOfAGroupMatchesPort) {
+  // The twins run groups of eight vectors side by side, and a special lane
+  // anywhere in a group reruns the group vector by vector. One special in
+  // every lane of every vector of one group (64 lanes for AVX2, 128 for
+  // AVX-512), of two groups, and of a group followed by single vectors and
+  // a tail. The GELU specials are the inputs whose tanh argument is one:
+  // |inner| >= 22 near |x| = 7.6, infinities and NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tanh_specials[] = {inf, -inf, nan, 22.0f, -1e30f};
+  const float gelu_specials[] = {inf, -inf, nan, 7.7f, -9.0f, 3e19f};
+  for (const TanhKernel& kernel : TanhKernels()) {
+    for (const int64_t width : {int64_t{64}, int64_t{128}, int64_t{256},
+                                int64_t{128 + 16 + 5}}) {
+      const size_t w = static_cast<size_t>(width);
+      std::vector<float> base(w);
+      util::Rng rng(static_cast<uint64_t>(width));
+      for (float& v : base) v = rng.UniformFloat(-3.0f, 3.0f);
+      std::vector<float> y(w);
+      int mismatches = 0;
+      for (size_t lane = 0; lane < w; ++lane) {
+        for (const float special : tanh_specials) {
+          std::vector<float> x = base;
+          x[lane] = special;
+          kernel.tanh_row(x.data(), y.data(), width);
+          mismatches += ExpectRowMatchesPort(x, y, kernel.name);
+        }
+        for (const float special : gelu_specials) {
+          std::vector<float> x = base;
+          x[lane] = special;
+          kernel.gelu_row(x.data(), y.data(), width);
+          mismatches += ExpectGeluRowMatchesPort(x, y, kernel.name);
+        }
+      }
+      ASSERT_EQ(mismatches, 0) << kernel.name << " width " << width;
+    }
+  }
+}
+
+TEST(TanhInterleavedTest, EveryRowLengthUpTo300MatchesPort) {
+  // Every split of a row into groups, single vectors and a tail, in place
+  // and not, for tanh and GELU; a few special lanes ride along.
+  util::Rng rng(77);
+  std::vector<float> source(300);
+  for (float& v : source) v = rng.UniformFloat(-10.0f, 10.0f);
+  source[131] = std::numeric_limits<float>::infinity();
+  source[250] = std::numeric_limits<float>::quiet_NaN();
+  for (const TanhKernel& kernel : TanhKernels()) {
+    int mismatches = 0;
+    for (size_t n = 1; n <= source.size(); ++n) {
+      // Rows start at a moving offset, so a special sits in every part.
+      const size_t offset = (n * 7) % (source.size() - n + 1);
+      const std::vector<float> x(source.begin() + offset,
+                                 source.begin() + offset + n);
+      const int64_t len = static_cast<int64_t>(n);
+      std::vector<float> y(n);
+      kernel.tanh_row(x.data(), y.data(), len);
+      mismatches += ExpectRowMatchesPort(x, y, kernel.name);
+      kernel.gelu_row(x.data(), y.data(), len);
+      mismatches += ExpectGeluRowMatchesPort(x, y, kernel.name);
+      std::vector<float> inplace = x;
+      kernel.gelu_row(inplace.data(), inplace.data(), len);
+      mismatches += ExpectGeluRowMatchesPort(x, inplace, kernel.name);
+    }
+    EXPECT_EQ(mismatches, 0) << kernel.name;
+  }
+}
+
 // All 2^32 inputs: every twin against the port, and the port against the
 // host's tanhf when that is glibc's fdlibm one (glibc <= 2.40). About a
 // minute; run with --gtest_also_run_disabled_tests.
@@ -424,6 +507,38 @@ TEST(TanhTest, DISABLED_ExhaustiveMatchesPortAndGlibc) {
     EXPECT_EQ(row_mismatches[k], 0u) << kernels[k].name;
   }
   EXPECT_EQ(libm_mismatches, 0u);
+}
+
+// All 2^32 inputs through every gelu_row twin against GeluScalar. About a
+// minute per twin; run with --gtest_also_run_disabled_tests.
+TEST(TanhTest, DISABLED_ExhaustiveGeluMatchesPort) {
+  const std::vector<TanhKernel> kernels = TanhKernels();
+  std::printf("[ twins    ] gelu:");
+  for (const TanhKernel& kernel : kernels) std::printf(" %s", kernel.name);
+  std::printf("\n");
+  std::fflush(stdout);
+  constexpr int kChunk = 1 << 16;
+  std::vector<float> x(kChunk);
+  std::vector<uint32_t> port(kChunk);
+  std::vector<float> y(kChunk);
+  std::vector<uint64_t> row_mismatches(kernels.size(), 0);
+  for (uint64_t base = 0; base < (uint64_t{1} << 32); base += kChunk) {
+    for (int i = 0; i < kChunk; ++i) {
+      const float v = FromBits(static_cast<uint32_t>(base + i));
+      x[static_cast<size_t>(i)] = v;
+      port[static_cast<size_t>(i)] = Bits(GeluScalar(v));
+    }
+    for (size_t k = 1; k < kernels.size(); ++k) {
+      kernels[k].gelu_row(x.data(), y.data(), kChunk);
+      for (int i = 0; i < kChunk; ++i) {
+        row_mismatches[k] += Bits(y[static_cast<size_t>(i)]) !=
+                             port[static_cast<size_t>(i)];
+      }
+    }
+  }
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    EXPECT_EQ(row_mismatches[k], 0u) << kernels[k].name;
+  }
 }
 
 }  // namespace

@@ -287,6 +287,61 @@ TEST_P(AttentionKernelTest, HeadKernelMatchesOracleWithPlantedNonFinite) {
   }
 }
 
+TEST_P(AttentionKernelTest, FusedEpilogueMatchesScalarMemberAtEveryLength) {
+  // The SIMD heads scale, mask, store and reduce the logits in the q·kᵀ
+  // registers; the scalar member runs the unfused ops. Every s in 1..200 at
+  // hd 16, plain, with a random -1e9 mask, with -inf mask rows, with a
+  // finite random mask, and with an inf planted in one query row (its
+  // logits are non-finite, so that row takes the scalar softmax row).
+  const std::vector<nn::AttentionKernel> members = nn::AttentionKernels();
+  ASSERT_EQ(std::string(members[0].name), "scalar");
+  constexpr int64_t hd = 16;
+  const float scale = 0.25f;
+  util::Rng rng(11);
+  for (int64_t s = 1; s <= 200; ++s) {
+    nn::Tensor packed({s, 3 * hd});
+    packed.FillUniform(&rng, 2.0f);
+    const AttentionMask large = MakeMask(MaskKind::kRandomLarge, s, &rng);
+    const AttentionMask neg_inf = MakeMask(MaskKind::kNegInfRows, s, &rng);
+    const AttentionMask finite = MakeMask(MaskKind::kRandomFinite, s, &rng);
+    nn::Tensor planted = packed;
+    planted.at(rng.UniformInt(0, s - 1), rng.UniformInt(0, hd - 1)) = kInf;
+    struct Case {
+      const nn::Tensor* qkv;
+      const AttentionMask* mask;
+      const char* name;
+    };
+    const Case cases[] = {{&packed, nullptr, "plain"},
+                          {&packed, &large, "masked"},
+                          {&packed, &neg_inf, "-inf rows"},
+                          {&packed, &finite, "finite mask"},
+                          {&planted, &large, "inf query row"}};
+    int bad = 0;
+    for (const Case& c : cases) {
+      const auto run = [&](const nn::AttentionKernel& member,
+                           nn::Tensor* probs, nn::Tensor* ctx) {
+        *ctx = nn::Tensor({s, hd});
+        nn::Tensor kt;
+        member.head(nn::ColumnsView(*c.qkv, 0, hd),
+                    nn::ColumnsView(*c.qkv, hd, hd),
+                    nn::ColumnsView(*c.qkv, 2 * hd, hd), scale, c.mask, &kt,
+                    probs, nn::MutColumnsView(ctx, 0, hd));
+      };
+      nn::Tensor want_probs, want_ctx;
+      run(members[0], &want_probs, &want_ctx);
+      for (size_t i = 1; i < members.size(); ++i) {
+        const std::string what = "s " + std::to_string(s) + " " + c.name +
+                                 " [" + members[i].name + "]";
+        nn::Tensor probs, ctx;
+        run(members[i], &probs, &ctx);
+        bad += CountMismatches(want_probs, probs, what + " probs");
+        bad += CountMismatches(want_ctx, ctx, what + " ctx");
+      }
+    }
+    ASSERT_EQ(bad, 0) << "s " << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, AttentionKernelTest,
                          ::testing::Values(1, 2, 8),
                          [](const ::testing::TestParamInfo<int>& param_info) {
