@@ -982,9 +982,8 @@ void EmitQuantBenchJson() {
   // both run on this host: GELU at the BM_BiasGelu shapes (times summed),
   // the attention core at the BM_AttentionHeads shapes (the smaller ratio
   // is the gated one), exp over the BM_Expf inputs, and LayerNorm at
-  // [76, 64] and [190, 64]. LayerNorm has no AVX2 twin, so its baseline
-  // is the scalar reference, which is what AVX2 hosts run. Hosts without
-  // AVX-512F have no twins to compare and skip these gates.
+  // [76, 64] and [190, 64]. Hosts without AVX-512F have no twins to
+  // compare and skip these gates.
   const std::vector<doduo::nn::TanhKernel> tanh_kernels =
       doduo::nn::TanhKernels();
   const std::vector<doduo::nn::AttentionKernel> attn_kernels =
@@ -999,16 +998,16 @@ void EmitQuantBenchJson() {
   const auto* attn_512 = FindKernel(attn_kernels, "avx512");
   const auto* expf_avx2 = FindKernel(expf_kernels, "avx2");
   const auto* expf_512 = FindKernel(expf_kernels, "avx512");
-  const auto* norm_ref = FindKernel(norm_kernels, "scalar");
+  const auto* norm_avx2 = FindKernel(norm_kernels, "avx2");
   const auto* norm_512 = FindKernel(norm_kernels, "avx512");
   const bool twins = gelu_avx2 != nullptr && gelu_512 != nullptr &&
                      attn_avx2 != nullptr && attn_512 != nullptr &&
                      expf_avx2 != nullptr && expf_512 != nullptr &&
-                     norm_512 != nullptr;
+                     norm_avx2 != nullptr && norm_512 != nullptr;
   double twin_gelu_us[2] = {0.0, 0.0};  // {avx2, avx512}
   double twin_attn_us[2][2] = {};       // [seq][{avx2, avx512}]
   double twin_expf_us[2] = {0.0, 0.0};
-  double twin_norm_us[2] = {0.0, 0.0};  // {scalar reference, avx512}
+  double twin_norm_us[2] = {0.0, 0.0};
   double twin_attn_speedup = 0.0;
   if (twins) {
     for (const int64_t rows : {int64_t{76}, int64_t{190}}) {
@@ -1035,10 +1034,10 @@ void EmitQuantBenchJson() {
         kernel.forward(hidden.data(), gamma.data(), beta.data(), 1e-5f, rows,
                        64, normalized.data(), rstd.data(), normed.data());
       };
-      const auto [ref_s, norm_s] = BestOfInterleaved(
-          2000, [&] { norm(*norm_ref); }, [&] { norm(*norm_512); });
-      twin_norm_us[0] += ref_s * 1e6;
-      twin_norm_us[1] += norm_s * 1e6;
+      const auto [norm_avx2_s, norm_512_s] = BestOfInterleaved(
+          2000, [&] { norm(*norm_avx2); }, [&] { norm(*norm_512); });
+      twin_norm_us[0] += norm_avx2_s * 1e6;
+      twin_norm_us[1] += norm_512_s * 1e6;
     }
     for (int i = 0; i < 2; ++i) {
       AttentionHeadsFixture fixture(attn_seqs[i]);
@@ -1211,8 +1210,7 @@ void EmitQuantBenchJson() {
         "    \"expf\": {\"n\": 4096, \"avx2_us\": %.3f, "
         "\"avx512_us\": %.3f,\n"
         "      \"expf_512_vs_avx2\": %.3f},\n"
-        "    \"layernorm\": {\"rows\": [76, 190], \"n\": 64, "
-        "\"avx2_side\": \"scalar reference\",\n"
+        "    \"layernorm\": {\"rows\": [76, 190], \"n\": 64,\n"
         "      \"avx2_us\": %.3f, \"avx512_us\": %.3f, "
         "\"layernorm_512_vs_avx2\": %.3f}},\n",
         static_cast<long long>(kFfnWidth), twin_gelu_us[0], twin_gelu_us[1],
@@ -1290,9 +1288,7 @@ void EmitQuantBenchJson() {
                  twin_attn_speedup);
     std::fprintf(stderr, "quant_bench: expf 512/avx2 speedup = %.2f\n",
                  twin_expf_us[0] / twin_expf_us[1]);
-    std::fprintf(stderr,
-                 "quant_bench: layernorm 512/avx2 speedup = %.2f "
-                 "(avx2 side: scalar reference)\n",
+    std::fprintf(stderr, "quant_bench: layernorm 512/avx2 speedup = %.2f\n",
                  twin_norm_us[0] / twin_norm_us[1]);
   } else {
     std::fprintf(stderr,

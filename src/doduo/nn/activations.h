@@ -28,12 +28,17 @@ struct TanhKernel {
   void (*tanh_row)(const float* x, float* y, int64_t n);
   /// y[i] = GeluScalar(x[i]); `y` may alias `x`.
   void (*gelu_row)(const float* x, float* y, int64_t n);
+  /// dx[i] = dy[i] * GeluGradScalar(x[i]); `dx` may alias `x` or `dy`.
+  void (*gelu_grad_row)(const float* x, const float* dy, float* dx,
+                        int64_t n);
 };
 
 /// Every tanh/GELU row kernel this binary can run on this CPU: "scalar"
-/// (the port) always, then "avx2" and "avx512" where the CPU has them — for
-/// the cross-kernel bit-equality tests and the per-kernel benches. Unlike
-/// TanhRow, the list ignores DODUO_SIMD.
+/// (the port) always, then "avx2" and "avx512" where the CPU has them, the
+/// two SIMD members one body built per width (nn/simd.h) — for the
+/// cross-kernel bit-equality tests and the per-kernel benches. TanhRow and
+/// the GELU layers run the widest member (the scalar one under
+/// DODUO_SIMD=0); the list ignores DODUO_SIMD.
 std::vector<TanhKernel> TanhKernels();
 
 /// Scalar GELU (tanh approximation, as in BERT) and its derivative.

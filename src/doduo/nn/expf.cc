@@ -6,12 +6,8 @@
 #include <cstdint>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define DODUO_X86_SIMD 1
-#endif
-
 #include "doduo/nn/dispatch.h"
+#include "doduo/nn/simd.h"
 
 namespace doduo::nn {
 

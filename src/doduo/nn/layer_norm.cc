@@ -4,12 +4,8 @@
 #include <utility>
 #include <vector>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define DODUO_X86_SIMD 1
-#endif
-
 #include "doduo/nn/dispatch.h"
+#include "doduo/nn/simd.h"
 
 namespace doduo::nn {
 
@@ -45,113 +41,56 @@ void LayerNormRowsScalar(const float* x, const float* gamma,
   }
 }
 
+}  // namespace
+
 #if defined(DODUO_X86_SIMD)
+DODUO_SIMD_BEGIN("avx2")
+namespace simd::avx2 {
+namespace {
+#include "doduo/nn/layer_norm_simd.inc"
+}  // namespace
+}  // namespace simd::avx2
+DODUO_SIMD_END
 
-// The AVX-512 twin, eight rows per block with one row per lane: lane r of
-// the double accumulators holds row r's mean and variance sums, each
-// ascending in j as in the reference (an 8×8 transpose puts column j of
-// the eight rows in one register). rstd comes from IEEE sqrt and div,
-// which round as the scalar ones do, and each row's normalize/affine step
-// runs sixteen floats per register with the reference's op order. Missing
-// rows of the last block repeat its row 0 and are not stored.
-__attribute__((target("avx512f"))) void LayerNormRowsAvx512(
-    const float* x, const float* gamma, const float* beta, float epsilon,
-    int64_t m, int64_t n, float* normalized, float* rstd, float* out) {
-  const __m512d count = _mm512_set1_pd(static_cast<double>(n));
-  for (int64_t i = 0; i < m; i += 8) {
-    const float* rows[8];
-    for (int r = 0; r < 8; ++r) rows[r] = x + (i + (i + r < m ? r : 0)) * n;
-    alignas(64) double sums[8];
-    alignas(64) double means[8];
-
-    // mean
-    __m512d sum = _mm512_setzero_pd();
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 c[8];
-      for (int r = 0; r < 8; ++r) c[r] = _mm256_loadu_ps(rows[r] + j);
-      Transpose8x8(c);
-      for (const __m256& column : c) {
-        sum = _mm512_add_pd(sum, _mm512_cvtps_pd(column));
-      }
-    }
-    _mm512_store_pd(sums, sum);
-    for (int64_t t = j; t < n; ++t) {
-      for (int r = 0; r < 8; ++r) sums[r] += static_cast<double>(rows[r][t]);
-    }
-    const __m512d mean = _mm512_div_pd(_mm512_load_pd(sums), count);
-    _mm512_store_pd(means, mean);
-
-    // variance
-    __m512d var = _mm512_setzero_pd();
-    for (j = 0; j + 8 <= n; j += 8) {
-      __m256 c[8];
-      for (int r = 0; r < 8; ++r) c[r] = _mm256_loadu_ps(rows[r] + j);
-      Transpose8x8(c);
-      for (const __m256& column : c) {
-        const __m512d d = _mm512_sub_pd(_mm512_cvtps_pd(column), mean);
-        var = _mm512_add_pd(var, _mm512_mul_pd(d, d));
-      }
-    }
-    _mm512_store_pd(sums, var);
-    for (int64_t t = j; t < n; ++t) {
-      for (int r = 0; r < 8; ++r) {
-        const double d = static_cast<double>(rows[r][t]) - means[r];
-        sums[r] += d * d;
-      }
-    }
-    var = _mm512_div_pd(_mm512_load_pd(sums), count);
-    const __m512d inv = _mm512_div_pd(
-        _mm512_set1_pd(1.0),
-        _mm512_sqrt_pd(
-            _mm512_add_pd(var, _mm512_set1_pd(static_cast<double>(epsilon)))));
-
-    alignas(32) float mean_f[8];
-    alignas(32) float rstd_f[8];
-    _mm256_store_ps(mean_f, _mm512_cvtpd_ps(mean));
-    _mm256_store_ps(rstd_f, _mm512_cvtpd_ps(inv));
-    for (int r = 0; r < 8 && i + r < m; ++r) {
-      rstd[i + r] = rstd_f[r];
-      const __m512 vmean = _mm512_set1_ps(mean_f[r]);
-      const __m512 vrstd = _mm512_set1_ps(rstd_f[r]);
-      float* norm = normalized + (i + r) * n;
-      float* y = out + (i + r) * n;
-      for (int64_t t = 0; t < n; t += 16) {
-        const __mmask16 lanes = LaneMask16(n - t);
-        const __m512 v = _mm512_maskz_loadu_ps(lanes, rows[r] + t);
-        const __m512 nv = _mm512_mul_ps(_mm512_sub_ps(v, vmean), vrstd);
-        _mm512_mask_storeu_ps(norm + t, lanes, nv);
-        const __m512 g = _mm512_maskz_loadu_ps(lanes, gamma + t);
-        const __m512 b = _mm512_maskz_loadu_ps(lanes, beta + t);
-        _mm512_mask_storeu_ps(y + t, lanes,
-                              _mm512_add_ps(_mm512_mul_ps(g, nv), b));
-      }
-    }
-  }
-}
-
+DODUO_SIMD_BEGIN("avx512f")
+namespace simd::avx512 {
+namespace {
+#include "doduo/nn/layer_norm_simd.inc"
+}  // namespace
+}  // namespace simd::avx512
+DODUO_SIMD_END
 #endif  // DODUO_X86_SIMD
+
+namespace {
+
+constexpr LayerNormKernel kScalar{"scalar", &LayerNormRowsScalar};
+#if defined(DODUO_X86_SIMD)
+constexpr LayerNormKernel kAvx2{"avx2", &simd::avx2::LayerNormRows};
+constexpr LayerNormKernel kAvx512{"avx512", &simd::avx512::LayerNormRows};
+#endif
+
+// The member LayerNorm::Forward runs.
+const LayerNormKernel& Dispatched() {
+#if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) return kAvx512;
+  if (UseAvx2()) return kAvx2;
+#endif
+  return kScalar;
+}
 
 }  // namespace
 
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float epsilon, int64_t m, int64_t n, float* normalized,
                    float* rstd, float* out) {
-#if defined(DODUO_X86_SIMD)
-  if (UseAvx512()) {
-    LayerNormRowsAvx512(x, gamma, beta, epsilon, m, n, normalized, rstd, out);
-    return;
-  }
-#endif
-  LayerNormRowsScalar(x, gamma, beta, epsilon, m, n, normalized, rstd, out);
+  Dispatched().forward(x, gamma, beta, epsilon, m, n, normalized, rstd, out);
 }
 
 std::vector<LayerNormKernel> LayerNormKernels() {
-  std::vector<LayerNormKernel> kernels{{"scalar", &LayerNormRowsScalar}};
+  std::vector<LayerNormKernel> kernels{kScalar};
 #if defined(DODUO_X86_SIMD)
-  if (__builtin_cpu_supports("avx512f") != 0) {
-    kernels.push_back({"avx512", &LayerNormRowsAvx512});
-  }
+  if (__builtin_cpu_supports("avx2") != 0) kernels.push_back(kAvx2);
+  if (__builtin_cpu_supports("avx512f") != 0) kernels.push_back(kAvx512);
 #endif
   return kernels;
 }

@@ -13,8 +13,9 @@ namespace doduo::nn {
 /// LayerNorm's forward over the rows of x [m, n]: per row, rstd = 1/σ,
 /// normalized = (x − μ)·rstd and out = γ·normalized + β, with the mean and
 /// variance summed in double. On CPUs with AVX-512F a kernel that holds
-/// eight rows' sums side by side runs instead, bit-identical to the scalar
-/// loop (DODUO_SIMD=0 forces the scalar loop; DESIGN.md §9).
+/// eight rows' sums side by side runs instead, else with AVX2 one that
+/// holds four; both are bit-identical to the scalar loop (DODUO_SIMD=0
+/// forces the scalar loop; DESIGN.md §9).
 void LayerNormRows(const float* x, const float* gamma, const float* beta,
                    float epsilon, int64_t m, int64_t n, float* normalized,
                    float* rstd, float* out);
@@ -30,10 +31,10 @@ struct LayerNormKernel {
 };
 
 /// Every LayerNorm forward kernel this binary can run on this CPU:
-/// "scalar" (the reference) always, then "avx512" where the CPU has it (on
-/// AVX2-only CPUs the scalar loop is what runs) — for the cross-kernel
-/// bit-equality tests and the per-kernel benches. Unlike LayerNormRows, the
-/// list ignores DODUO_SIMD.
+/// "scalar" (the reference) always, then "avx2" and "avx512" where the CPU
+/// has them, the two SIMD members one body built per width (nn/simd.h) —
+/// for the cross-kernel bit-equality tests and the per-kernel benches.
+/// Unlike LayerNormRows, the list ignores DODUO_SIMD.
 std::vector<LayerNormKernel> LayerNormKernels();
 
 /// Row-wise layer normalization with learned gain/bias, as used after every

@@ -4,12 +4,8 @@
 #include <cmath>
 #include <vector>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define DODUO_X86_SIMD 1
-#endif
-
 #include "doduo/nn/dispatch.h"
+#include "doduo/nn/simd.h"
 #include "doduo/util/thread_pool.h"
 
 namespace doduo::nn {

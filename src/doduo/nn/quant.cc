@@ -8,8 +8,6 @@
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <cpuid.h>
-#include <immintrin.h>
-#define DODUO_X86_SIMD 1
 #endif
 
 #if defined(__linux__)
@@ -18,6 +16,7 @@
 #endif
 
 #include "doduo/nn/dispatch.h"
+#include "doduo/nn/simd.h"
 #include "doduo/util/check.h"
 #include "doduo/util/env.h"
 #include "doduo/util/metrics.h"
@@ -422,14 +421,6 @@ bool AmxUsable() {
   return usable;
 }
 
-// The running max step max(a, m), m kept on NaN, as a full-mask merge:
-// the plain intrinsic's undefined passthrough draws a false
-// -Wuninitialized from GCC 12 in QuantizeRowAvx512.
-__attribute__((target("avx512f"))) inline __m512 RunningMax512(__m512 a,
-                                                              __m512 m) {
-  return _mm512_mask_max_ps(m, 0xffff, a, m);
-}
-
 // q must have room for k rounded up to 16 (an AMX row's stride is a
 // multiple of 64): the last vector is stored whole, its lanes past k as 0.
 __attribute__((target("avx512f"))) float QuantizeRowAvx512(const float* x,
@@ -440,18 +431,19 @@ __attribute__((target("avx512f"))) float QuantizeRowAvx512(const float* x,
   // its second operand on NaN, as in the AVX2 twin, so neither running max
   // holds a NaN, and as every lane is >= +0 the two combine to the same
   // max in any order.
+  using V = simd::avx512::V;
   __m512 vmax0 = _mm512_setzero_ps();
   __m512 vmax1 = _mm512_setzero_ps();
   int64_t i = 0;
   for (; i + 32 <= k; i += 32) {
-    vmax0 = RunningMax512(_mm512_abs_ps(_mm512_loadu_ps(x + i)), vmax0);
-    vmax1 = RunningMax512(_mm512_abs_ps(_mm512_loadu_ps(x + i + 16)), vmax1);
+    vmax0 = V::Max(_mm512_abs_ps(_mm512_loadu_ps(x + i)), vmax0);
+    vmax1 = V::Max(_mm512_abs_ps(_mm512_loadu_ps(x + i + 16)), vmax1);
   }
-  vmax0 = RunningMax512(vmax1, vmax0);
+  vmax0 = V::Max(vmax1, vmax0);
   for (; i < k; i += 16) {
     const __m512 a =
         _mm512_abs_ps(_mm512_maskz_loadu_ps(LaneMask16(k - i), x + i));
-    vmax0 = RunningMax512(a, vmax0);
+    vmax0 = V::Max(a, vmax0);
   }
   alignas(64) float lanes[16];
   _mm512_store_ps(lanes, vmax0);

@@ -7,14 +7,10 @@
 #include <cmath>
 #include <limits>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#define DODUO_X86_SIMD 1
-#endif
-
 #include "doduo/nn/dispatch.h"
 #include "doduo/nn/expf.h"
 #include "doduo/nn/ops.h"
+#include "doduo/nn/simd.h"
 #include "doduo/util/thread_pool.h"
 
 namespace doduo::nn {
@@ -202,30 +198,6 @@ __attribute__((target("avx2"))) RowStats ScaleMaskMaxAvx2(
   return FinishLogitsAvx2(state);
 }
 
-// totals[r] = sum over ascending j of double(rows[r][j]), four rows side
-// by side: a 4×4 transpose puts column j of the four rows in one register.
-__attribute__((target("avx2"))) void SumRows4Avx2(float* const rows[4],
-                                                  int64_t n,
-                                                  double totals[4]) {
-  __m256d acc = _mm256_setzero_pd();
-  int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    __m128 c0 = _mm_loadu_ps(rows[0] + j);
-    __m128 c1 = _mm_loadu_ps(rows[1] + j);
-    __m128 c2 = _mm_loadu_ps(rows[2] + j);
-    __m128 c3 = _mm_loadu_ps(rows[3] + j);
-    _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(c0));
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(c1));
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(c2));
-    acc = _mm256_add_pd(acc, _mm256_cvtps_pd(c3));
-  }
-  _mm256_storeu_pd(totals, acc);
-  for (; j < n; ++j) {
-    for (int r = 0; r < 4; ++r) totals[r] += static_cast<double>(rows[r][j]);
-  }
-}
-
 __attribute__((target("avx2"))) void ScaleRowAvx2(float* row, float factor,
                                                   int64_t n) {
   const __m256 f = _mm256_set1_ps(factor);
@@ -262,7 +234,7 @@ __attribute__((target("avx2"))) void SoftmaxBlockAvx2(
     const RowBlock<4>& block, const RowStats stats[4], int64_t n) {
   ExpBlock<4>(block, stats, n, &internal::ExpfRowsAvx2Fma);
   double totals[4];
-  SumRows4Avx2(block.out, n, totals);
+  simd::avx2::SumRows(block.out, n, totals);
   for (int r = 0; r < block.count; ++r) {
     if (stats[r].finite) {
       ScaleRowAvx2(block.out[r], static_cast<float>(1.0 / totals[r]), n);
@@ -416,23 +388,9 @@ __attribute__((target("avx512f"))) inline void StoreLogits512(
   state->max = _mm512_mask_max_ps(state->max, lanes, state->max, t);
 }
 
-// The horizontal max as a halving tree, as _mm512_reduce_max_ps computes
-// it; spelled out with zero-masked extracts because GCC 12 warns on the
-// undefined passthrough of that intrinsic and of the plain extract and
-// cast once they are inlined here.
 __attribute__((target("avx512f"))) inline RowStats FinishLogits512(
     const Logits512& state) {
-  const __m512d max = _mm512_castps_pd(state.max);
-  const __m256 low =
-      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, max, 0));
-  const __m256 high =
-      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, max, 1));
-  const __m256 m8 = _mm256_max_ps(low, high);
-  __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(m8),
-                         _mm256_extractf128_ps(m8, 1));
-  m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-  m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 1));
-  return {_mm_cvtss_f32(m4), state.non_finite == 0};
+  return {simd::avx512::V::ReduceMax(state.max), state.non_finite == 0};
 }
 
 // ScaleMaskMaxAvx2 on 16 lanes; the row tail is one masked vector.
@@ -448,28 +406,6 @@ __attribute__((target("avx512f"))) RowStats ScaleMaskMaxAvx512(
                    lanes, &state);
   }
   return FinishLogits512(state);
-}
-
-// SumRows4Avx2 on eight rows: an 8×8 transpose puts column j of the eight
-// rows in one register, and lane r of the double accumulator is row r's
-// sum, ascending in j.
-__attribute__((target("avx512f"))) void SumRows8Avx512(float* const rows[8],
-                                                      int64_t n,
-                                                      double totals[8]) {
-  __m512d acc = _mm512_setzero_pd();
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m256 c[8];
-    for (int r = 0; r < 8; ++r) c[r] = _mm256_loadu_ps(rows[r] + j);
-    Transpose8x8(c);
-    for (const __m256& column : c) {
-      acc = _mm512_add_pd(acc, _mm512_cvtps_pd(column));
-    }
-  }
-  _mm512_storeu_pd(totals, acc);
-  for (; j < n; ++j) {
-    for (int r = 0; r < 8; ++r) totals[r] += static_cast<double>(rows[r][j]);
-  }
 }
 
 __attribute__((target("avx512f"))) void ScaleRowAvx512(float* row,
@@ -488,7 +424,7 @@ __attribute__((target("avx512f"))) void SoftmaxBlockAvx512(
     const RowBlock<8>& block, const RowStats stats[8], int64_t n) {
   ExpBlock<8>(block, stats, n, &internal::ExpfRowsAvx512);
   double totals[8];
-  SumRows8Avx512(block.out, n, totals);
+  simd::avx512::SumRows(block.out, n, totals);
   for (int r = 0; r < block.count; ++r) {
     if (stats[r].finite) {
       ScaleRowAvx512(block.out[r], static_cast<float>(1.0 / totals[r]), n);
@@ -587,8 +523,6 @@ __attribute__((target("avx512f"))) bool AllFiniteAvx512(ConstMatView v) {
 //
 // Each member runs one ISA end to end; the public entry points pick one
 // per process.
-
-enum class Isa { kScalar, kAvx2, kAvx512 };
 
 // Softmax of rows [row_begin, row_end), a block of rows at a time.
 template <Isa I>

@@ -1,10 +1,11 @@
 // Bit-for-bit parity of the LayerNorm forward family (nn::LayerNormKernels:
-// the scalar reference and, where the CPU has it, the AVX-512 twin that
-// keeps eight rows' sums side by side) and of the dispatched
-// LayerNorm::Forward with an oracle written out here: row counts around
-// the 8-row block, widths around the 8-column transpose and the 16-lane
-// masked tail, inputs with a large common offset (so the variance pass
-// must use the double mean), and inf/NaN planted in every position.
+// the scalar reference and, where the CPU has them, the AVX2 and AVX-512
+// members that keep four or eight rows' sums side by side) and of the
+// dispatched LayerNorm::Forward with an oracle written out here: row
+// counts around the 4- and 8-row blocks, widths around the 4×4 and 8×8
+// transposes and the 8- and 16-lane masked tails, inputs with a large
+// common offset (so the variance pass must use the double mean), and
+// inf/NaN planted in every position.
 
 #include <algorithm>
 #include <bit>
@@ -22,7 +23,7 @@ namespace doduo::nn {
 namespace {
 
 constexpr float kEpsilon = 1e-5f;
-constexpr int64_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 255, 256, 257};
+constexpr int64_t kWidths[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257};
 
 // The reference loop: ascending double sums, rstd in double, float
 // normalize and affine.
@@ -110,7 +111,7 @@ TEST(LayerNormParityTest, KernelListNamesTheReferenceFirst) {
 TEST(LayerNormParityTest, EveryKernelMatchesOracleAtEveryShape) {
   util::Rng rng(31);
   for (const int64_t n : kWidths) {
-    for (const int64_t m : {1, 2, 7, 8, 9, 15, 16, 17, 76}) {
+    for (const int64_t m : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 76}) {
       const std::vector<float> gamma =
           Uniform(&rng, static_cast<size_t>(n), 1.0f, 0.5f);
       const std::vector<float> beta =

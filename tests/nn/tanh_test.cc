@@ -366,6 +366,40 @@ TEST(TanhLayerParityTest, EveryGeluTwinMatchesScalarPort) {
   }
 }
 
+TEST(TanhLayerParityTest, EveryGeluGradMemberMatchesScalarPort) {
+  // dy · GeluGradScalar(x) from every member at every width: on mixed rows,
+  // then with each GELU special (an input whose tanh argument is one) in
+  // every lane in turn, so each vector and tail runs the port fallback.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+                            7.7f, -9.0f, 3e19f};
+  for (const TanhKernel& kernel : TanhKernels()) {
+    for (int64_t w : kWidths) {
+      const Tensor base = MixedInput({1, w}, 700 + static_cast<uint64_t>(w));
+      const Tensor dy = MixedInput({1, w}, 800 + static_cast<uint64_t>(w));
+      Tensor x = base;
+      Tensor dx(x.shape());
+      std::vector<float> want(static_cast<size_t>(w));
+      const auto check = [&] {
+        for (int64_t i = 0; i < w; ++i) {
+          want[static_cast<size_t>(i)] =
+              dy.data()[i] * GeluGradScalar(x.data()[i]);
+        }
+        kernel.gelu_grad_row(x.data(), dy.data(), dx.data(), w);
+        ExpectBitsEqual(dx, want, kernel.name, w);
+      };
+      check();
+      for (int64_t lane = 0; lane < w; ++lane) {
+        for (const float special : specials) {
+          x = base;
+          x.data()[lane] = special;
+          check();
+        }
+      }
+    }
+  }
+}
+
 TEST(TanhLayerParityTest, TanhLayerMatchesScalarPort) {
   for (int64_t w : kWidths) {
     const Tensor x = MixedInput({3, w}, 500 + static_cast<uint64_t>(w));

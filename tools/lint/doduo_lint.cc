@@ -167,8 +167,9 @@ int main(int argc, char** argv) {
          it.increment(ec)) {
       if (!it->is_regular_file()) continue;
       const fs::path& p = it->path();
+      // .inc: kernel bodies that a source includes once per SIMD width.
       if (HasExtension(p, ".h") || HasExtension(p, ".cc") ||
-          HasExtension(p, ".cpp")) {
+          HasExtension(p, ".cpp") || HasExtension(p, ".inc")) {
         files.push_back(p);
       }
     }
