@@ -197,8 +197,11 @@ struct Int8LinearShapesFixture {
 };
 
 // Args (rows, kernel): rows 76 and 190 are the web tables' mean and p99
-// sequence lengths; kernel 0 = scalar, 1 = avx, 2 = avx512 (skipped where
-// the CPU lacks it). Single thread; items_per_second is FLOP/s.
+// sequence lengths, 1216 and 4864 the rows of 16 and 64 mean-size tables
+// packed into one forward (the per-row cost a packed multi-table pass would
+// pay, next to BM_Int8LinearShards); kernel 0 = scalar, 1 = avx, 2 = avx512
+// (skipped where the CPU lacks it). Single thread; items_per_second is
+// FLOP/s.
 void BM_MatMulLinearShapes(benchmark::State& state) {
   static const char* const kNames[] = {"scalar", "avx", "avx512"};
   const doduo::nn::Fp32GemmKernel* kernel =
@@ -224,7 +227,11 @@ BENCHMARK(BM_MatMulLinearShapes)
     ->ArgPair(76, 2)
     ->ArgPair(190, 0)
     ->ArgPair(190, 1)
-    ->ArgPair(190, 2);
+    ->ArgPair(190, 2)
+    ->ArgPair(1216, 1)
+    ->ArgPair(1216, 2)
+    ->ArgPair(4864, 1)
+    ->ArgPair(4864, 2);
 
 // Int8 GEMM through Int8Linear — the full quantized inference cost per
 // call: dynamic per-row activation quantization, the int8 GEMM kernel, and
@@ -720,6 +727,20 @@ void BM_Sanitize(benchmark::State& state) {
                           static_cast<int64_t>(LakeCsv().size()));
 }
 BENCHMARK(BM_Sanitize);
+
+// The annotate path's pass: the same classification and repairs, recorded
+// as an overlay of the repaired cells instead of applied to a table copy.
+void BM_SanitizeRepair(benchmark::State& state) {
+  const doduo::table::Table& table = LakeTable();
+  const doduo::table::ColumnSanitizer sanitizer;
+  for (auto _ : state) {
+    auto result = sanitizer.Repair(table);
+    benchmark::DoNotOptimize(result.columns.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(LakeCsv().size()));
+}
+BENCHMARK(BM_SanitizeRepair);
 
 void BM_SherlockFeatures(benchmark::State& state) {
   doduo::table::Column column;

@@ -237,14 +237,15 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
   std::vector<ColumnOutcome> outcomes(static_cast<size_t>(n));
   if (n == 0) return outcomes;
 
-  // Classify columns and clean the annotatable ones. On clean input the
-  // sanitizer reports no modification and the original table flows through
-  // untouched, so the labels equal the unsanitized ones.
-  const table::Table* effective = &table;
+  // Classify columns and repair the annotatable ones into an overlay that
+  // the serializer reads through, so no dirty table is copied. On clean
+  // input the sanitizer reports no modification and the original table
+  // flows through untouched, so the labels equal the unsanitized ones.
+  const table::TableOverlay* overlay = nullptr;
   table::SanitizeResult sanitized;
   if (options.sanitize) {
-    sanitized = table::ColumnSanitizer(options.sanitizer).Sanitize(table);
-    if (sanitized.any_modified) effective = &sanitized.table;
+    sanitized = table::ColumnSanitizer(options.sanitizer).Repair(table);
+    if (sanitized.any_modified) overlay = &sanitized.overlay;
     for (int c = 0; c < n; ++c) {
       const table::SkipReason skip =
           sanitized.columns[static_cast<size_t>(c)].skip;
@@ -278,8 +279,8 @@ std::vector<ColumnOutcome> Annotator::RobustOutcomes(
     // A chunk is serialized straight from the table by column index, so
     // wide and partially skipped tables copy no cells.
     auto input = serializer_->SerializeTable(
-        *effective,
-        std::span<const int>(annotatable).subspan(begin, end - begin));
+        table, std::span<const int>(annotatable).subspan(begin, end - begin),
+        overlay);
     if (!input.ok()) {
       // Unreachable for chunks within the cap, but the robust contract is
       // that no column ever loses its outcome: record it as a skip.

@@ -21,22 +21,31 @@ SanitizerMetrics& Metrics() {
   return metrics;
 }
 
-/// Repairs `*cell` in place when ill-formed, then clamps it to
-/// `max_bytes`. Returns flags for what happened.
+/// Writes `cell` UTF-8-repaired when ill-formed, then clamped to
+/// `max_bytes`, into `*out`. Returns flags for what happened.
 struct CellFix {
   bool repaired = false;
   bool clamped = false;
 };
 
-CellFix FixCell(std::string* cell, const SanitizerOptions& options) {
+CellFix FixCell(std::string_view cell, const SanitizerOptions& options,
+                std::string* out) {
   CellFix fix;
-  if (options.repair_utf8 && !util::Utf8IsValid(*cell)) {
-    *cell = util::Utf8Repair(*cell);
+  std::string_view fixed = cell;
+  if (options.repair_utf8 && !util::Utf8IsValid(cell)) {
+    *out = util::Utf8Repair(cell);
+    fixed = *out;
     fix.repaired = true;
   }
-  if (options.max_cell_bytes > 0 && cell->size() > options.max_cell_bytes) {
-    *cell = std::string(util::Utf8ClampBytes(*cell, options.max_cell_bytes));
+  if (options.max_cell_bytes > 0 && fixed.size() > options.max_cell_bytes) {
+    fixed = util::Utf8ClampBytes(fixed, options.max_cell_bytes);
     fix.clamped = true;
+  }
+  // The clamp is a prefix, so a repaired cell is cut in place.
+  if (fix.repaired) {
+    out->resize(fixed.size());
+  } else {
+    out->assign(fixed);
   }
   return fix;
 }
@@ -163,49 +172,57 @@ SkipReason ColumnSanitizer::Classify(const Column& column) const {
                 options_);
 }
 
-SanitizeResult ColumnSanitizer::Sanitize(const Table& table) const {
+SanitizeResult ColumnSanitizer::Repair(const Table& table) const {
   Metrics().tables->Increment();
   SanitizeResult result;
   const size_t n = static_cast<size_t>(table.num_columns());
   result.columns.resize(n);
+  result.overlay.columns.resize(n);
 
-  // First pass: one walk per column classifies it and lists the cells that
-  // need rewriting, so a clean table costs no copy at all and the second
-  // pass validates nothing again.
-  std::vector<std::vector<size_t>> fixes(n);
-  std::vector<bool> rewrite(n, false);
+  // One walk per column classifies it and lists the cells that need
+  // rewriting, straight into the overlay's rows; only those cells get
+  // bytes of their own, and no other cell is validated again.
   for (size_t i = 0; i < n; ++i) {
     const Column& column = table.column(static_cast<int>(i));
     ColumnReport& report = result.columns[i];
-    report.skip = Decide(ScanColumn(column, options_, &fixes[i]),
+    ColumnOverlay& overlay = result.overlay.columns[i];
+    report.skip = Decide(ScanColumn(column, options_, &overlay.rows),
                          column.values.size(), options_);
     if (report.skip != SkipReason::kNone) {
       Metrics().cols_skipped->Increment();
-      continue;  // skipped columns are left byte-for-byte as they came in
+      overlay.rows = {};  // skipped columns are read as they came in
+      continue;
     }
-    rewrite[i] = !fixes[i].empty() ||
-                 (options_.repair_utf8 && !util::Utf8IsValid(column.name));
-    if (rewrite[i]) result.any_modified = true;
-  }
-  if (!result.any_modified) return result;
-
-  // Second pass: rewrite only the listed cells of the columns that need it.
-  result.table = table;
-  for (size_t i = 0; i < n; ++i) {
-    if (!rewrite[i]) continue;
-    ColumnReport& report = result.columns[i];
-    Column& column = result.table.mutable_column(static_cast<int>(i));
     if (options_.repair_utf8 && !util::Utf8IsValid(column.name)) {
-      column.name = util::Utf8Repair(column.name);
+      overlay.name = util::Utf8Repair(column.name);
       report.name_repaired = true;
     }
-    for (const size_t row : fixes[i]) {
-      const CellFix fix = FixCell(&column.values[row], options_);
+    if (overlay.empty()) continue;
+    result.any_modified = true;
+    overlay.values.resize(overlay.rows.size());
+    for (size_t k = 0; k < overlay.rows.size(); ++k) {
+      const CellFix fix = FixCell(column.values[overlay.rows[k]], options_,
+                                  &overlay.values[k]);
       if (fix.repaired) ++report.cells_repaired;
       if (fix.clamped) ++report.cells_clamped;
     }
     Metrics().cells_repaired->Increment(report.cells_repaired);
     Metrics().cells_clamped->Increment(report.cells_clamped);
+  }
+  return result;
+}
+
+SanitizeResult ColumnSanitizer::Sanitize(const Table& table) const {
+  SanitizeResult result = Repair(table);
+  if (!result.any_modified) return result;
+  result.table = table;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const ColumnOverlay& overlay = *result.overlay.column(c);
+    Column& column = result.table.mutable_column(c);
+    if (overlay.name.has_value()) column.name = *overlay.name;
+    for (size_t k = 0; k < overlay.rows.size(); ++k) {
+      column.values[overlay.rows[k]] = overlay.values[k];
+    }
   }
   return result;
 }

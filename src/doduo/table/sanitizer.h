@@ -52,10 +52,15 @@ struct ColumnReport {
   }
 };
 
-/// Result of sanitizing a whole table. `table` is only populated when
-/// `any_modified` is true; callers keep using the original table otherwise,
-/// which guarantees clean input flows through byte-identical.
+/// Result of sanitizing a whole table. `overlay` holds, for every
+/// annotatable column, the cells the pass rewrote (rows ascending, bytes
+/// after UTF-8 repair and clamping) and its repaired name; clean and
+/// skipped columns have empty entries. `table` is the input with `overlay`
+/// applied: only Sanitize fills it, and only when `any_modified` is true;
+/// callers keep using the original table otherwise, which guarantees clean
+/// input flows through byte-identical.
 struct SanitizeResult {
+  TableOverlay overlay;
   Table table;
   std::vector<ColumnReport> columns;  // one entry per input column
   bool any_modified = false;
@@ -72,14 +77,23 @@ struct SanitizeResult {
 /// Cells are compared in the C locale whatever the process locale is:
 /// whitespace is ' ' and '\t' '\n' '\v' '\f' '\r', case folding maps only
 /// 'A'-'Z', and every byte >= 0x80 is an ordinary non-space byte. The scan
-/// works on views of the cells and allocates nothing per cell (DESIGN §15).
+/// works on views of the cells and allocates nothing per cell; only a
+/// repaired cell gets bytes of its own (DESIGN §15).
 class ColumnSanitizer {
  public:
   explicit ColumnSanitizer(SanitizerOptions options = {});
 
-  /// Sanitizes every column. Skipped columns keep their original content
-  /// in the returned table (they are not annotated, so cleaning them would
-  /// only churn bytes).
+  /// Classifies every column and repairs the annotatable ones into the
+  /// result's overlay, leaving `table` empty: its cost and allocations
+  /// scale with the repaired cells, not with the table. The annotate path
+  /// serializes through the overlay (TableSerializer::SerializeTable).
+  SanitizeResult Repair(const Table& table) const;
+
+  /// Repair, plus the input with the overlay applied in `table` when
+  /// anything was repaired: a materializing wrapper for callers that need a
+  /// sanitized Table, today only perfbench's replay of the sanitize stage.
+  /// Skipped columns keep their original content in the returned table
+  /// (they are not annotated, so cleaning them would only churn bytes).
   SanitizeResult Sanitize(const Table& table) const;
 
   /// Classifies one column without modifying it.

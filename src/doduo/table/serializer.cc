@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "doduo/util/check.h"
@@ -69,14 +70,16 @@ TableSerializer::TableSerializer(const text::WordPieceTokenizer* tokenizer,
   DODUO_CHECK_GT(options.max_total_tokens, 2);
 }
 
-void TableSerializer::AppendColumnTokens(const Column& column, int budget,
+void TableSerializer::AppendColumnTokens(const Column& column,
+                                         const ColumnOverlay* overlay,
+                                         int budget,
                                          SerializedTable* out) const {
   int used = 0;
   // Tokenization stops at the remaining budget: a single enormous header
   // or cell must not be WordPiece'd in full just to throw the tail away.
   // EncodeBudgeted returns an exact prefix of Encode, so output sequences
   // are unchanged; a cut span only shows up in the truncation counter.
-  const auto append_span = [&](const std::string& text, int row_id) {
+  const auto append_span = [&](std::string_view text, int row_id) {
     if (used >= budget) return false;
     bool truncated = false;
     for (int id : tokenizer_->EncodeBudgeted(
@@ -87,11 +90,22 @@ void TableSerializer::AppendColumnTokens(const Column& column, int budget,
     if (truncated) Metrics().spans_truncated->Increment();
     return used < budget;
   };
-  if (options_.include_metadata && !column.name.empty()) {
-    if (!append_span(column.name, -1)) return;
+  const std::string& name = overlay != nullptr && overlay->name.has_value()
+                                ? *overlay->name
+                                : column.name;
+  if (options_.include_metadata && !name.empty()) {
+    if (!append_span(name, -1)) return;
   }
+  // One cursor over the overlay's ascending rows: a repaired cell is read
+  // from the overlay, every other cell from the column itself.
+  size_t next = 0;
   for (size_t row = 0; row < column.values.size(); ++row) {
-    if (!append_span(column.values[row], static_cast<int>(row))) break;
+    std::string_view cell = column.values[row];
+    if (overlay != nullptr && next < overlay->rows.size() &&
+        overlay->rows[next] == row) {
+      cell = overlay->values[next++];
+    }
+    if (!append_span(cell, static_cast<int>(row))) break;
   }
 }
 
@@ -108,7 +122,8 @@ util::Result<SerializedTable> TableSerializer::SerializeTable(
 }
 
 util::Result<SerializedTable> TableSerializer::SerializeTable(
-    const Table& table, std::span<const int> columns) const {
+    const Table& table, std::span<const int> columns,
+    const TableOverlay* overlay) const {
   util::ScopedTimer timer(Metrics().serialize_us, "serializer.serialize");
   const int n = static_cast<int>(columns.size());
   util::Status valid =
@@ -118,6 +133,13 @@ util::Result<SerializedTable> TableSerializer::SerializeTable(
     if (column < 0 || column >= table.num_columns()) {
       return BadColumnIndex(table, column);
     }
+  }
+  if (overlay != nullptr && !overlay->columns.empty() &&
+      overlay->columns.size() != static_cast<size_t>(table.num_columns())) {
+    return util::Status::InvalidArgument(
+        "overlay has " + std::to_string(overlay->columns.size()) +
+        " columns but table '" + table.id() + "' has " +
+        std::to_string(table.num_columns()));
   }
   // Budget per column under the total limit.
   const int available = options_.max_total_tokens - n - 1;
@@ -131,7 +153,9 @@ util::Result<SerializedTable> TableSerializer::SerializeTable(
     out.cls_positions.push_back(
         static_cast<int64_t>(out.token_ids.size()));
     Push(&out, Vocab::kClsId, -1);
-    AppendColumnTokens(table.column(column), budget, &out);
+    AppendColumnTokens(table.column(column),
+                       overlay != nullptr ? overlay->column(column) : nullptr,
+                       budget, &out);
   }
   Push(&out, Vocab::kSepId, -1);
   Metrics().tables->Increment();
@@ -150,7 +174,7 @@ util::Result<SerializedTable> TableSerializer::SerializeColumn(
   SerializedTable out;
   out.cls_positions.push_back(0);
   Push(&out, Vocab::kClsId, -1);
-  AppendColumnTokens(table.column(column), budget, &out);
+  AppendColumnTokens(table.column(column), nullptr, budget, &out);
   Push(&out, Vocab::kSepId, -1);
   Metrics().tables->Increment();
   Metrics().tokens->Increment(out.token_ids.size());
@@ -173,7 +197,7 @@ util::Result<SerializedTable> TableSerializer::SerializeColumnPair(
     out.cls_positions.push_back(
         static_cast<int64_t>(out.token_ids.size()));
     Push(&out, Vocab::kClsId, -1);
-    AppendColumnTokens(table.column(column), budget, &out);
+    AppendColumnTokens(table.column(column), nullptr, budget, &out);
     Push(&out, Vocab::kSepId, -1);
   }
   Metrics().tables->Increment();

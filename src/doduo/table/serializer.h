@@ -61,10 +61,16 @@ class TableSerializer {
   /// Table-wise serialization of the listed columns of `table`, in list
   /// order, as if they were a table of their own (the column-chunk path of
   /// wide or partially skipped tables, without copying a subset table).
+  /// When `overlay` is given (empty, or one entry per column of `table`),
+  /// each column's name and cells are read through it: the result equals
+  /// serializing `table` with the overlay applied, without that copy. The
+  /// robust annotate path passes ColumnSanitizer::Repair's overlay here.
   /// The column-count checks of ValidateTable apply to the list; an
-  /// out-of-range index is InvalidArgument.
+  /// out-of-range index, or an overlay of another width, is
+  /// InvalidArgument.
   [[nodiscard]] util::Result<SerializedTable> SerializeTable(
-      const Table& table, std::span<const int> columns) const;
+      const Table& table, std::span<const int> columns,
+      const TableOverlay* overlay = nullptr) const;
 
   /// Single-column serialization (the DOSOLO_SCol type model).
   [[nodiscard]] util::Result<SerializedTable> SerializeColumn(const Table& table,
@@ -92,9 +98,10 @@ class TableSerializer {
 
  private:
   /// Appends one column's content tokens (truncated to `budget`) and their
-  /// row ids to the output sequence.
-  void AppendColumnTokens(const Column& column, int budget,
-                          SerializedTable* out) const;
+  /// row ids to the output sequence, reading its name and cells through
+  /// `overlay` when it is not null.
+  void AppendColumnTokens(const Column& column, const ColumnOverlay* overlay,
+                          int budget, SerializedTable* out) const;
 
   const text::WordPieceTokenizer* tokenizer_;
   SerializerOptions options_;

@@ -1,6 +1,8 @@
 #ifndef DODUO_TABLE_TABLE_H_
 #define DODUO_TABLE_TABLE_H_
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,30 @@ class Table {
  private:
   std::string id_;
   std::vector<Column> columns_;
+};
+
+/// Replacement bytes for some cells, and possibly the name, of one column,
+/// read in place of the column's own without copying it: `values[i]`
+/// replaces row `rows[i]`, and `rows` is strictly ascending so a reader
+/// walks it with one cursor. An overlay with no rows and no name changes
+/// nothing.
+struct ColumnOverlay {
+  std::vector<size_t> rows;
+  std::vector<std::string> values;  // parallel to `rows`
+  std::optional<std::string> name;
+
+  bool empty() const { return rows.empty() && !name.has_value(); }
+};
+
+/// Overlays for the columns of one Table: empty, or one entry per column
+/// in column order.
+struct TableOverlay {
+  std::vector<ColumnOverlay> columns;
+
+  /// Column `c`'s overlay, or nullptr when the table has none.
+  const ColumnOverlay* column(int c) const {
+    return columns.empty() ? nullptr : &columns[static_cast<size_t>(c)];
+  }
 };
 
 /// Builds a Table from parsed CSV rows; when `has_header` the first row

@@ -14,7 +14,7 @@ Vocab::Vocab() {
 }
 
 int Vocab::AddToken(std::string_view token) {
-  auto it = ids_.find(std::string(token));
+  auto it = ids_.find(token);
   if (it != ids_.end()) return it->second;
   const int id = static_cast<int>(tokens_.size());
   tokens_.emplace_back(token);
@@ -23,12 +23,12 @@ int Vocab::AddToken(std::string_view token) {
 }
 
 int Vocab::Id(std::string_view token) const {
-  auto it = ids_.find(std::string(token));
+  auto it = ids_.find(token);
   return it != ids_.end() ? it->second : kUnkId;
 }
 
 bool Vocab::Contains(std::string_view token) const {
-  return ids_.find(std::string(token)) != ids_.end();
+  return ids_.find(token) != ids_.end();
 }
 
 const std::string& Vocab::Token(int id) const {

@@ -1,6 +1,8 @@
 #ifndef DODUO_TEXT_VOCAB_H_
 #define DODUO_TEXT_VOCAB_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,8 +58,17 @@ class Vocab {
   [[nodiscard]] static util::Result<Vocab> Load(const std::string& path);
 
  private:
+  // Transparent hash + std::equal_to<>: a string_view is looked up as it
+  // is, without building a std::string per WordPiece candidate.
+  struct TokenHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view token) const {
+      return std::hash<std::string_view>{}(token);
+    }
+  };
+
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, int> ids_;
+  std::unordered_map<std::string, int, TokenHash, std::equal_to<>> ids_;
 };
 
 }  // namespace doduo::text

@@ -221,27 +221,44 @@ bool Utf8IsValid(std::string_view text) {
   return true;
 }
 
-std::string Utf8Repair(std::string_view text) {
-  static constexpr char kReplacement[] = "\xEF\xBF\xBD";  // U+FFFD
-  std::string out;
-  out.reserve(text.size());
+namespace {
+
+/// Calls `emit` with the pieces of `text` repaired: each well-formed
+/// sequence as it is, and one U+FFFD per maximal invalid subsequence (the
+/// bad lead byte plus any continuation bytes dangling behind it).
+template <typename Emit>
+void ForEachRepairedPiece(std::string_view text, Emit&& emit) {
+  static constexpr std::string_view kReplacement = "\xEF\xBF\xBD";
   size_t pos = 0;
   while (pos < text.size()) {
     const size_t len = Utf8SequenceLength(text, pos);
     if (len > 0) {
-      out.append(text.substr(pos, len));
+      emit(text.substr(pos, len));
       pos += len;
       continue;
     }
-    // One replacement per maximal invalid subsequence: skip the bad lead
-    // byte plus any continuation bytes dangling behind it.
-    out.append(kReplacement);
+    emit(kReplacement);
     ++pos;
     while (pos < text.size() &&
            (static_cast<unsigned char>(text[pos]) & 0xC0) == 0x80) {
       ++pos;
     }
   }
+}
+
+}  // namespace
+
+std::string Utf8Repair(std::string_view text) {
+  // The first walk sizes the output, so the copy is one allocation.
+  size_t size = 0;
+  ForEachRepairedPiece(text, [&](std::string_view piece) {
+    size += piece.size();
+  });
+  std::string out;
+  out.reserve(size);
+  ForEachRepairedPiece(text, [&](std::string_view piece) {
+    out.append(piece);
+  });
   return out;
 }
 

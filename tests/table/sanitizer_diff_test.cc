@@ -1,7 +1,8 @@
 // Differential test of the allocation-free sanitizer scan against the
 // string-building one it replaced (sanitizer_oracle.h): IsNullMarker for
-// every byte next to every marker, and Classify and Sanitize (skip
-// reasons, repair / clamp counts, repaired bytes) on random dirty tables.
+// every byte next to every marker, and Classify, Sanitize and Repair's
+// overlay (skip reasons, repair / clamp counts, repaired rows and bytes) on
+// random dirty tables.
 
 #include <string>
 #include <vector>
@@ -143,36 +144,96 @@ void ExpectSameResult(const SanitizeResult& got, const SanitizeResult& want) {
   }
 }
 
+// A random dirty table and random sanitizer options for one trial.
+Table RandomTable(int trial, util::Rng* rng, SanitizerOptions* options) {
+  static const std::vector<std::string> headers = {
+      "city", "City ", "n/a", "", "caf\xC3\xA9", "bad\xC3"};
+  options->repair_utf8 = rng->Bernoulli(0.8);
+  const size_t clamps[] = {0, 1, 6, 24, 4096};
+  options->max_cell_bytes = clamps[rng->NextUint64(5)];
+  options->max_null_ratio = rng->UniformDouble(0.0, 1.0);
+  options->header_like_ratio = rng->UniformDouble(0.0, 1.0);
+  Table table("t" + std::to_string(trial));
+  const uint64_t num_columns = 1 + rng->NextUint64(6);
+  for (uint64_t c = 0; c < num_columns; ++c) {
+    Column column;
+    column.name = headers[rng->NextUint64(headers.size())];
+    const uint64_t rows = rng->NextUint64(30);
+    for (uint64_t r = 0; r < rows; ++r) {
+      column.values.push_back(RandomCell(column.name, rng));
+    }
+    table.AddColumn(std::move(column));
+  }
+  return table;
+}
+
+// Repair's overlay holds exactly the oracle's rewrites: for each
+// annotatable column the rows whose bytes the oracle changed, ascending,
+// with the oracle's bytes, and the oracle's name when it repaired it.
+void ExpectOverlayMatchesOracle(const Table& table, const SanitizeResult& got,
+                                const SanitizeResult& want) {
+  ASSERT_EQ(got.overlay.columns.size(),
+            static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) {
+    const ColumnOverlay& overlay = *got.overlay.column(c);
+    std::vector<size_t> rows;
+    std::vector<std::string> values;
+    std::string name = table.column(c).name;
+    if (want.any_modified) {
+      const Column& fixed = want.table.column(c);
+      for (size_t r = 0; r < fixed.values.size(); ++r) {
+        if (fixed.values[r] != table.column(c).values[r]) {
+          rows.push_back(r);
+          values.push_back(fixed.values[r]);
+        }
+      }
+      name = fixed.name;
+    }
+    EXPECT_EQ(overlay.rows, rows) << "column " << c;
+    EXPECT_EQ(overlay.values, values) << "column " << c;
+    EXPECT_EQ(overlay.name.has_value(),
+              want.columns[static_cast<size_t>(c)].name_repaired)
+        << "column " << c;
+    EXPECT_EQ(overlay.name.value_or(table.column(c).name), name)
+        << "column " << c;
+  }
+}
+
 class SanitizerDiffSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SanitizerDiffSeedTest, RandomTablesMatchOracle) {
   util::Rng rng(GetParam());
-  const std::vector<std::string> headers = {"city", "City ", "n/a", "",
-                                            "caf\xC3\xA9", "bad\xC3"};
   for (int trial = 0; trial < 150; ++trial) {
     SanitizerOptions options;
-    options.repair_utf8 = rng.Bernoulli(0.8);
-    const size_t clamps[] = {0, 1, 6, 24, 4096};
-    options.max_cell_bytes = clamps[rng.NextUint64(5)];
-    options.max_null_ratio = rng.UniformDouble(0.0, 1.0);
-    options.header_like_ratio = rng.UniformDouble(0.0, 1.0);
-    Table table("t" + std::to_string(trial));
-    const uint64_t num_columns = 1 + rng.NextUint64(6);
-    for (uint64_t c = 0; c < num_columns; ++c) {
-      Column column;
-      column.name = headers[rng.NextUint64(headers.size())];
-      const uint64_t rows = rng.NextUint64(30);
-      for (uint64_t r = 0; r < rows; ++r) {
-        column.values.push_back(RandomCell(column.name, &rng));
-      }
-      table.AddColumn(std::move(column));
-    }
+    const Table table = RandomTable(trial, &rng, &options);
     const ColumnSanitizer sanitizer(options);
     for (const Column& column : table.columns()) {
       ASSERT_EQ(sanitizer.Classify(column), OracleClassify(column, options));
     }
     ExpectSameResult(sanitizer.Sanitize(table), OracleSanitize(table, options));
     if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(SanitizerDiffSeedTest, OverlayMatchesOracle) {
+  util::Rng rng(GetParam());
+  for (int trial = 0; trial < 150; ++trial) {
+    SanitizerOptions options;
+    const Table table = RandomTable(trial, &rng, &options);
+    const ColumnSanitizer sanitizer(options);
+    const SanitizeResult want = OracleSanitize(table, options);
+    const SanitizeResult got = sanitizer.Repair(table);
+    ASSERT_EQ(got.any_modified, want.any_modified);
+    EXPECT_EQ(got.table.num_columns(), 0);
+    for (size_t c = 0; c < want.columns.size(); ++c) {
+      EXPECT_EQ(got.columns[c].skip, want.columns[c].skip);
+      EXPECT_EQ(got.columns[c].cells_repaired, want.columns[c].cells_repaired);
+      EXPECT_EQ(got.columns[c].cells_clamped, want.columns[c].cells_clamped);
+    }
+    ExpectOverlayMatchesOracle(table, got, want);
+    if (HasFailure()) {
+      FAIL() << "trial " << trial;
+    }
   }
 }
 

@@ -24,10 +24,10 @@
 # bounds) where integer overflow or bad shifts would otherwise pass
 # silently. The ASan/TSan runs restrict themselves to the suites where the
 # kernel, layer, threading, and serving code lives: nn, transformer, and
-# serve under both, core and baselines under ASan (the dynamic batcher and
-# server are the most concurrency-dense code in the tree — DESIGN §12
-# requires the loopback stress suite to be clean under both). UBSan runs
-# the tier-1 suite; the Release tier-1 runs everything.
+# serve under both, core, baselines and table under ASan (the dynamic
+# batcher and server are the most concurrency-dense code in the tree —
+# DESIGN §12 requires the loopback stress suite to be clean under both).
+# UBSan runs the tier-1 suite; the Release tier-1 runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -175,11 +175,14 @@ fi
 echo "=== AddressSanitizer ==="
 cmake -B build-asan -S . -DDODUO_ASAN=ON >/dev/null
 cmake --build build-asan -j "${jobs}" --target nn_test transformer_test \
-  core_test baselines_test serve_test nn_alloc_test encoder_alloc_test
+  core_test baselines_test serve_test table_test nn_alloc_test \
+  encoder_alloc_test sanitizer_alloc_test
 (cd build-asan/tests &&
  ./nn_test --gtest_brief=1 &&
  ./nn_alloc_test --gtest_brief=1 &&
  ./encoder_alloc_test --gtest_brief=1 &&
+ ./table_test --gtest_brief=1 &&
+ ./sanitizer_alloc_test --gtest_brief=1 &&
  ./transformer_test --gtest_brief=1 &&
  ./core_test --gtest_brief=1 &&
  ./baselines_test --gtest_brief=1 &&
@@ -209,7 +212,7 @@ echo "--- dirty-input suite (DESIGN §15: raw fixture bytes + sanitizer + robust
 # under UBSan on their own, so a regression here is named, not buried in
 # the tier-1 wall of output.
 ctest --test-dir build-ubsan --output-on-failure -j "${jobs}" \
-  -R 'DirtyFixtures|ColumnSanitizer|NullMarker|SkipReason|CalibratedConfidence|FitTemperature|AnnotatorRobust'
+  -R 'DirtyFixtures|ColumnSanitizer|SanitizerDiff|SanitizerAlloc|SerializerOverlay|NullMarker|SkipReason|CalibratedConfidence|FitTemperature|AnnotatorRobust|AnnotatorOverlay'
 ctest --test-dir build-ubsan --output-on-failure -j "${jobs}"
 
-echo "=== all checks passed (lint + quant gate + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan, core_test|baselines_test under ASan; tier-1 under UBSan) ==="
+echo "=== all checks passed (lint + quant gate + -Werror + thread-safety; ${sanitizer_filter} under ASan/TSan, core_test|baselines_test|table_test|sanitizer_alloc_test under ASan; tier-1 under UBSan) ==="
