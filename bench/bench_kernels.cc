@@ -714,23 +714,9 @@ void BM_ParseCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseCsv);
 
-// Classify every column and repair the dirty ones, MB/s of the table's CSV
-// text.
+// The annotate path's sanitizer pass (Repair): classify every column and
+// record the repaired cells as an overlay, MB/s of the table's CSV text.
 void BM_Sanitize(benchmark::State& state) {
-  const doduo::table::Table& table = LakeTable();
-  const doduo::table::ColumnSanitizer sanitizer;
-  for (auto _ : state) {
-    auto result = sanitizer.Sanitize(table);
-    benchmark::DoNotOptimize(result.columns.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(LakeCsv().size()));
-}
-BENCHMARK(BM_Sanitize);
-
-// The annotate path's pass: the same classification and repairs, recorded
-// as an overlay of the repaired cells instead of applied to a table copy.
-void BM_SanitizeRepair(benchmark::State& state) {
   const doduo::table::Table& table = LakeTable();
   const doduo::table::ColumnSanitizer sanitizer;
   for (auto _ : state) {
@@ -740,7 +726,7 @@ void BM_SanitizeRepair(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(LakeCsv().size()));
 }
-BENCHMARK(BM_SanitizeRepair);
+BENCHMARK(BM_Sanitize);
 
 void BM_SherlockFeatures(benchmark::State& state) {
   doduo::table::Column column;
@@ -850,7 +836,8 @@ BENCHMARK(BM_AnnotateTypesQuant)->Arg(0)->Arg(1);
 // Linear GEMMs, AVX-512 tile vs AVX axpy (the fourth); the AVX-512 twins
 // of GELU and attention vs their AVX2 twins (the fifth and sixth), with
 // exp and LayerNorm reported beside them; lake ingest MB/s
-// (CSV parse and sanitize, ungated); batched annotation
+// (CSV parse, rows to a Table, and the sanitizer's Repair pass, ungated);
+// batched annotation
 // tables/sec with the quant path off and on; and the per-worker RSS delta
 // of a ReplicaPool built over a v2 mmap checkpoint, next to the bytes the
 // load actually mapped. Both sides of every gated ratio are the best of
@@ -1084,19 +1071,35 @@ void EmitQuantBenchJson() {
     twin_expf_us[1] = avx512_s * 1e6;
   }
 
-  // Lake ingest, single thread: CSV text to rows, and the sanitizer over
-  // the parsed table, in MB/s of CSV text (best of kGateReps).
+  // Lake ingest, single thread, in MB/s of CSV text (best of kGateReps):
+  // CSV text to rows; rows to a Table plus releasing the rows, the cell
+  // copies the columnar-cells layout would remove (ROADMAP); and the
+  // sanitizer pass the annotate path runs (Repair). Each from-rows call
+  // consumes a copy of the parsed rows, made off the clock, and releases
+  // its Table off the clock.
   const double csv_mb = static_cast<double>(LakeCsv().size()) / 1e6;
   double parse_s = std::numeric_limits<double>::infinity();
+  double from_rows_s = std::numeric_limits<double>::infinity();
   double sanitize_s = std::numeric_limits<double>::infinity();
   const doduo::table::ColumnSanitizer sanitizer;
+  const doduo::util::CsvRows parsed = doduo::util::ParseCsv(LakeCsv()).value();
   for (int rep = 0; rep < kGateReps; ++rep) {
     parse_s = std::min(parse_s, SecondsPerCall(5, [&] {
       auto rows = doduo::util::ParseCsv(LakeCsv());
       benchmark::DoNotOptimize(rows.value().data());
     }));
+    std::chrono::duration<double> from_rows{0};
+    for (int i = 0; i < 5; ++i) {
+      doduo::util::CsvRows rows = parsed;
+      const auto start = std::chrono::steady_clock::now();
+      auto table = doduo::table::TableFromCsvRows(rows, true, "lake");
+      doduo::util::CsvRows().swap(rows);
+      from_rows += std::chrono::steady_clock::now() - start;
+      benchmark::DoNotOptimize(table.value().columns().data());
+    }
+    from_rows_s = std::min(from_rows_s, from_rows.count() / 5);
     sanitize_s = std::min(sanitize_s, SecondsPerCall(5, [&] {
-      auto result = sanitizer.Sanitize(LakeTable());
+      auto result = sanitizer.Repair(LakeTable());
       benchmark::DoNotOptimize(result.columns.data());
     }));
   }
@@ -1249,8 +1252,10 @@ void EmitQuantBenchJson() {
   std::fprintf(out,
                "  \"ingest\": {\"csv_mb\": %.3f,\n"
                "    \"parse_csv_mb_per_s\": %.1f,"
+               " \"from_rows_mb_per_s\": %.1f,"
                " \"sanitize_mb_per_s\": %.1f},\n",
-               csv_mb, csv_mb / parse_s, csv_mb / sanitize_s);
+               csv_mb, csv_mb / parse_s, csv_mb / from_rows_s,
+               csv_mb / sanitize_s);
   std::fprintf(out,
                "  \"annotate\": {\"tables\": %d,\n"
                "    \"fp32_tables_per_sec\": %.2f,\n"

@@ -1,6 +1,5 @@
 #include "doduo/nn/expf.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -102,244 +101,80 @@ DODUO_EXPF_CLONES float Expf(float x) {
   return static_cast<float>(y);
 }
 
-namespace {
-
-// --- SIMD twins -----------------------------------------------------------
+// --- SIMD members -----------------------------------------------------------
 //
-// ExpfRowAvx2Fma evaluates Expf's main path on four doubles per register:
-// each std::fma above is one _mm256_fmadd_pd, each other op one intrinsic,
-// and the table is read by gather. ExpfRowAvx512 does the same on eight
-// doubles per register (_mm512_fmadd_pd), reading the table from registers.
-// They and their several-row forms (internal::ExpfRows*, one call per
-// softmax block) are the functions in the tree compiled with FMA enabled
-// besides Expf, and they hold no other mul+add pair the compiler could
-// contract; they are noinline so they cannot be merged into a caller whose
-// mul+add would then be contracted (DESIGN.md §9). Lanes below kUnderflow
-// (-inf included) are 0, as in the port; any other lane with |x| >= 88 or
-// inf/NaN runs the port. Selected once per process (UseAvx512, then
-// UseAvx2Fma); DODUO_SIMD=0 forces the scalar loop.
+// ExpfRow's AVX2+FMA and AVX-512 members and their several-row forms
+// (internal::ExpfRows*, one call per softmax block) are one body over the
+// SIMD trait (nn/expf_simd.inc), built per width. Besides Expf they are
+// the only functions in the tree compiled with FMA enabled, and the
+// internal::ExpfRows* entry points are noinline so they cannot be merged
+// into a caller whose mul+add would then be contracted (DESIGN.md §9).
+// Selected once per process (UseAvx512, then UseAvx2Fma); DODUO_SIMD=0
+// forces the scalar loop.
 
 #if defined(DODUO_X86_SIMD)
+DODUO_SIMD_BEGIN("avx2,fma")
+namespace simd::avx2 {
+namespace {
+#include "doduo/nn/expf_simd.inc"
+}  // namespace
+}  // namespace simd::avx2
 
-__attribute__((target("avx2,fma"))) inline __m128 Exp4Avx2Fma(__m128 x) {
-  const __m256d xd = _mm256_cvtps_pd(x);
-  const __m256d inv_ln2n = _mm256_set1_pd(kInvLn2N);
-  const __m256d shift = _mm256_set1_pd(kShift);
-  const __m256d kd_shifted = _mm256_fmadd_pd(inv_ln2n, xd, shift);
-  const __m256i ki = _mm256_castpd_si256(kd_shifted);
-  const __m256d kd = _mm256_sub_pd(kd_shifted, shift);
-  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
-  const __m256i index =
-      _mm256_and_si256(ki, _mm256_set1_epi64x(kTableSize - 1));
-  const __m256i t = _mm256_add_epi64(
-      _mm256_i64gather_epi64(reinterpret_cast<const long long*>(kTable),
-                             index, 8),
-      _mm256_slli_epi64(ki, 52 - kTableBits));
-  const __m256d s = _mm256_castsi256_pd(t);
-  const __m256d z =
-      _mm256_fmadd_pd(_mm256_set1_pd(kC0), r, _mm256_set1_pd(kC1));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kC2), r, _mm256_set1_pd(1.0));
-  y = _mm256_fmadd_pd(z, r2, y);
-  y = _mm256_mul_pd(y, s);
-  return _mm256_cvtpd_ps(y);
+void internal::ExpfRowsAvx2Fma(float* const* rows, const float* shift,
+                               int count, int64_t n) {
+  simd::avx2::ExpfRows(rows, shift, count, n);
 }
+DODUO_SIMD_END
 
-// y[l] = Expf(x[l] - shift) for the eight lanes l; y may alias x.
-__attribute__((target("avx2,fma"))) inline void Exp8Avx2Fma(const float* x,
-                                                            __m256 shift,
-                                                            float* y) {
-  const __m256 v = _mm256_sub_ps(_mm256_loadu_ps(x), shift);
-  const __m256 zero_lanes =
-      _mm256_cmp_ps(v, _mm256_set1_ps(kUnderflow), _CMP_LT_OQ);
-  const __m256i abs_bits = _mm256_and_si256(_mm256_castps_si256(v),
-                                            _mm256_set1_epi32(0x7fffffff));
-  const __m256i big =  // |v| >= 88, inf or NaN
-      _mm256_cmpgt_epi32(abs_bits, _mm256_set1_epi32(0x42afffff));
-  const __m256 e = _mm256_set_m128(Exp4Avx2Fma(_mm256_extractf128_ps(v, 1)),
-                                   Exp4Avx2Fma(_mm256_castps256_ps128(v)));
-  _mm256_storeu_ps(y, _mm256_andnot_ps(zero_lanes, e));
-  int special = _mm256_movemask_ps(
-      _mm256_andnot_ps(zero_lanes, _mm256_castsi256_ps(big)));
-  if (special != 0) {
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, v);
-    for (; special != 0; special &= special - 1) {
-      const int lane = __builtin_ctz(static_cast<unsigned>(special));
-      y[lane] = Expf(lanes[lane]);
-    }
-  }
+DODUO_SIMD_BEGIN("avx512f")
+namespace simd::avx512 {
+namespace {
+#include "doduo/nn/expf_simd.inc"
+}  // namespace
+}  // namespace simd::avx512
+
+void internal::ExpfRowsAvx512(float* const* rows, const float* shift,
+                              int count, int64_t n) {
+  simd::avx512::ExpfRows(rows, shift, count, n);
 }
-
-// The AVX-512 twin: Exp4Avx2Fma on eight doubles, the same intrinsics in
-// the same order. The 32-entry table sits in four registers; two
-// permutex2var read entries 0-15 and 16-31 by index bits 0-3, and a blend
-// on bit 4 picks between them, with no gather.
-__attribute__((target("avx512f"))) inline __m256 Exp8Avx512(
-    __m256 x, const __m512d table[4]) {
-  const __m512d xd = _mm512_cvtps_pd(x);
-  const __m512d inv_ln2n = _mm512_set1_pd(kInvLn2N);
-  const __m512d shift = _mm512_set1_pd(kShift);
-  const __m512d kd_shifted = _mm512_fmadd_pd(inv_ln2n, xd, shift);
-  const __m512i ki = _mm512_castpd_si512(kd_shifted);
-  const __m512d kd = _mm512_sub_pd(kd_shifted, shift);
-  const __m512d r = _mm512_fmsub_pd(inv_ln2n, xd, kd);
-  const __m512d low = _mm512_permutex2var_pd(table[0], ki, table[1]);
-  const __m512d high = _mm512_permutex2var_pd(table[2], ki, table[3]);
-  const __mmask8 upper =
-      _mm512_test_epi64_mask(ki, _mm512_set1_epi64(kTableSize / 2));
-  const __m512i t = _mm512_add_epi64(
-      _mm512_castpd_si512(_mm512_mask_blend_pd(upper, low, high)),
-      _mm512_slli_epi64(ki, 52 - kTableBits));
-  const __m512d s = _mm512_castsi512_pd(t);
-  const __m512d z =
-      _mm512_fmadd_pd(_mm512_set1_pd(kC0), r, _mm512_set1_pd(kC1));
-  const __m512d r2 = _mm512_mul_pd(r, r);
-  __m512d y = _mm512_fmadd_pd(_mm512_set1_pd(kC2), r, _mm512_set1_pd(1.0));
-  y = _mm512_fmadd_pd(z, r2, y);
-  y = _mm512_mul_pd(y, s);
-  return _mm512_cvtpd_ps(y);
-}
-
-// y[l] = Expf(x[l] - shift) for the lanes l in `lanes`; y may alias x.
-// Lanes outside `lanes` are neither read nor written: they hold `shift`,
-// so they compute exp(0) and take no special path.
-__attribute__((target("avx512f"))) inline void Exp16Avx512(
-    const float* x, __m512 shift, float* y, __mmask16 lanes,
-    const __m512d table[4]) {
-  const __m512 v = _mm512_sub_ps(_mm512_mask_loadu_ps(shift, lanes, x), shift);
-  const __mmask16 zero_lanes =
-      _mm512_cmp_ps_mask(v, _mm512_set1_ps(kUnderflow), _CMP_LT_OQ);
-  const __m512i abs_bits = _mm512_and_si512(_mm512_castps_si512(v),
-                                            _mm512_set1_epi32(0x7fffffff));
-  const __mmask16 big =  // |v| >= 88, inf or NaN
-      _mm512_cmpgt_epi32_mask(abs_bits, _mm512_set1_epi32(0x42afffff));
-  const __m512d vd = _mm512_castps_pd(v);
-  const __m256 e_low = Exp8Avx512(_mm512_castps512_ps256(v), table);
-  // The zero-masked extract: GCC 12 warns on the plain one's undefined
-  // passthrough once this is inlined into a row loop.
-  const __m256 e_high = Exp8Avx512(
-      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xf, vd, 1)), table);
-  const __m512 e = _mm512_castpd_ps(_mm512_insertf64x4(
-      _mm512_castpd256_pd512(_mm256_castps_pd(e_low)),
-      _mm256_castps_pd(e_high), 1));
-  _mm512_mask_storeu_ps(y, lanes,
-                        _mm512_maskz_mov_ps(_mm512_knot(zero_lanes), e));
-  unsigned special = _mm512_kandn(zero_lanes, _mm512_kand(big, lanes));
-  if (special != 0) {
-    alignas(64) float values[16];
-    _mm512_store_ps(values, v);
-    for (; special != 0; special &= special - 1) {
-      const int lane = __builtin_ctz(special);
-      y[lane] = Expf(values[lane]);
-    }
-  }
-}
-
+DODUO_SIMD_END
 #endif  // DODUO_X86_SIMD
+
+namespace {
 
 void ExpfRowScalar(const float* x, float shift, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = Expf(x[i] - shift);
 }
 
-}  // namespace
-
+constexpr ExpfKernel kScalar{"scalar", &ExpfRowScalar};
 #if defined(DODUO_X86_SIMD)
+constexpr ExpfKernel kAvx2{"avx2", &simd::avx2::ExpfRow};
+constexpr ExpfKernel kAvx512{"avx512", &simd::avx512::ExpfRow};
+#endif
 
-namespace {
-
-// One row of ExpfRowAvx2Fma. A row tail shorter than eight runs as one
-// padded vector (padding lanes hold `shift`, so they compute exp(0)), not
-// through the scalar port.
-__attribute__((target("avx2,fma"))) inline void ExpRowAvx2Fma(const float* x,
-                                                              float shift,
-                                                              float* y,
-                                                              int64_t n) {
-  const __m256 vshift = _mm256_set1_ps(shift);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) Exp8Avx2Fma(x + i, vshift, y + i);
-  if (i < n) {
-    alignas(32) float tail[8];
-    std::fill(tail, tail + 8, shift);
-    std::copy(x + i, x + n, tail);
-    Exp8Avx2Fma(tail, vshift, tail);
-    std::copy(tail, tail + (n - i), y + i);
-  }
-}
-
-// One row of ExpfRowAvx512; the row tail runs as one masked vector.
-__attribute__((target("avx512f"))) inline void ExpRowAvx512(
-    const float* x, float shift, float* y, int64_t n,
-    const __m512d table[4]) {
-  const __m512 vshift = _mm512_set1_ps(shift);
-  for (int64_t i = 0; i < n; i += 16) {
-    Exp16Avx512(x + i, vshift, y + i, LaneMask16(n - i), table);
-  }
-}
-
-__attribute__((target("avx512f"))) inline void LoadTableAvx512(
-    __m512d table[4]) {
-  for (int q = 0; q < 4; ++q) table[q] = _mm512_loadu_pd(kTable + 8 * q);
-}
-
-__attribute__((target("avx2,fma"), noinline)) void ExpfRowAvx2Fma(
-    const float* x, float shift, float* y, int64_t n) {
-  ExpRowAvx2Fma(x, shift, y, n);
-}
-
-__attribute__((target("avx512f"), noinline)) void ExpfRowAvx512(
-    const float* x, float shift, float* y, int64_t n) {
-  __m512d table[4];
-  LoadTableAvx512(table);
-  ExpRowAvx512(x, shift, y, n, table);
+// The member ExpfRow runs.
+const ExpfKernel& Dispatched() {
+#if defined(DODUO_X86_SIMD)
+  if (UseAvx512()) return kAvx512;
+  if (UseAvx2Fma()) return kAvx2;
+#endif
+  return kScalar;
 }
 
 }  // namespace
-
-namespace internal {
-
-__attribute__((target("avx2,fma"), noinline)) void ExpfRowsAvx2Fma(
-    float* const* rows, const float* shift, int count, int64_t n) {
-  for (int r = 0; r < count; ++r) ExpRowAvx2Fma(rows[r], shift[r], rows[r], n);
-}
-
-__attribute__((target("avx512f"), noinline)) void ExpfRowsAvx512(
-    float* const* rows, const float* shift, int count, int64_t n) {
-  __m512d table[4];
-  LoadTableAvx512(table);
-  for (int r = 0; r < count; ++r) {
-    ExpRowAvx512(rows[r], shift[r], rows[r], n, table);
-  }
-}
-
-}  // namespace internal
-
-#endif  // DODUO_X86_SIMD
 
 void ExpfRow(const float* x, float shift, float* y, int64_t n) {
-#if defined(DODUO_X86_SIMD)
-  if (UseAvx512()) {
-    ExpfRowAvx512(x, shift, y, n);
-    return;
-  }
-  if (UseAvx2Fma()) {
-    ExpfRowAvx2Fma(x, shift, y, n);
-    return;
-  }
-#endif
-  ExpfRowScalar(x, shift, y, n);
+  Dispatched().row(x, shift, y, n);
 }
 
 std::vector<ExpfKernel> ExpfKernels() {
-  std::vector<ExpfKernel> kernels{{"scalar", &ExpfRowScalar}};
+  std::vector<ExpfKernel> kernels{kScalar};
 #if defined(DODUO_X86_SIMD)
   if (__builtin_cpu_supports("avx2") != 0 &&
       __builtin_cpu_supports("fma") != 0) {
-    kernels.push_back({"avx2", &ExpfRowAvx2Fma});
+    kernels.push_back(kAvx2);
   }
-  if (__builtin_cpu_supports("avx512f") != 0) {
-    kernels.push_back({"avx512", &ExpfRowAvx512});
-  }
+  if (__builtin_cpu_supports("avx512f") != 0) kernels.push_back(kAvx512);
 #endif
   return kernels;
 }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -261,6 +262,76 @@ TEST(ExpfTest, StridedSweepMatchesPortAndGlibcDigest) {
   ExpfRow(x.data(), 0.0f, y.data(), static_cast<int64_t>(x.size()));
   EXPECT_EQ(Digest(y), kGlibcDigest);
 }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+TEST(ExpfTest, SeveralRowFormsMatchPort) {
+  // internal::ExpfRows* as the softmax blocks call them, in place, but with
+  // any row count, row lengths around every vector and tail width, a
+  // different shift per row, and specials planted in each lane of one row.
+  struct Rows {
+    const char* name;
+    void (*rows)(float* const*, const float*, int, int64_t);
+  };
+  std::vector<Rows> members;
+  if (__builtin_cpu_supports("avx2") != 0 &&
+      __builtin_cpu_supports("fma") != 0) {
+    members.push_back({"avx2", &internal::ExpfRowsAvx2Fma});
+  }
+  if (__builtin_cpu_supports("avx512f") != 0) {
+    members.push_back({"avx512", &internal::ExpfRowsAvx512});
+  }
+  if (members.empty()) GTEST_SKIP() << "no SIMD exp on this CPU";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+                            88.0f, -88.5f, 100.0f, -104.0f};
+  std::vector<int64_t> lengths;
+  for (int64_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  for (const int64_t n : {255, 256, 257}) lengths.push_back(n);
+  constexpr int kMaxRows = 8;
+  for (const Rows& member : members) {
+    for (int count = 0; count <= kMaxRows; ++count) {
+      for (const int64_t n : lengths) {
+        const size_t w = static_cast<size_t>(n);
+        std::vector<std::vector<float>> x(kMaxRows, std::vector<float>(w));
+        float shift[kMaxRows];
+        for (int r = 0; r < kMaxRows; ++r) {
+          shift[r] = 0.75f * static_cast<float>(r) - 2.0f;
+          for (size_t i = 0; i < w; ++i) {
+            x[r][i] = 0.37f * static_cast<float>(static_cast<int>(i % 11) - 5) +
+                      static_cast<float>(r);
+          }
+        }
+        // The last row of the call holds a special in every lane, cycling
+        // through them from a phase that moves with count.
+        if (count > 0) {
+          for (size_t i = 0; i < w; ++i) {
+            x[count - 1][i] =
+                specials[(i + static_cast<size_t>(count)) % std::size(specials)];
+          }
+        }
+        std::vector<std::vector<float>> y = x;
+        float* rows[kMaxRows];
+        for (int r = 0; r < kMaxRows; ++r) rows[r] = y[r].data();
+        member.rows(rows, shift, count, n);
+        int mismatches = 0;
+        for (int r = 0; r < kMaxRows; ++r) {
+          if (r < count) {
+            mismatches += ExpectRowMatchesPort(x[r], shift[r], y[r],
+                                               member.name);
+          } else {
+            // Rows past `count` are not touched.
+            for (size_t i = 0; i < w; ++i) {
+              mismatches += Bits(y[r][i]) != Bits(x[r][i]);
+            }
+          }
+        }
+        ASSERT_EQ(mismatches, 0)
+            << member.name << " count " << count << " n " << n;
+      }
+    }
+  }
+}
+#endif
 
 // All 2^32 inputs: every twin against the port, and the port against the
 // host's expf when that is glibc 2.36's (other versions may pick another

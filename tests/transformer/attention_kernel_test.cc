@@ -39,7 +39,8 @@ const bool g_force_parallel = [] {
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr int64_t kSeqLens[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,   15,
                                 16, 17, 31, 32, 33, 76, 77, 190, 192};
-constexpr int64_t kHeadDims[] = {8, 12, 16, 24};
+// 32: two full 16-column P·V bands; 40: two bands and an 8-column tail.
+constexpr int64_t kHeadDims[] = {8, 12, 16, 24, 32, 40};
 
 uint32_t Bits(float x) { return std::bit_cast<uint32_t>(x); }
 

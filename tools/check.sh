@@ -50,6 +50,9 @@ cmake --build build -j "${jobs}" --target doduo_lint
   || true  # keep the report even when dirty; the gating run is next
 ./build/tools/doduo_lint .
 
+echo "=== GCC 12 AVX-512 spellings (DESIGN §11) ==="
+tools/check_simd_spellings.sh
+
 echo "=== tier-1 (Release) ==="
 cmake --build build -j "${jobs}"
 ctest --test-dir build --output-on-failure -j "${jobs}"
